@@ -430,7 +430,11 @@ def config_to_json(config: ConvexConfig) -> dict:
 def config_from_json(obj) -> ConvexConfig:
     if not isinstance(obj, dict) or not {"n", "a", "b"} <= set(obj):
         raise InputError("config JSON must be an object with keys n, a, b")
-    return ConvexConfig(int(obj["n"]), tuple(obj["a"]), tuple(obj["b"]))
+    try:
+        n, a, b = int(obj["n"]), [int(x) for x in obj["a"]], [int(x) for x in obj["b"]]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config needs an integer n and integer lists a, b: {exc}") from exc
+    return ConvexConfig(n, tuple(a), tuple(b))
 
 
 def _rows_to_json(rows) -> list:
@@ -443,14 +447,25 @@ def _rows_from_json(obj) -> tuple:
     return tuple(tuple(rat(v) for v in row) for row in obj)
 
 
-def _infer_array_config(rows) -> ConvexConfig:
-    n = len(rows) - 1
-    m = len(rows[0]) - 1
-    config = ConvexConfig.trapezoid(n, m)
-    for i, row in enumerate(rows):
-        if len(row) != i + m + 1:
-            raise InputError("bare array rows must form a trapezoid; pass a config otherwise")
-    return config
+def _config_and_rows(obj, config, extra: int) -> tuple:
+    """Config and rows of an array (``extra = 1``) or pattern (``extra = 0``).
+
+    ``obj`` is ``{"config": ..., "rows": ...}`` or bare rows.  Without a
+    config, bare rows must form a trapezoid with ``m + extra`` entries in
+    row 0 and one more in each row after it.
+    """
+    if isinstance(obj, dict):
+        config = config_from_json(obj.get("config")) if "config" in obj else config
+        obj = obj.get("rows")
+    rows = _rows_from_json(obj)
+    kind = "array" if extra else "pattern"
+    if config is None:
+        if not rows:
+            raise InputError(f"bare {kind} rows must not be empty")
+        config = ConvexConfig.trapezoid(len(rows) - 1, len(rows[0]) - extra)
+        if any(len(row) != i + len(rows[0]) for i, row in enumerate(rows)):
+            raise InputError(f"bare {kind} rows must form a trapezoid; pass a config otherwise")
+    return config, rows
 
 
 def array_to_json(x: StripConcaveArray) -> dict:
@@ -458,14 +473,7 @@ def array_to_json(x: StripConcaveArray) -> dict:
 
 
 def array_from_json(obj, config: ConvexConfig = None) -> StripConcaveArray:
-    if isinstance(obj, dict):
-        config = config_from_json(obj.get("config")) if "config" in obj else config
-        rows = _rows_from_json(obj.get("rows"))
-    else:
-        rows = _rows_from_json(obj)
-    if config is None:
-        config = _infer_array_config(rows)
-    return StripConcaveArray(config, rows)
+    return StripConcaveArray(*_config_and_rows(obj, config, extra=1))
 
 
 def pattern_to_json(p: GTPattern) -> dict:
@@ -473,19 +481,7 @@ def pattern_to_json(p: GTPattern) -> dict:
 
 
 def pattern_from_json(obj, config: ConvexConfig = None) -> GTPattern:
-    if isinstance(obj, dict):
-        config = config_from_json(obj.get("config")) if "config" in obj else config
-        rows = _rows_from_json(obj.get("rows"))
-    else:
-        rows = _rows_from_json(obj)
-    if config is None:
-        n = len(rows) - 1
-        m = len(rows[0])
-        config = ConvexConfig.trapezoid(n, m)
-        for i, row in enumerate(rows):
-            if len(row) != i + m:
-                raise InputError("bare pattern rows must form a trapezoid; pass a config otherwise")
-    return GTPattern(config, rows)
+    return GTPattern(*_config_and_rows(obj, config, extra=0))
 
 
 def spec_to_json(spec: BoundarySpec) -> dict:
@@ -500,8 +496,12 @@ def spec_to_json(spec: BoundarySpec) -> dict:
 def spec_from_json(obj) -> BoundarySpec:
     if not isinstance(obj, dict) or "lambda" not in obj:
         raise InputError('boundary JSON must be an object with a "lambda" key')
-    lam = tuple(rat(v) for v in obj["lambda"])
-    lam_bar = tuple(rat(v) for v in obj.get("lambda_bar", []))
-    nu = tuple(rat(v) for v in obj.get("nu", []))
-    mu = tuple(rat(v) for v in obj.get("mu", (0,) * len(nu)))
-    return BoundarySpec(lam, lam_bar, mu, nu)
+
+    def field(key, default=()):
+        value = obj.get(key, default)
+        if not isinstance(value, (list, tuple)):
+            raise InputError(f'boundary "{key}" must be a list of rationals, got {value!r}')
+        return tuple(rat(v) for v in value)
+
+    lam, lam_bar, nu = field("lambda"), field("lambda_bar"), field("nu")
+    return BoundarySpec(lam, lam_bar, field("mu", (0,) * len(nu)), nu)

@@ -11,6 +11,7 @@ boundary (the Bender-Knuth involution on integer points).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -20,9 +21,11 @@ from .core import (
     InternalError,
     Rat,
     StripConcaveArray,
+    _rows_from_json,
     derivative,
     integrate,
     is_weakly_decreasing,
+    rat_to_json,
 )
 
 
@@ -41,23 +44,6 @@ class FlowGraph:
         for i in range(self.n + 1):
             for j in range(i + self.m + 1):
                 yield (i, j)
-
-    def edges(self) -> Iterator[tuple]:
-        """Edges as ``(i, j, t)`` with ``t = 0`` for e0 and ``t = 1`` for e1."""
-        for i in range(self.n):
-            for j in range(i + self.m + 1):
-                yield (i, j, 0)
-                yield (i, j, 1)
-
-    @staticmethod
-    def head(edge: tuple) -> tuple:
-        i, j, t = edge
-        return (i + 1, j + t)
-
-    @staticmethod
-    def tail(edge: tuple) -> tuple:
-        i, j, t = edge
-        return (i, j)
 
 
 @dataclass(frozen=True)
@@ -82,10 +68,6 @@ class Flow:
                     raise InputError(f"{name} row {i} must have {i + g.m + 1} entries")
         if any(v < 0 for rows in (e0, e1) for row in rows for v in row):
             raise InputError("flow values must be nonnegative")
-
-    def value(self, edge: tuple) -> Rat:
-        i, j, t = edge
-        return (self.e1 if t else self.e0)[i][j]
 
     def divergence(self, node: tuple) -> Rat:
         """Inflow minus outflow at a node (void edges count as zero)."""
@@ -193,126 +175,65 @@ def nu_of_flow(g: Flow) -> tuple:
 # vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _distinguished_nodes(lam: tuple, lam_bar: tuple):
-    """Roots on layer 0 and leaves on layer n marked by strict decreases."""
-    n = len(lam) - len(lam_bar)
-    m = len(lam_bar)
-    bar_ext = [lam[0] if lam else 0] + list(lam_bar) + [0]
-    lam_ext = list(lam) + [0]
-    roots = {(0, j) for j in range(m + 1) if bar_ext[j] > bar_ext[j + 1]}
-    leaves = {(n, j) for j in range(1, n + m + 1) if lam_ext[j - 1] > lam_ext[j]}
-    supply = {(0, j): bar_ext[j] - bar_ext[j + 1] for j in range(m + 1)}
-    demand = {(n, j): (lam_ext[j - 1] - lam_ext[j] if j >= 1 else 0) for j in range(n + m + 1)}
-    return roots, leaves, supply, demand
+def _tiles_anchored(rows) -> bool:
+    """True iff every tile meets row 0 or row n.
 
-
-class _DSU:
-    """Union-find with an undo stack (no path compression, union by size)."""
-
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-        self.size = {v: 1 for v in items}
-        self.trail = []
-
-    def find(self, v):
-        while self.parent[v] != v:
-            v = self.parent[v]
-        return v
-
-    def union(self, u, v):
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.trail.append(rv)
-        return True
-
-    def mark(self):
-        return len(self.trail)
-
-    def undo(self, mark):
-        while len(self.trail) > mark:
-            rv = self.trail.pop()
-            ru = self.parent[rv]
-            self.parent[rv] = rv
-            self.size[ru] -= self.size[rv]
-
-
-def _forest_flow(graph: FlowGraph, chosen, roots, leaves, supply, demand) -> Optional[Flow]:
-    """Evaluate the unique candidate flow on a forest; None if invalid.
-
-    Each tree is rooted anywhere; the flow on an edge equals the net demand
-    of the head-side part, which must be strictly positive, and every whole
-    component must balance exactly.
+    A tile is a union-find component of cells joined by tight interlacing
+    equalities ``row_i[k] == row_{i-1}[k]`` or ``row_i[k+1] == row_{i-1}[k]``.
     """
-    nodes = set()
-    adj = {}
-    for e in chosen:
-        u, v = FlowGraph.tail(e), FlowGraph.head(e)
-        nodes.update((u, v))
-        adj.setdefault(u, []).append((v, e, 1))
-        adj.setdefault(v, []).append((u, e, -1))
+    n = len(rows) - 1
+    start = [0]  # flat index of each row's first cell
+    for row in rows:
+        start.append(start[-1] + len(row))
+    parent = list(range(start[-1]))
 
-    def net(v):
-        i = v[0]
-        if i == graph.n:
-            return demand.get(v, 0)
-        if i == 0:
-            return -supply.get(v, 0)
-        return 0
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
 
-    value = {}
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        # iterative post-order over the tree component
-        order = []
-        parent_edge = {start: None}
-        stack = [(start, None)]
-        while stack:
-            v, pe = stack.pop()
-            seen.add(v)
-            order.append(v)
-            for w, e, sign in adj[v]:
-                if e != pe:
-                    parent_edge[w] = (e, sign)
-                    stack.append((w, e))
-        subtotal = {v: net(v) for v in order}
-        for v in reversed(order):
-            pe = parent_edge[v]
-            if pe is None:
-                continue
-            e, sign = pe
-            # v's subtree meets the rest only through e; the flow on e equals
-            # the net demand of the subtree, entering when v is the head side
-            flow = subtotal[v] if sign == 1 else -subtotal[v]
-            value[e] = flow
-            up = FlowGraph.head(e) if sign == -1 else FlowGraph.tail(e)
-            subtotal[up] = subtotal[up] + subtotal[v]
-        if subtotal[start] != 0:
-            return None
-    if any(v <= 0 for v in value.values()):
-        return None
-    e0 = [[0] * (i + graph.m + 1) for i in range(graph.n)]
-    e1 = [[0] * (i + graph.m + 1) for i in range(graph.n)]
-    for (i, j, t), v in value.items():
-        (e1 if t else e0)[i][j] = v
-    return Flow(graph, tuple(tuple(r) for r in e0), tuple(tuple(r) for r in e1))
+    for i in range(1, n + 1):
+        above, row, s, t = rows[i - 1], rows[i], start[i - 1], start[i]
+        for k, v in enumerate(above):
+            if row[k] == v:
+                parent[find(t + k)] = find(s + k)
+            if row[k + 1] == v:
+                parent[find(t + k + 1)] = find(s + k)
+    fixed = [*range(start[1]), *range(start[n], start[-1])]
+    anchored = {find(c) for c in fixed}
+    return all(find(c) in anchored for c in range(start[1], start[n]))
+
+
+def _flow_support(x: StripConcaveArray) -> tuple:
+    """Edges ``(i, j, t)`` carrying positive flow in ``gamma(x)``, sorted."""
+    g = gamma(x)
+    return tuple(
+        (i, j, t)
+        for i in range(g.graph.n)
+        for j in range(len(g.e0[i]))
+        for t in (0, 1)
+        if (g.e1 if t else g.e0)[i][j]
+    )
 
 
 def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     """All vertices of the polytope of arrays with fixed lower and upper
     boundaries and zero left boundary.
 
-    Backtracks over edge subsets of the flow graph, keeping the underlying
-    undirected graph acyclic and pruning by node-degree balance; every
-    surviving forest determines a unique candidate flow, accepted when all
-    component balances are zero, all edge values are positive and the
-    divergences match.  Output is sorted by edge set.
+    With rows 0 (``lam_bar``) and n (``lam``) of the row derivative fixed,
+    the pattern polytope is a marked order polytope: a pattern is a vertex
+    iff every tile (component of tight interlacing equalities) meets row 0
+    or row n.  Every vertex entry is therefore a boundary value, so the
+    search fills rows n-1 .. 1 from those values, each cell between its two
+    neighbours in the row below and within the bounds ``lam_bar`` implies,
+    and keeps the patterns whose row 1 interlaces ``lam_bar`` and whose
+    tiles are all anchored.  The search holds one iterator per row, so its
+    depth is at most n.
+
+    Output is sorted by the support of each vertex's flow: the tuple of
+    edges ``(i, j, t)`` with positive ``gamma(x)`` value, in ``(i, j, t)``
+    order.  No array with a negative ``lam[-1]`` has a flow, so such
+    boundaries give an empty list.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -322,69 +243,39 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     m = len(lam_bar)
     if n < 1:
         raise InputError("lambda must be longer than lambda_bar")
-    graph = FlowGraph(n, m)
-    roots, leaves, supply, demand = _distinguished_nodes(lam, lam_bar)
-    edges = [
-        e
-        for e in graph.edges()
-        if (e[0] > 0 or (0, e[1]) in roots) and (e[0] < n - 1 or FlowGraph.head(e) in leaves)
-    ]
-    edges.sort()
-    layer_end = {}  # edge index at which each tail layer is fully decided
-    for idx, e in enumerate(edges):
-        layer_end[e[0]] = idx + 1
-    dsu = _DSU(list(graph.nodes()))
-    in_deg = {v: 0 for v in graph.nodes()}
-    out_deg = {v: 0 for v in graph.nodes()}
-    chosen = []
-    results = []
+    if lam[-1] < 0:
+        return []
+    values = sorted(set(lam) | set(lam_bar))
 
-    def layer_ok(i):
-        if i == 0:
-            return all(out_deg[r] > 0 for r in roots)
-        return all(
-            (in_deg[(i, j)] > 0) == (out_deg[(i, j)] > 0) for j in range(i + m + 1)
-        )
+    def row_choices(i, below):
+        # Given the row below, the cells of row i are independent.  Chains of
+        # interlacing give lam_bar[k] <= row_i[k] <= lam_bar[k-i]; on row 0
+        # these bounds leave only lam_bar itself, if it interlaces row 1.
+        cells = []
+        for k in range(i + m):
+            lo = max(below[k + 1], lam_bar[k]) if k < m else below[k + 1]
+            hi = min(below[k], lam_bar[k - i]) if 0 <= k - i < m else below[k]
+            cells.append([v for v in values if lo <= v <= hi])
+        return product(*cells)
 
-    def finish():
-        if not all(in_deg[leaf] > 0 for leaf in leaves):
-            return
-        flow = _forest_flow(graph, chosen, roots, leaves, supply, demand)
-        if flow is None:
-            return
-        if admissibility_violation(flow, lam, lam_bar) is not None:
-            return
-        results.append((tuple(chosen), flow))
-
-    def step(idx):
-        while idx < len(edges) and layer_end.get(edges[idx][0] - 1) == idx:
-            if not layer_ok(edges[idx][0] - 1):
-                return
-            idx += 0  # boundary verified; fall through to branching
-            break
-        if idx == len(edges):
-            if layer_ok(n - 1) if n >= 1 else True:
-                finish()
-            return
-        e = edges[idx]
-        u, v = FlowGraph.tail(e), FlowGraph.head(e)
-        # exclude
-        step(idx + 1)
-        # include, unless it closes an undirected cycle
-        mark = dsu.mark()
-        if dsu.union(u, v):
-            in_deg[v] += 1
-            out_deg[u] += 1
-            chosen.append(e)
-            step(idx + 1)
-            chosen.pop()
-            in_deg[v] -= 1
-            out_deg[u] -= 1
-        dsu.undo(mark)
-
-    step(0)
-    results.sort(key=lambda item: item[0])
-    return [gamma_inv(flow, lam) for _, flow in results]
+    config = ConvexConfig.trapezoid(n, m)
+    rows = [None] * n + [lam]
+    stack = [row_choices(n - 1, lam)]  # one iterator per row, depth at most n
+    found = []
+    while stack:
+        i = n - len(stack)
+        row = next(stack[-1], None)
+        if row is None:
+            stack.pop()
+        elif i:
+            rows[i] = row
+            stack.append(row_choices(i - 1, row))
+        else:
+            rows[0] = row
+            if _tiles_anchored(rows):
+                found.append(integrate(GTPattern(config, tuple(rows))))
+    found.sort(key=_flow_support)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +339,6 @@ def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
 # ---------------------------------------------------------------------------
 
 def flow_to_json(g: Flow) -> dict:
-    from .core import rat_to_json
-
     return {
         "n": g.graph.n,
         "m": g.graph.m,
@@ -459,14 +348,13 @@ def flow_to_json(g: Flow) -> dict:
 
 
 def flow_from_json(obj) -> Flow:
-    from .core import rat
-
     if not isinstance(obj, dict) or not {"n", "m", "e0", "e1"} <= set(obj):
         raise InputError("flow JSON must be an object with keys n, m, e0, e1")
-    graph = FlowGraph(int(obj["n"]), int(obj["m"]))
-    e0 = tuple(tuple(rat(v) for v in row) for row in obj["e0"])
-    e1 = tuple(tuple(rat(v) for v in row) for row in obj["e1"])
-    return Flow(graph, e0, e1)
+    try:
+        n, m = int(obj["n"]), int(obj["m"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"flow needs integer n and m: {exc}") from exc
+    return Flow(FlowGraph(n, m), _rows_from_json(obj["e0"]), _rows_from_json(obj["e1"]))
 
 
 @dataclass(frozen=True)
@@ -476,8 +364,6 @@ class PathDecomposition:
     paths: tuple  # of (node tuple, weight)
 
     def to_json(self) -> list:
-        from .core import rat_to_json
-
         return [
             {"nodes": [list(v) for v in nodes], "weight": rat_to_json(w)}
             for nodes, w in self.paths

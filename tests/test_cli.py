@@ -45,6 +45,19 @@ def test_check_bad_json_exit_2(capsys):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spec", '{"lambda": 5}'],
+        ["--config", '{"n":"x","a":[0,0],"b":[1,2]}', "--spec", '{"lambda":[1,0]}'],
+    ],
+)
+def test_check_wrong_field_type_exit_2(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_check_general_mode_requires_config(capsys):
     code, _, err = run(capsys, "check", "--mode", "general", "--spec", '{"lambda":[1],"nu":[1]}')
     assert code == 2

@@ -16,6 +16,7 @@ from stripconcave import (
     derivative,
     extend_to_trapezoid,
     integrate,
+    pattern_from_json,
     rat,
     rat_to_json,
     restrict_to,
@@ -168,6 +169,14 @@ def test_array_json_round_trip():
 def test_bare_rows_json_infer_trapezoid():
     x = trapezoid_array()
     assert array_from_json([list(r) for r in x.rows]).config == x.config
+    p = trapezoid_pattern()
+    assert pattern_from_json([list(r) for r in p.rows]) == p
+    with pytest.raises(InputError, match="bare array rows must form a trapezoid"):
+        array_from_json([[0, 1], [0, 1]])
+    with pytest.raises(InputError, match="bare pattern rows must form a trapezoid"):
+        pattern_from_json([[1], [1]])
+    with pytest.raises(InputError, match="must not be empty"):
+        array_from_json([])
 
 
 def test_spec_json_defaults_mu_zero():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -146,6 +147,44 @@ def test_vertices_small_triangle():
     nus = sorted(boundary(v).nu for v in vs)
     assert nus == [(1, 2), (2, 1)]
     assert len(enumerate_vertices((2,), ())) == 1
+
+
+def test_vertices_long_constant_lambda():
+    # one row per search level, so a long boundary does not recurse deeply
+    vs = enumerate_vertices((1,) * 60, ())
+    assert len(vs) == 1
+    assert derivative(vs[0]).rows == tuple((1,) * i for i in range(61))
+
+
+def test_vertices_staircase_count():
+    assert len(enumerate_vertices((6, 5, 4, 3, 2, 1), ())) == 4884
+
+
+def flow_support(x):
+    g = gamma(x)
+    return tuple(
+        (i, j, t)
+        for i, rows in enumerate(zip(g.e0, g.e1))
+        for j in range(len(rows[0]))
+        for t in (0, 1)
+        if rows[t][j]
+    )
+
+
+@pytest.mark.parametrize(
+    "lam, bar",
+    [
+        ((2, 1, 0), ()),
+        ((4, 3, 2, 1, 0), ()),
+        ((5, 4, 3, 2, 1), (3, 1)),
+        ((3, 2, 2, 1), (2,)),
+        ((Fraction(7, 2), Fraction(3, 2), 1, Fraction(1, 3)), (Fraction(5, 2),)),
+    ],
+)
+def test_vertices_sorted_by_flow_support(lam, bar):
+    keys = [flow_support(v) for v in enumerate_vertices(lam, bar)]
+    assert len(keys) > 1
+    assert keys == sorted(set(keys))
 
 
 def test_vertices_degenerate_equal_lambda():
