@@ -12,6 +12,9 @@ a differential-testing oracle.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, chain
+from operator import neg
 from typing import Sequence
 
 from .core import (
@@ -27,44 +30,39 @@ from .core import (
     extend_to_trapezoid,
     integrate,
     is_weakly_decreasing,
-    prefix_sum,
     restrict_to,
     shift_mu,
 )
-from .feasibility import Certificate, check_general, check_trapezoid
+from .feasibility import Certificate, _weight_order, check_general, check_trapezoid
 
 
 def _majorization_violation(lam: Sequence[Rat], nu: Sequence[Rat]):
     """Return a violated subset certificate, or None if nu is majorized."""
-    n = len(nu)
-    order = sorted(range(n), key=lambda i: (-nu[i], i))
+    order = _weight_order(nu)
     running = 0
-    for k in range(1, n + 1):
-        running = running + nu[order[k - 1]]
-        if running > prefix_sum(lam, k):
+    for k, (i, bound) in enumerate(zip(order, accumulate(lam)), 1):
+        running = running + nu[i]
+        if running > bound:
             subset = tuple(sorted(i + 1 for i in order[:k]))
-            lhs = prefix_sum(lam, k) - running
-            return Certificate("subset", subset=subset, lhs=lhs, deficit=0)
+            return Certificate("subset", subset=subset, lhs=bound - running, deficit=0)
     if sum(lam, 0) != sum(nu, 0):
         return Certificate("balance", lhs=sum(lam, 0) - sum(nu, 0))
     return None
 
 
 def _triangular_rows(lam: tuple, nu: tuple) -> list:
-    """Pattern rows (row i of length i) for the triangular recursion."""
-    n = len(lam)
-    if n == 0:
-        return [()]
-    if n == 1:
-        return [(), (lam[0],)]
-    # smallest p with lam_p >= nu_n >= lam_{p+1}
-    p = next((p for p in range(1, n) if lam[p] <= nu[-1]), None)
-    if p is None:
-        raise InternalError("no pivot position for a feasible triangular boundary")
-    lam_prime = lam[: p - 1] + (lam[p - 1] + lam[p] - nu[-1],) + lam[p + 1 :]
-    rows = _triangular_rows(lam_prime, nu[:-1])
-    rows.append(lam)
-    return rows
+    """Pattern rows (row i of length i), peeling ``nu_n, nu_{n-1}, ..`` off ``lam``."""
+    rows = [lam]
+    for n in range(len(lam), 1, -1):
+        # smallest p with lam_p >= nu_n >= lam_{p+1}
+        p = next((p for p in range(1, n) if lam[p] <= nu[n - 1]), None)
+        if p is None:
+            raise InternalError("no pivot position for a feasible triangular boundary")
+        lam = lam[: p - 1] + (lam[p - 1] + lam[p] - nu[n - 1],) + lam[p + 1 :]
+        rows.append(lam)
+    if lam:
+        rows.append(())
+    return rows[::-1]
 
 
 def build_triangular(lam: Sequence[Rat], nu: Sequence[Rat]) -> StripConcaveArray:
@@ -103,19 +101,10 @@ def _pick_rs(lam, lab):
     return r, s
 
 
-def _ramp_shape(rows, alpha, s):
-    """Positions receiving the lift: for each row the s slots after p(i).
-
-    ``p(i)`` is the number of entries strictly greater than ``alpha`` (rows
-    are weakly decreasing).
-    """
-    shape = []
-    for row in rows:
-        p = 0
-        while p < len(row) and row[p] > alpha:
-            p += 1
-        shape.append(p)
-    return shape
+def _ramp_shape(rows, alpha):
+    """Start ``p(i)`` of each row's lift window: the number of entries
+    strictly greater than ``alpha`` (rows are weakly decreasing)."""
+    return [bisect_left(row, -alpha, key=neg) for row in rows]
 
 
 def _apply_lift(rows, shape, s, step):
@@ -128,23 +117,23 @@ def _apply_lift(rows, shape, s, step):
 def _max_substep(rows, shape, s, cap):
     """Largest lift step keeping the pattern rhombus inequalities valid.
 
-    The lift adds ``step`` to positions ``p(i) < j <= p(i) + s`` of row
-    ``i``; an inequality constrains the step only where the added indicator
-    decreases across it, and then the current slack is the bound.
+    The lift adds ``step`` to the 1-based columns ``W(i) = (p(i), p(i) + s]``
+    of row ``i``; an inequality constrains the step only where the window
+    indicator decreases across it, and then the current slack is the bound.
+    Windows of equal width differ only between ``min(p(i), p(i-1))`` and
+    ``max(p(i), p(i-1))``, shifted by 0 or ``s``: only those columns are visited.
     """
     bound = cap
-
-    def chi(i, j):  # 1-based column j
-        return 1 if shape[i] < j <= shape[i] + s else 0
-
-    n = len(rows) - 1
-    for i in range(1, n + 1):
-        row = rows[i]
-        up = rows[i - 1]
-        for j in range(1, len(row) + 1):
-            if j <= len(up) and chi(i, j) < chi(i - 1, j):
+    for i in range(1, len(rows)):
+        row, up, p, q = rows[i], rows[i - 1], shape[i], shape[i - 1]
+        lo, hi = min(p, q), max(p, q)
+        for j in chain(range(max(lo, 1), hi + 1), range(lo + s, hi + s + 1)):
+            if j > len(up):
+                continue
+            in_up = q < j <= q + s
+            if in_up and not p < j <= p + s:
                 bound = min(bound, row[j - 1] - up[j - 1])
-            if j <= len(up) and j + 1 <= len(row) and chi(i - 1, j) < chi(i, j + 1):
+            if not in_up and p < j + 1 <= p + s:
                 bound = min(bound, up[j - 1] - row[j])
     return bound
 
@@ -153,6 +142,7 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple, verbatim: bool) -> list:
     """Pattern rows for a feasible normalized spec (mu = 0, lam nonnegative)."""
     n = len(nu)
     size = len(lam)
+    integral = all(isinstance(v, int) for v in lam + lab + nu)
     ops = []
     outer_cap = 10 * (size + 1) ** 2 + (sum(lam, 0) if verbatim else 0) + size + 2
     outer = 0
@@ -190,9 +180,8 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple, verbatim: bool) -> list:
                 row.insert(0, value)
         else:
             _, r, s, step = op
-            if step == 1 and all(isinstance(v, int) for row in rows for v in row):
-                alpha = rows[-1][r - s]
-                shape = _ramp_shape(rows, alpha, s)
+            if step == 1 and integral:
+                shape = _ramp_shape(rows, rows[-1][r - s])
                 _apply_lift(rows, shape, s, 1)
             else:
                 remaining = step
@@ -202,8 +191,7 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple, verbatim: bool) -> list:
                     inner += 1
                     if inner > inner_cap:
                         raise InternalError("lift phase exceeded its iteration cap")
-                    alpha = rows[-1][r - s]
-                    shape = _ramp_shape(rows, alpha, s)
+                    shape = _ramp_shape(rows, rows[-1][r - s])
                     eps = _max_substep(rows, shape, s, remaining)
                     if eps <= 0:
                         raise InternalError("lift phase stalled with zero slack")

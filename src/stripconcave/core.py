@@ -220,7 +220,6 @@ class DeficitProfile:
     """Deficits ``D_k = sum_j max(0, lam_bar_{j-k} - lam_j)`` for k = 0..n."""
 
     values: tuple
-    per_column: dict
 
     def __getitem__(self, k: int) -> Rat:
         return self.values[k]
@@ -322,7 +321,8 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> Defic
     """Deficit profile of a pair of weakly decreasing tuples.
 
     ``delta_k(j) = max(0, lam_bar_{j-k} - lam_j)`` with out-of-range indices
-    contributing zero; ``D_k`` sums over the index range of ``lam``.
+    contributing zero; ``D_k`` sums over the index range of ``lam``, so only
+    the columns ``j = k+1 .. k+m`` that also index ``lam`` can contribute.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -332,20 +332,10 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> Defic
         n = len(lam) - len(lam_bar)
     if n < 0:
         raise InputError("lam must be at least as long as lam_bar")
-    m = len(lam_bar)
-    per_column = {}
-    values = []
-    for k in range(n + 1):
-        total = 0
-        for j in range(1, len(lam) + 1):
-            if 1 <= j - k <= m:
-                d = max(0, lam_bar[j - k - 1] - lam[j - 1])
-            else:
-                d = 0
-            per_column[(k, j)] = d
-            total = total + d
-        values.append(total)
-    return DeficitProfile(tuple(values), per_column)
+    values = tuple(
+        sum((max(0, lb - v) for lb, v in zip(lam_bar, lam[k:])), 0) for k in range(n + 1)
+    )
+    return DeficitProfile(values)
 
 
 def rough_bound(config: ConvexConfig, spec: BoundarySpec) -> Rat:

@@ -10,7 +10,7 @@ for differential testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from .core import (
@@ -22,7 +22,6 @@ from .core import (
     deficits,
     extend_to_trapezoid,
     is_weakly_decreasing,
-    prefix_sum,
     rat_to_json,
 )
 
@@ -72,8 +71,12 @@ def best_subset(weights: Sequence[Rat], k: int) -> tuple:
     keeps verdicts deterministic; any maximizer is equivalent for the
     decision itself.
     """
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    return tuple(sorted(i + 1 for i in order[:k]))
+    return tuple(sorted(i + 1 for i in _weight_order(weights)[:k]))
+
+
+def _weight_order(weights: Sequence[Rat]) -> list:
+    """0-based indices by decreasing weight, ties broken toward the smaller index."""
+    return sorted(range(len(weights)), key=lambda i: (-weights[i], i))
 
 
 def _structural(spec: BoundarySpec) -> Optional[Certificate]:
@@ -90,21 +93,25 @@ def _subset_values(spec: BoundarySpec, subset) -> Rat:
     return sum((spec.mu[i - 1] - spec.nu[i - 1] for i in subset), 0)
 
 
-def _check_subsets(spec: BoundarySpec, n: int, lhs_base, exhaustive: bool):
-    """Run the inequality family; ``lhs_base(k)`` gives the subset-free part."""
-    weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
+def _check_subsets(spec: BoundarySpec, n: int, base: Sequence[Rat], exhaustive: bool):
+    """Run the inequality family; ``base[k]`` is the subset-free part for size ``k``.
+
+    By default each size-``k`` subset is the previous one plus the next index
+    in weight order, so ``mu(I) - nu(I)`` is a running sum.
+    """
     if exhaustive:
         for k in range(n + 1):
             for subset in combinations(range(1, n + 1), k):
-                lhs = lhs_base(k) + _subset_values(spec, subset)
+                lhs = base[k] + _subset_values(spec, subset)
                 if lhs < 0:
                     return Certificate("subset", subset=subset, lhs=lhs)
         return None
-    for k in range(n + 1):
-        subset = best_subset(weights, k)
-        lhs = lhs_base(k) + _subset_values(spec, subset)
+    weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
+    order = _weight_order(weights)
+    for k, running in enumerate(accumulate((-weights[i] for i in order), initial=0)):
+        lhs = base[k] + running
         if lhs < 0:
-            return Certificate("subset", subset=subset, lhs=lhs)
+            return Certificate("subset", subset=tuple(sorted(i + 1 for i in order[:k])), lhs=lhs)
     return None
 
 
@@ -123,11 +130,9 @@ def check_trapezoid(spec: BoundarySpec, n: int, m: int, exhaustive: bool = False
     if cert is not None:
         return FeasibilityVerdict(False, cert)
     profile = deficits(spec.lam, spec.lam_bar, n)
-
-    def lhs_base(k):
-        return prefix_sum(spec.lam, k) - profile[k]
-
-    cert = _check_subsets(spec, n, lhs_base, exhaustive)
+    prefix = list(accumulate(spec.lam, initial=0))
+    base = [prefix[k] - profile[k] for k in range(n + 1)]
+    cert = _check_subsets(spec, n, base, exhaustive)
     if cert is not None and cert.kind == "subset":
         cert = Certificate("subset", cert.subset, cert.lhs, profile[len(cert.subset)])
     return FeasibilityVerdict(cert is None, cert)
@@ -149,15 +154,11 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int, exhaustive: bool = F
     if cert is not None:
         return FeasibilityVerdict(False, cert)
     profile = deficits(spec.lam, spec.lam_bar, n)
-    total = sum(spec.lam, 0) - sum(spec.lam_bar, 0)
-
-    def lhs_base(k):
-        if k <= m:
-            tail = sum(spec.lam_bar[m - k:], 0)
-            return prefix_sum(spec.lam, k) - tail - profile[k]
-        return total
-
-    cert = _check_subsets(spec, n, lhs_base, exhaustive)
+    prefix = list(accumulate(spec.lam, initial=0))
+    tail = list(accumulate(reversed(spec.lam_bar), initial=0))  # tail[k] = lam_bar[m-k+1, m]
+    base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
+            for k in range(n + 1)]
+    cert = _check_subsets(spec, n, base, exhaustive)
     if cert is not None and cert.kind == "subset":
         k = len(cert.subset)
         cert = Certificate("subset", cert.subset, cert.lhs, profile[k] if k <= m else None)
@@ -175,6 +176,14 @@ def check_general(
     Reduces to the trapezoid of size ``(n, b_0)`` by the boundary extension;
     the extension preserves feasibility in both directions, and the violated
     subset of a negative verdict indexes the original rows.
+
+    On a non-trapezoidal configuration a subset certificate carries only
+    ``I``: the extension's left-hand side reads ``A + B c`` in the arbitrary
+    reduction constant ``c``, and the inequality fails for every large ``c``.
     """
     tconfig, tspec, _ = extend_to_trapezoid(config, spec, c)
-    return check_trapezoid(tspec, tconfig.n, tconfig.m, exhaustive)
+    verdict = check_trapezoid(tspec, tconfig.n, tconfig.m, exhaustive)
+    cert = verdict.certificate
+    if cert is not None and cert.kind == "subset" and not config.is_trapezoidal:
+        return FeasibilityVerdict(False, Certificate("subset", cert.subset))
+    return verdict

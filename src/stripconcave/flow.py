@@ -232,8 +232,8 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
 
     Output is sorted by the support of each vertex's flow: the tuple of
     edges ``(i, j, t)`` with positive ``gamma(x)`` value, in ``(i, j, t)``
-    order.  No array with a negative ``lam[-1]`` has a flow, so such
-    boundaries give an empty list.
+    order.  A flow needs ``lam[-1] >= 0``, so a negative ``lam[-1]`` is
+    first shifted to zero in every pattern entry, and the vertices back.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -243,8 +243,9 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     m = len(lam_bar)
     if n < 1:
         raise InputError("lambda must be longer than lambda_bar")
-    if lam[-1] < 0:
-        return []
+    t = max(0, -lam[-1])
+    if t:
+        lam, lam_bar = tuple(v + t for v in lam), tuple(v + t for v in lam_bar)
     values = sorted(set(lam) | set(lam_bar))
 
     def row_choices(i, below):
@@ -275,6 +276,9 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
             if _tiles_anchored(rows):
                 found.append(integrate(GTPattern(config, tuple(rows))))
     found.sort(key=_flow_support)
+    if t:
+        back = [[[v - t for v in r] for r in derivative(x).rows] for x in found]
+        found = [integrate(GTPattern(config, rows)) for rows in back]
     return found
 
 

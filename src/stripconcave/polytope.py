@@ -106,12 +106,18 @@ def facet_count_formula(n: int, m: int) -> int:
 
 
 def facet_count_consistent(n: int, m: int) -> dict:
-    """Compare the enumerated facet list with the closed-form count.
+    """Compare the number of :func:`facets` with the closed-form count.
 
-    The two disagree for ``m = 0, n >= 3`` (the classification yields one
-    more); this reports both numbers rather than hiding the discrepancy.
+    The number is read off the classification in :func:`facets` without
+    listing the ``2^(n+m)`` subset pairs.  The two disagree for ``m = 0,
+    n >= 3`` (the classification yields one more); this reports both
+    numbers rather than hiding the discrepancy.
     """
-    enumerated = len(facets(n, m))
+    if n < 1 or m < 0:
+        raise InputError("facets need n >= 1 and m >= 0")
+    enumerated = (2**n - 2) * 2**m + (m if n + m > 1 else 0) + m
+    if not (n == 1 or (n == 2 and m == 0)):
+        enumerated += (n + m - 1) + max(0, m - 1)
     formula = facet_count_formula(n, m)
     return {
         "enumerated": enumerated,

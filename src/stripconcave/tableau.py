@@ -8,6 +8,7 @@ is the right-minus-left boundary of any integrating array.  Rows are
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import ConvexConfig, GTPattern, InputError
@@ -111,17 +112,11 @@ def pattern_to_tableau(p: GTPattern) -> SkewTableau:
     for i in range(n):
         if any(chain[i][r] > chain[i + 1][r] for r in range(n + m)):
             raise InputError("pattern rows are not nested partitions")
-    outer = chain[n]
-    inner = chain[0][:m]
-    pad = inner + (0,) * n
-    rows = []
-    for r in range(n + m):
-        row = []
-        for col in range(pad[r] + 1, outer[r] + 1):
-            i = next(i for i in range(1, n + 1) if chain[i][r] >= col)
-            row.append(i)
-        rows.append(tuple(row))
-    return SkewTableau(outer, inner, tuple(rows))
+    rows = tuple(
+        tuple(i for i in range(1, n + 1) for _ in range(chain[i][r] - chain[i - 1][r]))
+        for r in range(n + m)
+    )
+    return SkewTableau(chain[n], chain[0][:m], rows)
 
 
 def tableau_to_pattern(t: SkewTableau) -> GTPattern:
@@ -134,10 +129,7 @@ def tableau_to_pattern(t: SkewTableau) -> GTPattern:
     pad = t.inner + (0,) * n
     rows = []
     for i in range(n + 1):
-        full = []
-        for r in range(n + m):
-            count = sum(1 for v in t.rows[r] if v <= i)
-            full.append(pad[r] + count)
+        full = [pad[r] + bisect_right(t.rows[r], i) for r in range(n + m)]
         if any(v != 0 for v in full[i + m :]):
             raise InputError(f"entries below row {i + m} are too small for a pattern")
         rows.append(tuple(full[: i + m]))

@@ -121,6 +121,10 @@ def test_facets_and_count_only(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["enumerated"] == 8 and blob["formula"] == 7
+    # counted without listing the 2^40 subset pairs
+    code, out, _ = run(capsys, "facets", "--n", "40", "--m", "0", "--count-only")
+    assert code == 0
+    assert json.loads(out) == {"enumerated": 2**40 + 37, "formula": 2**40 + 36, "consistent": False}
 
 
 def test_kostka_and_count(capsys):

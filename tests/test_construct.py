@@ -30,6 +30,19 @@ def test_triangular_basic():
     assert b.lam == (5, 2, 1) and b.nu == (3, 2, 3) and b.mu == (0, 0, 0)
     # bottom row is the prefix-sum of lam
     assert x.rows[-1] == (0, 5, 7, 8)
+    assert x.rows == ((0,), (0, 3), (0, 4, 5), (0, 5, 7, 8))
+    h = Fraction(1, 2)
+    y = build_triangular((4, 5 * h, 1, 0), (3 * h, 3, 1, 2))
+    assert y.rows == (
+        (0,), (0, 3 * h), (0, 4, 9 * h), (0, 4, 11 * h, 11 * h), (0, 4, 13 * h, 15 * h, 15 * h)
+    )
+
+
+def test_triangular_long_constant_lambda():
+    n = 1200
+    x = build_triangular((1,) * n, (1,) * n)
+    assert boundary(x) == BoundarySpec((1,) * n, (), (0,) * n, (1,) * n)
+    assert all(set(row) == {1} for row in derivative(x).rows[1:])
 
 
 def test_triangular_integrality_and_vertex():
@@ -178,3 +191,20 @@ def test_build_reproduces_random_feasible_boundaries(seed):
     assert validate_array(x)
     assert boundary(x) == BoundarySpec(lam, bar, (0,) * n, nu)
     assert all(isinstance(v, int) for row in x.rows for v in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_build_mixed_int_fraction_data(seed):
+    # halving an integer pattern leaves even entries as int and odd ones as Fraction
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    m = rng.randint(0, 3)
+    p = random_pattern(rng, n, m, -4, 9)
+    lam, bar, nu = (
+        tuple(v // 2 if v % 2 == 0 else Fraction(v, 2) for v in t)
+        for t in (p.rows[-1], p.rows[0], pattern_nu(p.rows))
+    )
+    x = build_trapezoid(lam, bar, nu)
+    assert validate_array(x)
+    assert boundary(x) == BoundarySpec(lam, bar, (0,) * n, nu)

@@ -120,11 +120,42 @@ def test_shift_mu():
 
 
 def test_deficits_worked_example():
-    d = deficits((6, 4, 3, 1, 1), (5, 2))
+    lam, lam_bar = (6, 4, 3, 1, 1), (5, 2)
+    d = deficits(lam, lam_bar)
     assert d.values == (0, 1, 3, 5)
     # column contributions for k=1: lam_bar shifted right by one
-    assert d.per_column[(1, 2)] == 1  # max(0, 5 - 4)
-    assert d.per_column[(1, 3)] == 0  # max(0, 2 - 3)
+    assert _deficit_column(lam, lam_bar, 1, 2) == 1  # max(0, 5 - 4)
+    assert _deficit_column(lam, lam_bar, 1, 3) == 0  # max(0, 2 - 3)
+    assert d[1] == sum(_deficit_column(lam, lam_bar, 1, j) for j in range(1, 6))
+
+
+def _deficit_column(lam, lam_bar, k, j):
+    """``delta_k(j) = max(0, lam_bar_{j-k} - lam_j)``, zero out of range."""
+    if not 1 <= j - k <= len(lam_bar):
+        return 0
+    return max(0, lam_bar[j - k - 1] - lam[j - 1])
+
+
+_rationals = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4)
+)
+
+
+@given(
+    st.lists(_rationals, min_size=0, max_size=7),
+    st.lists(_rationals, min_size=0, max_size=4),
+    st.integers(0, 3),
+)
+def test_deficits_match_definition(lam, lam_bar, extra_n):
+    lam = sorted(lam + lam_bar, reverse=True)
+    lam_bar = sorted(lam_bar, reverse=True)
+    n = len(lam) - len(lam_bar) + extra_n
+    d = deficits(lam, lam_bar, n)
+    assert len(d.values) == n + 1
+    for k in range(n + 1):
+        assert d[k] == sum(
+            (_deficit_column(lam, lam_bar, k, j) for j in range(1, len(lam) + 1)), 0
+        )
 
 
 def test_deficits_monotone_required():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -6,12 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from stripconcave import (
     BoundarySpec,
+    ConvexConfig,
     InputError,
+    StripConcaveArray,
     best_subset,
     boundary,
+    canonical_json,
     check_general,
     check_parallelogram,
     check_trapezoid,
+    extend_to_trapezoid,
+    rough_bound,
     shift_mu,
 )
 from stripconcave.fixtures import hexagon_array, trapezoid_array
@@ -128,3 +134,84 @@ def test_shortcut_matches_bitmask_oracle_random(seed):
     got = check_trapezoid(spec, n, m).feasible
     want = exhaustive_feasible(lam, bar, mu, nu)
     assert got == want
+
+
+def _deficit(lam, lam_bar, k):
+    """``D_k`` from its definition: ``sum_j max(0, lam_bar_{j-k} - lam_j)``."""
+    return sum(
+        (max(0, lam_bar[j - k - 1] - lam[j - 1])
+         for j in range(1, len(lam) + 1) if 1 <= j - k <= len(lam_bar)),
+        0,
+    )
+
+
+def _subset_lhs(spec, subset, parallelogram=False):
+    """Left-hand side of the subset inequality and the deficit it uses."""
+    lam, bar, k, m = spec.lam, spec.lam_bar, len(subset), len(spec.lam_bar)
+    sides = sum((spec.mu[i - 1] - spec.nu[i - 1] for i in subset), 0)
+    if parallelogram and k > m:
+        return sum(lam) - sum(bar) + sides, None
+    tail = sum(bar[m - k:]) if parallelogram else 0
+    d = _deficit(lam, bar, k)
+    return sum(lam[:k]) - tail + sides - d, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_subset_certificate_is_first_best_subset(seed, parallelogram):
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    m = rng.randint(1 if parallelogram else 0, 4)
+
+    def value():
+        return rng.choice([rng.randint(-5, 8), Fraction(rng.randint(-10, 16), 2)])
+
+    lam = tuple(sorted((value() for _ in range(m if parallelogram else n + m)), reverse=True))
+    bar = tuple(sorted((value() for _ in range(m)), reverse=True))
+    mu = tuple(value() for _ in range(n))
+    nu = [value() for _ in range(n - 1)]
+    nu.append(sum(lam) - sum(bar) + sum(mu) - sum(nu))
+    spec = spec_of(lam, bar, mu, nu)
+    check = check_parallelogram if parallelogram else check_trapezoid
+    verdict = check(spec, n, m)
+    weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
+    k = len(verdict.certificate.subset) if not verdict.feasible else n + 1
+    for size in range(k):
+        assert _subset_lhs(spec, best_subset(weights, size), parallelogram)[0] >= 0
+    if not verdict.feasible:
+        cert = verdict.certificate
+        assert cert.kind == "subset" and cert.subset == best_subset(weights, k)
+        assert (cert.lhs, cert.deficit) == _subset_lhs(spec, cert.subset, parallelogram)
+        assert cert.lhs < 0
+
+
+def test_hexagon_certificate_carries_only_the_subset():
+    # n = 50 hexagon: a_i = max(0, i - 30), b_i = 25 + min(i, 15); zero array
+    # boundary with one unit of nu moved from row 21 to row 1
+    n = 50
+    config = ConvexConfig(
+        n, tuple(max(0, i - 30) for i in range(n + 1)), tuple(25 + min(i, 15) for i in range(n + 1))
+    )
+    widths = (config.b[i] - config.a[i] + 1 for i in range(n + 1))
+    zero = StripConcaveArray(config, tuple((0,) * w for w in widths))
+    spec = boundary(zero)
+    nu = list(spec.nu)
+    nu[0], nu[20] = nu[0] + 1, nu[20] - 1
+    spec = spec_of(spec.lam, spec.lam_bar, spec.mu, nu)
+    verdict = check_general(config, spec)
+    assert not verdict.feasible
+    out = verdict.to_json()["certificate"]
+    assert set(out) == {"kind", "I"} and out["kind"] == "subset"
+    assert canonical_json(verdict.to_json())
+    # the extension's inequality reads A + B c and must fail for every large c
+    c = rough_bound(config, spec)
+    low, high = (
+        _subset_lhs(extend_to_trapezoid(config, spec, cc)[1], out["I"])[0] for cc in (c, 2 * c)
+    )
+    assert high < low or (high == low and low < 0)
+
+
+def test_trapezoidal_general_certificate_keeps_lhs():
+    tri = ConvexConfig.triangle(2)
+    cert = check_general(tri, spec_of((2, 1), (), (0, 0), (3, 0))).certificate
+    assert cert.to_json() == {"kind": "subset", "I": [1], "lhs": -1, "deficit": 0}

@@ -156,6 +156,24 @@ def test_vertices_long_constant_lambda():
     assert derivative(vs[0]).rows == tuple((1,) * i for i in range(61))
 
 
+@pytest.mark.parametrize(
+    "lam, bar, shifted",
+    [
+        ((2, 1, -1), (), (3, 2, 0)),
+        ((1, 0, -1), (0,), (2, 1, 0)),
+        ((0, -1, -2, -3), (-1, -3), (3, 2, 1, 0)),
+    ],
+)
+def test_vertices_negative_lambda(lam, bar, shifted):
+    vs = enumerate_vertices(lam, bar)
+    t = shifted[0] - lam[0]
+    assert len(vs) == len(enumerate_vertices(shifted, tuple(v + t for v in bar))) > 1
+    for x in vs:
+        assert validate_array(x)
+        b = boundary(x)
+        assert (b.lam, b.lam_bar) == (lam, bar)
+
+
 def test_vertices_staircase_count():
     assert len(enumerate_vertices((6, 5, 4, 3, 2, 1), ())) == 4884
 

@@ -41,6 +41,14 @@ def test_facet_count_formula_agreement():
             assert len(facets(n, m)) == facet_count_formula(n, m), (n, m)
 
 
+def test_facet_count_matches_listing():
+    for n in range(1, 7):
+        for m in range(6):
+            assert facet_count_consistent(n, m)["enumerated"] == len(facets(n, m)), (n, m)
+    with pytest.raises(InputError):
+        facet_count_consistent(2, -1)
+
+
 def test_facet_count_divergence_without_top_row():
     # one extra chamber facet per the classification when m = 0, n >= 3
     for n in (3, 4, 5):
