@@ -12,6 +12,7 @@ from stripconcave import (
     extend_to_trapezoid,
     mu_general_build,
     reduce_to_triangle,
+    rough_bound,
     shift_mu,
     validate_array,
 )
@@ -74,5 +75,6 @@ hspec = boundary(hexagon)
 tconfig, tspec, _ = extend_to_trapezoid(hexagon.config, hspec, c=50)
 print("hexagon boundary", hspec.lam, "extends to", tspec.lam, "with c = 50")
 w = mu_general_build(hexagon.config, hspec)
-print("witness on the hexagon (boundary reproduced:", boundary(w) == hspec, ")")
+print("witness on the hexagon, built with c = 4 * sum|e| + 1 =", rough_bound(hspec),
+      "(boundary reproduced:", boundary(w) == hspec, ")")
 show(w)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import fixtures as fixture_module
@@ -42,8 +41,6 @@ from .flow import (
 from .polytope import count_scaled_points, facet_count_consistent, facets, kostka
 from .tableau import SkewTableau, content, pattern_to_tableau, tableau_to_pattern
 
-REDUCTION_C_ENV = "STRIPCONCAVE_REDUCTION_C"
-
 
 def _load_json(source: str):
     """Parse inline JSON (starting with ``{`` or ``[``) or read a file."""
@@ -58,11 +55,6 @@ def _load_json(source: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {source!r}: {exc}") from exc
-
-
-def _reduction_c():
-    raw = os.environ.get(REDUCTION_C_ENV)
-    return None if raw is None else rat(raw)
 
 
 def _emit(obj) -> None:
@@ -83,7 +75,7 @@ def _cmd_check(args) -> int:
         if not args.config:
             raise InputError("general mode needs --config")
         config = config_from_json(_load_json(args.config))
-        verdict = check_general(config, spec, c=_reduction_c(), exhaustive=args.exhaustive)
+        verdict = check_general(config, spec, exhaustive=args.exhaustive)
     _emit(verdict.to_json())
     return 0 if verdict.feasible else 1
 
@@ -92,7 +84,7 @@ def _cmd_build(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
     if args.config:
         config = config_from_json(_load_json(args.config))
-        out = mu_general_build(config, spec, c=_reduction_c(), verbatim=args.proof_verbatim)
+        out = mu_general_build(config, spec, verbatim=args.proof_verbatim)
     else:
         if any(v != 0 for v in spec.mu):
             raise InputError("pass --config to build with a nonzero left boundary")

@@ -241,21 +241,16 @@ def build_trapezoid(
     return integrate(pattern)
 
 
-def mu_general_build(
-    config: ConvexConfig,
-    spec: BoundarySpec,
-    c: Rat = None,
-    verbatim: bool = False,
-) -> StripConcaveArray:
+def mu_general_build(config: ConvexConfig, spec: BoundarySpec, verbatim: bool = False) -> StripConcaveArray:
     """Witness array for an arbitrary convex configuration and boundary.
 
     Extends to the trapezoid, normalizes the left boundary away, builds a
     trapezoidal witness, then undoes the shift and restricts back.
     """
-    verdict = check_general(config, spec, c)
+    verdict = check_general(config, spec)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
-    tconfig, tspec, _ = extend_to_trapezoid(config, spec, c)
+    tconfig, tspec, _ = extend_to_trapezoid(config, spec)
     normalized = shift_mu(tspec)
     flat = build_trapezoid(normalized.lam, normalized.lam_bar, normalized.nu, verbatim)
     witness = integrate(derivative(flat), tspec.mu)

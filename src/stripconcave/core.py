@@ -66,11 +66,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def prefix_sum(seq: Sequence[Rat], k: int) -> Rat:
-    """Sum of the first ``k`` entries (``lam[1,k]`` in boundary notation)."""
-    return sum(seq[:k], 0)
-
-
 def is_weakly_decreasing(seq: Sequence[Rat]) -> bool:
     return all(x >= y for x, y in zip(seq, seq[1:]))
 
@@ -338,19 +333,23 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> Defic
     return DeficitProfile(values)
 
 
-def rough_bound(config: ConvexConfig, spec: BoundarySpec) -> Rat:
-    """Default reduction constant: ``alpha * |V|^|V|`` (1 when alpha = 0).
+def rough_bound(spec: BoundarySpec) -> Rat:
+    """Reduction constant ``c = 4 S + 1``, ``S`` the sum of ``|e|`` over all
+    boundary entries (1 when every entry is 0).
 
-    ``alpha`` is the largest absolute value among the boundary entries; the
-    exponential bound is crude but exact, and arbitrary-precision integers
-    absorb the size.
+    With ``alpha = max |e|``: for ``c > alpha`` every deficit term of the
+    extension has a fixed sign (``max(0, lb - c) = 0``, ``max(0, lb + c) =
+    lb + c``) and the structural checks ignore ``c``; for ``c > 4 alpha`` the
+    weight order ``(-w, i)``, ``w_i = (nu_i - mu_i) + c (L_i - R_i)``, is
+    fixed.  So every tested inequality, greedy or exhaustive, reads ``A + B c``
+    with integer ``B`` and ``|A| <= 2 S``: the ``lam`` prefix, ``(mu - nu)(I)``
+    and the c-free part of ``D_k`` add up to at most ``2 S(lam) + S(lam_bar)
+    + S(mu) + S(nu)``.  For ``c > 2 S`` its sign is that of ``(B, A)`` read
+    lexicographically.  Hence every ``c > 4 S`` yields the same verdict and
+    the same first violated subset, those of any ``c`` large enough for the
+    reduction to preserve feasibility.
     """
-    entries = spec.lam + spec.lam_bar + spec.mu + spec.nu
-    alpha = max((abs(e) for e in entries), default=0)
-    if alpha == 0:
-        return 1
-    size = config.size()
-    return alpha * size**size
+    return 4 * sum((abs(e) for e in spec.lam + spec.lam_bar + spec.mu + spec.nu), 0) + 1
 
 
 def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None):
@@ -358,9 +357,9 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
 
     New nodes on the left take derivative ``c`` and shift ``mu``; new nodes
     on the right take derivative ``-c`` and shift ``nu``.  For large enough
-    ``c`` (default :func:`rough_bound`) feasibility is preserved in both
-    directions and restricting any extended witness to the original index
-    set yields a witness.
+    ``c`` feasibility is preserved in both directions and restricting any
+    extended witness to the original index set yields a witness; the default
+    :func:`rough_bound` gives the same verdict as every larger ``c``.
 
     Returns ``(trapezoid_config, extended_spec, embedding)`` where the
     embedding maps original index pairs to their (identical) images.
@@ -375,7 +374,7 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
     if config.is_trapezoidal:
         return config, spec, embedding
     if c is None:
-        c = rough_bound(config, spec)
+        c = rough_bound(spec)
     lam = list(spec.lam)
     mu = list(spec.mu)
     nu = list(spec.nu)

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .core import (
     BoundarySpec,
     ConvexConfig,
-    DeficitProfile,
     InputError,
     Rat,
     deficits,
@@ -165,23 +164,19 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int, exhaustive: bool = F
     return FeasibilityVerdict(cert is None, cert)
 
 
-def check_general(
-    config: ConvexConfig,
-    spec: BoundarySpec,
-    c: Rat = None,
-    exhaustive: bool = False,
-) -> FeasibilityVerdict:
+def check_general(config: ConvexConfig, spec: BoundarySpec, exhaustive: bool = False) -> FeasibilityVerdict:
     """Feasibility for an arbitrary convex configuration.
 
-    Reduces to the trapezoid of size ``(n, b_0)`` by the boundary extension;
-    the extension preserves feasibility in both directions, and the violated
-    subset of a negative verdict indexes the original rows.
+    Reduces to the trapezoid of size ``(n, b_0)`` by the boundary extension
+    with the constant :func:`~stripconcave.core.rough_bound`; the extension
+    preserves feasibility in both directions, and the violated subset of a
+    negative verdict indexes the original rows.
 
     On a non-trapezoidal configuration a subset certificate carries only
-    ``I``: the extension's left-hand side reads ``A + B c`` in the arbitrary
-    reduction constant ``c``, and the inequality fails for every large ``c``.
+    ``I``: the extension's left-hand side reads ``A + B c`` in the reduction
+    constant ``c``, and the inequality fails for every large ``c``.
     """
-    tconfig, tspec, _ = extend_to_trapezoid(config, spec, c)
+    tconfig, tspec, _ = extend_to_trapezoid(config, spec)
     verdict = check_trapezoid(tspec, tconfig.n, tconfig.m, exhaustive)
     cert = verdict.certificate
     if cert is not None and cert.kind == "subset" and not config.is_trapezoidal:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import ConvexConfig, GTPattern, StripConcaveArray
-from .flow import Flow, FlowGraph
+from .core import ConvexConfig, GTPattern, StripConcaveArray, array_to_json, pattern_to_json
+from .flow import Flow, FlowGraph, flow_to_json
 from .tableau import SkewTableau
 
 
@@ -93,9 +93,6 @@ def skew_tableau() -> SkewTableau:
 
 def all_fixtures() -> dict:
     """Every fixture as JSON-ready data, keyed by a descriptive name."""
-    from .core import array_to_json, pattern_to_json
-    from .flow import flow_to_json
-
     return {
         "hexagon_array": array_to_json(hexagon_array()),
         "hexagon_pattern": pattern_to_json(hexagon_pattern()),

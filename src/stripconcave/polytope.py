@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import BoundarySpec, InputError, Rat, prefix_sum
+from .core import BoundarySpec, InputError, Rat
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class FacetInequality:
                 spec.lam_bar[self.j] if self.j < len(spec.lam_bar) else 0
             )
         k = len(self.I)
-        total = prefix_sum(spec.lam, k)
+        total = sum(spec.lam[:k], 0)
         for j in self.J:
             total = total + spec.lam[j + k - 1] - spec.lam_bar[j - 1]
         for i in self.I:
@@ -66,6 +66,9 @@ def _subsets(universe):
     return out
 
 
+FACET_LISTING_MAX = 18
+
+
 def facets(n: int, m: int) -> list:
     """The facet inequalities of the boundary cone for the (n, m) trapezoid.
 
@@ -74,9 +77,16 @@ def facets(n: int, m: int) -> list:
     or ``|I| = n`` with ``|J| = m - 1``.  The monotonicity steps of ``lam``
     and ``lam_bar`` are facets as well unless ``n = 1`` or ``(n, m) = (2, 0)``.
     Deduplicated, sorted with horn facets first (by ``(|I|+|J|, I, J)``).
+    The listing visits all ``2^(n+m)`` pairs, so ``n + m`` is capped at
+    :data:`FACET_LISTING_MAX`; :func:`facet_count_consistent` counts any size.
     """
     if n < 1 or m < 0:
         raise InputError("facets need n >= 1 and m >= 0")
+    if n + m > FACET_LISTING_MAX:
+        raise InputError(
+            f"listing facets needs n + m <= {FACET_LISTING_MAX}, got {n + m}; "
+            "use --count-only for the number of facets"
+        )
     horns = set()
     for I in _subsets(range(1, n + 1)):
         for J in _subsets(range(1, m + 1)):

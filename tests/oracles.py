@@ -7,7 +7,7 @@ algorithms beyond the shared data types.
 from fractions import Fraction
 from itertools import product
 
-from stripconcave import ConvexConfig, GTPattern, pattern_constraints
+from stripconcave import ConvexConfig, GTPattern, extend_to_trapezoid, pattern_constraints
 
 
 def interlacing_rows(lower):
@@ -105,6 +105,45 @@ def exhaustive_feasible(lam, lam_bar, mu, nu):
         ssum[mask] = ssum[mask ^ low_bit] + w[i]
         pop[mask] = pop[mask ^ low_bit] + 1
     return all(base[pop[mask]] + ssum[mask] >= 0 for mask in range(1 << n))
+
+
+def _extension_lhs(spec, mask):
+    """Left-hand side of the trapezoid inequality for the rows in ``mask``."""
+    lam, lam_bar, n = spec.lam, spec.lam_bar, len(spec.nu)
+    rows = [i for i in range(n) if mask >> i & 1]
+    k = len(rows)
+    deficit = sum(
+        max(0, lam_bar[j - k - 1] - lam[j - 1])
+        for j in range(1, len(lam) + 1)
+        if 1 <= j - k <= len(lam_bar)
+    )
+    return sum(lam[:k]) - deficit + sum(spec.mu[i] - spec.nu[i] for i in rows)
+
+
+def general_feasible_oracle(config, spec):
+    """Feasibility on a convex configuration in the limit of a large constant.
+
+    The extension with constant ``c > max |e|`` has subset inequalities
+    ``A + B c``; ``A`` and ``B`` are read off the extensions with ``c`` and
+    ``2 c``, and the data is infeasible iff some subset of the ``2^n`` has
+    ``B < 0``, or ``B = 0`` and ``A < 0``.
+    """
+    lam, lam_bar = spec.lam, spec.lam_bar
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        return False
+    if any(lam_bar[i] < lam_bar[i + 1] for i in range(len(lam_bar) - 1)):
+        return False
+    if sum(lam) - sum(lam_bar) + sum(spec.mu) - sum(spec.nu) != 0:
+        return False
+    c = max((abs(e) for e in lam + lam_bar + spec.mu + spec.nu), default=0) + 1
+    one = extend_to_trapezoid(config, spec, c)[1]
+    two = extend_to_trapezoid(config, spec, 2 * c)[1]
+    for mask in range(1 << config.n):
+        low, high = _extension_lhs(one, mask), _extension_lhs(two, mask)
+        a, b = 2 * low - high, Fraction(high - low) / c
+        if b < 0 or (b == 0 and a < 0):
+            return False
+    return True
 
 
 def matrix_rank(rows):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from stripconcave import array_from_json, boundary, config_to_json, spec_to_json, validate_array
 from stripconcave.cli import main
-from stripconcave.fixtures import all_fixtures
+from stripconcave.fixtures import all_fixtures, hexagon_array
 
 
 def run(capsys, *argv):
@@ -173,15 +174,37 @@ def test_fixtures_self_validate(capsys):
     assert out == out2
 
 
+HEXAGON_CONFIG = '{"n":3,"a":[0,0,0,1],"b":[2,3,3,3]}'
+HEXAGON_SPEC = '{"lambda":[3,0],"lambda_bar":[2,1],"mu":[2,-2,5],"nu":[1,0,4]}'
+
+
 def test_reduction_env_var(monkeypatch, capsys):
-    config = '{"n":3,"a":[0,0,0,1],"b":[2,3,3,3]}'
-    spec = '{"lambda":[3,0],"lambda_bar":[2,1],"mu":[2,-2,5],"nu":[1,0,4]}'
-    monkeypatch.setenv("STRIPCONCAVE_REDUCTION_C", "1000")
-    code, out, _ = run(capsys, "check", "--config", config, "--spec", spec)
-    assert code == 0 and json.loads(out)["feasible"] is True
+    # the reduction constant is derived from the input: the variable that
+    # used to override it is ignored, even when it is not a number
     monkeypatch.setenv("STRIPCONCAVE_REDUCTION_C", "nonsense")
-    code, _, err = run(capsys, "check", "--config", config, "--spec", spec)
-    assert code == 2
+    code, out, _ = run(capsys, "check", "--config", HEXAGON_CONFIG, "--spec", HEXAGON_SPEC)
+    assert code == 0 and json.loads(out)["feasible"] is True
+    code, out, _ = run(capsys, "build", "--config", HEXAGON_CONFIG, "--spec", HEXAGON_SPEC)
+    assert code == 0 and json.loads(out)["config"] == json.loads(HEXAGON_CONFIG)
+
+
+def test_build_general_proof_verbatim(capsys):
+    hexagon = hexagon_array()
+    config = json.dumps(config_to_json(hexagon.config))
+    spec = json.dumps(spec_to_json(boundary(hexagon)))
+    code, out, _ = run(capsys, "build", "--config", config, "--spec", spec, "--proof-verbatim")
+    assert code == 0
+    x = array_from_json(json.loads(out))
+    assert validate_array(x) and boundary(x) == boundary(hexagon)
+
+
+def test_facet_listing_size_guard(capsys):
+    code, out, err = run(capsys, "facets", "--n", "12", "--m", "7")
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "input" and "--count-only" in blob["message"]
+    code, out, _ = run(capsys, "facets", "--n", "12", "--m", "7", "--count-only")
+    assert code == 0 and json.loads(out)["enumerated"] > 0
 
 
 def test_unknown_subcommand_exit_2(capsys):

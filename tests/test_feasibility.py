@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -17,12 +18,16 @@ from stripconcave import (
     check_parallelogram,
     check_trapezoid,
     extend_to_trapezoid,
+    integrate,
+    mu_general_build,
+    restrict_to,
     rough_bound,
     shift_mu,
+    validate_array,
 )
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
-from oracles import exhaustive_feasible, feasible_nu_set
+from oracles import exhaustive_feasible, feasible_nu_set, general_feasible_oracle, random_pattern
 
 
 def spec_of(lam, lam_bar, mu, nu):
@@ -204,7 +209,7 @@ def test_hexagon_certificate_carries_only_the_subset():
     assert set(out) == {"kind", "I"} and out["kind"] == "subset"
     assert canonical_json(verdict.to_json())
     # the extension's inequality reads A + B c and must fail for every large c
-    c = rough_bound(config, spec)
+    c = rough_bound(spec)
     low, high = (
         _subset_lhs(extend_to_trapezoid(config, spec, cc)[1], out["I"])[0] for cc in (c, 2 * c)
     )
@@ -215,3 +220,61 @@ def test_trapezoidal_general_certificate_keeps_lhs():
     tri = ConvexConfig.triangle(2)
     cert = check_general(tri, spec_of((2, 1), (), (0, 0), (3, 0))).certificate
     assert cert.to_json() == {"kind": "subset", "I": [1], "lhs": -1, "deficit": 0}
+
+
+def _random_general_case(rng):
+    """A non-trapezoidal convex config (n <= 6, m <= 3) and a boundary on it.
+
+    The boundary is that of a random array, scaled to fractions half the
+    time, then usually perturbed: a balanced shift of ``mu`` or ``nu``, a
+    broken balance, or a broken ``lam`` order.
+    """
+    while True:
+        n, m, p, q = rng.randint(1, 6), rng.randint(0, 3), rng.randint(0, 6), rng.randint(0, 6)
+        a = tuple(max(0, i - p) for i in range(n + 1))
+        b = tuple(m + min(i, q) for i in range(n + 1))
+        if all(x <= y for x, y in zip(a, b)) and (p < n or q < n):
+            break
+    config = ConvexConfig(n, a, b)
+    mu = [rng.randint(-4, 4) for _ in range(n)]
+    x = restrict_to(integrate(random_pattern(rng, n, m, -3, 6), mu), config)
+    scale = rng.choice((1, 1, Fraction(1, 2), Fraction(2, 3)))
+    x = StripConcaveArray(config, tuple(tuple(v * scale for v in row) for row in x.rows))
+    spec = boundary(x)
+    lam, mu, nu = list(spec.lam), list(spec.mu), list(spec.nu)
+    step = rng.choice((1, 2, 3, Fraction(scale) / 2))
+    kind = rng.choice(("none", "nu", "nu", "nu", "mu", "mu", "mu", "balance", "order"))
+    i, j = rng.randrange(n), rng.randrange(n)
+    if kind == "nu":
+        nu[i] += step
+        nu[j] -= step
+    elif kind == "mu":
+        mu[i], nu[j] = mu[i] + step, nu[j] + step
+    elif kind == "balance":
+        nu[i] = nu[i] + step
+    elif kind == "order" and len(lam) > 1:
+        k = rng.randrange(len(lam) - 1)
+        lam[k], lam[k + 1] = lam[k + 1] - step, lam[k] + step
+    return config, spec_of(lam, spec.lam_bar, mu, nu)
+
+
+def test_derived_constant_matches_large_constants():
+    rng = random.Random(20041)
+    outcomes = Counter()
+    for _ in range(1200):
+        config, spec = _random_general_case(rng)
+        want = general_feasible_oracle(config, spec)
+        for exhaustive in (False, True):
+            verdict = check_general(config, spec, exhaustive=exhaustive)
+            assert verdict.feasible == want, (config, spec)
+            got = verdict.certificate and (verdict.certificate.kind, verdict.certificate.subset)
+            for k in (1, 2, 10):
+                tconfig, tspec, _ = extend_to_trapezoid(config, spec, k * rough_bound(spec))
+                big = check_trapezoid(tspec, tconfig.n, tconfig.m, exhaustive)
+                assert big.feasible == want, (config, spec, k)
+                assert (big.certificate and (big.certificate.kind, big.certificate.subset)) == got
+        outcomes["feasible" if want else verdict.certificate.kind] += 1
+        if want:
+            x = mu_general_build(config, spec)
+            assert validate_array(x) and boundary(x) == spec, (config, spec)
+    assert outcomes["feasible"] >= 600 and outcomes["subset"] >= 100, outcomes
