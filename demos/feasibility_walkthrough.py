@@ -38,7 +38,7 @@ print("balance |lam|-|lam_bar|+|mu|-|nu| =", spec.balance())
 print()
 print("=== Deficits measure how much the top row sticks out ===")
 d = deficits(spec.lam, spec.lam_bar)
-print("D_k for k = 0..n:", d.values)
+print("D_k for k = 0..n:", d)
 
 print()
 print("=== Feasibility needs only n+1 subset inequalities ===")
@@ -72,7 +72,7 @@ print()
 print("=== General configurations embed into a trapezoid ===")
 hexagon = hexagon_array()
 hspec = boundary(hexagon)
-tconfig, tspec, _ = extend_to_trapezoid(hexagon.config, hspec, c=50)
+tconfig, tspec = extend_to_trapezoid(hexagon.config, hspec, c=50)
 print("hexagon boundary", hspec.lam, "extends to", tspec.lam, "with c = 50")
 w = mu_general_build(hexagon.config, hspec)
 print("witness on the hexagon, built with c = 4 * sum|e| + 1 =", rough_bound(hspec),

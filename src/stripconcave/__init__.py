@@ -7,7 +7,6 @@ the associated polyhedra.  All computation is over exact rationals.
 from .core import (
     BoundarySpec,
     ConvexConfig,
-    DeficitProfile,
     GTPattern,
     InfeasibleError,
     InputError,

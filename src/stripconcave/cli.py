@@ -18,7 +18,6 @@ from .core import (
     InternalError,
     array_from_json,
     array_to_json,
-    boundary,
     canonical_json,
     config_from_json,
     pattern_from_json,
@@ -68,14 +67,14 @@ def _cmd_check(args) -> int:
     if mode is None:
         mode = "general" if args.config else "trapezoid"
     if mode == "trapezoid":
-        verdict = check_trapezoid(spec, n, m, exhaustive=args.exhaustive)
+        verdict = check_trapezoid(spec, n, m)
     elif mode == "parallelogram":
-        verdict = check_parallelogram(spec, n, m, exhaustive=args.exhaustive)
+        verdict = check_parallelogram(spec, n, m)
     else:
         if not args.config:
             raise InputError("general mode needs --config")
         config = config_from_json(_load_json(args.config))
-        verdict = check_general(config, spec, exhaustive=args.exhaustive)
+        verdict = check_general(config, spec)
     _emit(verdict.to_json())
     return 0 if verdict.feasible else 1
 
@@ -84,11 +83,11 @@ def _cmd_build(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
     if args.config:
         config = config_from_json(_load_json(args.config))
-        out = mu_general_build(config, spec, verbatim=args.proof_verbatim)
+        out = mu_general_build(config, spec)
     else:
         if any(v != 0 for v in spec.mu):
             raise InputError("pass --config to build with a nonzero left boundary")
-        out = build_trapezoid(spec.lam, spec.lam_bar, spec.nu, verbatim=args.proof_verbatim)
+        out = build_trapezoid(spec.lam, spec.lam_bar, spec.nu)
     _emit(array_to_json(out))
     return 0
 
@@ -178,8 +177,15 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns option errors into ``InputError`` (exit 2 with an error JSON)."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stripconcave",
         description="Exact feasibility, construction, flows, polytopes and tableaux "
         "for strip-concave arrays.",
@@ -190,13 +196,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--config")
     p.add_argument("--mode", choices=["trapezoid", "parallelogram", "general"])
-    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("build", help="construct a witness array")
     p.add_argument("--spec", required=True)
     p.add_argument("--config")
-    p.add_argument("--proof-verbatim", action="store_true")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("flow", help="convert between arrays and flows")

@@ -5,10 +5,8 @@ difference; the output is always a vertex of the corresponding polytope and
 is integral for integer data.  The trapezoidal case repeatedly truncates
 matching extreme entries of the two boundary tuples and otherwise lowers a
 run of entries of both tuples by a common step, rebuilding the array through
-a ramp lift.  The default step is the largest one that keeps the tuples
-ordered (with the lift applied in exact sub-steps); a unit-step mode matching
-the inductive argument verbatim is available for integer data and serves as
-a differential-testing oracle.
+a ramp lift.  The step is the largest one that keeps the tuples ordered
+(with the lift applied in exact sub-steps).
 """
 from __future__ import annotations
 
@@ -138,13 +136,13 @@ def _max_substep(rows, shape, s, cap):
     return bound
 
 
-def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple, verbatim: bool) -> list:
+def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
     """Pattern rows for a feasible normalized spec (mu = 0, lam nonnegative)."""
     n = len(nu)
     size = len(lam)
     integral = all(isinstance(v, int) for v in lam + lab + nu)
     ops = []
-    outer_cap = 10 * (size + 1) ** 2 + (sum(lam, 0) if verbatim else 0) + size + 2
+    outer_cap = 10 * (size + 1) ** 2 + size + 2
     outer = 0
     while True:
         outer += 1
@@ -164,7 +162,7 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple, verbatim: bool) -> list:
             continue
         r, s = _pick_rs(lam, lab)
         after = max(lam[r] if r < len(lam) else 0, lab[s] if s < m else 0)
-        step = 1 if verbatim else lab[0] - after
+        step = lab[0] - after
         ops.append(("lift", r, s, step))
         lam = tuple(v - step if r - s + 1 <= j + 1 <= r else v for j, v in enumerate(lam))
         lab = tuple(v - step if j < s else v for j, v in enumerate(lab))
@@ -204,13 +202,11 @@ def build_trapezoid(
     lam: Sequence[Rat],
     lam_bar: Sequence[Rat],
     nu: Sequence[Rat],
-    verbatim: bool = False,
 ) -> StripConcaveArray:
     """Witness array with boundary ``(lam, lam_bar, 0^n, nu)`` on the trapezoid.
 
-    ``verbatim=True`` lowers the boundary tuples one unit at a time (integer
-    data only); the default takes the largest exact step at once.  Integer
-    inputs yield an integer array either way.
+    Each lowering takes the largest exact step at once.  Integer inputs
+    yield an integer array.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -222,10 +218,6 @@ def build_trapezoid(
     verdict = check_trapezoid(spec, n, m)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
-    if verbatim and not all(
-        isinstance(v, int) for v in lam + lam_bar + nu
-    ):
-        raise InputError("the unit-step mode requires integer data")
     # shift so that lambda is nonnegative (adds a constant to every pattern
     # entry and to each nu entry)
     t = -min(lam) if min(lam, default=0) < 0 else 0
@@ -233,7 +225,6 @@ def build_trapezoid(
         tuple(v + t for v in lam),
         tuple(v + t for v in lam_bar),
         tuple(v + t for v in nu),
-        verbatim,
     )
     if t:
         rows = [[v - t for v in row] for row in rows]
@@ -241,7 +232,7 @@ def build_trapezoid(
     return integrate(pattern)
 
 
-def mu_general_build(config: ConvexConfig, spec: BoundarySpec, verbatim: bool = False) -> StripConcaveArray:
+def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveArray:
     """Witness array for an arbitrary convex configuration and boundary.
 
     Extends to the trapezoid, normalizes the left boundary away, builds a
@@ -250,9 +241,9 @@ def mu_general_build(config: ConvexConfig, spec: BoundarySpec, verbatim: bool = 
     verdict = check_general(config, spec)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
-    tconfig, tspec, _ = extend_to_trapezoid(config, spec)
+    tconfig, tspec = extend_to_trapezoid(config, spec)
     normalized = shift_mu(tspec)
-    flat = build_trapezoid(normalized.lam, normalized.lam_bar, normalized.nu, verbatim)
+    flat = build_trapezoid(normalized.lam, normalized.lam_bar, normalized.nu)
     witness = integrate(derivative(flat), tspec.mu)
     return restrict_to(witness, config)
 

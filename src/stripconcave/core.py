@@ -210,16 +210,6 @@ class BoundarySpec:
         )
 
 
-@dataclass(frozen=True)
-class DeficitProfile:
-    """Deficits ``D_k = sum_j max(0, lam_bar_{j-k} - lam_j)`` for k = 0..n."""
-
-    values: tuple
-
-    def __getitem__(self, k: int) -> Rat:
-        return self.values[k]
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -312,8 +302,8 @@ def shift_mu(spec: BoundarySpec) -> BoundarySpec:
     return BoundarySpec(spec.lam, spec.lam_bar, (0,) * n, nu)
 
 
-def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> DeficitProfile:
-    """Deficit profile of a pair of weakly decreasing tuples.
+def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple:
+    """Deficits ``(D_0, .., D_n)`` of a pair of weakly decreasing tuples.
 
     ``delta_k(j) = max(0, lam_bar_{j-k} - lam_j)`` with out-of-range indices
     contributing zero; ``D_k`` sums over the index range of ``lam``, so only
@@ -327,10 +317,9 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> Defic
         n = len(lam) - len(lam_bar)
     if n < 0:
         raise InputError("lam must be at least as long as lam_bar")
-    values = tuple(
+    return tuple(
         sum((max(0, lb - v) for lb, v in zip(lam_bar, lam[k:])), 0) for k in range(n + 1)
     )
-    return DeficitProfile(values)
 
 
 def rough_bound(spec: BoundarySpec) -> Rat:
@@ -341,7 +330,7 @@ def rough_bound(spec: BoundarySpec) -> Rat:
     extension has a fixed sign (``max(0, lb - c) = 0``, ``max(0, lb + c) =
     lb + c``) and the structural checks ignore ``c``; for ``c > 4 alpha`` the
     weight order ``(-w, i)``, ``w_i = (nu_i - mu_i) + c (L_i - R_i)``, is
-    fixed.  So every tested inequality, greedy or exhaustive, reads ``A + B c``
+    fixed.  So every tested inequality reads ``A + B c``
     with integer ``B`` and ``|A| <= 2 S``: the ``lam`` prefix, ``(mu - nu)(I)``
     and the c-free part of ``D_k`` add up to at most ``2 S(lam) + S(lam_bar)
     + S(mu) + S(nu)``.  For ``c > 2 S`` its sign is that of ``(B, A)`` read
@@ -361,8 +350,9 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
     extended witness to the original index set yields a witness; the default
     :func:`rough_bound` gives the same verdict as every larger ``c``.
 
-    Returns ``(trapezoid_config, extended_spec, embedding)`` where the
-    embedding maps original index pairs to their (identical) images.
+    Returns ``(trapezoid_config, extended_spec)``.  The original index pairs
+    keep their positions in the trapezoid, and on a trapezoidal
+    configuration both are returned unchanged.
     """
     n = config.n
     a, b = config.a, config.b
@@ -370,9 +360,8 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
         raise InputError("boundary lengths do not match the configuration")
     if len(spec.mu) != n or len(spec.nu) != n:
         raise InputError("mu and nu must have length n")
-    embedding = {(i, j): (i, j) for (i, j) in config.nodes()}
     if config.is_trapezoidal:
-        return config, spec, embedding
+        return config, spec
     if c is None:
         c = rough_bound(spec)
     lam = list(spec.lam)
@@ -390,7 +379,7 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
             nu[i] = nu[i] - c
     new_config = ConvexConfig.trapezoid(n, b[0])
     new_spec = BoundarySpec(tuple(lam), spec.lam_bar, tuple(mu), tuple(nu))
-    return new_config, new_spec, embedding
+    return new_config, new_spec
 
 
 def restrict_to(x: StripConcaveArray, config: ConvexConfig) -> StripConcaveArray:

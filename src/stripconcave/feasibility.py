@@ -4,13 +4,12 @@ Nonemptiness of the set of arrays with prescribed boundary quadruple
 ``(lam, lam_bar, mu, nu)`` is decided by deficit-corrected partial-sum
 inequalities indexed by subsets ``I`` of the rows.  Only ``n + 1`` subsets
 ever need evaluating: for each size ``k`` the one maximizing
-``(nu - mu)(I)``.  An exhaustive mode evaluating all ``2^n`` subsets is kept
-for differential testing.
+``(nu - mu)(I)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import (
@@ -88,23 +87,12 @@ def _structural(spec: BoundarySpec) -> Optional[Certificate]:
     return None
 
 
-def _subset_values(spec: BoundarySpec, subset) -> Rat:
-    return sum((spec.mu[i - 1] - spec.nu[i - 1] for i in subset), 0)
-
-
-def _check_subsets(spec: BoundarySpec, n: int, base: Sequence[Rat], exhaustive: bool):
+def _check_subsets(spec: BoundarySpec, n: int, base: Sequence[Rat]):
     """Run the inequality family; ``base[k]`` is the subset-free part for size ``k``.
 
-    By default each size-``k`` subset is the previous one plus the next index
-    in weight order, so ``mu(I) - nu(I)`` is a running sum.
+    Each size-``k`` subset is the previous one plus the next index in weight
+    order, so ``mu(I) - nu(I)`` is a running sum.
     """
-    if exhaustive:
-        for k in range(n + 1):
-            for subset in combinations(range(1, n + 1), k):
-                lhs = base[k] + _subset_values(spec, subset)
-                if lhs < 0:
-                    return Certificate("subset", subset=subset, lhs=lhs)
-        return None
     weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
     order = _weight_order(weights)
     for k, running in enumerate(accumulate((-weights[i] for i in order), initial=0)):
@@ -114,7 +102,7 @@ def _check_subsets(spec: BoundarySpec, n: int, base: Sequence[Rat], exhaustive: 
     return None
 
 
-def check_trapezoid(spec: BoundarySpec, n: int, m: int, exhaustive: bool = False) -> FeasibilityVerdict:
+def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
     """Feasibility for the trapezoid of size ``(n, m)``.
 
     Feasible iff both boundary tuples are weakly decreasing, the quadruple is
@@ -131,13 +119,13 @@ def check_trapezoid(spec: BoundarySpec, n: int, m: int, exhaustive: bool = False
     profile = deficits(spec.lam, spec.lam_bar, n)
     prefix = list(accumulate(spec.lam, initial=0))
     base = [prefix[k] - profile[k] for k in range(n + 1)]
-    cert = _check_subsets(spec, n, base, exhaustive)
+    cert = _check_subsets(spec, n, base)
     if cert is not None and cert.kind == "subset":
         cert = Certificate("subset", cert.subset, cert.lhs, profile[len(cert.subset)])
     return FeasibilityVerdict(cert is None, cert)
 
 
-def check_parallelogram(spec: BoundarySpec, n: int, m: int, exhaustive: bool = False) -> FeasibilityVerdict:
+def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
     """Feasibility for the parallelogram of size ``(n, m)``.
 
     For ``|I| <= m`` the inequality reads
@@ -157,14 +145,14 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int, exhaustive: bool = F
     tail = list(accumulate(reversed(spec.lam_bar), initial=0))  # tail[k] = lam_bar[m-k+1, m]
     base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
             for k in range(n + 1)]
-    cert = _check_subsets(spec, n, base, exhaustive)
+    cert = _check_subsets(spec, n, base)
     if cert is not None and cert.kind == "subset":
         k = len(cert.subset)
         cert = Certificate("subset", cert.subset, cert.lhs, profile[k] if k <= m else None)
     return FeasibilityVerdict(cert is None, cert)
 
 
-def check_general(config: ConvexConfig, spec: BoundarySpec, exhaustive: bool = False) -> FeasibilityVerdict:
+def check_general(config: ConvexConfig, spec: BoundarySpec) -> FeasibilityVerdict:
     """Feasibility for an arbitrary convex configuration.
 
     Reduces to the trapezoid of size ``(n, b_0)`` by the boundary extension
@@ -176,8 +164,8 @@ def check_general(config: ConvexConfig, spec: BoundarySpec, exhaustive: bool = F
     ``I``: the extension's left-hand side reads ``A + B c`` in the reduction
     constant ``c``, and the inequality fails for every large ``c``.
     """
-    tconfig, tspec, _ = extend_to_trapezoid(config, spec)
-    verdict = check_trapezoid(tspec, tconfig.n, tconfig.m, exhaustive)
+    tconfig, tspec = extend_to_trapezoid(config, spec)
+    verdict = check_trapezoid(tspec, tconfig.n, tconfig.m)
     cert = verdict.certificate
     if cert is not None and cert.kind == "subset" and not config.is_trapezoidal:
         return FeasibilityVerdict(False, Certificate("subset", cert.subset))

@@ -216,6 +216,9 @@ def _flow_support(x: StripConcaveArray) -> tuple:
     )
 
 
+VERTEX_SEARCH_MAX = 1_000_000
+
+
 def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     """All vertices of the polytope of arrays with fixed lower and upper
     boundaries and zero left boundary.
@@ -228,7 +231,9 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     neighbours in the row below and within the bounds ``lam_bar`` implies,
     and keeps the patterns whose row 1 interlaces ``lam_bar`` and whose
     tiles are all anchored.  The search holds one iterator per row, so its
-    depth is at most n.
+    depth is at most n.  The number of vertices grows exponentially, so the
+    search raises :class:`InputError` once it has placed more than
+    :data:`VERTEX_SEARCH_MAX` rows.
 
     Output is sorted by the support of each vertex's flow: the tuple of
     edges ``(i, j, t)`` with positive ``gamma(x)`` value, in ``(i, j, t)``
@@ -263,12 +268,17 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     rows = [None] * n + [lam]
     stack = [row_choices(n - 1, lam)]  # one iterator per row, depth at most n
     found = []
+    placed = 0
     while stack:
         i = n - len(stack)
         row = next(stack[-1], None)
         if row is None:
             stack.pop()
-        elif i:
+            continue
+        placed += 1
+        if placed > VERTEX_SEARCH_MAX:
+            raise InputError(f"too many vertices: the search passed {VERTEX_SEARCH_MAX} rows")
+        if i:
             rows[i] = row
             stack.append(row_choices(i - 1, row))
         else:

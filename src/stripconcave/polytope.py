@@ -8,7 +8,7 @@ computed here by interlacing-row enumeration with prescribed row sums.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 

@@ -13,6 +13,12 @@ def run(capsys, *argv):
     return code, out.out.strip(), out.err.strip()
 
 
+def assert_input_error(code, out, err, needle):
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "input" and needle in blob["message"]
+
+
 def test_check_feasible(capsys):
     code, out, _ = run(
         capsys,
@@ -188,11 +194,16 @@ def test_reduction_env_var(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["config"] == json.loads(HEXAGON_CONFIG)
 
 
-def test_build_general_proof_verbatim(capsys):
+def test_removed_mode_flags_exit_2(capsys):
     hexagon = hexagon_array()
     config = json.dumps(config_to_json(hexagon.config))
     spec = json.dumps(spec_to_json(boundary(hexagon)))
-    code, out, _ = run(capsys, "build", "--config", config, "--spec", spec, "--proof-verbatim")
+    for argv in (
+        ("check", "--spec", spec, "--config", config, "--exhaustive"),
+        ("build", "--spec", spec, "--config", config, "--proof-verbatim"),
+    ):
+        assert_input_error(*run(capsys, *argv), argv[-1])
+    code, out, _ = run(capsys, "build", "--spec", spec, "--config", config)
     assert code == 0
     x = array_from_json(json.loads(out))
     assert validate_array(x) and boundary(x) == boundary(hexagon)
@@ -208,6 +219,12 @@ def test_facet_listing_size_guard(capsys):
 
 
 def test_unknown_subcommand_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["definitely-not-a-command"])
-    assert exc.value.code == 2
+    # every option error is input error JSON, not argparse's usage text
+    assert_input_error(*run(capsys, "definitely-not-a-command"), "invalid choice")
+    assert_input_error(*run(capsys, "facets", "--n", "x", "--m", "1"), "--n")
+    assert_input_error(*run(capsys, "check"), "--spec")
+
+
+def test_vertex_search_size_guard(capsys):
+    spec = '{"lambda":[8,7,6,5,4,3,2,1,0],"lambda_bar":[7,5,3,1]}'
+    assert_input_error(*run(capsys, "vertices", "--spec", spec), "too many vertices")

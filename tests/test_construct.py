@@ -85,11 +85,10 @@ def test_triangular_rejects_bad_shape():
 
 def test_trapezoid_fixture_boundary():
     s = shift_mu(boundary(trapezoid_array()))
-    for verbatim in (False, True):
-        x = build_trapezoid(s.lam, s.lam_bar, s.nu, verbatim=verbatim)
-        assert validate_array(x)
-        assert boundary(x) == BoundarySpec(s.lam, s.lam_bar, (0, 0, 0), s.nu)
-        assert all(isinstance(v, int) for row in x.rows for v in row)
+    x = build_trapezoid(s.lam, s.lam_bar, s.nu)
+    assert validate_array(x)
+    assert boundary(x) == BoundarySpec(s.lam, s.lam_bar, (0, 0, 0), s.nu)
+    assert all(isinstance(v, int) for row in x.rows for v in row)
 
 
 def test_trapezoid_negative_lambda_shift():
@@ -110,8 +109,6 @@ def test_trapezoid_fractional_data():
     x = build_trapezoid(lam, bar, nu)
     assert validate_array(x)
     assert boundary(x) == BoundarySpec(lam, bar, (0, 0), nu)
-    with pytest.raises(InputError):
-        build_trapezoid(lam, bar, nu, verbatim=True)
 
 
 def test_trapezoid_matches_oracle_exactly():

@@ -122,7 +122,7 @@ def test_shift_mu():
 def test_deficits_worked_example():
     lam, lam_bar = (6, 4, 3, 1, 1), (5, 2)
     d = deficits(lam, lam_bar)
-    assert d.values == (0, 1, 3, 5)
+    assert d == (0, 1, 3, 5)
     # column contributions for k=1: lam_bar shifted right by one
     assert _deficit_column(lam, lam_bar, 1, 2) == 1  # max(0, 5 - 4)
     assert _deficit_column(lam, lam_bar, 1, 3) == 0  # max(0, 2 - 3)
@@ -151,7 +151,7 @@ def test_deficits_match_definition(lam, lam_bar, extra_n):
     lam_bar = sorted(lam_bar, reverse=True)
     n = len(lam) - len(lam_bar) + extra_n
     d = deficits(lam, lam_bar, n)
-    assert len(d.values) == n + 1
+    assert len(d) == n + 1
     for k in range(n + 1):
         assert d[k] == sum(
             (_deficit_column(lam, lam_bar, k, j) for j in range(1, len(lam) + 1)), 0
@@ -166,20 +166,19 @@ def test_deficits_monotone_required():
 def test_extend_to_trapezoid_hexagon():
     x = hexagon_array()
     spec = boundary(x)
-    tconfig, tspec, embedding = extend_to_trapezoid(x.config, spec, c=100)
+    tconfig, tspec = extend_to_trapezoid(x.config, spec, c=100)
     assert tconfig == ConvexConfig.trapezoid(3, 2)
     # left side: one row with a_i = 0 gap (p = 2), right side: q = 1
     assert tspec.lam == (100, 3, 0, -100, -100)
     assert tspec.mu == (2, -2, 5 - 100)
     assert tspec.nu == (1, 0 - 100, 4 - 100)
     assert tspec.balance() == 0
-    assert embedding[(3, 1)] == (3, 1)
 
 
 def test_extend_identity_on_trapezoid():
     x = trapezoid_array()
     spec = boundary(x)
-    tconfig, tspec, _ = extend_to_trapezoid(x.config, spec)
+    tconfig, tspec = extend_to_trapezoid(x.config, spec)
     assert tconfig == x.config and tspec == spec
 
 
@@ -226,9 +225,9 @@ def test_deficits_nonnegative_and_monotone(lam_raw, bar_raw):
     bar = tuple(sorted(bar_raw, reverse=True))[: len(lam)]
     n = len(lam) - len(bar)
     d = deficits(lam, bar, n)
-    assert all(v >= 0 for v in d.values)
+    assert all(v >= 0 for v in d)
     # shifting lam_bar further right can only lose weight against larger lam
-    assert len(d.values) == n + 1
+    assert len(d) == n + 1
 
 
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 6), st.data())

@@ -37,7 +37,7 @@ def spec_of(lam, lam_bar, mu, nu):
 def test_fixture_boundaries_feasible():
     b = boundary(trapezoid_array())
     assert check_trapezoid(b, 3, 2).feasible
-    assert check_trapezoid(b, 3, 2, exhaustive=True).feasible
+    assert exhaustive_feasible(b.lam, b.lam_bar, b.mu, b.nu)
     hb = boundary(hexagon_array())
     assert check_general(hexagon_array().config, hb).feasible
 
@@ -85,7 +85,7 @@ def test_shortcut_matches_exhaustive_small_grid():
                     nu = (nu1, nu2)
                     s = spec_of(lam, (bar,), (0, 0), nu)
                     fast = check_trapezoid(s, 2, 1).feasible
-                    slow = check_trapezoid(s, 2, 1, exhaustive=True).feasible
+                    slow = exhaustive_feasible(lam, (bar,), (0, 0), nu)
                     assert fast == slow, s
 
 
@@ -264,15 +264,15 @@ def test_derived_constant_matches_large_constants():
     for _ in range(1200):
         config, spec = _random_general_case(rng)
         want = general_feasible_oracle(config, spec)
-        for exhaustive in (False, True):
-            verdict = check_general(config, spec, exhaustive=exhaustive)
-            assert verdict.feasible == want, (config, spec)
-            got = verdict.certificate and (verdict.certificate.kind, verdict.certificate.subset)
-            for k in (1, 2, 10):
-                tconfig, tspec, _ = extend_to_trapezoid(config, spec, k * rough_bound(spec))
-                big = check_trapezoid(tspec, tconfig.n, tconfig.m, exhaustive)
-                assert big.feasible == want, (config, spec, k)
-                assert (big.certificate and (big.certificate.kind, big.certificate.subset)) == got
+        verdict = check_general(config, spec)
+        assert verdict.feasible == want, (config, spec)
+        got = verdict.certificate and (verdict.certificate.kind, verdict.certificate.subset)
+        for k in (1, 2, 10):
+            tconfig, tspec = extend_to_trapezoid(config, spec, k * rough_bound(spec))
+            big = check_trapezoid(tspec, tconfig.n, tconfig.m)
+            assert big.feasible == want, (config, spec, k)
+            assert (big.certificate and (big.certificate.kind, big.certificate.subset)) == got
+            assert exhaustive_feasible(tspec.lam, tspec.lam_bar, tspec.mu, tspec.nu) == want
         outcomes["feasible" if want else verdict.certificate.kind] += 1
         if want:
             x = mu_general_build(config, spec)

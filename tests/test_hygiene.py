@@ -1,0 +1,42 @@
+"""Source hygiene: no package module imports a name it never uses."""
+import ast
+from pathlib import Path
+
+import stripconcave
+
+PACKAGE = Path(stripconcave.__file__).parent
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by ``import`` statements that nothing else in the module reads.
+
+    ``from __future__`` imports are directives, not bindings, and are skipped.
+    A name counts as used when it appears as a ``Name`` or as the root of an
+    attribute chain; names mentioned only inside string annotations count as
+    unused.
+    """
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_detector_flags_unused_names():
+    source = "from __future__ import annotations\nimport os, json\nfrom a import b as c, d\nprint(json.dumps(d))\n"
+    assert unused_imports(source) == ["c", "os"]
