@@ -322,6 +322,24 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple
     )
 
 
+def interlacing_bounds(i: int, below: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:
+    """Bounds ``(lo, hi)`` on the cells of row ``i`` of a pattern with row 0
+    ``lam_bar``, given row ``i + 1`` as ``below``.
+
+    Interlacing gives ``below[k+1] <= row_i[k] <= below[k]``, and chains of
+    it up to row 0 give ``lam_bar[k] <= row_i[k] <= lam_bar[k-i]``.  Within
+    these bounds the cells are independent; on row 0 they leave only
+    ``lam_bar``, if it interlaces row 1.
+    """
+    lo, hi = below[1:], below[:-1]
+    if lam_bar:
+        lo, hi = list(lo), list(hi)
+        for k, c in enumerate(lam_bar):
+            lo[k] = max(lo[k], c)
+            hi[k + i] = min(hi[k + i], c)
+    return lo, hi
+
+
 def rough_bound(spec: BoundarySpec) -> Rat:
     """Reduction constant ``c = 4 S + 1``, ``S`` the sum of ``|e|`` over all
     boundary entries (1 when every entry is 0).

@@ -24,6 +24,7 @@ from .core import (
     _rows_from_json,
     derivative,
     integrate,
+    interlacing_bounds,
     is_weakly_decreasing,
     rat_to_json,
 )
@@ -252,17 +253,12 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     if t:
         lam, lam_bar = tuple(v + t for v in lam), tuple(v + t for v in lam_bar)
     values = sorted(set(lam) | set(lam_bar))
+    index = {v: k for k, v in enumerate(values)}
 
     def row_choices(i, below):
-        # Given the row below, the cells of row i are independent.  Chains of
-        # interlacing give lam_bar[k] <= row_i[k] <= lam_bar[k-i]; on row 0
-        # these bounds leave only lam_bar itself, if it interlaces row 1.
-        cells = []
-        for k in range(i + m):
-            lo = max(below[k + 1], lam_bar[k]) if k < m else below[k + 1]
-            hi = min(below[k], lam_bar[k - i]) if 0 <= k - i < m else below[k]
-            cells.append([v for v in values if lo <= v <= hi])
-        return product(*cells)
+        # every bound is a boundary value, so each cell takes a slice of values
+        lo, hi = interlacing_bounds(i, below, lam_bar)
+        return product(*[values[index[a]:index[b] + 1] for a, b in zip(lo, hi)])
 
     config = ConvexConfig.trapezoid(n, m)
     rows = [None] * n + [lam]

@@ -4,15 +4,16 @@ The feasible boundary quadruples of the trapezoid form a polyhedral cone cut
 out by subset-indexed linear inequalities; the facet-defining ones admit an
 explicit classification.  The number of integer points of the pattern
 polytope with fixed ``(lam, lam_bar, nu)`` is a (skew) Kostka coefficient,
-computed here by interlacing-row enumeration with prescribed row sums.
+counted level by level over interlacing rows with prescribed row sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .core import BoundarySpec, InputError, Rat
+from .core import BoundarySpec, InputError, Rat, interlacing_bounds
+from .feasibility import check_trapezoid
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,7 @@ def _subsets(universe):
 
 
 FACET_LISTING_MAX = 18
+FACET_COUNT_MAX = 14_000  # 2^14000 has 4215 digits; str() refuses more than 4300
 
 
 def facets(n: int, m: int) -> list:
@@ -121,10 +123,13 @@ def facet_count_consistent(n: int, m: int) -> dict:
     The number is read off the classification in :func:`facets` without
     listing the ``2^(n+m)`` subset pairs.  The two disagree for ``m = 0,
     n >= 3`` (the classification yields one more); this reports both
-    numbers rather than hiding the discrepancy.
+    numbers rather than hiding the discrepancy.  For ``n > 1`` the count is
+    about ``2^(n+m)``, so ``n + m`` is capped at :data:`FACET_COUNT_MAX`.
     """
     if n < 1 or m < 0:
         raise InputError("facets need n >= 1 and m >= 0")
+    if n > 1 and n + m > FACET_COUNT_MAX:
+        raise InputError(f"counting facets needs n + m <= {FACET_COUNT_MAX} for n > 1, got {n + m}")
     enumerated = (2**n - 2) * 2**m + (m if n + m > 1 else 0) + m
     if not (n == 1 or (n == 2 and m == 0)):
         enumerated += (n + m - 1) + max(0, m - 1)
@@ -151,10 +156,11 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
     """Number of integer patterns with boundary ``(lam, lam_bar, nu)``.
 
     Equals the number of semi-standard skew Young tableaux of shape
-    ``lam / lam_bar`` and content ``nu``.  Rows are enumerated from the
-    bottom row ``lam`` upward; consecutive rows interlace and row ``i`` must
-    sum to ``|lam_bar| + nu_1 + ... + nu_i``, ending at row 0 equal to
-    ``lam_bar``.
+    ``lam / lam_bar`` and content ``nu``.  It is 0 exactly when
+    :func:`~stripconcave.feasibility.check_trapezoid` rejects the data with
+    ``mu = 0`` (integer data that passes has an integral witness); else rows
+    are counted level by level, without recursion, up from ``lam``: row ``i``
+    interlaces row ``i + 1`` and sums to ``|lam_bar| + nu_1 + ... + nu_i``.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -171,49 +177,28 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
         if lam and lam[-1] < 0:
             return 0
         lam = lam + (0,) * (width - len(lam))
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if not check_trapezoid(BoundarySpec(lam, lam_bar, (0,) * n, nu), n, len(lam_bar)).feasible:
         return 0
-    if any(lam_bar[i] < lam_bar[i + 1] for i in range(len(lam_bar) - 1)):
-        return 0
-    sums = [sum(lam_bar)]
-    for v in nu:
-        sums.append(sums[-1] + v)
-    if sums[-1] != sum(lam):
-        return 0
-
-    @lru_cache(maxsize=None)
-    def above(i: int, row: tuple) -> int:
-        # ways to extend upward from row i (given) to row 0 = lam_bar
-        if i == 0:
-            return 1 if row == lam_bar else 0
-        target = sums[i - 1]
-        total = 0
-
-        def fill(prefix, remaining):
-            nonlocal total
-            j = len(prefix)
-            if j == len(row) - 1:
-                if remaining == 0:
-                    total += above(i - 1, prefix)
-                return
-            lo, hi = row[j + 1], row[j]
-            if prefix and prefix[-1] < hi:
-                hi = prefix[-1]
-            # prune by what later slots can still absorb
-            for v in range(hi, lo - 1, -1):
-                rest = len(row) - 1 - j - 1
-                left = remaining - v
-                min_rest = sum(row[j + 2 : j + 2 + rest], 0)
-                max_rest = sum(row[j + 1 : j + 1 + rest], 0)
-                if min_rest <= left <= max_rest:
-                    fill(prefix + (v,), left)
-
-        fill((), target)
-        return total
-
-    if n == 0:
-        return 1 if lam == lam_bar else 0
-    return above(n, lam)
+    level = {lam: 1}  # rows of the current level -> ways each reaches lam
+    total = sum(lam)
+    for i in range(n - 1, -1, -1):
+        total -= nu[i]
+        above = {}
+        for row, ways in level.items():
+            # rows of sum total, cell by cell; cutting each cell by the suffix sums
+            # of the bounds leaves no partial row that cannot be completed
+            lo, hi = interlacing_bounds(i, row, lam_bar)
+            lo_rest = list(accumulate(reversed(lo), initial=0))[::-1]
+            hi_rest = list(accumulate(reversed(hi), initial=0))[::-1]
+            partial = [((), total)]
+            for a, b, lr, hr in zip(lo, hi, lo_rest[1:], hi_rest[1:]):
+                partial = [(r + (v,), left - v)
+                           for r, left in partial
+                           for v in range(max(a, left - hr), min(b, left - lr) + 1)]
+            for r, _ in partial:
+                above[r] = above.get(r, 0) + ways
+        level = above
+    return level.get(lam_bar, 0)
 
 
 def count_scaled_points(

@@ -132,6 +132,8 @@ def test_facets_and_count_only(capsys):
     code, out, _ = run(capsys, "facets", "--n", "40", "--m", "0", "--count-only")
     assert code == 0
     assert json.loads(out) == {"enumerated": 2**40 + 37, "formula": 2**40 + 36, "consistent": False}
+    # a count of about 2^20000 has more digits than Python prints
+    assert_input_error(*run(capsys, "facets", "--n", "20000", "--m", "0", "--count-only"), "n + m")
 
 
 def test_kostka_and_count(capsys):
@@ -143,6 +145,10 @@ def test_kostka_and_count(capsys):
         capsys, "count", "--spec", '{"lambda":[2,1,0],"lambda_bar":[],"nu":[1,1,1]}', "--k", "2"
     )
     assert code == 0 and out == out2
+    # 100 levels: no recursion limit
+    ones = json.dumps({"lambda": [1] * 100, "nu": [1] * 100})
+    assert run(capsys, "kostka", "--spec", ones)[:2] == (0, "1")
+    assert run(capsys, "count", "--spec", ones, "--k", "2")[:2] == (0, "1")
 
 
 def test_tableau_commands(capsys):

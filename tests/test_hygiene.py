@@ -1,4 +1,5 @@
-"""Source hygiene: no package module imports a name it never uses."""
+"""Source hygiene: no package module imports a name it never uses, and no
+package function is recursive."""
 import ast
 from pathlib import Path
 
@@ -40,3 +41,41 @@ def test_no_unused_imports():
 def test_detector_flags_unused_names():
     source = "from __future__ import annotations\nimport os, json\nfrom a import b as c, d\nprint(json.dumps(d))\n"
     assert unused_imports(source) == ["c", "os"]
+
+
+def self_calling_functions(source: str) -> list:
+    """Names of functions that call themselves by name, directly or from a
+    def nested inside them.
+
+    Calls through an attribute (``self.f()``) are not counted.
+    """
+    tree = ast.parse(source)
+    return sorted(
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == func.name
+            for node in ast.walk(func)
+        )
+    )
+
+
+def test_no_recursive_functions():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := self_calling_functions(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_detector_flags_self_calls():
+    source = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def g():\n    def h():\n        return g()\n    return h\n"
+        "def k(x):\n    return x.k()\n"
+    )
+    assert self_calling_functions(source) == ["f", "g"]

@@ -21,7 +21,7 @@ from stripconcave import (
 )
 from stripconcave.fixtures import trapezoid_array, trapezoid_pattern
 
-from oracles import enumerate_patterns, random_pattern, pattern_nu
+from oracles import enumerate_patterns, enumerate_tableaux, random_pattern, pattern_nu
 
 
 def test_facet_counts_match_examples():
@@ -112,6 +112,15 @@ def test_kostka_base_cases():
     assert kostka((), (), ()) == 1
     assert kostka((1,), (), (2,)) == 0  # unbalanced
     assert kostka((1, 2), (), (1, 2)) == 0  # not a partition
+    assert kostka((1,) * 200, (), (1,) * 200) == 1  # 200 levels, no recursion
+    # lam is normalised to n + m parts: trailing zeros are empty rows ...
+    assert kostka((2, 1, 0, 0, 0), (), (1, 1, 1)) == 2
+    assert kostka((6, 4, 3, 1, 1, 0, 0), (5, 2), (3, 2, 3)) == 8
+    assert kostka((2, 1), (), (1, 1, 1)) == 2
+    # ... a nonzero part beyond n + m cannot be filled ...
+    assert kostka((1, 1, 1, 1), (), (2, 2)) == 0
+    # ... and a short lam padded with zeros must stay weakly decreasing
+    assert kostka((2, -1), (), (1, 0, 0)) == 0
 
 
 def test_kostka_fixture_contains_pattern():
@@ -130,10 +139,22 @@ def test_kostka_rejects_fractions():
         kostka((Fraction(3, 2), 0), (), (Fraction(3, 2),))
 
 
-def test_kostka_permutation_invariance_fixture():
-    base = kostka((6, 4, 3, 1, 1), (5, 2), (3, 2, 3))
-    for p in permutations((3, 2, 3)):
-        assert kostka((6, 4, 3, 1, 1), (5, 2), p) == base
+def test_kostka_permutation_invariance():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        m = rng.randint(0, 2)
+        p = random_pattern(rng, n, m, 0, 8)
+        lam, bar, nu = p.rows[-1], p.rows[0], pattern_nu(p.rows)
+        base = kostka(lam, bar, nu)
+        assert base >= 1
+        if sum(lam) - sum(bar) <= 12:
+            assert base == enumerate_tableaux(lam, bar, nu), (lam, bar, nu)
+            checked += 1
+        for perm in set(permutations(nu)):
+            assert kostka(lam, bar, perm) == base, (lam, bar, perm)
+    assert checked >= 10
 
 
 def test_count_scaled_points():
