@@ -9,8 +9,8 @@ when the two rhombus inequalities hold on every strip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -70,22 +70,50 @@ def is_weakly_decreasing(seq: Sequence[Rat]) -> bool:
     return all(x >= y for x, y in zip(seq, seq[1:]))
 
 
-@dataclass(frozen=True)
-class ConvexConfig:
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value: ``__slots__`` fields, each set once in ``__init__`` by
+    ``_set``; compared and hashed by class and field values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__qualname__} fields are read-only")
+
+    __delattr__ = __setattr__
+
+
+class ConvexConfig(Record):
     """Row bounds ``a_i <= j <= b_i`` of a convex triangular grid.
 
     Convexity: ``a_0 = 0``, the increments of ``a`` weakly increase from 0 to
     at most 1, the increments of ``b`` weakly decrease from at most 1 to 0.
     """
 
-    n: int
-    a: tuple
-    b: tuple
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        n, a, b = self.n, self.a, self.b
+    def __init__(self, n: int, a: tuple, b: tuple):
+        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+        _set(self, "n", n)
+        _set(self, "a", a)
+        _set(self, "b", b)
         if n < 1 or len(a) != n + 1 or len(b) != n + 1:
             raise InputError(f"config needs n >= 1 and bound rows of length n+1, got n={n}")
         if a[0] != 0:
@@ -140,8 +168,7 @@ class ConvexConfig:
         return sum(self.b[i] - self.a[i] + 1 for i in range(self.n + 1))
 
 
-@dataclass(frozen=True)
-class StripConcaveArray:
+class StripConcaveArray(Record):
     """Entries ``x_{ij}`` on a convex configuration, stored densely per row.
 
     Row ``i`` holds the values for ``j = a_i .. b_i``.  Construction checks
@@ -149,13 +176,13 @@ class StripConcaveArray:
     that intentionally invalid fixtures can be built.
     """
 
-    config: ConvexConfig
-    rows: tuple
+    __slots__ = ("config", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        c = self.config
+    def __init__(self, config: ConvexConfig, rows: tuple):
+        rows = tuple(tuple(r) for r in rows)
+        _set(self, "config", config)
+        _set(self, "rows", rows)
+        c = config
         if len(rows) != c.n + 1:
             raise InputError("array must have n+1 rows")
         for i, row in enumerate(rows):
@@ -166,20 +193,19 @@ class StripConcaveArray:
         return self.rows[i][j - self.config.a[i]]
 
 
-@dataclass(frozen=True)
-class GTPattern:
+class GTPattern(Record):
     """Row derivative ``dx_{ij} = x_{ij} - x_{i,j-1}`` of an array.
 
     Row ``i`` holds the values for ``j = a_i + 1 .. b_i``.
     """
 
-    config: ConvexConfig
-    rows: tuple
+    __slots__ = ("config", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        c = self.config
+    def __init__(self, config: ConvexConfig, rows: tuple):
+        rows = tuple(tuple(r) for r in rows)
+        _set(self, "config", config)
+        _set(self, "rows", rows)
+        c = config
         if len(rows) != c.n + 1:
             raise InputError("pattern must have n+1 rows")
         for i, row in enumerate(rows):
@@ -190,18 +216,16 @@ class GTPattern:
         return self.rows[i][j - self.config.a[i] - 1]
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
+class BoundarySpec(Record):
     """Boundary quadruple (lambda, lambda_bar, mu, nu) of local differences."""
 
-    lam: tuple
-    lam_bar: tuple
-    mu: tuple
-    nu: tuple
+    __slots__ = ("lam", "lam_bar", "mu", "nu")
 
-    def __post_init__(self):
-        for name in ("lam", "lam_bar", "mu", "nu"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(self, lam: tuple, lam_bar: tuple, mu: tuple, nu: tuple):
+        _set(self, "lam", tuple(lam))
+        _set(self, "lam_bar", tuple(lam_bar))
+        _set(self, "mu", tuple(mu))
+        _set(self, "nu", tuple(nu))
 
     def balance(self) -> Rat:
         """``|lam| - |lam_bar| + |mu| - |nu|`` (zero for any valid boundary)."""

@@ -8,7 +8,6 @@ ever need evaluating: for each size ``k`` the one maximizing
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -17,6 +16,8 @@ from .core import (
     ConvexConfig,
     InputError,
     Rat,
+    Record,
+    _set,
     deficits,
     extend_to_trapezoid,
     is_weakly_decreasing,
@@ -24,8 +25,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Description of a violated condition, independently re-checkable.
 
     ``kind`` is one of ``monotone_lambda``, ``monotone_lambda_bar``,
@@ -34,10 +34,13 @@ class Certificate:
     used).
     """
 
-    kind: str
-    subset: Optional[tuple] = None
-    lhs: Optional[Rat] = None
-    deficit: Optional[Rat] = None
+    __slots__ = ("kind", "subset", "lhs", "deficit")
+
+    def __init__(self, kind: str, subset: tuple = None, lhs: Rat = None, deficit: Rat = None):
+        _set(self, "kind", kind)
+        _set(self, "subset", subset)
+        _set(self, "lhs", lhs)
+        _set(self, "deficit", deficit)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -50,10 +53,12 @@ class Certificate:
         return out
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    certificate: Optional[Certificate] = None
+class FeasibilityVerdict(Record):
+    __slots__ = ("feasible", "certificate")
+
+    def __init__(self, feasible: bool, certificate: Optional[Certificate] = None):
+        _set(self, "feasible", feasible)
+        _set(self, "certificate", certificate)
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,6 @@ boundary (the Bender-Knuth involution on integer points).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -20,8 +19,10 @@ from .core import (
     InputError,
     InternalError,
     Rat,
+    Record,
     StripConcaveArray,
     _rows_from_json,
+    _set,
     derivative,
     integrate,
     interlacing_bounds,
@@ -30,15 +31,15 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(Record):
     """The layered digraph on nodes ``(i, j)``, ``0 <= i <= n``, ``0 <= j <= i+m``."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 0:
+    def __init__(self, n: int, m: int):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        if n < 1 or m < 0:
             raise InputError("flow graph needs n >= 1 and m >= 0")
 
     def nodes(self) -> Iterator[tuple]:
@@ -47,20 +48,17 @@ class FlowGraph:
                 yield (i, j)
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record):
     """Nonnegative edge values, stored per tail row (row ``i`` has ``i+m+1`` slots)."""
 
-    graph: FlowGraph
-    e0: tuple
-    e1: tuple
+    __slots__ = ("graph", "e0", "e1")
 
-    def __post_init__(self):
-        e0 = tuple(tuple(r) for r in self.e0)
-        e1 = tuple(tuple(r) for r in self.e1)
-        object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "e1", e1)
-        g = self.graph
+    def __init__(self, graph: FlowGraph, e0: tuple, e1: tuple):
+        e0, e1 = tuple(tuple(r) for r in e0), tuple(tuple(r) for r in e1)
+        _set(self, "graph", graph)
+        _set(self, "e0", e0)
+        _set(self, "e1", e1)
+        g = graph
         for name, rows in (("e0", e0), ("e1", e1)):
             if len(rows) != g.n:
                 raise InputError(f"{name} must have n rows")
@@ -367,11 +365,13 @@ def flow_from_json(obj) -> Flow:
     return Flow(FlowGraph(n, m), _rows_from_json(obj["e0"]), _rows_from_json(obj["e1"]))
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
+class PathDecomposition(Record):
     """Weighted source-to-sink paths whose indicator sum is the flow."""
 
-    paths: tuple  # of (node tuple, weight)
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: tuple):  # of (node tuple, weight)
+        _set(self, "paths", paths)
 
     def to_json(self) -> list:
         return [

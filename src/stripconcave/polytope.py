@@ -8,16 +8,14 @@ counted level by level over interlacing rows with prescribed row sums.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
-from .core import BoundarySpec, InputError, Rat, interlacing_bounds
+from .core import BoundarySpec, InputError, Rat, Record, _set, interlacing_bounds
 from .feasibility import check_trapezoid
 
 
-@dataclass(frozen=True)
-class FacetInequality:
+class FacetInequality(Record):
     """A facet of the cone of feasible boundary quadruples.
 
     ``horn`` facets are indexed by a row subset ``I`` of ``1..n`` and a
@@ -27,10 +25,13 @@ class FacetInequality:
     at position ``j``.
     """
 
-    kind: str
-    I: tuple = ()
-    J: tuple = ()
-    j: Optional[int] = None
+    __slots__ = ("kind", "I", "J", "j")
+
+    def __init__(self, kind: str, I: tuple = (), J: tuple = (), j: Optional[int] = None):
+        _set(self, "kind", kind)
+        _set(self, "I", I)
+        _set(self, "J", J)
+        _set(self, "j", j)
 
     def evaluate(self, spec: BoundarySpec) -> Rat:
         if self.kind == "chamber_lambda":
@@ -59,16 +60,9 @@ class FacetInequality:
         return out
 
 
-def _subsets(universe):
-    items = list(universe)
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return out
-
-
 FACET_LISTING_MAX = 18
 FACET_COUNT_MAX = 14_000  # 2^14000 has 4215 digits; str() refuses more than 4300
+KOSTKA_ROWS_MAX = 1_000_000
 
 
 def facets(n: int, m: int) -> list:
@@ -78,8 +72,8 @@ def facets(n: int, m: int) -> list:
     and either ``0 < |I| < n`` (any ``J``), or ``|I| = 0`` with ``|J| = 1``,
     or ``|I| = n`` with ``|J| = m - 1``.  The monotonicity steps of ``lam``
     and ``lam_bar`` are facets as well unless ``n = 1`` or ``(n, m) = (2, 0)``.
-    Deduplicated, sorted with horn facets first (by ``(|I|+|J|, I, J)``).
-    The listing visits all ``2^(n+m)`` pairs, so ``n + m`` is capped at
+    Listed with horn facets first, in ``(|I|+|J|, I, J)`` order.  The listing
+    has about ``2^(n+m)`` entries, so ``n + m`` is capped at
     :data:`FACET_LISTING_MAX`; :func:`facet_count_consistent` counts any size.
     """
     if n < 1 or m < 0:
@@ -89,18 +83,14 @@ def facets(n: int, m: int) -> list:
             f"listing facets needs n + m <= {FACET_LISTING_MAX}, got {n + m}; "
             "use --count-only for the number of facets"
         )
-    horns = set()
-    for I in _subsets(range(1, n + 1)):
-        for J in _subsets(range(1, m + 1)):
-            k, l = len(I), len(J)
-            if not 0 < k + l < n + m:
-                continue
-            if (0 < k < n) or (k == 0 and l == 1) or (k == n and l == m - 1):
-                horns.add((tuple(sorted(I)), tuple(sorted(J))))
-    out = [
-        FacetInequality("horn", I=I, J=J)
-        for I, J in sorted(horns, key=lambda p: (len(p[0]) + len(p[1]), p))
-    ]
+    rows = sorted(I for k in range(n + 1) for I in combinations(range(1, n + 1), k))
+    cols = [list(combinations(range(1, m + 1), l)) for l in range(m + 1)]
+    out = []
+    for s in range(1, n + m):
+        for I in rows:
+            k, l = len(I), s - len(I)
+            if 0 <= l <= m and ((0 < k < n) or (k == 0 and l == 1) or (k == n and l == m - 1)):
+                out += [FacetInequality("horn", I, J) for J in cols[l]]
     if not (n == 1 or (n == 2 and m == 0)):
         out += [FacetInequality("chamber_lambda", j=j) for j in range(1, n + m)]
         out += [FacetInequality("chamber_lambda_bar", j=j) for j in range(1, m)]
@@ -161,6 +151,8 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
     ``mu = 0`` (integer data that passes has an integral witness); else rows
     are counted level by level, without recursion, up from ``lam``: row ``i``
     interlaces row ``i + 1`` and sums to ``|lam_bar| + nu_1 + ... + nu_i``.
+    The levels grow exponentially, so it raises :class:`InputError` once it
+    has built more than :data:`KOSTKA_ROWS_MAX` candidate rows.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -181,6 +173,7 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
         return 0
     level = {lam: 1}  # rows of the current level -> ways each reaches lam
     total = sum(lam)
+    built = 0
     for i in range(n - 1, -1, -1):
         total -= nu[i]
         above = {}
@@ -195,6 +188,9 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
                 partial = [(r + (v,), left - v)
                            for r, left in partial
                            for v in range(max(a, left - hr), min(b, left - lr) + 1)]
+            built += len(partial)
+            if built > KOSTKA_ROWS_MAX:
+                raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
             for r, _ in partial:
                 above[r] = above.get(r, 0) + ways
         level = above

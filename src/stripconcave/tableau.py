@@ -9,13 +9,11 @@ is the right-minus-left boundary of any integrating array.  Rows are
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .core import ConvexConfig, GTPattern, InputError
+from .core import ConvexConfig, GTPattern, InputError, Record, _set
 
 
-@dataclass(frozen=True)
-class SkewTableau:
+class SkewTableau(Record):
     """Filling of the cells of ``outer`` outside ``inner``.
 
     ``rows[r-1]`` lists the entries of row ``r`` left to right, occupying
@@ -24,17 +22,13 @@ class SkewTableau:
     ``n = len(outer) - len(inner)``.
     """
 
-    outer: tuple
-    inner: tuple
-    rows: tuple
+    __slots__ = ("outer", "inner", "rows")
 
-    def __post_init__(self):
-        outer = tuple(self.outer)
-        inner = tuple(self.inner)
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, outer: tuple, inner: tuple, rows: tuple):
+        outer, inner, rows = tuple(outer), tuple(inner), tuple(tuple(r) for r in rows)
+        _set(self, "outer", outer)
+        _set(self, "inner", inner)
+        _set(self, "rows", rows)
         for name, part in (("outer", outer), ("inner", inner)):
             if any(not isinstance(v, int) or v < 0 for v in part):
                 raise InputError(f"{name} shape must be a nonnegative integer partition")

@@ -151,6 +151,16 @@ def test_kostka_and_count(capsys):
     assert run(capsys, "count", "--spec", ones, "--k", "2")[:2] == (0, "1")
 
 
+def test_kostka_size_guard(capsys):
+    # near-equal content on the staircase (2n, ..., 2): n = 9 builds 490 921
+    # candidate rows and answers, n = 10 would build 4 393 502
+    nine = json.dumps({"lambda": list(range(18, 0, -2)), "nu": [10] * 9})
+    assert run(capsys, "kostka", "--spec", nine)[:2] == (0, "156458382975")
+    ten = json.dumps({"lambda": list(range(20, 0, -2)), "nu": [11] * 10})
+    assert_input_error(*run(capsys, "kostka", "--spec", ten), "candidate rows")
+    assert_input_error(*run(capsys, "count", "--spec", ten, "--k", "1"), "candidate rows")
+
+
 def test_tableau_commands(capsys):
     fixtures = all_fixtures()
     pattern = json.dumps(fixtures["trapezoid_pattern"])

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from stripconcave import (
     BoundarySpec,
+    Certificate,
     ConvexConfig,
+    FacetInequality,
     InputError,
     array_from_json,
     array_to_json,
@@ -59,6 +61,45 @@ def test_config_shapes():
     hexagon = hexagon_array().config
     assert not hexagon.is_trapezoidal and not hexagon.is_parallelogram
     assert hexagon.size() == 3 + 4 + 4 + 3
+
+
+def test_record_repr_matches_field_order():
+    assert repr(ConvexConfig.triangle(2)) == "ConvexConfig(n=2, a=(0, 0, 0), b=(0, 1, 2))"
+    assert repr(Certificate("subset", (1, 3), Fraction(-1, 2), 2)) == (
+        "Certificate(kind='subset', subset=(1, 3), lhs=Fraction(-1, 2), deficit=2)"
+    )
+    assert repr(BoundarySpec([2, 1], [1], [0], [2])) == (
+        "BoundarySpec(lam=(2, 1), lam_bar=(1,), mu=(0,), nu=(2,))"
+    )
+
+
+def test_record_is_immutable_and_slotted():
+    config = ConvexConfig.triangle(2)
+    with pytest.raises(AttributeError):
+        config.n = 3
+    with pytest.raises(AttributeError):
+        del config.a
+    with pytest.raises(AttributeError):
+        config.extra = 1
+    assert not hasattr(config, "__dict__") and config.n == 2
+
+
+def test_record_equality_and_hash():
+    a = BoundarySpec([2, 1], [1], [0], [2])
+    b = BoundarySpec((2, 1), (1,), (0,), (2,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != BoundarySpec((2, 1), (1,), (0,), (3,))
+    # equal field tuples, different classes
+    assert Certificate("horn", (), (), None) != FacetInequality("horn")
+    assert FacetInequality("horn") != Certificate("horn", (), (), None)
+    assert len({Certificate("horn", (), (), None), FacetInequality("horn")}) == 2
+
+
+def test_record_keyword_construction():
+    config = ConvexConfig(n=2, a=[0, 0, 0], b=[0, 1, 2])
+    assert config == ConvexConfig.triangle(2) and config.a == (0, 0, 0)
+    assert Certificate(kind="balance", lhs=1) == Certificate("balance", None, 1, None)
+    assert FacetInequality("chamber_lambda", j=2).j == 2
 
 
 def test_config_rejects_non_convex():

@@ -1,6 +1,9 @@
-"""Source hygiene: no package module imports a name it never uses, and no
-package function is recursive."""
+"""Source hygiene: no package module imports a name it never uses, no
+package function is recursive, and the CLI imports no heavy stdlib module."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stripconcave
@@ -79,3 +82,21 @@ def test_detector_flags_self_calls():
         "def k(x):\n    return x.k()\n"
     )
     assert self_calling_functions(source) == ["f", "g"]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
+    every CLI call would pay for them at start-up."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import stripconcave.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout.split()
+    assert "stripconcave.cli" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
