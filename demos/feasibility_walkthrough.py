@@ -58,7 +58,7 @@ print("valid:", validate_array(w), "- boundary reproduced:",
       boundary(w) == BoundarySpec(normalized.lam, normalized.lam_bar, (0, 0, 0), normalized.nu))
 
 print()
-print("=== The triangular case is a simple recursion ===")
+print("=== A triangle is the trapezoid with m = 0 ===")
 t = build_triangular((5, 2, 1), (3, 2, 3))
 show(t)
 
@@ -66,7 +66,8 @@ print()
 print("=== Any skew pair reduces to a plain triangle ===")
 lam_prime = reduce_to_triangle(spec.lam, spec.lam_bar)
 print("lambda' =", lam_prime,
-      "- nu is feasible exactly when it is majorized by lambda'")
+      "- its prefix sums are lambda[1..k] - D_k, so nu is feasible exactly"
+      " when it is majorized by lambda'")
 
 print()
 print("=== General configurations embed into a trapezoid ===")

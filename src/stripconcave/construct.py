@@ -1,12 +1,14 @@
 """Witness construction for feasible boundary data.
 
-The triangular case is solved by a recursion that peels off the last column
-difference; the output is always a vertex of the corresponding polytope and
-is integral for integer data.  The trapezoidal case repeatedly truncates
-matching extreme entries of the two boundary tuples and otherwise lowers a
-run of entries of both tuples by a common step, rebuilding the array through
-a ramp lift.  The step is the largest one that keeps the tuples ordered
-(with the lift applied in exact sub-steps).
+The trapezoidal case repeatedly truncates matching extreme entries of the
+two boundary tuples and otherwise lowers a run of entries of both tuples by a
+common step, rebuilding the array through a ramp lift.  The step is the
+largest one that keeps the tuples ordered (with the lift applied in exact
+sub-steps).  Once ``lam_bar`` is empty, the triangle that is left is solved
+row by row, peeling the last entry of ``nu`` off ``lam``; a triangle is the
+trapezoid with ``m = 0`` and goes through the same builder.  The output is
+integral for integer data, and on the triangle it is a vertex of the
+corresponding polytope.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .core import (
     InternalError,
     Rat,
     StripConcaveArray,
+    deficits,
     derivative,
     extend_to_trapezoid,
     integrate,
@@ -31,21 +34,7 @@ from .core import (
     restrict_to,
     shift_mu,
 )
-from .feasibility import Certificate, _weight_order, check_general, check_trapezoid
-
-
-def _majorization_violation(lam: Sequence[Rat], nu: Sequence[Rat]):
-    """Return a violated subset certificate, or None if nu is majorized."""
-    order = _weight_order(nu)
-    running = 0
-    for k, (i, bound) in enumerate(zip(order, accumulate(lam)), 1):
-        running = running + nu[i]
-        if running > bound:
-            subset = tuple(sorted(i + 1 for i in order[:k]))
-            return Certificate("subset", subset=subset, lhs=bound - running, deficit=0)
-    if sum(lam, 0) != sum(nu, 0):
-        return Certificate("balance", lhs=sum(lam, 0) - sum(nu, 0))
-    return None
+from .feasibility import check_general, check_trapezoid
 
 
 def _triangular_rows(lam: tuple, nu: tuple) -> list:
@@ -66,10 +55,12 @@ def _triangular_rows(lam: tuple, nu: tuple) -> list:
 def build_triangular(lam: Sequence[Rat], nu: Sequence[Rat]) -> StripConcaveArray:
     """Witness array with boundary ``(lam, 0^n, nu)`` on the triangle.
 
-    Requires ``lam`` weakly decreasing, ``|lam| = |nu|`` and every partial
-    sum of ``nu`` bounded by the matching prefix of ``lam`` (majorization).
-    The output has ``x_{nj} = lam[1,j]``, is integral for integer data, and
-    is a vertex: its tight rhombus equalities determine it uniquely.
+    The triangle is the trapezoid with ``m = 0``, so this is
+    :func:`build_trapezoid` with an empty ``lam_bar``: feasibility is
+    ``|lam| = |nu|`` and ``nu`` majorized by ``lam``, and infeasible data
+    raises with :func:`check_trapezoid`'s certificate.  The output has
+    ``x_{nj} = lam[1,j]``, is integral for integer data, and is a vertex:
+    its tight rhombus equalities determine it uniquely.
     """
     lam = tuple(lam)
     nu = tuple(nu)
@@ -77,11 +68,7 @@ def build_triangular(lam: Sequence[Rat], nu: Sequence[Rat]) -> StripConcaveArray
         raise InputError("lambda and nu must have equal length")
     if not is_weakly_decreasing(lam):
         raise InputError("lambda must be weakly decreasing")
-    violation = _majorization_violation(lam, nu)
-    if violation is not None:
-        raise InfeasibleError(violation)
-    rows = _triangular_rows(lam, nu)
-    return integrate(GTPattern(ConvexConfig.triangle(len(lam)), tuple(rows)))
+    return build_trapezoid(lam, (), nu)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +238,12 @@ def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveAr
 def reduce_to_triangle(lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:
     """Triangular boundary tuple with the same feasible right boundaries.
 
-    ``lam'_k`` accumulates, over ``t = k..n+m``, the overlap length of the
-    segment between consecutive ``lam`` entries with the segment between
-    ``lam_1`` and ``lam_bar_{t-k+1}`` (missing entries read as zero); both
-    segments are taken between the min and max of their endpoints.  The
-    result is weakly decreasing with ``|lam'| = |lam| - |lam_bar|``, and a
-    right boundary ``nu`` is feasible for ``(lam, lam_bar)`` exactly when it
-    is majorized by ``lam'``.
+    The prefix sums of ``lam'`` are the subset-free parts of the trapezoid
+    inequality, ``lam'[1,k] = lam[1,k] - D_k``, so ``lam'`` is their sequence
+    of consecutive differences.  With ``mu = 0`` the inequality reads
+    ``lam'[1,|I|] - nu(I) >= 0``: a right boundary ``nu`` is feasible for
+    ``(lam, lam_bar)`` exactly when it is majorized by ``lam'``.  The result
+    is weakly decreasing with ``|lam'| = |lam| - |lam_bar|``.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -274,24 +260,5 @@ def reduce_to_triangle(lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:
             raise InputError(
                 "incompatible shapes: need lam_{j+n} <= lam_bar_j <= lam_j"
             )
-    size = len(lam)
-    top = lam[0] if lam else 0
-
-    def ext_lam(j):  # 1-based with lam_{n+m+1} = 0
-        return lam[j - 1] if j <= size else 0
-
-    def ext_bar(j):  # 1-based with trailing zeros
-        return lam_bar[j - 1] if j <= len(lam_bar) else 0
-
-    def overlap(a1, b1, a2, b2):
-        lo = max(min(a1, b1), min(a2, b2))
-        hi = min(max(a1, b1), max(a2, b2))
-        return hi - lo if hi > lo else 0
-
-    out = []
-    for k in range(1, n + 1):
-        total = 0
-        for t in range(k, size + 1):
-            total = total + overlap(ext_lam(t + 1), ext_lam(t), ext_bar(t - k + 1), top)
-        out.append(total)
-    return tuple(out)
+    base = [p - d for p, d in zip(accumulate(lam, initial=0), deficits(lam, lam_bar, n))]
+    return tuple(b - a for a, b in zip(base, base[1:]))

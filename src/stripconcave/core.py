@@ -52,6 +52,11 @@ def rat(value) -> Rat:
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
 
 
+def _is_int(value) -> bool:
+    """An integer JSON field: an ``int`` that is not a ``bool`` (``true`` parses to one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rat_to_json(value: Rat):
     """Encode an exact rational as an int, or ``"p/q"`` when non-integral."""
     if isinstance(value, Fraction):
@@ -93,6 +98,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{self.__class__.__qualname__} fields are read-only")
@@ -158,11 +166,6 @@ class ConvexConfig(Record):
     @property
     def is_parallelogram(self) -> bool:
         return all(x == 0 for x in self.a) and all(x == self.m for x in self.b)
-
-    def nodes(self) -> Iterator[tuple]:
-        for i in range(self.n + 1):
-            for j in range(self.a[i], self.b[i] + 1):
-                yield (i, j)
 
     def size(self) -> int:
         return sum(self.b[i] - self.a[i] + 1 for i in range(self.n + 1))
@@ -450,10 +453,9 @@ def config_to_json(config: ConvexConfig) -> dict:
 def config_from_json(obj) -> ConvexConfig:
     if not isinstance(obj, dict) or not {"n", "a", "b"} <= set(obj):
         raise InputError("config JSON must be an object with keys n, a, b")
-    try:
-        n, a, b = int(obj["n"]), [int(x) for x in obj["a"]], [int(x) for x in obj["b"]]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"config needs an integer n and integer lists a, b: {exc}") from exc
+    n, a, b = obj["n"], obj["a"], obj["b"]
+    if not (_is_int(n) and isinstance(a, list) and isinstance(b, list) and all(map(_is_int, a + b))):
+        raise InputError("config needs an integer n and integer lists a, b")
     return ConvexConfig(n, tuple(a), tuple(b))
 
 

@@ -92,18 +92,20 @@ def _structural(spec: BoundarySpec) -> Optional[Certificate]:
     return None
 
 
-def _check_subsets(spec: BoundarySpec, n: int, base: Sequence[Rat]):
+def _check_subsets(spec: BoundarySpec, n: int, base: Sequence[Rat], profile: Sequence[Rat]):
     """Run the inequality family; ``base[k]`` is the subset-free part for size ``k``.
 
     Each size-``k`` subset is the previous one plus the next index in weight
-    order, so ``mu(I) - nu(I)`` is a running sum.
+    order, so ``mu(I) - nu(I)`` is a running sum.  A violation's certificate
+    carries the deficit ``profile[k]``, or none where the profile ends.
     """
     weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
     order = _weight_order(weights)
     for k, running in enumerate(accumulate((-weights[i] for i in order), initial=0)):
         lhs = base[k] + running
         if lhs < 0:
-            return Certificate("subset", subset=tuple(sorted(i + 1 for i in order[:k])), lhs=lhs)
+            subset = tuple(sorted(i + 1 for i in order[:k]))
+            return Certificate("subset", subset, lhs, profile[k] if k < len(profile) else None)
     return None
 
 
@@ -119,14 +121,10 @@ def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
     if len(spec.mu) != n or len(spec.nu) != n:
         raise InputError("mu and nu must have length n")
     cert = _structural(spec)
-    if cert is not None:
-        return FeasibilityVerdict(False, cert)
-    profile = deficits(spec.lam, spec.lam_bar, n)
-    prefix = list(accumulate(spec.lam, initial=0))
-    base = [prefix[k] - profile[k] for k in range(n + 1)]
-    cert = _check_subsets(spec, n, base)
-    if cert is not None and cert.kind == "subset":
-        cert = Certificate("subset", cert.subset, cert.lhs, profile[len(cert.subset)])
+    if cert is None:
+        profile = deficits(spec.lam, spec.lam_bar, n)
+        base = [p - d for p, d in zip(accumulate(spec.lam, initial=0), profile)]
+        cert = _check_subsets(spec, n, base, profile)
     return FeasibilityVerdict(cert is None, cert)
 
 
@@ -143,17 +141,13 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdic
     if len(spec.mu) != n or len(spec.nu) != n:
         raise InputError("mu and nu must have length n")
     cert = _structural(spec)
-    if cert is not None:
-        return FeasibilityVerdict(False, cert)
-    profile = deficits(spec.lam, spec.lam_bar, n)
-    prefix = list(accumulate(spec.lam, initial=0))
-    tail = list(accumulate(reversed(spec.lam_bar), initial=0))  # tail[k] = lam_bar[m-k+1, m]
-    base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
-            for k in range(n + 1)]
-    cert = _check_subsets(spec, n, base)
-    if cert is not None and cert.kind == "subset":
-        k = len(cert.subset)
-        cert = Certificate("subset", cert.subset, cert.lhs, profile[k] if k <= m else None)
+    if cert is None:
+        profile = deficits(spec.lam, spec.lam_bar, n)
+        prefix = list(accumulate(spec.lam, initial=0))
+        tail = list(accumulate(reversed(spec.lam_bar), initial=0))  # tail[k] = lam_bar[m-k+1, m]
+        base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
+                for k in range(n + 1)]
+        cert = _check_subsets(spec, n, base, profile[: m + 1])
     return FeasibilityVerdict(cert is None, cert)
 
 

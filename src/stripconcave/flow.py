@@ -21,6 +21,7 @@ from .core import (
     Rat,
     Record,
     StripConcaveArray,
+    _is_int,
     _rows_from_json,
     _set,
     derivative,
@@ -358,10 +359,9 @@ def flow_to_json(g: Flow) -> dict:
 def flow_from_json(obj) -> Flow:
     if not isinstance(obj, dict) or not {"n", "m", "e0", "e1"} <= set(obj):
         raise InputError("flow JSON must be an object with keys n, m, e0, e1")
-    try:
-        n, m = int(obj["n"]), int(obj["m"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"flow needs integer n and m: {exc}") from exc
+    n, m = obj["n"], obj["m"]
+    if not (_is_int(n) and _is_int(m)):
+        raise InputError(f"flow needs integer n and m, got n={n!r}, m={m!r}")
     return Flow(FlowGraph(n, m), _rows_from_json(obj["e0"]), _rows_from_json(obj["e1"]))
 
 

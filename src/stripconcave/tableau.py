@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .core import ConvexConfig, GTPattern, InputError, Record, _set
+from .core import ConvexConfig, GTPattern, InputError, Record, _is_int, _set
 
 
 class SkewTableau(Record):
@@ -30,7 +30,7 @@ class SkewTableau(Record):
         _set(self, "inner", inner)
         _set(self, "rows", rows)
         for name, part in (("outer", outer), ("inner", inner)):
-            if any(not isinstance(v, int) or v < 0 for v in part):
+            if any(not _is_int(v) or v < 0 for v in part):
                 raise InputError(f"{name} shape must be a nonnegative integer partition")
             if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                 raise InputError(f"{name} shape must be weakly decreasing")
@@ -45,7 +45,7 @@ class SkewTableau(Record):
         for r, row in enumerate(rows):
             if len(row) != outer[r] - pad[r]:
                 raise InputError(f"row {r + 1} must hold {outer[r] - pad[r]} entries")
-            if any(not isinstance(v, int) or not 1 <= v <= n for v in row):
+            if any(not _is_int(v) or not 1 <= v <= n for v in row):
                 raise InputError(f"entries must be integers in 1..{n}")
             if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
                 raise InputError(f"row {r + 1} must be weakly increasing")

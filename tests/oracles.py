@@ -78,6 +78,38 @@ def random_pattern(rng, n, m, low=0, high=10):
     return GTPattern(ConvexConfig.trapezoid(n, m), tuple(rows))
 
 
+def overlap_reduce_to_triangle(lam, lam_bar):
+    """Triangular tuple ``lam'`` of a compatible skew pair, by segment overlaps.
+
+    ``lam'_k`` accumulates, over ``t = k..n+m``, the overlap length of the
+    segment between consecutive ``lam`` entries with the segment between
+    ``lam_1`` and ``lam_bar_{t-k+1}`` (missing entries read as zero); both
+    segments are taken between the min and max of their endpoints.
+    """
+    size = len(lam)
+    n = size - len(lam_bar)
+    top = lam[0] if lam else 0
+
+    def ext_lam(j):  # 1-based with lam_{n+m+1} = 0
+        return lam[j - 1] if j <= size else 0
+
+    def ext_bar(j):  # 1-based with trailing zeros
+        return lam_bar[j - 1] if j <= len(lam_bar) else 0
+
+    def overlap(a1, b1, a2, b2):
+        lo = max(min(a1, b1), min(a2, b2))
+        hi = min(max(a1, b1), max(a2, b2))
+        return hi - lo if hi > lo else 0
+
+    out = []
+    for k in range(1, n + 1):
+        total = 0
+        for t in range(k, size + 1):
+            total = total + overlap(ext_lam(t + 1), ext_lam(t), ext_bar(t - k + 1), top)
+        out.append(total)
+    return tuple(out)
+
+
 def exhaustive_feasible(lam, lam_bar, mu, nu):
     """Trapezoid feasibility by sweeping every subset with a bitmask."""
     n = len(nu)

@@ -19,6 +19,9 @@ def assert_input_error(code, out, err, needle):
     assert blob["error"] == "input" and needle in blob["message"]
 
 
+TRIANGLE_SPEC = '{"lambda":[2,1],"nu":[3,0]}'
+
+
 def test_check_feasible(capsys):
     code, out, _ = run(
         capsys,
@@ -57,6 +60,10 @@ def test_check_bad_json_exit_2(capsys):
     [
         ["--spec", '{"lambda": 5}'],
         ["--config", '{"n":"x","a":[0,0],"b":[1,2]}', "--spec", '{"lambda":[1,0]}'],
+        # int() would truncate 2.9 and 2.5 and parse "2"
+        ["--config", '{"n":2.9,"a":[0,0,0],"b":[0,1,2]}', "--spec", TRIANGLE_SPEC],
+        ["--config", '{"n":2,"a":[0,0,0],"b":[0,1,2.5]}', "--spec", TRIANGLE_SPEC],
+        ["--config", '{"n":"2","a":[0,0,0],"b":[0,1,2]}', "--spec", TRIANGLE_SPEC],
     ],
 )
 def test_check_wrong_field_type_exit_2(capsys, argv):
@@ -244,3 +251,18 @@ def test_unknown_subcommand_exit_2(capsys):
 def test_vertex_search_size_guard(capsys):
     spec = '{"lambda":[8,7,6,5,4,3,2,1,0],"lambda_bar":[7,5,3,1]}'
     assert_input_error(*run(capsys, "vertices", "--spec", spec), "too many vertices")
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["build", "--config", '{"n":2,"a":[0,false,0],"b":[0,1,2]}', "--spec", TRIANGLE_SPEC], "integer n"),
+        (["flow", "from", "--flow", '{"n":1.5,"m":0,"e0":[[0]],"e1":[[1]]}'], "integer n and m"),
+        (["flow", "from", "--flow", '{"n":1,"m":false,"e0":[[0]],"e1":[[1]]}'], "integer n and m"),
+        (["tableau", "content", "--tableau", '{"outer":[true],"inner":[],"rows":[[true]]}'], "partition"),
+        (["tableau", "content", "--tableau", '{"outer":[1],"inner":[],"rows":[[true]]}'], "integers"),
+    ],
+)
+def test_integer_fields_reject_floats_and_bools(capsys, argv, needle):
+    # int() would truncate 1.5 and read false as 0; JSON true is a Python bool
+    assert_input_error(*run(capsys, *argv), needle)

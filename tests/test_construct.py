@@ -11,16 +11,24 @@ from stripconcave import (
     boundary,
     build_trapezoid,
     build_triangular,
+    canonical_json,
     check_trapezoid,
     derivative,
     mu_general_build,
+    rat_to_json,
     reduce_to_triangle,
     shift_mu,
     validate_array,
 )
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
-from oracles import feasible_nu_set, pattern_nu, random_pattern, tight_system_rank
+from oracles import (
+    feasible_nu_set,
+    overlap_reduce_to_triangle,
+    pattern_nu,
+    random_pattern,
+    tight_system_rank,
+)
 
 
 def test_triangular_basic():
@@ -74,6 +82,30 @@ def test_triangular_infeasible_certificate():
     with pytest.raises(InfeasibleError) as exc:
         build_triangular((2, 1), (1, 1))
     assert exc.value.certificate.kind == "balance"
+    # unbalanced and subset-violating: balance is checked first, as in check
+    with pytest.raises(InfeasibleError) as exc:
+        build_triangular((2, 1), (3, 1))
+    assert exc.value.certificate.kind == "balance"
+
+
+def test_triangular_certificate_is_check_trapezoid_certificate():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        lam = tuple(sorted((rng.randint(-3, 8) for _ in range(n)), reverse=True))
+        nu = tuple(rng.randint(-3, 8) for _ in range(n))
+        if rng.random() < 0.5:  # rebalance about half of them
+            nu = nu[:-1] + (nu[-1] + sum(lam) - sum(nu),)
+        verdict = check_trapezoid(BoundarySpec(lam, (), (0,) * n, nu), n, 0)
+        if verdict.feasible:
+            assert boundary(build_triangular(lam, nu)).nu == nu
+            continue
+        with pytest.raises(InfeasibleError) as exc:
+            build_triangular(lam, nu)
+        assert exc.value.certificate == verdict.certificate
+        kinds.add(verdict.certificate.kind)
+    assert kinds == {"balance", "subset"}
 
 
 def test_triangular_rejects_bad_shape():
@@ -139,6 +171,22 @@ def test_reduce_to_triangle_worked_example():
 def test_reduce_to_triangle_identity_for_triangles():
     for lam in ((3, 1, 0), (5, 5, 2), (0, 0)):
         assert reduce_to_triangle(lam, ()) == lam
+
+
+def test_reduce_to_triangle_matches_overlap_definition():
+    # lam'[1,k] = lam[1,k] - D_k agrees with the segment-overlap sums
+    rng = random.Random(3)
+    for trial in range(6000):
+        n, m = rng.randint(1, 6), rng.randint(0, 4)
+        p = random_pattern(rng, n, m, 0, rng.choice((3, 9, 25)))
+        lam, bar = p.rows[-1], p.rows[0]
+        if trial % 2:
+            lam, bar = (tuple(Fraction(v, 3) for v in t) for t in (lam, bar))
+        got, want = reduce_to_triangle(lam, bar), overlap_reduce_to_triangle(lam, bar)
+        assert got == want, (lam, bar)
+        assert canonical_json([rat_to_json(v) for v in got]) == canonical_json(
+            [rat_to_json(v) for v in want]
+        )
 
 
 def test_reduce_to_triangle_validation():

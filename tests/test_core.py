@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,14 @@ from stripconcave import (
     array_to_json,
     boundary,
     canonical_json,
+    check_trapezoid,
     deficits,
     derivative,
     extend_to_trapezoid,
+    facets,
     integrate,
     pattern_from_json,
+    path_decompose,
     rat,
     rat_to_json,
     restrict_to,
@@ -28,10 +33,13 @@ from stripconcave import (
     validate_array,
     validate_pattern,
 )
+from stripconcave.core import Record
 from stripconcave.fixtures import (
     hexagon_array,
     hexagon_pattern,
+    skew_tableau,
     trapezoid_array,
+    trapezoid_flow,
     trapezoid_pattern,
 )
 
@@ -93,6 +101,33 @@ def test_record_equality_and_hash():
     assert Certificate("horn", (), (), None) != FacetInequality("horn")
     assert FacetInequality("horn") != Certificate("horn", (), (), None)
     assert len({Certificate("horn", (), (), None), FacetInequality("horn")}) == 2
+
+
+def test_record_pickle_and_copy_round_trip():
+    verdict = check_trapezoid(BoundarySpec((2, 1), (), (0, 0), (3, 0)), 2, 0)
+    flow = trapezoid_flow()
+    records = [
+        hexagon_array().config,
+        hexagon_array(),
+        hexagon_pattern(),
+        boundary(hexagon_array()),
+        verdict.certificate,
+        verdict,
+        flow.graph,
+        flow,
+        path_decompose(flow),
+        facets(2, 1)[0],
+        skew_tableau(),
+    ]
+    assert {type(r) for r in records} == set(Record.__subclasses__())
+    for record in records:
+        for clone in (
+            pickle.loads(pickle.dumps(record)),
+            copy.copy(record),
+            copy.deepcopy(record),
+        ):
+            assert type(clone) is type(record)
+            assert clone == record and repr(clone) == repr(record)
 
 
 def test_record_keyword_construction():
