@@ -16,13 +16,13 @@ from .core import (
     InfeasibleError,
     InputError,
     InternalError,
+    _boundary_field,
     array_from_json,
     array_to_json,
     canonical_json,
     config_from_json,
     pattern_from_json,
     pattern_to_json,
-    rat,
     spec_from_json,
 )
 from .feasibility import check_general, check_parallelogram, check_trapezoid
@@ -103,7 +103,7 @@ def _cmd_flow(args) -> int:
             raise InputError("flow from needs --flow")
         g = flow_from_json(_load_json(args.flow))
         if args.lam is not None:
-            lam = tuple(rat(v) for v in _load_json(args.lam))
+            lam = _boundary_field("lambda", _load_json(args.lam))
         else:
             lam, _ = boundary_of_flow(g)
         _emit(array_to_json(gamma_inv(g, lam)))

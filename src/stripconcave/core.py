@@ -118,7 +118,9 @@ class ConvexConfig(Record):
     __slots__ = ("n", "a", "b")
 
     def __init__(self, n: int, a: tuple, b: tuple):
-        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+        a, b = tuple(a), tuple(b)
+        if not (_is_int(n) and all(map(_is_int, a + b))):
+            raise InputError("config needs an integer n and integer lists a, b")
         _set(self, "n", n)
         _set(self, "a", a)
         _set(self, "b", b)
@@ -454,9 +456,9 @@ def config_from_json(obj) -> ConvexConfig:
     if not isinstance(obj, dict) or not {"n", "a", "b"} <= set(obj):
         raise InputError("config JSON must be an object with keys n, a, b")
     n, a, b = obj["n"], obj["a"], obj["b"]
-    if not (_is_int(n) and isinstance(a, list) and isinstance(b, list) and all(map(_is_int, a + b))):
+    if not (isinstance(a, list) and isinstance(b, list)):
         raise InputError("config needs an integer n and integer lists a, b")
-    return ConvexConfig(n, tuple(a), tuple(b))
+    return ConvexConfig(n, a, b)
 
 
 def _rows_to_json(rows) -> list:
@@ -515,15 +517,14 @@ def spec_to_json(spec: BoundarySpec) -> dict:
     }
 
 
+def _boundary_field(key: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f'boundary "{key}" must be a list of rationals, got {value!r}')
+    return tuple(rat(v) for v in value)
+
+
 def spec_from_json(obj) -> BoundarySpec:
     if not isinstance(obj, dict) or "lambda" not in obj:
         raise InputError('boundary JSON must be an object with a "lambda" key')
-
-    def field(key, default=()):
-        value = obj.get(key, default)
-        if not isinstance(value, (list, tuple)):
-            raise InputError(f'boundary "{key}" must be a list of rationals, got {value!r}')
-        return tuple(rat(v) for v in value)
-
-    lam, lam_bar, nu = field("lambda"), field("lambda_bar"), field("nu")
-    return BoundarySpec(lam, lam_bar, field("mu", (0,) * len(nu)), nu)
+    lam, lam_bar, nu = (_boundary_field(k, obj.get(k, ())) for k in ("lambda", "lambda_bar", "nu"))
+    return BoundarySpec(lam, lam_bar, _boundary_field("mu", obj.get("mu", (0,) * len(nu))), nu)

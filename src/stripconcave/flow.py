@@ -3,15 +3,16 @@
 Arrays correspond bijectively (and linearly) to nonnegative flows on a
 layered acyclic digraph whose layer ``i`` holds nodes ``(i, j)`` for
 ``j = 0..i+m``.  Edge ``e0_{ij}`` points to ``(i+1, j)`` and ``e1_{ij}`` to
-``(i+1, j+1)``.  Divergences are prescribed by the boundary tuples; vertices
-of the array polytope correspond to flows supported on forests, and swapping
-zigzag capacities between adjacent layers exchanges two entries of the right
-boundary (the Bender-Knuth involution on integer points).
+``(i+1, j+1)``.  The flow of an array carries the interlacing slacks of its
+row derivative, a Gelfand-Tsetlin pattern.  Vertices of the array polytope
+correspond to flows supported on forests.  Swapping two adjacent entries of
+the right boundary is the Bender-Knuth involution: one pattern row toggles,
+each cell ``v`` to ``lo + hi - v`` within its interlacing interval.
 """
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate, product
+from typing import Sequence
 
 from .core import (
     ConvexConfig,
@@ -23,12 +24,14 @@ from .core import (
     StripConcaveArray,
     _is_int,
     _rows_from_json,
+    _rows_to_json,
     _set,
     derivative,
     integrate,
     interlacing_bounds,
     is_weakly_decreasing,
     rat_to_json,
+    validate_pattern,
 )
 
 
@@ -43,11 +46,6 @@ class FlowGraph(Record):
         if n < 1 or m < 0:
             raise InputError("flow graph needs n >= 1 and m >= 0")
 
-    def nodes(self) -> Iterator[tuple]:
-        for i in range(self.n + 1):
-            for j in range(i + self.m + 1):
-                yield (i, j)
-
 
 class Flow(Record):
     """Nonnegative edge values, stored per tail row (row ``i`` has ``i+m+1`` slots)."""
@@ -59,111 +57,86 @@ class Flow(Record):
         _set(self, "graph", graph)
         _set(self, "e0", e0)
         _set(self, "e1", e1)
-        g = graph
         for name, rows in (("e0", e0), ("e1", e1)):
-            if len(rows) != g.n:
+            if len(rows) != graph.n:
                 raise InputError(f"{name} must have n rows")
             for i, row in enumerate(rows):
-                if len(row) != i + g.m + 1:
-                    raise InputError(f"{name} row {i} must have {i + g.m + 1} entries")
+                if len(row) != i + graph.m + 1:
+                    raise InputError(f"{name} row {i} must have {i + graph.m + 1} entries")
         if any(v < 0 for rows in (e0, e1) for row in rows for v in row):
             raise InputError("flow values must be nonnegative")
 
-    def divergence(self, node: tuple) -> Rat:
-        """Inflow minus outflow at a node (void edges count as zero)."""
-        i, j = node
-        g = self.graph
-        total = 0
-        if i > 0:
-            if j <= (i - 1) + g.m:
-                total = total + self.e0[i - 1][j]
-            if j >= 1:
-                total = total + self.e1[i - 1][j - 1]
-        if i < g.n:
-            total = total - self.e0[i][j] - self.e1[i][j]
-        return total
+
+def _slacks(rows) -> tuple:
+    """Edge values ``(e0, e1)`` of the pattern with rows ``rows`` (tuples).
+
+    ``e0[i] = (lam_1,) + row_i - row_{i+1}`` and
+    ``e1[i] = row_{i+1} - (row_i + (0,))``, taken elementwise: the slacks of
+    the interlacing inequalities between rows ``i`` and ``i + 1``, with
+    ``lam_1`` and 0 as the bounds outside the rows.
+    """
+    head, pairs = rows[-1][:1], tuple(zip(rows, rows[1:]))
+    e0 = tuple(tuple(a - b for a, b in zip(head + up, down)) for up, down in pairs)
+    e1 = tuple(tuple(b - a for a, b in zip(up + (0,), down)) for up, down in pairs)
+    return e0, e1
+
+
+def _pattern_rows(g: Flow, lam: Sequence[Rat]) -> tuple:
+    """The pattern rows ``row_i = row_{i+1}[:-1] - e1[i]`` up from ``row_n = lam``.
+
+    As :func:`gamma` is a bijection, ``g`` is admissible (every divergence
+    is the one the boundary prescribes) exactly when the slacks of these
+    rows are ``g`` again; otherwise this raises :class:`InputError`.
+    """
+    lam = tuple(lam)
+    if len(lam) != g.graph.n + g.graph.m:
+        raise InputError("boundary lengths do not match the graph")
+    rows = [lam]
+    for e1 in reversed(g.e1):
+        rows.append(tuple(v - e for v, e in zip(rows[-1][:-1], e1)))
+    rows = tuple(rows[::-1])
+    if _slacks(rows) != (g.e0, g.e1):
+        raise InputError("flow is not admissible: its divergences do not match the boundary")
+    return rows
 
 
 def boundary_of_flow(g: Flow) -> tuple:
-    """Recover ``(lam, lam_bar)`` from the prescribed layer divergences."""
-    n, m = g.graph.n, g.graph.m
-    lam = [0] * (n + m + 1)  # lam[j] for j = 1..n+m, trailing sentinel 0
-    for j in range(n + m, 0, -1):
-        lam[j - 1] = lam[j] + g.divergence((n, j))
-    lam_bar = [0] * (m + 1)
-    for j in range(m, 0, -1):
-        lam_bar[j - 1] = lam_bar[j] - g.divergence((0, j))
-    return tuple(lam[:-1]), tuple(lam_bar[:-1])
+    """Recover ``(lam, lam_bar)``: ``lam_j`` is the inflow into bottom-layer
+    nodes ``j..n+m`` and ``lam_bar_j`` the outflow from top-layer nodes
+    ``j..m``."""
+    inflow = [a + b for a, b in zip(g.e0[-1][1:] + (0,), g.e1[-1])]
+    outflow = [a + b for a, b in zip(g.e0[0][1:], g.e1[0][1:])]
+    return tuple(tuple(accumulate(v[::-1]))[::-1] for v in (inflow, outflow))
 
 
-def admissibility_violation(g: Flow, lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> Optional[tuple]:
-    """First node whose divergence deviates from the prescription, or None."""
-    n, m = g.graph.n, g.graph.m
-    if len(lam) != n + m or len(lam_bar) != m:
-        raise InputError("boundary lengths do not match the graph")
-    lam_ext = [lam[0]] + list(lam) + [0]  # lam_ext[j] = lam_j with lam_0 = lam_1
-    bar_ext = [lam[0]] + list(lam_bar) + [0]
-    for node in g.graph.nodes():
-        i, j = node
-        if i == 0 and n > 0:
-            want = bar_ext[j + 1] - bar_ext[j]
-        elif i == n:
-            want = lam_ext[j] - lam_ext[j + 1]
-        else:
-            want = 0
-        if g.divergence(node) != want:
-            return node
-    return None
+def _trapezoid_derivative(x: StripConcaveArray) -> GTPattern:
+    if not x.config.is_trapezoidal:
+        raise InputError("flows are defined on trapezoids; apply extend_to_trapezoid first")
+    return derivative(x)
 
 
 def gamma(x: StripConcaveArray) -> Flow:
-    """The flow image of a trapezoidal array.
+    """The flow image of a trapezoidal array: the interlacing slacks of its
+    row derivative (see :func:`_slacks`).
 
-    ``g(e0_{ij}) = dx_{ij} - dx_{i+1,j+1}`` and
+    In array terms ``g(e0_{ij}) = dx_{ij} - dx_{i+1,j+1}`` and
     ``g(e1_{ij}) = dx_{i+1,j+1} - dx_{i,j+1}`` with the conventions
     ``dx_{i0} = lam_1`` and ``dx_{i,i+m+1} = 0``.
     """
     c = x.config
-    if not c.is_trapezoidal:
-        raise InputError("flows are defined on trapezoids; apply extend_to_trapezoid first")
-    n, m = c.n, c.m
-    p = derivative(x)
-    lam1 = p.rows[n][0] if p.rows[n] else 0
-
-    def dx(i, j):
-        if j == 0:
-            return lam1
-        if j > i + m:
-            return 0
-        return p.rows[i][j - 1]
-
-    e0 = tuple(
-        tuple(dx(i, j) - dx(i + 1, j + 1) for j in range(i + m + 1)) for i in range(n)
-    )
-    e1 = tuple(
-        tuple(dx(i + 1, j + 1) - dx(i, j + 1) for j in range(i + m + 1)) for i in range(n)
-    )
-    return Flow(FlowGraph(n, m), e0, e1)
+    return Flow(FlowGraph(c.n, c.m), *_slacks(_trapezoid_derivative(x).rows))
 
 
 def gamma_inv(g: Flow, lam: Sequence[Rat]) -> StripConcaveArray:
-    """The array with the given lower boundary whose flow image is ``g``.
+    """The array with lower boundary ``lam`` and zero left boundary whose
+    flow image is ``g``.
 
-    The upper boundary implied by the divergences of ``g`` must be
-    consistent with ``lam``; the left boundary is normalized to zero.
+    The pattern is rebuilt from its slacks up from ``lam``; it raises
+    :class:`InputError` unless its slacks are ``g`` again, that is, unless
+    ``g`` is admissible for ``lam``.
     """
-    n, m = g.graph.n, g.graph.m
-    lam = tuple(lam)
-    _, lam_bar = boundary_of_flow(g)
-    bad = admissibility_violation(g, lam, lam_bar)
-    if bad is not None:
-        raise InputError(f"flow is not admissible: divergence mismatch at node {bad}")
-    rows = [None] * (n + 1)
-    rows[n] = list(lam)
-    for i in range(n - 1, -1, -1):
-        rows[i] = [rows[i + 1][j - 1] - g.e1[i][j - 1] for j in range(1, i + m + 1)]
-    pattern = GTPattern(ConvexConfig.trapezoid(n, m), tuple(tuple(r) for r in rows))
-    return integrate(pattern)
+    config = ConvexConfig.trapezoid(g.graph.n, g.graph.m)
+    return integrate(GTPattern(config, _pattern_rows(g, lam)))
 
 
 def nu_of_flow(g: Flow) -> tuple:
@@ -204,16 +177,11 @@ def _tiles_anchored(rows) -> bool:
     return all(find(c) in anchored for c in range(start[1], start[n]))
 
 
-def _flow_support(x: StripConcaveArray) -> tuple:
-    """Edges ``(i, j, t)`` carrying positive flow in ``gamma(x)``, sorted."""
-    g = gamma(x)
-    return tuple(
-        (i, j, t)
-        for i in range(g.graph.n)
-        for j in range(len(g.e0[i]))
-        for t in (0, 1)
-        if (g.e1 if t else g.e0)[i][j]
-    )
+def _support(rows) -> tuple:
+    """Edges ``(i, j, t)`` with a nonzero slack in the pattern ``rows``, sorted."""
+    e = _slacks(rows)
+    return tuple((i, j, t) for i, row in enumerate(e[0]) for j in range(len(row))
+                 for t in (0, 1) if e[t][i][j])
 
 
 VERTEX_SEARCH_MAX = 1_000_000
@@ -236,16 +204,15 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     :data:`VERTEX_SEARCH_MAX` rows.
 
     Output is sorted by the support of each vertex's flow: the tuple of
-    edges ``(i, j, t)`` with positive ``gamma(x)`` value, in ``(i, j, t)``
-    order.  A flow needs ``lam[-1] >= 0``, so a negative ``lam[-1]`` is
-    first shifted to zero in every pattern entry, and the vertices back.
+    edges ``(i, j, t)`` with a nonzero slack (:func:`_slacks`), in
+    ``(i, j, t)`` order.  A negative ``lam[-1]`` is first shifted to zero
+    in every pattern entry, as a flow needs ``lam[-1] >= 0``, and the
+    vertices are shifted back.
     """
-    lam = tuple(lam)
-    lam_bar = tuple(lam_bar)
+    lam, lam_bar = tuple(lam), tuple(lam_bar)
     if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
         raise InputError("boundary tuples must be weakly decreasing")
-    n = len(lam) - len(lam_bar)
-    m = len(lam_bar)
+    n, m = len(lam) - len(lam_bar), len(lam_bar)
     if n < 1:
         raise InputError("lambda must be longer than lambda_bar")
     t = max(0, -lam[-1])
@@ -279,46 +246,51 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
         else:
             rows[0] = row
             if _tiles_anchored(rows):
-                found.append(integrate(GTPattern(config, tuple(rows))))
-    found.sort(key=_flow_support)
+                found.append(tuple(rows))
+    found.sort(key=_support)
     if t:
-        back = [[[v - t for v in r] for r in derivative(x).rows] for x in found]
-        found = [integrate(GTPattern(config, rows)) for rows in back]
-    return found
+        found = [[[v - t for v in r] for r in rows] for rows in found]
+    return [integrate(GTPattern(config, rows)) for rows in found]
 
 
 # ---------------------------------------------------------------------------
 # zigzag swaps
 # ---------------------------------------------------------------------------
 
-def swap_flow(g: Flow, layer: int) -> Flow:
-    """Swap the capacities of the paired zigzags around a middle layer."""
-    n, m = g.graph.n, g.graph.m
-    i = layer
-    if not 1 <= i <= n - 1:
+def _toggle(rows, layer: int) -> tuple:
+    """The pattern ``rows`` with row ``layer`` under the Bender-Knuth toggle.
+
+    Rows ``layer - 1`` and ``layer + 1`` bound each cell of row ``layer`` to
+    an interval ``[lo, hi]``; the cell ``v`` becomes ``lo + hi - v``.  This
+    exchanges ``nu_layer`` and ``nu_{layer+1}`` and is an involution.
+    """
+    if not 1 <= layer <= len(rows) - 2:
         raise InputError("swap layer must be between 1 and n-1")
-    e0 = [list(r) for r in g.e0]
-    e1 = [list(r) for r in g.e1]
-    for j in range(i + m):
-        cap_z = min(g.e0[i - 1][j], g.e1[i][j])
-        cap_zp = min(g.e1[i - 1][j], g.e0[i][j + 1])
-        delta = cap_zp - cap_z
-        e0[i - 1][j] += delta
-        e1[i][j] += delta
-        e1[i - 1][j] -= delta
-        e0[i][j + 1] -= delta
-    return Flow(g.graph, tuple(tuple(r) for r in e0), tuple(tuple(r) for r in e1))
+    above, row, below = rows[layer - 1:layer + 2]
+    lo = [max(b, a) for b, a in zip(below[1:], above)] + [below[-1]]
+    hi = [below[0]] + [min(b, a) for b, a in zip(below[1:-1], above)]
+    toggled = tuple(l + h - v for l, h, v in zip(lo, hi, row))
+    return rows[:layer] + (toggled,) + rows[layer + 1:]
+
+
+def swap_flow(g: Flow, layer: int) -> Flow:
+    """The flow of the pattern of ``g`` after the row toggle of :func:`zigzag_swap`;
+    raises :class:`InputError` unless ``g`` is admissible."""
+    rows = _pattern_rows(g, boundary_of_flow(g)[0])
+    return Flow(g.graph, *_slacks(_toggle(rows, layer)))
 
 
 def zigzag_swap(x: StripConcaveArray, layer: int) -> StripConcaveArray:
     """Exchange right-boundary entries ``layer`` and ``layer + 1``.
 
-    Operates on the flow image and maps back; an involution that preserves
-    the lower and upper boundaries and 1/k-integrality for every k.
+    Toggles row ``layer`` of the row derivative (see :func:`_toggle`) and
+    integrates with zero left boundary; an involution that preserves the lower
+    and upper boundaries and 1/k-integrality for every k.
     """
-    g = gamma(x)
-    lam, _ = boundary_of_flow(g)
-    return gamma_inv(swap_flow(g, layer), lam)
+    p = _trapezoid_derivative(x)
+    if not validate_pattern(p):  # some interlacing slack, a value of gamma(x), is negative
+        raise InputError("flow values must be nonnegative")
+    return integrate(GTPattern(p.config, _toggle(p.rows, layer)))
 
 
 def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
@@ -334,8 +306,7 @@ def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
     current = list(range(1, n + 1))
     out = x
     for pos in range(n):
-        want = pi[pos]
-        at = current.index(want)
+        at = current.index(pi[pos])
         while at > pos:
             out = zigzag_swap(out, at)  # swaps boundary entries at, at+1
             current[at - 1], current[at] = current[at], current[at - 1]
@@ -351,8 +322,8 @@ def flow_to_json(g: Flow) -> dict:
     return {
         "n": g.graph.n,
         "m": g.graph.m,
-        "e0": [[rat_to_json(v) for v in row] for row in g.e0],
-        "e1": [[rat_to_json(v) for v in row] for row in g.e1],
+        "e0": _rows_to_json(g.e0),
+        "e1": _rows_to_json(g.e1),
     }
 
 
@@ -384,13 +355,11 @@ def path_decompose(g: Flow) -> PathDecomposition:
     """Greedy exact decomposition into at most ``|A|`` weighted paths.
 
     Repeatedly extracts the lexicographically leftmost top-to-bottom path
-    through positive edges with the bottleneck weight; requires the flow to
-    be conservative at interior nodes.
+    through positive edges with the bottleneck weight; raises
+    :class:`InputError` unless the flow is admissible.
     """
     n, m = g.graph.n, g.graph.m
-    lam, lam_bar = boundary_of_flow(g)
-    if admissibility_violation(g, lam, lam_bar) is not None:
-        raise InputError("path decomposition needs an admissible flow")
+    _pattern_rows(g, boundary_of_flow(g)[0])
     e0 = [list(r) for r in g.e0]
     e1 = [list(r) for r in g.e1]
     paths = []
@@ -399,32 +368,22 @@ def path_decompose(g: Flow) -> PathDecomposition:
         guard -= 1
         if guard < 0:
             raise InternalError("path decomposition failed to terminate")
-        start = None
-        for j in range(m + 1):
-            if n > 0 and (e0[0][j] > 0 or e1[0][j] > 0):
-                start = (0, j)
-                break
+        start = next(((0, j) for j in range(m + 1) if e0[0][j] > 0 or e1[0][j] > 0), None)
         if start is None:
             break
-        nodes = [start]
-        weight = None
+        nodes, weight = [start], None
         i, j = start
         while i < n:
-            if e0[i][j] > 0:
-                step_t, nxt = 0, (i + 1, j)
-            elif e1[i][j] > 0:
-                step_t, nxt = 1, (i + 1, j + 1)
-            else:
+            t = 0 if e0[i][j] > 0 else 1
+            v = (e1 if t else e0)[i][j]
+            if not v > 0:
                 raise InternalError("stuck path: positive inflow without outflow")
-            v = (e1 if step_t else e0)[i][j]
             weight = v if weight is None else min(weight, v)
-            nodes.append(nxt)
-            i, j = nxt
+            i, j = i + 1, j + t
+            nodes.append((i, j))
         # subtract the bottleneck along the recorded path
-        for (pi, pj), (qi, qj) in zip(nodes, nodes[1:]):
-            t = qj - pj
-            rows = e1 if t else e0
-            rows[pi][pj] -= weight
+        for (i, j), (_, k) in zip(nodes, nodes[1:]):
+            (e1 if k - j else e0)[i][j] -= weight
         paths.append((tuple(nodes), weight))
     return PathDecomposition(tuple(paths))
 
@@ -449,7 +408,5 @@ def generator_array(path: Sequence[tuple], m: int) -> GTPattern:
             raise InputError("path node out of range")
     if path[-1] == (n, 0):
         raise InputError("path may not end at the leftmost bottom node")
-    rows = []
-    for i, j in path:
-        rows.append(tuple([1] * j + [0] * (i + m - j)))
-    return GTPattern(ConvexConfig.trapezoid(n, m), tuple(rows))
+    rows = tuple(tuple([1] * j + [0] * (i + m - j)) for i, j in path)
+    return GTPattern(ConvexConfig.trapezoid(n, m), rows)

@@ -179,15 +179,19 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
         above = {}
         for row, ways in level.items():
             # rows of sum total, cell by cell; cutting each cell by the suffix sums
-            # of the bounds leaves no partial row that cannot be completed
+            # of the bounds leaves no partial row that cannot be completed, so a
+            # cell never has more partial rows than the row has finished ones and
+            # the cap can be checked before the cell is built
             lo, hi = interlacing_bounds(i, row, lam_bar)
             lo_rest = list(accumulate(reversed(lo), initial=0))[::-1]
             hi_rest = list(accumulate(reversed(hi), initial=0))[::-1]
             partial = [((), total)]
             for a, b, lr, hr in zip(lo, hi, lo_rest[1:], hi_rest[1:]):
-                partial = [(r + (v,), left - v)
-                           for r, left in partial
-                           for v in range(max(a, left - hr), min(b, left - lr) + 1)]
+                ranges = [(r, left, range(max(a, left - hr), min(b, left - lr) + 1))
+                          for r, left in partial]
+                if built + sum(len(vs) for _, _, vs in ranges) > KOSTKA_ROWS_MAX:
+                    raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
+                partial = [(r + (v,), left - v) for r, left, vs in ranges for v in vs]
             built += len(partial)
             if built > KOSTKA_ROWS_MAX:
                 raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")

@@ -7,7 +7,14 @@ algorithms beyond the shared data types.
 from fractions import Fraction
 from itertools import product
 
-from stripconcave import ConvexConfig, GTPattern, extend_to_trapezoid, pattern_constraints
+from stripconcave import (
+    ConvexConfig,
+    Flow,
+    GTPattern,
+    InputError,
+    extend_to_trapezoid,
+    pattern_constraints,
+)
 
 
 def interlacing_rows(lower):
@@ -238,6 +245,70 @@ def tight_system_rank(p: GTPattern, fixed_nu=False):
     if not rows:
         return 0, len(free)
     return matrix_rank(rows), len(free)
+
+
+def divergence(g, node):
+    """Inflow minus outflow at a node (void edges count as zero)."""
+    i, j = node
+    g_ = g.graph
+    total = 0
+    if i > 0:
+        if j <= (i - 1) + g_.m:
+            total = total + g.e0[i - 1][j]
+        if j >= 1:
+            total = total + g.e1[i - 1][j - 1]
+    if i < g_.n:
+        total = total - g.e0[i][j] - g.e1[i][j]
+    return total
+
+
+def admissibility_violation(g, lam, lam_bar):
+    """First node whose divergence deviates from the prescription, or None.
+
+    Layer 0 must send ``lam_bar_j - lam_bar_{j+1}`` out of node ``j`` and
+    layer n must take ``lam_j - lam_{j+1}`` in, with ``lam_0 = lam_1`` and
+    zero past the ends; every other node conserves flow.
+    """
+    n, m = g.graph.n, g.graph.m
+    if len(lam) != n + m or len(lam_bar) != m:
+        raise InputError("boundary lengths do not match the graph")
+    lam_ext = [lam[0]] + list(lam) + [0]  # lam_ext[j] = lam_j with lam_0 = lam_1
+    bar_ext = [lam[0]] + list(lam_bar) + [0]
+    for i in range(n + 1):
+        for j in range(i + m + 1):
+            if i == 0 and n > 0:
+                want = bar_ext[j + 1] - bar_ext[j]
+            elif i == n:
+                want = lam_ext[j] - lam_ext[j + 1]
+            else:
+                want = 0
+            if divergence(g, (i, j)) != want:
+                return (i, j)
+    return None
+
+
+def capacity_swap_flow(g, layer):
+    """Swap the capacities of the paired zigzags around a middle layer.
+
+    The zigzag through ``e0_{i-1,j}`` and ``e1_{ij}`` and its partner
+    through ``e1_{i-1,j}`` and ``e0_{i,j+1}`` exchange their bottleneck
+    values; defined on every flow, admissible or not.
+    """
+    n, m = g.graph.n, g.graph.m
+    i = layer
+    if not 1 <= i <= n - 1:
+        raise InputError("swap layer must be between 1 and n-1")
+    e0 = [list(r) for r in g.e0]
+    e1 = [list(r) for r in g.e1]
+    for j in range(i + m):
+        cap_z = min(g.e0[i - 1][j], g.e1[i][j])
+        cap_zp = min(g.e1[i - 1][j], g.e0[i][j + 1])
+        delta = cap_zp - cap_z
+        e0[i - 1][j] += delta
+        e1[i][j] += delta
+        e1[i - 1][j] -= delta
+        e0[i][j + 1] -= delta
+    return Flow(g.graph, tuple(tuple(r) for r in e0), tuple(tuple(r) for r in e1))
 
 
 def enumerate_tableaux(outer, inner, content):

@@ -34,7 +34,6 @@ from stripconcave import (
     swap_flow,
     validate_array,
 )
-from stripconcave.flow import admissibility_violation
 from stripconcave.fixtures import (
     hexagon_array,
     skew_tableau,
@@ -45,6 +44,7 @@ from stripconcave.fixtures import (
 )
 
 from oracles import (
+    admissibility_violation,
     enumerate_patterns,
     enumerate_tableaux,
     exhaustive_feasible,

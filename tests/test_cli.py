@@ -114,6 +114,29 @@ def test_swap_reproduces_swapped_fixture(capsys):
     assert json.loads(out) == fixtures["flow_swapped"]
 
 
+def test_swap_domains(capsys):
+    negative = json.dumps([[0], [0, 0], [0, 1, -1]])  # lambda = (1, -2), nu = (0, -1)
+    code, out, _ = run(capsys, "swap", "--layer", "1", "--array", negative)
+    assert code == 0
+    y = array_from_json(json.loads(out))
+    assert validate_array(y) and boundary(y).nu == (-1, 0)
+    concave_not = json.dumps([[0], [0, 5], [0, 3, 4]])
+    assert_input_error(*run(capsys, "swap", "--layer", "1", "--array", concave_not), "nonnegative")
+    flow = all_fixtures()["flow"]
+    flow["e1"][0][0] += 1
+    inadmissible = json.dumps(flow)
+    assert_input_error(*run(capsys, "swap", "--layer", "2", "--flow", inadmissible), "not admissible")
+
+
+def test_flow_from_lambda_must_be_a_list(capsys):
+    flow = '{"n":1,"m":0,"e0":[[0]],"e1":[[1]]}'
+    code, out, _ = run(capsys, "flow", "from", "--flow", flow, "--lambda", "[1]")
+    assert code == 0 and json.loads(out)["rows"] == [[0], [0, 1]]
+    # the keys of an object are not a list: {"1": "x"} must not read as lambda = (1,)
+    argv = ("flow", "from", "--flow", flow, "--lambda", '{"1": "x"}')
+    assert_input_error(*run(capsys, *argv), 'boundary "lambda" must be a list')
+
+
 def test_vertices(capsys):
     code, out, _ = run(capsys, "vertices", "--spec", '{"lambda":[2,1],"nu":[]}')
     assert code == 0

@@ -146,6 +146,16 @@ def test_config_rejects_non_convex():
         ConvexConfig(1, (1, 1), (2, 2))  # a_0 != 0
 
 
+@pytest.mark.parametrize(
+    "n, a, b",
+    [(2, (0, 0, 0), (0, 1, 2.9)), (2, (0, False, 0), (0, True, "2")), (2.0, (0, 0, 0), (0, 1, 2))],
+)
+def test_config_rejects_non_integer_bounds(n, a, b):
+    # int() would truncate 2.9 and read True as 1 and "2" as 2
+    with pytest.raises(InputError, match="integer n and integer lists"):
+        ConvexConfig(n, a, b)
+
+
 def test_fixture_boundaries():
     assert boundary(hexagon_array()) == BoundarySpec(
         (3, 0), (2, 1), (2, -2, 5), (1, 0, 4)

@@ -9,6 +9,7 @@ from stripconcave import (
     ConvexConfig,
     Flow,
     FlowGraph,
+    GTPattern,
     InputError,
     boundary,
     boundary_of_flow,
@@ -28,10 +29,16 @@ from stripconcave import (
     validate_array,
     zigzag_swap,
 )
-from stripconcave.flow import admissibility_violation
 from stripconcave.fixtures import swapped_flow, trapezoid_flow, trapezoid_pattern
 
-from oracles import enumerate_patterns, pattern_nu, random_pattern, tight_system_rank
+from oracles import (
+    admissibility_violation,
+    capacity_swap_flow,
+    enumerate_patterns,
+    pattern_nu,
+    random_pattern,
+    tight_system_rank,
+)
 
 
 def fixture_array():
@@ -82,6 +89,10 @@ def test_gamma_inv_rejects_inadmissible():
     ))
     with pytest.raises(InputError, match="divergence"):
         gamma_inv(bad, (6, 4, 3, 1, 1))
+    assert admissibility_violation(bad, *boundary_of_flow(bad)) == (0, 0)
+    for refuses in (path_decompose, lambda h: swap_flow(h, 2)):
+        with pytest.raises(InputError, match="not admissible"):
+            refuses(bad)
 
 
 def test_nu_recovery():
@@ -319,3 +330,83 @@ def test_swap_properties_random(seed):
     nu[layer - 1], nu[layer] = nu[layer], nu[layer - 1]
     assert boundary(y).nu == tuple(nu)
     assert zigzag_swap(y, layer).rows == x.rows
+
+
+def scaled_pattern(p, d):
+    return GTPattern(p.config, tuple(tuple(Fraction(v, d) for v in row) for row in p.rows))
+
+
+def test_swap_flow_matches_capacity_exchange():
+    rng = random.Random(21)
+    compared = 0
+    for k in range(1000):
+        n = rng.randint(2, 5)
+        m = rng.randint(0, 3)
+        p = random_pattern(rng, n, m, 0, 7)
+        if k % 2:
+            p = scaled_pattern(p, rng.choice((2, 3, 6)))
+        g = gamma(integrate(p))
+        for layer in range(1, n):
+            assert swap_flow(g, layer) == capacity_swap_flow(g, layer)
+            compared += 1
+    assert compared >= 2000
+
+
+def test_gamma_inv_rejects_what_the_divergence_oracle_rejects():
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, 3)
+        p = random_pattern(rng, n, m, 0, 5)
+        g = gamma(integrate(p))
+        lam = list(p.rows[-1])
+        e = [[list(r) for r in g.e0], [list(r) for r in g.e1]]
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(n)
+            j = rng.randrange(i + m + 1)
+            if rng.random() < 0.4 and i and j < i + m:
+                # a capacity exchange between two zigzags keeps every divergence
+                delta = rng.choice((-1, 1))
+                e[0][i - 1][j] += delta
+                e[1][i][j] += delta
+                e[1][i - 1][j] -= delta
+                e[0][i][j + 1] -= delta
+            else:
+                e[rng.randint(0, 1)][i][j] += rng.choice((-1, 1))
+        if rng.random() < 0.1:
+            lam[rng.randrange(len(lam))] += 1
+        if any(v < 0 for rows in e for row in rows for v in row):
+            continue
+        h = Flow(g.graph, *e)
+        admissible = admissibility_violation(h, lam, boundary_of_flow(h)[1]) is None
+        try:
+            x = gamma_inv(h, lam)
+        except InputError as exc:
+            assert not admissible and "divergence" in str(exc)
+        else:
+            assert admissible and gamma(x) == h
+        outcomes.add(admissible)
+    assert outcomes == {True, False}
+
+
+def test_zigzag_swap_negative_entries():
+    rng = random.Random(23)
+    negative = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        m = rng.randint(0, 2)
+        x = integrate(random_pattern(rng, n, m, -6, 6))
+        negative += derivative(x).rows[-1][-1] < 0  # no flow: gamma(x) refuses x
+        layer = rng.randint(1, n - 1)
+        y = zigzag_swap(x, layer)
+        assert validate_array(y)
+        nu = list(boundary(x).nu)
+        nu[layer - 1], nu[layer] = nu[layer], nu[layer - 1]
+        assert boundary(y).nu == tuple(nu)
+        assert zigzag_swap(y, layer) == x
+        # the swap commutes with a shift of every pattern entry (+6 makes them all >= 0)
+        shifted = [[v + 6 for v in row] for row in derivative(x).rows]
+        z = derivative(zigzag_swap(integrate(GTPattern(x.config, shifted)), layer))
+        assert integrate(GTPattern(x.config, [[v - 6 for v in row] for row in z.rows])) == y
+    assert negative > 100

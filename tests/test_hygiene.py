@@ -1,5 +1,6 @@
 """Source hygiene: no package module imports a name it never uses, no
-package function is recursive, and the CLI imports no heavy stdlib module."""
+private definition is left unused, no package function is recursive, and
+the CLI imports no heavy stdlib module."""
 import ast
 import os
 import subprocess
@@ -44,6 +45,55 @@ def test_no_unused_imports():
 def test_detector_flags_unused_names():
     source = "from __future__ import annotations\nimport os, json\nfrom a import b as c, d\nprint(json.dumps(d))\n"
     assert unused_imports(source) == ["c", "os"]
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """``module:name`` of each module-level private function or class
+    (``_name``, not dunder) whose name no module reads.
+
+    ``sources`` maps module names to source text.  A name is read when it
+    appears as a ``Name``, as an attribute or in an import of any module,
+    its own included; names are matched across modules, not per module.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_detector_flags_unreferenced_private_definitions():
+    sources = {
+        "a": (
+            "def _local():\n    pass\n"
+            "def _exported():\n    pass\n"
+            "def _dead():\n    return _dead_class\n"
+            "class _DeadClass:\n    def _method(self):\n        pass\n"
+            "def __getattr__(name):\n    pass\n"
+            "def public():\n    return _local()\n"
+        ),
+        "b": "from a import _exported\nimport a\na._attr_only\n",
+        "c": "def _attr_only():\n    pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a:_DeadClass", "a:_dead"]
 
 
 def self_calling_functions(source: str) -> list:

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stripconcave
 from stripconcave import (
     BoundarySpec,
     FacetInequality,
@@ -130,6 +135,29 @@ def test_kostka_fixture_contains_pattern():
     assert trapezoid_pattern().rows in rows_seen
     matching = [r for r in rows_seen if pattern_nu(r) == (3, 2, 3)]
     assert len(matching) == K
+
+
+def test_kostka_row_cap_bounds_memory():
+    # one wide cell would make K // 2 partial rows before the row count is
+    # checked; under a 1 GB address-space limit that fails with MemoryError
+    probe = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from stripconcave import InputError, kostka\n"
+        "K = 10**9\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    kostka((K, K // 2, 0, 0), (), (K // 2, K // 2, K // 2, 0))\n"
+        "except InputError as exc:\n"
+        "    print(time.perf_counter() - start, exc)\n"
+    )
+    path = [str(Path(stripconcave.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    seconds, message = out.split(" ", 1)
+    assert "candidate rows" in message and float(seconds) < 1
 
 
 def test_kostka_rejects_fractions():
