@@ -9,8 +9,10 @@ when the two rhombus inequalities hold on every strip.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, neg
 from typing import Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -259,14 +261,18 @@ def pattern_constraints(config: ConvexConfig) -> Iterator[tuple]:
 
 
 def validate_pattern(p: GTPattern) -> bool:
-    """True iff every rhombus inequality holds on the pattern entries."""
-    for kind, i, j in pattern_constraints(p.config):
-        if kind == "upper":
-            if not p.entry(i, j) >= p.entry(i - 1, j):
-                return False
-        else:
-            if not p.entry(i - 1, j) >= p.entry(i, j + 1):
-                return False
+    """True iff every rhombus inequality holds on the pattern entries.
+
+    Rows ``i - 1`` and ``i`` of a convex configuration share the columns
+    ``a_i < j <= b_{i-1}``.  Row ``i - 1`` read from column ``a_i + 1`` is
+    compared with row ``i`` (upper) and with row ``i`` shifted by one
+    (lower); ``zip`` stops where either row ends.
+    """
+    a, rows = p.config.a, p.rows
+    for i in range(1, len(rows)):
+        up, row = rows[i - 1][a[i] - a[i - 1]:], rows[i]
+        if any(x < y for x, y in zip(row, up)) or any(y < z for y, z in zip(up, row[1:])):
+            return False
     return True
 
 
@@ -334,9 +340,12 @@ def shift_mu(spec: BoundarySpec) -> BoundarySpec:
 def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple:
     """Deficits ``(D_0, .., D_n)`` of a pair of weakly decreasing tuples.
 
-    ``delta_k(j) = max(0, lam_bar_{j-k} - lam_j)`` with out-of-range indices
-    contributing zero; ``D_k`` sums over the index range of ``lam``, so only
-    the columns ``j = k+1 .. k+m`` that also index ``lam`` can contribute.
+    ``D_k = sum_t max(0, lam_bar_t - lam_{t+k})`` over the ``t`` with both
+    indices in range.  As both tuples decrease, ``+lam_bar_t`` enters the
+    ``k`` from the first ``lam_j < lam_bar_t`` on, and ``-lam_j`` the ``k``
+    for which ``t = j - k`` lies in the prefix with ``lam_bar_t > lam_j``.
+    Bisection finds each interval and a difference list sums them: the cost
+    is ``O((n + m) log(n + m))``, not ``O(n m)``.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -346,9 +355,18 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple
         n = len(lam) - len(lam_bar)
     if n < 0:
         raise InputError("lam must be at least as long as lam_bar")
-    return tuple(
-        sum((max(0, lb - v) for lb, v in zip(lam_bar, lam[k:])), 0) for k in range(n + 1)
-    )
+    diff = [0] * (n + 2)
+
+    def add(lo, hi, w):  # w on every k in lo..hi
+        if lo <= hi:
+            diff[lo] += w
+            diff[hi + 1] -= w
+
+    for t, lb in enumerate(lam_bar):
+        add(max(bisect_right(lam, -lb, key=neg) - t, 0), min(len(lam) - 1 - t, n), lb)
+    for j, v in enumerate(lam):
+        add(max(j - bisect_left(lam_bar, -v, key=neg) + 1, 0), min(j, n), -v)
+    return tuple(accumulate(diff))[: n + 1]
 
 
 def interlacing_bounds(i: int, below: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:

@@ -15,6 +15,7 @@ from stripconcave import (
     extend_to_trapezoid,
     pattern_constraints,
 )
+from stripconcave.core import is_weakly_decreasing
 
 
 def interlacing_rows(lower):
@@ -183,6 +184,40 @@ def general_feasible_oracle(config, spec):
         if b < 0 or (b == 0 and a < 0):
             return False
     return True
+
+
+def deficits_definition(lam, lam_bar, n=None):
+    """Deficits ``(D_0, .., D_n)`` by their defining double sum, in ``O(n m)``.
+
+    ``delta_k(j) = max(0, lam_bar_{j-k} - lam_j)`` with out-of-range indices
+    contributing zero; ``D_k`` sums over the index range of ``lam``, so only
+    the columns ``j = k+1 .. k+m`` that also index ``lam`` can contribute.
+    """
+    lam = tuple(lam)
+    lam_bar = tuple(lam_bar)
+    if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
+        raise InputError("deficits need weakly decreasing inputs")
+    if n is None:
+        n = len(lam) - len(lam_bar)
+    if n < 0:
+        raise InputError("lam must be at least as long as lam_bar")
+    return tuple(
+        sum((max(0, lb - v) for lb, v in zip(lam_bar, lam[k:])), 0) for k in range(n + 1)
+    )
+
+
+def broken_constraints(p: GTPattern):
+    """The rhombus inequalities of :func:`pattern_constraints` that the
+    pattern violates, each read off two ``GTPattern.entry`` cells."""
+    broken = []
+    for kind, i, j in pattern_constraints(p.config):
+        if kind == "upper":
+            ok = p.entry(i, j) >= p.entry(i - 1, j)
+        else:
+            ok = p.entry(i - 1, j) >= p.entry(i, j + 1)
+        if not ok:
+            broken.append((kind, i, j))
+    return broken
 
 
 def matrix_rank(rows):

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,8 @@ from stripconcave import (
     validate_array,
     validate_pattern,
 )
-from stripconcave.core import Record
+from oracles import broken_constraints, deficits_definition, random_pattern
+from stripconcave.core import GTPattern, Record
 from stripconcave.fixtures import (
     hexagon_array,
     hexagon_pattern,
@@ -238,15 +240,101 @@ def test_deficits_match_definition(lam, lam_bar, extra_n):
     n = len(lam) - len(lam_bar) + extra_n
     d = deficits(lam, lam_bar, n)
     assert len(d) == n + 1
-    for k in range(n + 1):
-        assert d[k] == sum(
-            (_deficit_column(lam, lam_bar, k, j) for j in range(1, len(lam) + 1)), 0
-        )
+    assert d == deficits_definition(lam, lam_bar, n)
+
+
+def _draw(rng, frac):
+    """An int in -20..20, or with ``frac`` a Fraction with denominator 1..4."""
+    return Fraction(rng.randint(-60, 60), rng.randint(1, 4)) if frac else rng.randint(-20, 20)
+
+
+def test_deficits_agree_with_definition_seeded():
+    """Interval sweeps against the double sum: int, Fraction and negative
+    entries, ``n`` up to 5 beyond ``len(lam) - len(lam_bar)``, and
+    ``lam_bar`` that interlaces ``lam`` or is drawn on its own."""
+    rng = random.Random(20260)
+    interlaced = fractional = 0
+    for _ in range(2000):
+        size = rng.randint(0, 60)
+        m = rng.randint(0, size)
+        n = size - m
+        frac = rng.random() < 0.25
+        fractional += frac
+        lam = sorted((_draw(rng, frac) for _ in range(size)), reverse=True)
+        if rng.random() < 0.5:
+            # lam_j >= lam_bar_j >= lam_{j+n}: the top row of a pattern on lam
+            lam_bar = [rng.choice(lam[t:t + n + 1]) for t in range(m)]
+            interlaced += 1
+        else:
+            lam_bar = [_draw(rng, frac) for _ in range(m)]
+        lam_bar.sort(reverse=True)
+        extra = rng.randint(0, 5)
+        d = deficits(lam, lam_bar, n + extra)
+        want = deficits_definition(lam, lam_bar, n + extra)
+        assert len(d) == len(want) == n + extra + 1
+        for got, ref in zip(d, want):
+            assert got == ref, (lam, lam_bar, n + extra)
+    assert 900 < interlaced < 1100 and 400 < fractional < 600
 
 
 def test_deficits_monotone_required():
     with pytest.raises(InputError):
         deficits((1, 2), ())
+
+
+def _random_config(rng):
+    """A random convex configuration: trapezoid, parallelogram or hexagon."""
+    while True:
+        n, m = rng.randint(1, 6), rng.randint(0, 4)
+        p, q = rng.randint(0, n), rng.randint(0, n)
+        a = tuple(max(0, i - p) for i in range(n + 1))
+        b = tuple(m + min(i, q) for i in range(n + 1))
+        if all(x <= y for x, y in zip(a, b)):
+            return ConvexConfig(n, a, b)
+
+
+def _pattern_on(rng, config):
+    """A valid pattern on ``config``: a random trapezoid pattern, integrated,
+    restricted to ``config`` and differentiated again."""
+    top = rng.randint(0, 6)
+    x = integrate(random_pattern(rng, config.n, config.m, 0, top))
+    return derivative(restrict_to(x, config))
+
+
+def _edge_moves(p):
+    """Patterns with one cell moved by +-1, the cell at or next to an end of
+    the columns ``lo < j <= hi`` that rows ``i - 1`` and ``i`` share."""
+    a, b = p.config.a, p.config.b
+    for i in range(1, p.config.n + 1):
+        lo, hi = max(a[i], a[i - 1]), min(b[i], b[i - 1])
+        for r in (i - 1, i):
+            for j in {lo, lo + 1, hi, hi + 1}:
+                if a[r] < j <= b[r]:
+                    for step in (-1, 1):
+                        rows = [list(row) for row in p.rows]
+                        rows[r][j - a[r] - 1] += step
+                        yield GTPattern(p.config, rows)
+
+
+def test_validate_pattern_agrees_with_constraints():
+    """Row slices against the per-inequality oracle on trapezoids,
+    parallelograms and hexagons, valid and with one edge cell moved."""
+    rng = random.Random(4417)
+    patterns = [hexagon_pattern(), trapezoid_pattern()]
+    for _ in range(150):
+        patterns.append(_pattern_on(rng, _random_config(rng)))
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        patterns.append(_pattern_on(rng, ConvexConfig.parallelogram(n, m)))
+        patterns.append(_pattern_on(rng, ConvexConfig.trapezoid(n, m)))
+    assert {p.config.is_trapezoidal for p in patterns} == {True, False}
+    single = 0
+    for p in patterns:
+        assert validate_pattern(p) and broken_constraints(p) == []
+        for q in _edge_moves(p):
+            broken = broken_constraints(q)
+            assert validate_pattern(q) == (not broken), (q, broken)
+            single += len(broken) == 1
+    assert single > 1000
 
 
 def test_extend_to_trapezoid_hexagon():
@@ -318,10 +406,6 @@ def test_deficits_nonnegative_and_monotone(lam_raw, bar_raw):
 
 @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 6), st.data())
 def test_derivative_integrate_inverse(n, m, top, data):
-    import random
-
-    from oracles import random_pattern
-
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     p = random_pattern(rng, n, m, 0, top)
     mu = [data.draw(st.integers(-3, 3)) for _ in range(n)]
