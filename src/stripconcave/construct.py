@@ -207,7 +207,7 @@ def build_trapezoid(
         raise InfeasibleError(verdict.certificate)
     # shift so that lambda is nonnegative (adds a constant to every pattern
     # entry and to each nu entry)
-    t = -min(lam) if min(lam, default=0) < 0 else 0
+    t = max(0, -(min(lam, default=0) // 1))  # an int, so int entries stay int
     rows = _solve_trapezoid(
         tuple(v + t for v in lam),
         tuple(v + t for v in lam_bar),

@@ -12,7 +12,7 @@ import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from operator import attrgetter, neg
+from operator import attrgetter, ge, neg, sub
 from typing import Iterator, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -271,7 +271,7 @@ def validate_pattern(p: GTPattern) -> bool:
     a, rows = p.config.a, p.rows
     for i in range(1, len(rows)):
         up, row = rows[i - 1][a[i] - a[i - 1]:], rows[i]
-        if any(x < y for x, y in zip(row, up)) or any(y < z for y, z in zip(up, row[1:])):
+        if not (all(map(ge, row, up)) and all(map(ge, up, row[1:]))):
             return False
     return True
 
@@ -285,10 +285,7 @@ def validate_array(x: StripConcaveArray) -> bool:
 
 def derivative(x: StripConcaveArray) -> GTPattern:
     """Row derivative ``dx_{ij} = x_{ij} - x_{i,j-1}``."""
-    rows = tuple(
-        tuple(row[k] - row[k - 1] for k in range(1, len(row))) for row in x.rows
-    )
-    return GTPattern(x.config, rows)
+    return GTPattern(x.config, tuple(tuple(map(sub, row[1:], row)) for row in x.rows))
 
 
 def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
@@ -302,16 +299,9 @@ def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
         mu = (0,) * c.n
     if len(mu) != c.n:
         raise InputError("mu must have length n")
-    rows = []
-    left = 0
-    for i in range(c.n + 1):
-        if i > 0:
-            left = left + mu[i - 1]
-        row = [left]
-        for d in p.rows[i]:
-            row.append(row[-1] + d)
-        rows.append(tuple(row))
-    return StripConcaveArray(c, tuple(rows))
+    lefts = accumulate(mu, initial=0)
+    rows = tuple(tuple(accumulate(prow, initial=left)) for left, prow in zip(lefts, p.rows))
+    return StripConcaveArray(c, rows)
 
 
 def boundary(x: StripConcaveArray) -> BoundarySpec:
@@ -480,7 +470,8 @@ def config_from_json(obj) -> ConvexConfig:
 
 
 def _rows_to_json(rows) -> list:
-    return [[rat_to_json(v) for v in row] for row in rows]
+    return [list(row) if set(map(type, row)) <= {int} else [rat_to_json(v) for v in row]
+            for row in rows]
 
 
 def _rows_from_json(obj) -> tuple:

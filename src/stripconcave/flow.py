@@ -11,14 +11,15 @@ each cell ``v`` to ``lo + hi - v`` within its interlacing interval.
 """
 from __future__ import annotations
 
-from itertools import accumulate, product
+from bisect import bisect_left
+from itertools import accumulate, chain, product, repeat
+from operator import add, neg, sub
 from typing import Sequence
 
 from .core import (
     ConvexConfig,
     GTPattern,
     InputError,
-    InternalError,
     Rat,
     Record,
     StripConcaveArray,
@@ -63,7 +64,7 @@ class Flow(Record):
             for i, row in enumerate(rows):
                 if len(row) != i + graph.m + 1:
                     raise InputError(f"{name} row {i} must have {i + graph.m + 1} entries")
-        if any(v < 0 for rows in (e0, e1) for row in rows for v in row):
+        if min(map(min, e0 + e1)) < 0:
             raise InputError("flow values must be nonnegative")
 
 
@@ -76,8 +77,8 @@ def _slacks(rows) -> tuple:
     ``lam_1`` and 0 as the bounds outside the rows.
     """
     head, pairs = rows[-1][:1], tuple(zip(rows, rows[1:]))
-    e0 = tuple(tuple(a - b for a, b in zip(head + up, down)) for up, down in pairs)
-    e1 = tuple(tuple(b - a for a, b in zip(up + (0,), down)) for up, down in pairs)
+    e0 = tuple(tuple(map(sub, head + up, down)) for up, down in pairs)
+    e1 = tuple(tuple(map(sub, down, up + (0,))) for up, down in pairs)
     return e0, e1
 
 
@@ -93,7 +94,7 @@ def _pattern_rows(g: Flow, lam: Sequence[Rat]) -> tuple:
         raise InputError("boundary lengths do not match the graph")
     rows = [lam]
     for e1 in reversed(g.e1):
-        rows.append(tuple(v - e for v, e in zip(rows[-1][:-1], e1)))
+        rows.append(tuple(map(sub, rows[-1][:-1], e1)))
     rows = tuple(rows[::-1])
     if _slacks(rows) != (g.e0, g.e1):
         raise InputError("flow is not admissible: its divergences do not match the boundary")
@@ -267,9 +268,9 @@ def _toggle(rows, layer: int) -> tuple:
     if not 1 <= layer <= len(rows) - 2:
         raise InputError("swap layer must be between 1 and n-1")
     above, row, below = rows[layer - 1:layer + 2]
-    lo = [max(b, a) for b, a in zip(below[1:], above)] + [below[-1]]
-    hi = [below[0]] + [min(b, a) for b, a in zip(below[1:-1], above)]
-    toggled = tuple(l + h - v for l, h, v in zip(lo, hi, row))
+    lo = [*map(max, below[1:], above), below[-1]]
+    hi = [below[0], *map(min, below[1:-1], above)]
+    toggled = tuple(map(sub, map(add, lo, hi), row))
     return rows[:layer] + (toggled,) + rows[layer + 1:]
 
 
@@ -280,38 +281,55 @@ def swap_flow(g: Flow, layer: int) -> Flow:
     return Flow(g.graph, *_slacks(_toggle(rows, layer)))
 
 
-def zigzag_swap(x: StripConcaveArray, layer: int) -> StripConcaveArray:
-    """Exchange right-boundary entries ``layer`` and ``layer + 1``.
-
-    Toggles row ``layer`` of the row derivative (see :func:`_toggle`) and
-    integrates with zero left boundary; an involution that preserves the lower
-    and upper boundaries and 1/k-integrality for every k.
-    """
+def _swap_layers(x: StripConcaveArray, layers) -> StripConcaveArray:
+    """Toggle the pattern rows ``layers`` in turn, exchanging the matching
+    entries of ``mu`` as well, and integrate once."""
     p = _trapezoid_derivative(x)
     if not validate_pattern(p):  # some interlacing slack, a value of gamma(x), is negative
         raise InputError("flow values must be nonnegative")
-    return integrate(GTPattern(p.config, _toggle(p.rows, layer)))
+    left = [row[0] for row in x.rows]
+    mu, rows = list(map(sub, left[1:], left)), p.rows
+    for layer in layers:
+        rows = _toggle(rows, layer)
+        mu[layer - 1], mu[layer] = mu[layer], mu[layer - 1]
+    return integrate(GTPattern(p.config, rows), mu)
+
+
+def zigzag_swap(x: StripConcaveArray, layer: int) -> StripConcaveArray:
+    """Exchange right-boundary entries ``layer`` and ``layer + 1``.
+
+    Toggles row ``layer`` of the row derivative (see :func:`_toggle`), which
+    exchanges those entries of ``nu - mu``, and integrates from ``x_00 = 0``
+    with the same two entries of the left boundary ``mu`` exchanged, so
+    that ``nu`` and ``mu`` are both exchanged.  An involution on arrays with
+    ``x_00 = 0`` that preserves the lower and upper boundaries and
+    1/k-integrality for every k.
+    """
+    return _swap_layers(x, (layer,))
 
 
 def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
-    """Rearrange the right boundary: entry ``k`` of the result is the
-    original entry ``pi[k-1]``.
+    """Rearrange the right and left boundaries: entry ``k`` of the result's
+    ``nu`` and ``mu`` is the original entry ``pi[k-1]``.
 
-    Composed from adjacent swaps along a sorting of ``pi``.
+    Equal to the composition of :func:`zigzag_swap` along a bubble sort of
+    ``pi`` (``x`` itself when ``pi`` is the identity), in one pass: the
+    derivative is taken and checked once, the toggles act on one pattern and
+    the result is integrated once.
     """
     n = x.config.n
     pi = tuple(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise InputError("pi must be a permutation of 1..n")
     current = list(range(1, n + 1))
-    out = x
+    layers = []
     for pos in range(n):
         at = current.index(pi[pos])
         while at > pos:
-            out = zigzag_swap(out, at)  # swaps boundary entries at, at+1
+            layers.append(at)  # swaps boundary entries at, at+1
             current[at - 1], current[at] = current[at], current[at - 1]
             at -= 1
-    return out
+    return _swap_layers(x, layers) if layers else x
 
 
 # ---------------------------------------------------------------------------
@@ -352,40 +370,23 @@ class PathDecomposition(Record):
 
 
 def path_decompose(g: Flow) -> PathDecomposition:
-    """Greedy exact decomposition into at most ``|A|`` weighted paths.
+    """Level-set decomposition: one weighted path per distinct pattern value.
 
-    Repeatedly extracts the lexicographically leftmost top-to-bottom path
-    through positive edges with the bottleneck weight; raises
-    :class:`InputError` unless the flow is admissible.
+    With the distinct entries of the pattern of ``g`` and 0 sorted
+    decreasingly as ``v_0 > v_1 > ..``, the path for ``(v_k, v_{k+1})``
+    visits on layer ``i`` the node ``(i, #{entries of row i > v_{k+1}})``
+    and has weight ``v_k - v_{k+1}``.  Interlacing makes consecutive counts
+    differ by 0 or 1, so each is a path, and their generators sum to the
+    pattern (Stanley's layer-cake decomposition of a marked order polytope
+    point).  Raises :class:`InputError` unless the flow is admissible.
     """
-    n, m = g.graph.n, g.graph.m
-    _pattern_rows(g, boundary_of_flow(g)[0])
-    e0 = [list(r) for r in g.e0]
-    e1 = [list(r) for r in g.e1]
-    paths = []
-    guard = 2 * sum(i + m + 1 for i in range(n)) + 1
-    while True:
-        guard -= 1
-        if guard < 0:
-            raise InternalError("path decomposition failed to terminate")
-        start = next(((0, j) for j in range(m + 1) if e0[0][j] > 0 or e1[0][j] > 0), None)
-        if start is None:
-            break
-        nodes, weight = [start], None
-        i, j = start
-        while i < n:
-            t = 0 if e0[i][j] > 0 else 1
-            v = (e1 if t else e0)[i][j]
-            if not v > 0:
-                raise InternalError("stuck path: positive inflow without outflow")
-            weight = v if weight is None else min(weight, v)
-            i, j = i + 1, j + t
-            nodes.append((i, j))
-        # subtract the bottleneck along the recorded path
-        for (i, j), (_, k) in zip(nodes, nodes[1:]):
-            (e1 if k - j else e0)[i][j] -= weight
-        paths.append((tuple(nodes), weight))
-    return PathDecomposition(tuple(paths))
+    rows = _pattern_rows(g, boundary_of_flow(g)[0])
+    values = sorted(set(chain.from_iterable(rows)) | {0}, reverse=True)
+    negated, layers = [tuple(map(neg, row)) for row in rows], range(len(rows))
+    return PathDecomposition(tuple(
+        (tuple(zip(layers, map(bisect_left, negated, repeat(-lo)))), hi - lo)
+        for hi, lo in zip(values, values[1:])
+    ))
 
 
 def generator_array(path: Sequence[tuple], m: int) -> GTPattern:

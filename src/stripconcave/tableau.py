@@ -9,6 +9,8 @@ is the right-minus-left boundary of any integrating array.  Rows are
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain, repeat
+from operator import add, le, lt, sub
 
 from .core import ConvexConfig, GTPattern, InputError, Record, _is_int, _set
 
@@ -19,7 +21,9 @@ class SkewTableau(Record):
     ``rows[r-1]`` lists the entries of row ``r`` left to right, occupying
     columns ``inner_r + 1 .. outer_r``.  Entries weakly increase along rows,
     strictly increase down columns, and lie in ``1..n`` where
-    ``n = len(outer) - len(inner)``.
+    ``n = len(outer) - len(inner)``.  Each row is checked whole, against
+    itself shifted by one and against the aligned part of the row above;
+    an error names the first failing row or column.
     """
 
     __slots__ = ("outer", "inner", "rows")
@@ -45,17 +49,17 @@ class SkewTableau(Record):
         for r, row in enumerate(rows):
             if len(row) != outer[r] - pad[r]:
                 raise InputError(f"row {r + 1} must hold {outer[r] - pad[r]} entries")
-            if any(not _is_int(v) or not 1 <= v <= n for v in row):
-                raise InputError(f"entries must be integers in 1..{n}")
-            if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
+            if row and not (set(map(type, row)) <= {int} and 1 <= min(row) and max(row) <= n):
+                if any(not _is_int(v) or not 1 <= v <= n for v in row):
+                    raise InputError(f"entries must be integers in 1..{n}")
+            if not all(map(le, row, row[1:])):
                 raise InputError(f"row {r + 1} must be weakly increasing")
         for r in range(1, len(outer)):
-            for col in range(pad[r] + 1, outer[r] + 1):
-                if pad[r - 1] < col <= outer[r - 1]:
-                    upper = rows[r - 1][col - pad[r - 1] - 1]
-                    lower = rows[r][col - pad[r] - 1]
-                    if upper >= lower:
-                        raise InputError(f"column {col} must strictly increase downward")
+            # pad decreases, so both start at column pad[r - 1] + 1; zip stops at the overlap
+            upper, lower = rows[r - 1], rows[r][pad[r - 1] - pad[r]:]
+            if not all(map(lt, upper, lower)):
+                k = next(k for k, (u, v) in enumerate(zip(upper, lower)) if u >= v)
+                raise InputError(f"column {pad[r - 1] + k + 1} must strictly increase downward")
 
     def entry(self, r: int, col: int) -> int:
         pad = self.inner[r - 1] if r <= len(self.inner) else 0
@@ -83,15 +87,15 @@ def _padded_chain(p: GTPattern):
         raise InputError("tableaux correspond to trapezoidal patterns")
     n, m = c.n, c.m
     width = n + m
-    chain = []
-    for i in range(n + 1):
-        row = p.rows[i]
-        if any(not isinstance(v, int) for v in row):
-            raise InputError("tableaux need an integer pattern")
-        if any(v < 0 for v in row):
-            raise InputError("tableaux need nonnegative pattern rows; shift first")
-        chain.append(tuple(row) + (0,) * (width - len(row)))
-    return chain, n, m
+    parts = []
+    for row in p.rows:
+        if not (set(map(type, row)) <= {int} and min(row, default=0) >= 0):
+            if any(not isinstance(v, int) for v in row):
+                raise InputError("tableaux need an integer pattern")
+            if any(v < 0 for v in row):
+                raise InputError("tableaux need nonnegative pattern rows; shift first")
+        parts.append(row + (0,) * (width - len(row)))
+    return parts, n, m
 
 
 def pattern_to_tableau(p: GTPattern) -> SkewTableau:
@@ -102,15 +106,15 @@ def pattern_to_tableau(p: GTPattern) -> SkewTableau:
     the result is the right boundary of the pattern integrated with zero
     left boundary.
     """
-    chain, n, m = _padded_chain(p)
-    for i in range(n):
-        if any(chain[i][r] > chain[i + 1][r] for r in range(n + m)):
-            raise InputError("pattern rows are not nested partitions")
+    parts, n, m = _padded_chain(p)
+    if not all(all(map(le, a, b)) for a, b in zip(parts, parts[1:])):
+        raise InputError("pattern rows are not nested partitions")
+    steps = range(1, n + 1)
     rows = tuple(
-        tuple(i for i in range(1, n + 1) for _ in range(chain[i][r] - chain[i - 1][r]))
-        for r in range(n + m)
+        tuple(chain.from_iterable(map(repeat, steps, map(sub, col[1:], col))))
+        for col in zip(*parts)
     )
-    return SkewTableau(chain[n], chain[0][:m], rows)
+    return SkewTableau(parts[n], parts[0][:m], rows)
 
 
 def tableau_to_pattern(t: SkewTableau) -> GTPattern:
@@ -123,8 +127,8 @@ def tableau_to_pattern(t: SkewTableau) -> GTPattern:
     pad = t.inner + (0,) * n
     rows = []
     for i in range(n + 1):
-        full = [pad[r] + bisect_right(t.rows[r], i) for r in range(n + m)]
-        if any(v != 0 for v in full[i + m :]):
+        full = list(map(add, pad, map(bisect_right, t.rows, repeat(i))))
+        if any(full[i + m :]):
             raise InputError(f"entries below row {i + m} are too small for a pattern")
         rows.append(tuple(full[: i + m]))
     return GTPattern(ConvexConfig.trapezoid(n, m), tuple(rows))

@@ -12,10 +12,14 @@ from stripconcave import (
     Flow,
     GTPattern,
     InputError,
+    InternalError,
+    PathDecomposition,
+    boundary_of_flow,
     extend_to_trapezoid,
     pattern_constraints,
 )
-from stripconcave.core import is_weakly_decreasing
+from stripconcave.core import _is_int, is_weakly_decreasing
+from stripconcave.flow import _pattern_rows
 
 
 def interlacing_rows(lower):
@@ -384,3 +388,100 @@ def enumerate_tableaux(outer, inner, content):
 
     place(0)
     return count
+
+
+def greedy_path_decompose(g: Flow) -> PathDecomposition:
+    """Greedy exact decomposition into at most ``|A|`` weighted paths.
+
+    Repeatedly extracts the lexicographically leftmost top-to-bottom path
+    through positive edges with the bottleneck weight; raises
+    :class:`InputError` unless the flow is admissible.
+    """
+    n, m = g.graph.n, g.graph.m
+    _pattern_rows(g, boundary_of_flow(g)[0])
+    e0 = [list(r) for r in g.e0]
+    e1 = [list(r) for r in g.e1]
+    paths = []
+    guard = 2 * sum(i + m + 1 for i in range(n)) + 1
+    while True:
+        guard -= 1
+        if guard < 0:
+            raise InternalError("path decomposition failed to terminate")
+        start = next(((0, j) for j in range(m + 1) if e0[0][j] > 0 or e1[0][j] > 0), None)
+        if start is None:
+            break
+        nodes, weight = [start], None
+        i, j = start
+        while i < n:
+            t = 0 if e0[i][j] > 0 else 1
+            v = (e1 if t else e0)[i][j]
+            if not v > 0:
+                raise InternalError("stuck path: positive inflow without outflow")
+            weight = v if weight is None else min(weight, v)
+            i, j = i + 1, j + t
+            nodes.append((i, j))
+        # subtract the bottleneck along the recorded path
+        for (i, j), (_, k) in zip(nodes, nodes[1:]):
+            (e1 if k - j else e0)[i][j] -= weight
+        paths.append((tuple(nodes), weight))
+    return PathDecomposition(tuple(paths))
+
+
+def check_skew_tableau(outer, inner, rows):
+    """The per-cell checks of a skew tableau; returns the normalized
+    ``(outer, inner, rows)`` or raises :class:`InputError`."""
+    outer, inner, rows = tuple(outer), tuple(inner), tuple(tuple(r) for r in rows)
+    for name, part in (("outer", outer), ("inner", inner)):
+        if any(not _is_int(v) or v < 0 for v in part):
+            raise InputError(f"{name} shape must be a nonnegative integer partition")
+        if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
+            raise InputError(f"{name} shape must be weakly decreasing")
+    if len(inner) > len(outer):
+        raise InputError("inner shape has more rows than outer")
+    pad = inner + (0,) * (len(outer) - len(inner))
+    if any(pad[r] > outer[r] for r in range(len(outer))):
+        raise InputError("inner shape must fit inside outer")
+    if len(rows) != len(outer):
+        raise InputError("one entry row per outer part required")
+    n = len(outer) - len(inner)
+    for r, row in enumerate(rows):
+        if len(row) != outer[r] - pad[r]:
+            raise InputError(f"row {r + 1} must hold {outer[r] - pad[r]} entries")
+        if any(not _is_int(v) or not 1 <= v <= n for v in row):
+            raise InputError(f"entries must be integers in 1..{n}")
+        if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
+            raise InputError(f"row {r + 1} must be weakly increasing")
+    for r in range(1, len(outer)):
+        for col in range(pad[r] + 1, outer[r] + 1):
+            if pad[r - 1] < col <= outer[r - 1]:
+                upper = rows[r - 1][col - pad[r - 1] - 1]
+                lower = rows[r][col - pad[r] - 1]
+                if upper >= lower:
+                    raise InputError(f"column {col} must strictly increase downward")
+    return outer, inner, rows
+
+
+def cellwise_pattern_to_tableau(p: GTPattern):
+    """``(outer, inner, rows)`` of the tableau of a pattern, built cell by
+    cell: the entry at each cell is the first chain index covering it."""
+    c = p.config
+    if not c.is_trapezoidal:
+        raise InputError("tableaux correspond to trapezoidal patterns")
+    n, m = c.n, c.m
+    width = n + m
+    chain = []
+    for i in range(n + 1):
+        row = p.rows[i]
+        if any(not isinstance(v, int) for v in row):
+            raise InputError("tableaux need an integer pattern")
+        if any(v < 0 for v in row):
+            raise InputError("tableaux need nonnegative pattern rows; shift first")
+        chain.append(tuple(row) + (0,) * (width - len(row)))
+    for i in range(n):
+        if any(chain[i][r] > chain[i + 1][r] for r in range(n + m)):
+            raise InputError("pattern rows are not nested partitions")
+    rows = tuple(
+        tuple(i for i in range(1, n + 1) for _ in range(chain[i][r] - chain[i - 1][r]))
+        for r in range(n + m)
+    )
+    return check_skew_tableau(chain[n], chain[0][:m], rows)

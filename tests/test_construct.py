@@ -143,6 +143,16 @@ def test_trapezoid_fractional_data():
     assert boundary(x) == BoundarySpec(lam, bar, (0, 0), nu)
 
 
+def test_trapezoid_shift_keeps_int_entries_int():
+    # lam has a negative non-integer minimum; the shift by an integer keeps
+    # the int lam_1 an int in the bottom row (a Fraction(2, 1) before)
+    lam, bar, nu = (2, 1, Fraction(-1, 2)), (1,), (1, Fraction(1, 2))
+    x = build_trapezoid(lam, bar, nu)
+    assert validate_array(x)
+    assert boundary(x) == BoundarySpec(lam, bar, (0, 0), nu)
+    assert type(x.rows[-1][1]) is int and x.rows[-1][1] == 2
+
+
 def test_trapezoid_matches_oracle_exactly():
     lam = (4, 2, 1)
     bar = (3,)

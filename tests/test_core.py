@@ -35,7 +35,7 @@ from stripconcave import (
     validate_pattern,
 )
 from oracles import broken_constraints, deficits_definition, random_pattern
-from stripconcave.core import GTPattern, Record
+from stripconcave.core import GTPattern, Record, StripConcaveArray
 from stripconcave.fixtures import (
     hexagon_array,
     hexagon_pattern,
@@ -193,6 +193,26 @@ def test_integrate_inverts_derivative():
     # x_00 = 0 normalization, which the fixture already satisfies
     y = integrate(derivative(x), spec.mu)
     assert y.rows == x.rows
+
+
+def test_derivative_and_integrate_match_their_definitions():
+    rng = random.Random(33)
+    for k in range(400):
+        config = _random_config(rng)
+        n, a, b = config.n, config.a, config.b
+        rows = [[_draw(rng, k % 2) for _ in range(b[i] - a[i] + 1)] for i in range(n + 1)]
+        x = StripConcaveArray(config, rows)
+        p = derivative(x)
+        assert p.rows == tuple(
+            tuple(row[j] - row[j - 1] for j in range(1, len(row))) for row in x.rows
+        )
+        mu = tuple(_draw(rng, k % 3 == 1) for _ in range(n))
+        for left, y in ((mu, integrate(p, mu)), ((0,) * n, integrate(p))):
+            for i, row in enumerate(y.rows):
+                # x_{i,a_i} = mu_1 + .. + mu_i and x_{ij} = x_{i,j-1} + dx_{ij}
+                assert row[0] == sum(left[:i], 0)
+                assert all(row[j] == row[j - 1] + p.rows[i][j - 1] for j in range(1, len(row)))
+            assert derivative(y) == p
 
 
 def test_balance_identity():

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stripconcave import (
+    BoundarySpec,
     ConvexConfig,
     Flow,
     FlowGraph,
     GTPattern,
     InputError,
+    StripConcaveArray,
     boundary,
     boundary_of_flow,
+    build_trapezoid,
     derivative,
     enumerate_vertices,
     flow_from_json,
@@ -35,6 +38,7 @@ from oracles import (
     admissibility_violation,
     capacity_swap_flow,
     enumerate_patterns,
+    greedy_path_decompose,
     pattern_nu,
     random_pattern,
     tight_system_rank,
@@ -143,6 +147,48 @@ def test_permute_nu():
     assert boundary(y).nu == (3, 3, 2)
     with pytest.raises(InputError):
         permute_nu(x, (1, 1, 3))
+
+
+def test_zigzag_swap_keeps_left_boundary():
+    x = build_trapezoid((6, 4, 3, 1, 1), (5, 2), (3, 2, 3))
+    raised = StripConcaveArray(
+        x.config, [[v + 10 * i for v in row] for i, row in enumerate(x.rows)]
+    )
+    assert boundary(raised).mu == (10, 10, 10) and boundary(raised).nu == (13, 12, 13)
+    y = zigzag_swap(raised, 1)
+    assert validate_array(y)
+    assert boundary(y) == BoundarySpec((6, 4, 3, 1, 1), (5, 2), (10, 10, 10), (12, 13, 13))
+    assert zigzag_swap(y, 1) == raised
+
+
+def bubble_swaps(x, pi):
+    """``x`` after one :func:`zigzag_swap` per adjacent transposition of a
+    bubble sort that brings ``pi`` to the front."""
+    current = list(range(1, len(pi) + 1))
+    for pos, want in enumerate(pi):
+        for at in range(current.index(want), pos, -1):
+            x = zigzag_swap(x, at)
+            current[at - 1], current[at] = current[at], current[at - 1]
+    return x
+
+
+def test_permute_nu_equals_composed_swaps():
+    rng = random.Random(34)
+    for k in range(300):
+        n, m = rng.randint(1, 5), rng.randint(0, 3)
+        p = random_pattern(rng, n, m, 0, 7)
+        if k % 2:
+            p = scaled_pattern(p, rng.choice((2, 3)))
+        mu = tuple(rng.randint(-9, 9) for _ in range(n))
+        x = integrate(p, mu)
+        pi = rng.sample(range(1, n + 1), n)
+        y = permute_nu(x, pi)
+        assert y == bubble_swaps(x, pi)
+        b, c = boundary(x), boundary(y)
+        assert c.nu == tuple(b.nu[j - 1] for j in pi)
+        assert c.mu == tuple(b.mu[j - 1] for j in pi)
+        assert (c.lam, c.lam_bar) == (b.lam, b.lam_bar)
+    assert permute_nu(x, range(1, n + 1)) is x
 
 
 def test_flow_json_round_trip():
@@ -277,6 +323,41 @@ def test_path_decompose_zero_flow_empty():
     graph = FlowGraph(2, 0)
     zero = Flow(graph, ((0,), (0, 0)), ((0,), (0, 0)))
     assert path_decompose(zero).paths == ()
+
+
+def _paths_or_error(decompose, g):
+    try:
+        return decompose(g).paths
+    except InputError as exc:
+        return str(exc)
+
+
+def test_path_decompose_matches_greedy_oracle():
+    """Level sets against the greedy leftmost-bottleneck decomposition on
+    int, Fraction and mixed flows, some perturbed off admissibility."""
+    rng = random.Random(31)
+    kinds = {"paths": 0, "error": 0}
+    for k in range(2400):
+        n, m = rng.randint(1, 5), rng.randint(0, 3)
+        p = random_pattern(rng, n, m, 0, rng.choice((1, 3, 9)))
+        if k % 3:
+            p = scaled_pattern(p, rng.choice((2, 3, 6)))
+        if k % 3 == 2:  # mixed: integral entries as int
+            p = GTPattern(p.config, [[int(v) if v.denominator == 1 else v for v in row]
+                                     for row in p.rows])
+        g = gamma(integrate(p))
+        if k % 5 == 0:
+            e = [[list(r) for r in g.e0], [list(r) for r in g.e1]]
+            i = rng.randrange(n)
+            e[k % 2][i][rng.randrange(i + m + 1)] += 1
+            g = Flow(g.graph, *e)
+        got = _paths_or_error(path_decompose, g)
+        want = _paths_or_error(greedy_path_decompose, g)
+        assert got == want  # paths, weights by value, error texts
+        if k % 3 == 0:  # all-int data: identical reprs
+            assert repr(got) == repr(want)
+        kinds["error" if isinstance(got, str) else "paths"] += 1
+    assert min(kinds.values()) > 100
 
 
 def test_generator_array_shapes():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,14 @@ from stripconcave import (
 )
 from stripconcave.fixtures import skew_tableau, trapezoid_pattern
 
-from oracles import enumerate_patterns, enumerate_tableaux, pattern_nu, random_pattern
+from oracles import (
+    cellwise_pattern_to_tableau,
+    check_skew_tableau,
+    enumerate_patterns,
+    enumerate_tableaux,
+    pattern_nu,
+    random_pattern,
+)
 
 
 def test_fixture_bijection():
@@ -118,3 +126,48 @@ def test_json_round_trip():
     assert SkewTableau.from_json(t.to_json()) == t
     with pytest.raises(InputError):
         SkewTableau.from_json({"outer": [1]})
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def _fields(t):
+    return t.outer, t.inner, t.rows
+
+
+def test_tableau_checks_match_cellwise_oracle():
+    """Row and column slices against the per-cell checks, on tableaux and
+    patterns with one cell perturbed; error texts included."""
+    rng = random.Random(32)
+    errors = set()
+    for k in range(2000):
+        n, m = rng.randint(1, 4), rng.randint(0, 3)
+        p = random_pattern(rng, n, m, 0, 6)
+        prows = [list(row) for row in p.rows]
+        if k % 2:
+            i = rng.randint(1, n)
+            j = rng.randrange(len(prows[i]))
+            prows[i][j] = rng.choice((prows[i][j] + 1, prows[i][j] - 1, -1, Fraction(1, 2), True))
+        q = GTPattern(p.config, prows)
+        got = _outcome(lambda: _fields(pattern_to_tableau(q)))
+        assert got == _outcome(cellwise_pattern_to_tableau, q)
+        if isinstance(got, str):
+            errors.add(got.split()[0])
+        t = pattern_to_tableau(p)
+        cells = [(r, c) for r, row in enumerate(t.rows) for c in range(len(row))]
+        if not cells:
+            continue
+        r, c = rng.choice(cells)
+        rows = [list(row) for row in t.rows]
+        v = rows[r][c]
+        rows[r][c] = rng.choice((v + 1, v - 1, 0, n + 1, True, "x", 1.5))
+        got = _outcome(lambda: _fields(SkewTableau(t.outer, t.inner, rows)))
+        want = _outcome(check_skew_tableau, t.outer, t.inner, rows)
+        assert got == want and repr(got) == repr(want)
+        if isinstance(got, str):
+            errors.add(got.split()[0])
+    assert errors == {"tableaux", "pattern", "outer", "entries", "row", "column"}
