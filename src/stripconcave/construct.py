@@ -182,6 +182,8 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
                         raise InternalError("lift phase stalled with zero slack")
                     _apply_lift(rows, shape, s, eps)
                     remaining = remaining - eps
+    if not integral:  # the lift arithmetic leaves Fraction(k, 1) entries
+        rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
     return rows
 
 

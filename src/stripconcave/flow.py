@@ -283,7 +283,11 @@ def swap_flow(g: Flow, layer: int) -> Flow:
 
 def _swap_layers(x: StripConcaveArray, layers) -> StripConcaveArray:
     """Toggle the pattern rows ``layers`` in turn, exchanging the matching
-    entries of ``mu`` as well, and integrate once."""
+    entries of ``mu`` as well, and integrate once; refuse ``x_00 != 0``."""
+    if x.rows[0][0] != 0:
+        raise InputError("swaps need x_00 = 0")
+    if not layers:
+        return x
     p = _trapezoid_derivative(x)
     if not validate_pattern(p):  # some interlacing slack, a value of gamma(x), is negative
         raise InputError("flow values must be nonnegative")
@@ -301,9 +305,9 @@ def zigzag_swap(x: StripConcaveArray, layer: int) -> StripConcaveArray:
     Toggles row ``layer`` of the row derivative (see :func:`_toggle`), which
     exchanges those entries of ``nu - mu``, and integrates from ``x_00 = 0``
     with the same two entries of the left boundary ``mu`` exchanged, so
-    that ``nu`` and ``mu`` are both exchanged.  An involution on arrays with
-    ``x_00 = 0`` that preserves the lower and upper boundaries and
-    1/k-integrality for every k.
+    that ``nu`` and ``mu`` are both exchanged.  An involution that preserves
+    the lower and upper boundaries and 1/k-integrality for every k; arrays
+    with ``x_00 != 0`` raise :class:`InputError`.
     """
     return _swap_layers(x, (layer,))
 
@@ -315,7 +319,8 @@ def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
     Equal to the composition of :func:`zigzag_swap` along a bubble sort of
     ``pi`` (``x`` itself when ``pi`` is the identity), in one pass: the
     derivative is taken and checked once, the toggles act on one pattern and
-    the result is integrated once.
+    the result is integrated once.  Arrays with ``x_00 != 0`` raise
+    :class:`InputError`, the identity included.
     """
     n = x.config.n
     pi = tuple(pi)
@@ -329,7 +334,7 @@ def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
             layers.append(at)  # swaps boundary entries at, at+1
             current[at - 1], current[at] = current[at], current[at - 1]
             at -= 1
-    return _swap_layers(x, layers) if layers else x
+    return _swap_layers(x, layers)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ The feasible boundary quadruples of the trapezoid form a polyhedral cone cut
 out by subset-indexed linear inequalities; the facet-defining ones admit an
 explicit classification.  The number of integer points of the pattern
 polytope with fixed ``(lam, lam_bar, nu)`` is a (skew) Kostka coefficient,
-counted level by level over interlacing rows with prescribed row sums.
+counted cell by cell on a frontier of partial patterns (the transfer-matrix
+method) whose states are capped.
 """
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import BoundarySpec, InputError, Rat, Record, _set, interlacing_bounds
+from .core import BoundarySpec, InputError, Rat, Record, _set
 from .feasibility import check_trapezoid
 
 
@@ -62,7 +63,7 @@ class FacetInequality(Record):
 
 FACET_LISTING_MAX = 18
 FACET_COUNT_MAX = 14_000  # 2^14000 has 4215 digits; str() refuses more than 4300
-KOSTKA_ROWS_MAX = 1_000_000
+KOSTKA_STATES_MAX = 500_000
 
 
 def facets(n: int, m: int) -> list:
@@ -148,57 +149,60 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
     Equals the number of semi-standard skew Young tableaux of shape
     ``lam / lam_bar`` and content ``nu``.  It is 0 exactly when
     :func:`~stripconcave.feasibility.check_trapezoid` rejects the data with
-    ``mu = 0`` (integer data that passes has an integral witness); else rows
-    are counted level by level, without recursion, up from ``lam``: row ``i``
-    interlaces row ``i + 1`` and sums to ``|lam_bar| + nu_1 + ... + nu_i``.
-    The levels grow exponentially, so it raises :class:`InputError` once it
-    has built more than :data:`KOSTKA_ROWS_MAX` candidate rows.
+    ``mu = 0`` (integer data that passes has an integral witness).  Else,
+    with ``nu`` sorted ascending (the count is symmetric in it; that order
+    needed the fewest states on seeded shapes), it counts up from ``lam`` one
+    cell at a time: row ``i`` interlaces row ``i + 1`` and sums to
+    ``|lam_bar| + nu_1 + ... + nu_i``, and the state after cell ``k`` of row
+    ``i`` is that row up to cell ``k`` and row ``i + 1`` from cell ``k + 1``
+    on; equal states merge.  It raises :class:`InputError` before a cell
+    would create more than :data:`KOSTKA_STATES_MAX` states.
     """
-    lam = tuple(lam)
-    lam_bar = tuple(lam_bar)
-    nu = tuple(nu)
+    lam, lam_bar, nu = tuple(lam), tuple(lam_bar), tuple(nu)
     _require_ints(lam, lam_bar, nu)
-    n = len(nu)
-    width = n + len(lam_bar)
+    n, m = len(nu), len(lam_bar)
     # trailing zero parts are empty rows; rows beyond n+m cannot be filled
-    while len(lam) > width:
+    while len(lam) > n + m:
         if lam[-1] != 0:
             return 0
         lam = lam[:-1]
-    if len(lam) < width:
+    if len(lam) < n + m:
         if lam and lam[-1] < 0:
             return 0
-        lam = lam + (0,) * (width - len(lam))
-    if not check_trapezoid(BoundarySpec(lam, lam_bar, (0,) * n, nu), n, len(lam_bar)).feasible:
+        lam = lam + (0,) * (n + m - len(lam))
+    if not check_trapezoid(BoundarySpec(lam, lam_bar, (0,) * n, nu), n, m).feasible:
         return 0
-    level = {lam: 1}  # rows of the current level -> ways each reaches lam
+    nu = sorted(nu)
+    states = {lam: 1}  # frontier state -> ways it reaches lam
     total = sum(lam)
-    built = 0
     for i in range(n - 1, -1, -1):
         total -= nu[i]
-        above = {}
-        for row, ways in level.items():
-            # rows of sum total, cell by cell; cutting each cell by the suffix sums
-            # of the bounds leaves no partial row that cannot be completed, so a
-            # cell never has more partial rows than the row has finished ones and
-            # the cap can be checked before the cell is built
-            lo, hi = interlacing_bounds(i, row, lam_bar)
-            lo_rest = list(accumulate(reversed(lo), initial=0))[::-1]
-            hi_rest = list(accumulate(reversed(hi), initial=0))[::-1]
-            partial = [((), total)]
-            for a, b, lr, hr in zip(lo, hi, lo_rest[1:], hi_rest[1:]):
-                ranges = [(r, left, range(max(a, left - hr), min(b, left - lr) + 1))
-                          for r, left in partial]
-                if built + sum(len(vs) for _, _, vs in ranges) > KOSTKA_ROWS_MAX:
-                    raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
-                partial = [(r + (v,), left - v) for r, left, vs in ranges for v in vs]
-            built += len(partial)
-            if built > KOSTKA_ROWS_MAX:
-                raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
-            for r, _ in partial:
-                above[r] = above.get(r, 0) + ways
-        level = above
-    return level.get(lam_bar, 0)
+        # the chains up to row 0 (see interlacing_bounds): lam_bar[k] <= row_i[k] <= lam_bar[k-i]
+        floor, ceil = lam_bar + (lam[-1],) * i, (lam[0],) * i + lam_bar
+        for k, f, c in zip(range(m + i), floor, ceil):
+            stop = None if k < m + i - 1 else k + 1  # the last cell drops row i + 1's last
+            grown, created = [], 0
+            for s, ways in states.items():
+                # cell k lies in [a, b] and leaves cells k+1.. of the row a sum
+                # between those of s[k+2:] and s[k+1:-1]; if-else beats max/min here
+                b, a = s[k], s[k + 1]
+                d = total - sum(s) + b
+                lo, hi = d + s[-1], d + a
+                lo, hi = (a if lo < a else lo), (b if hi > b else hi)
+                lo, hi = (f if lo < f else lo), (c if hi > c else hi)
+                if lo <= hi:
+                    grown.append((s[:k], s[k + 1:stop], ways, lo, hi))
+                    created += hi - lo + 1
+            if created > KOSTKA_STATES_MAX:
+                raise InputError(f"count too large: a cell would create {created} frontier "
+                                 f"states, more than {KOSTKA_STATES_MAX}")
+            states = {}
+            for head, tail, ways, lo, hi in grown:
+                for v in range(lo, hi + 1):
+                    t = (*head, v, *tail)
+                    states[t] = states.get(t, 0) + ways
+    # every cell of row 0 is pinned to lam_bar; for m = 0 the last row built is row 1
+    return sum(states.values())
 
 
 def count_scaled_points(

@@ -5,9 +5,10 @@ sweeps, and exact Gaussian elimination, with no reuse of the library's own
 algorithms beyond the shared data types.
 """
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from stripconcave import (
+    BoundarySpec,
     ConvexConfig,
     Flow,
     GTPattern,
@@ -15,11 +16,15 @@ from stripconcave import (
     InternalError,
     PathDecomposition,
     boundary_of_flow,
+    check_trapezoid,
     extend_to_trapezoid,
     pattern_constraints,
 )
-from stripconcave.core import _is_int, is_weakly_decreasing
+from stripconcave.core import _is_int, interlacing_bounds, is_weakly_decreasing
 from stripconcave.flow import _pattern_rows
+from stripconcave.polytope import _require_ints
+
+KOSTKA_ROWS_MAX = 1_000_000
 
 
 def interlacing_rows(lower):
@@ -485,3 +490,55 @@ def cellwise_pattern_to_tableau(p: GTPattern):
         for r in range(n + m)
     )
     return check_skew_tableau(chain[n], chain[0][:m], rows)
+
+
+def level_kostka(lam, lam_bar, nu):
+    """``kostka`` counted level by level: for each row of a level, every
+    interlacing row above it of the level's sum, cut cell by cell by the
+    suffix sums of the bounds; capped at :data:`KOSTKA_ROWS_MAX` candidate
+    rows."""
+    lam = tuple(lam)
+    lam_bar = tuple(lam_bar)
+    nu = tuple(nu)
+    _require_ints(lam, lam_bar, nu)
+    n = len(nu)
+    width = n + len(lam_bar)
+    # trailing zero parts are empty rows; rows beyond n+m cannot be filled
+    while len(lam) > width:
+        if lam[-1] != 0:
+            return 0
+        lam = lam[:-1]
+    if len(lam) < width:
+        if lam and lam[-1] < 0:
+            return 0
+        lam = lam + (0,) * (width - len(lam))
+    if not check_trapezoid(BoundarySpec(lam, lam_bar, (0,) * n, nu), n, len(lam_bar)).feasible:
+        return 0
+    level = {lam: 1}  # rows of the current level -> ways each reaches lam
+    total = sum(lam)
+    built = 0
+    for i in range(n - 1, -1, -1):
+        total -= nu[i]
+        above = {}
+        for row, ways in level.items():
+            # rows of sum total, cell by cell; cutting each cell by the suffix sums
+            # of the bounds leaves no partial row that cannot be completed, so a
+            # cell never has more partial rows than the row has finished ones and
+            # the cap can be checked before the cell is built
+            lo, hi = interlacing_bounds(i, row, lam_bar)
+            lo_rest = list(accumulate(reversed(lo), initial=0))[::-1]
+            hi_rest = list(accumulate(reversed(hi), initial=0))[::-1]
+            partial = [((), total)]
+            for a, b, lr, hr in zip(lo, hi, lo_rest[1:], hi_rest[1:]):
+                ranges = [(r, left, range(max(a, left - hr), min(b, left - lr) + 1))
+                          for r, left in partial]
+                if built + sum(len(vs) for _, _, vs in ranges) > KOSTKA_ROWS_MAX:
+                    raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
+                partial = [(r + (v,), left - v) for r, left, vs in ranges for v in vs]
+            built += len(partial)
+            if built > KOSTKA_ROWS_MAX:
+                raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
+            for r, _ in partial:
+                above[r] = above.get(r, 0) + ways
+        level = above
+    return level.get(lam_bar, 0)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -120,6 +121,8 @@ def test_swap_domains(capsys):
     assert code == 0
     y = array_from_json(json.loads(out))
     assert validate_array(y) and boundary(y).nu == (-1, 0)
+    shifted = json.dumps([[7], [7, 7], [7, 8, 6]])  # the array above plus 7: x_00 != 0
+    assert_input_error(*run(capsys, "swap", "--layer", "1", "--array", shifted), "x_00")
     concave_not = json.dumps([[0], [0, 5], [0, 3, 4]])
     assert_input_error(*run(capsys, "swap", "--layer", "1", "--array", concave_not), "nonnegative")
     flow = all_fixtures()["flow"]
@@ -182,13 +185,20 @@ def test_kostka_and_count(capsys):
 
 
 def test_kostka_size_guard(capsys):
-    # near-equal content on the staircase (2n, ..., 2): n = 9 builds 490 921
-    # candidate rows and answers, n = 10 would build 4 393 502
-    nine = json.dumps({"lambda": list(range(18, 0, -2)), "nu": [10] * 9})
-    assert run(capsys, "kostka", "--spec", nine)[:2] == (0, "156458382975")
-    ten = json.dumps({"lambda": list(range(20, 0, -2)), "nu": [11] * 10})
-    assert_input_error(*run(capsys, "kostka", "--spec", ten), "candidate rows")
-    assert_input_error(*run(capsys, "count", "--spec", ten, "--k", "1"), "candidate rows")
+    # near-equal content on the staircase (2n, ..., 2): n = 9 answers
+    nine = {"lambda": list(range(18, 0, -2)), "nu": [10] * 9}
+    assert run(capsys, "kostka", "--spec", json.dumps(nine))[:2] == (0, "156458382975")
+    # a scaled count whose widest cell makes about 262 000 states
+    spec = {"lambda": [9, 7, 6, 6, 4, 2, 1, 1, 0], "lambda_bar": [5, 4, 2], "nu": [3, 2, 5, 6, 5, 4]}
+    assert run(capsys, "count", "--spec", json.dumps(spec), "--k", "3")[:2] == (0, "137382251429")
+    # scaled by 100, each cell of the n = 9 staircase has 201 values: the third
+    # cell would create about 8 million states, refused before it is built
+    hundred = {key: [100 * v for v in row] for key, row in nine.items()}
+    for argv in (["kostka", "--spec", json.dumps(hundred)],
+                 ["count", "--spec", json.dumps(nine), "--k", "100"]):
+        start = time.perf_counter()
+        assert_input_error(*run(capsys, *argv), "frontier states")
+        assert time.perf_counter() - start < 1
 
 
 def test_tableau_commands(capsys):

@@ -20,6 +20,7 @@ from stripconcave import (
     shift_mu,
     validate_array,
 )
+from stripconcave.construct import _solve_trapezoid
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
 from oracles import (
@@ -151,6 +152,22 @@ def test_trapezoid_shift_keeps_int_entries_int():
     assert validate_array(x)
     assert boundary(x) == BoundarySpec(lam, bar, (0, 0), nu)
     assert type(x.rows[-1][1]) is int and x.rows[-1][1] == 2
+
+
+def test_trapezoid_lift_keeps_int_entries_int():
+    # on Fraction data, integral entries of the lifted pattern come back as int
+    x = build_trapezoid((2, 1, Fraction(-1, 2)), (1,), (1, Fraction(1, 2)))
+    assert x.rows[0] == (0, 1) and type(x.rows[0][1]) is int
+
+    def halve(t):
+        return tuple(Fraction(v, 2) if v % 2 else v // 2 for v in t)
+
+    # the pattern rows themselves; the array's prefix sums of Fractions stay Fractions
+    rng = random.Random(78)
+    for _ in range(200):
+        p = random_pattern(rng, rng.randint(1, 4), rng.randint(0, 3), 0, 9)
+        rows = _solve_trapezoid(halve(p.rows[-1]), halve(p.rows[0]), halve(pattern_nu(p.rows)))
+        assert all(type(v) is int for row in rows for v in row if v == int(v)), rows
 
 
 def test_trapezoid_matches_oracle_exactly():

@@ -161,6 +161,16 @@ def test_zigzag_swap_keeps_left_boundary():
     assert zigzag_swap(y, 1) == raised
 
 
+def test_swaps_refuse_shifted_arrays():
+    x = build_trapezoid((6, 4, 3, 1, 1), (5, 2), (3, 2, 3))
+    shifted = StripConcaveArray(x.config, [[v + 7 for v in row] for row in x.rows])
+    assert not validate_array(shifted)
+    for swap in (lambda y: zigzag_swap(y, 1), lambda y: permute_nu(y, (2, 1, 3)),
+                 lambda y: permute_nu(y, (1, 2, 3))):  # the identity too
+        with pytest.raises(InputError, match="x_00"):
+            swap(shifted)
+
+
 def bubble_swaps(x, pi):
     """``x`` after one :func:`zigzag_swap` per adjacent transposition of a
     bubble sort that brings ``pi`` to the front."""

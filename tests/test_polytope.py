@@ -26,7 +26,13 @@ from stripconcave import (
 )
 from stripconcave.fixtures import trapezoid_array, trapezoid_pattern
 
-from oracles import enumerate_patterns, enumerate_tableaux, random_pattern, pattern_nu
+from oracles import (
+    enumerate_patterns,
+    enumerate_tableaux,
+    level_kostka,
+    pattern_nu,
+    random_pattern,
+)
 
 
 def test_facet_counts_match_examples():
@@ -157,7 +163,46 @@ def test_kostka_row_cap_bounds_memory():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
     seconds, message = out.split(" ", 1)
-    assert "candidate rows" in message and float(seconds) < 1
+    assert "frontier states" in message and float(seconds) < 1
+
+
+def test_kostka_frontier_matches_level_oracle():
+    rng = random.Random(47)
+    orders = brute = 0
+    for _ in range(400):
+        n, m = rng.randint(1, 5), rng.randint(0, 3)
+        p = random_pattern(rng, n, m, 0, rng.randint(2, 7))
+        lam, bar, nu = p.rows[-1], p.rows[0], list(pattern_nu(p.rows))
+        if rng.random() < 0.3:  # perturb, possibly off the polytope
+            i, j, d = rng.randrange(n), rng.randrange(n), rng.randint(1, 3)
+            nu[i], nu[j] = nu[i] + d, nu[j] - d
+        shift = rng.choice((0, 0, -2, -5))  # negative lam tails
+        lam, bar = (tuple(v + shift for v in t) for t in (lam, bar))
+        nu = [v + shift for v in nu]
+        tail = rng.choice(((), (), (0,), (0, 0, 0)))  # trailing zero parts
+        if shift == 0 and lam[-1] == 0 and rng.random() < 0.3:
+            lam, tail = lam[:-1], ()  # a short lam, padded with zeros
+        lam = lam + tail
+        base = level_kostka(lam, bar, nu)
+        if n <= 4:  # every content order
+            for perm in set(permutations(nu)):
+                assert kostka(lam, bar, perm) == base, (lam, bar, perm)
+            orders += 1
+        else:
+            rng.shuffle(nu)
+            assert kostka(lam, bar, nu) == base, (lam, bar, nu)
+        if min((*lam, *bar, *nu, 0)) >= 0 and sum(lam) - sum(bar) <= 10:
+            assert base == enumerate_tableaux(lam, bar, nu), (lam, bar, nu)
+            brute += 1
+    assert orders >= 200 and brute >= 100
+    # n = 0: lam must equal lam_bar
+    for lam, bar, want in (((), (), 1), ((3, 1), (3, 1), 1), ((3, 1), (3, 0), 0), ((2,), (), 0)):
+        assert kostka(lam, bar, ()) == level_kostka(lam, bar, ()) == want
+    # m = 0, long rows and infeasible data
+    assert kostka((1,) * 200, (), (1,) * 200) == level_kostka((1,) * 200, (), (1,) * 200) == 1
+    assert kostka((4, 2, 0), (), (3, 3)) == level_kostka((4, 2, 0), (), (3, 3)) == 1
+    for lam, bar, nu in (((2, 1), (), (4, -1)), ((3, 0), (), (1, 1)), ((2, 2), (3,), (1,))):
+        assert kostka(lam, bar, nu) == level_kostka(lam, bar, nu) == 0
 
 
 def test_kostka_rejects_fractions():
