@@ -52,7 +52,6 @@ from .construct import (
 )
 from .flow import (
     Flow,
-    FlowGraph,
     PathDecomposition,
     boundary_of_flow,
     enumerate_vertices,

@@ -2,7 +2,10 @@
 
 Every subcommand reads JSON (inline or from a file path), writes canonical
 JSON to standard output, and exits 0 on success, 1 on infeasibility, 2 on
-bad input and 3 on an internal guard failure.
+bad input and 3 on an internal guard failure.  ``check`` decides on the
+``--config`` configuration, else on the parallelogram when ``nu`` is
+non-empty and ``lambda`` is as long as ``lambda_bar``, else on the
+trapezoid; ``kostka`` and ``count`` count the content ``nu - mu``.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from .core import (
     config_from_json,
     pattern_from_json,
     pattern_to_json,
+    shift_mu,
     spec_from_json,
 )
 from .feasibility import check_general, check_parallelogram, check_trapezoid
@@ -62,19 +66,12 @@ def _emit(obj) -> None:
 
 def _cmd_check(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
-    n, m = len(spec.nu), len(spec.lam_bar)
-    mode = args.mode
-    if mode is None:
-        mode = "general" if args.config else "trapezoid"
-    if mode == "trapezoid":
-        verdict = check_trapezoid(spec, n, m)
-    elif mode == "parallelogram":
-        verdict = check_parallelogram(spec, n, m)
+    if args.config:
+        verdict = check_general(config_from_json(_load_json(args.config)), spec)
     else:
-        if not args.config:
-            raise InputError("general mode needs --config")
-        config = config_from_json(_load_json(args.config))
-        verdict = check_general(config, spec)
+        n, m = len(spec.nu), len(spec.lam_bar)
+        shape = check_parallelogram if n and len(spec.lam) == m else check_trapezoid
+        verdict = shape(spec, n, m)
     _emit(verdict.to_json())
     return 0 if verdict.feasible else 1
 
@@ -145,13 +142,13 @@ def _cmd_facets(args) -> int:
 
 def _cmd_kostka(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
-    _emit(kostka(spec.lam, spec.lam_bar, spec.nu))
+    _emit(kostka(spec.lam, spec.lam_bar, shift_mu(spec).nu))
     return 0
 
 
 def _cmd_count(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
-    _emit(count_scaled_points(spec.lam, spec.lam_bar, spec.nu, args.k))
+    _emit(count_scaled_points(spec.lam, spec.lam_bar, shift_mu(spec).nu, args.k))
     return 0
 
 
@@ -195,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide feasibility of boundary data")
     p.add_argument("--spec", required=True)
     p.add_argument("--config")
-    p.add_argument("--mode", choices=["trapezoid", "parallelogram", "general"])
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("build", help="construct a witness array")

@@ -292,7 +292,7 @@ def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
     """Rebuild an array from its row derivative and left boundary ``mu``.
 
     With ``mu`` omitted the left boundary is normalized to zero
-    (``x_{i,a_i} = 0`` for every row).
+    (``x_{i,a_i} = 0`` for every row).  Integral entries are ``int``s.
     """
     c = p.config
     if mu is None:
@@ -300,8 +300,10 @@ def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
     if len(mu) != c.n:
         raise InputError("mu must have length n")
     lefts = accumulate(mu, initial=0)
-    rows = tuple(tuple(accumulate(prow, initial=left)) for left, prow in zip(lefts, p.rows))
-    return StripConcaveArray(c, rows)
+    rows = (tuple(accumulate(prow, initial=left)) for left, prow in zip(lefts, p.rows))
+    # a Fraction entry makes every later prefix sum a Fraction, the last one too
+    return StripConcaveArray(c, [tuple(int(v) if v.denominator == 1 else v for v in row)
+                                 if isinstance(row[-1], Fraction) else row for row in rows])
 
 
 def boundary(x: StripConcaveArray) -> BoundarySpec:
@@ -536,4 +538,7 @@ def spec_from_json(obj) -> BoundarySpec:
     if not isinstance(obj, dict) or "lambda" not in obj:
         raise InputError('boundary JSON must be an object with a "lambda" key')
     lam, lam_bar, nu = (_boundary_field(k, obj.get(k, ())) for k in ("lambda", "lambda_bar", "nu"))
-    return BoundarySpec(lam, lam_bar, _boundary_field("mu", obj.get("mu", (0,) * len(nu))), nu)
+    mu = _boundary_field("mu", obj.get("mu", (0,) * len(nu)))
+    if len(mu) != len(nu):
+        raise InputError("mu and nu must have the same length")
+    return BoundarySpec(lam, lam_bar, mu, nu)

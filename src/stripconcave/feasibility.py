@@ -55,11 +55,16 @@ class Certificate(Record):
 
 
 class FeasibilityVerdict(Record):
-    __slots__ = ("feasible", "certificate")
+    """A feasibility decision: feasible exactly when no ``certificate`` of a violation exists."""
 
-    def __init__(self, feasible: bool, certificate: Optional[Certificate] = None):
-        _set(self, "feasible", feasible)
+    __slots__ = ("certificate",)
+
+    def __init__(self, certificate: Optional[Certificate] = None):
         _set(self, "certificate", certificate)
+
+    @property
+    def feasible(self) -> bool:
+        return self.certificate is None
 
     def to_json(self) -> dict:
         return {
@@ -126,7 +131,7 @@ def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
         profile = deficits(spec.lam, spec.lam_bar, n)
         base = [p - d for p, d in zip(accumulate(spec.lam, initial=0), profile)]
         cert = _check_subsets(spec, n, base, profile)
-    return FeasibilityVerdict(cert is None, cert)
+    return FeasibilityVerdict(cert)
 
 
 def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
@@ -149,7 +154,7 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdic
         base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
                 for k in range(n + 1)]
         cert = _check_subsets(spec, n, base, profile[: m + 1])
-    return FeasibilityVerdict(cert is None, cert)
+    return FeasibilityVerdict(cert)
 
 
 def check_general(config: ConvexConfig, spec: BoundarySpec) -> FeasibilityVerdict:
@@ -168,5 +173,5 @@ def check_general(config: ConvexConfig, spec: BoundarySpec) -> FeasibilityVerdic
     verdict = check_trapezoid(tspec, tconfig.n, tconfig.m)
     cert = verdict.certificate
     if cert is not None and cert.kind == "subset" and not config.is_trapezoidal:
-        return FeasibilityVerdict(False, Certificate("subset", cert.subset))
+        return FeasibilityVerdict(Certificate("subset", cert.subset))
     return verdict

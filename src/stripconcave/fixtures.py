@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import ConvexConfig, GTPattern, StripConcaveArray, array_to_json, pattern_to_json
-from .flow import Flow, FlowGraph, flow_to_json
+from .flow import Flow, flow_to_json
 from .tableau import SkewTableau
 
 
@@ -64,7 +64,7 @@ def trapezoid_pattern() -> GTPattern:
 def trapezoid_flow() -> Flow:
     """The flow image of :func:`trapezoid_pattern`."""
     return Flow(
-        FlowGraph(3, 2),
+        3, 2,
         e0=((1, 2, 0), (1, 1, 1, 1), (0, 1, 1, 1, 0)),
         e1=((0, 1, 2), (0, 1, 0, 1), (1, 0, 1, 0, 1)),
     )
@@ -76,7 +76,7 @@ def swapped_flow() -> Flow:
     The right boundary changes from (3, 2, 3) to (3, 3, 2).
     """
     return Flow(
-        FlowGraph(3, 2),
+        3, 2,
         e0=((1, 2, 0), (0, 2, 0, 1), (0, 2, 0, 2, 0)),
         e1=((0, 1, 2), (1, 0, 1, 1), (0, 1, 0, 0, 1)),
     )

@@ -36,34 +36,27 @@ from .core import (
 )
 
 
-class FlowGraph(Record):
-    """The layered digraph on nodes ``(i, j)``, ``0 <= i <= n``, ``0 <= j <= i+m``."""
+class Flow(Record):
+    """Nonnegative edge values on the layered digraph of size ``(n, m)``, with
+    nodes ``(i, j)`` for ``0 <= i <= n``, ``0 <= j <= i+m``; stored per tail
+    row (row ``i`` has ``i+m+1`` slots)."""
 
-    __slots__ = ("n", "m")
+    __slots__ = ("n", "m", "e0", "e1")
 
-    def __init__(self, n: int, m: int):
-        _set(self, "n", n)
-        _set(self, "m", m)
+    def __init__(self, n: int, m: int, e0: tuple, e1: tuple):
         if n < 1 or m < 0:
             raise InputError("flow graph needs n >= 1 and m >= 0")
-
-
-class Flow(Record):
-    """Nonnegative edge values, stored per tail row (row ``i`` has ``i+m+1`` slots)."""
-
-    __slots__ = ("graph", "e0", "e1")
-
-    def __init__(self, graph: FlowGraph, e0: tuple, e1: tuple):
         e0, e1 = tuple(tuple(r) for r in e0), tuple(tuple(r) for r in e1)
-        _set(self, "graph", graph)
+        _set(self, "n", n)
+        _set(self, "m", m)
         _set(self, "e0", e0)
         _set(self, "e1", e1)
         for name, rows in (("e0", e0), ("e1", e1)):
-            if len(rows) != graph.n:
+            if len(rows) != n:
                 raise InputError(f"{name} must have n rows")
             for i, row in enumerate(rows):
-                if len(row) != i + graph.m + 1:
-                    raise InputError(f"{name} row {i} must have {i + graph.m + 1} entries")
+                if len(row) != i + m + 1:
+                    raise InputError(f"{name} row {i} must have {i + m + 1} entries")
         if min(map(min, e0 + e1)) < 0:
             raise InputError("flow values must be nonnegative")
 
@@ -90,7 +83,7 @@ def _pattern_rows(g: Flow, lam: Sequence[Rat]) -> tuple:
     rows are ``g`` again; otherwise this raises :class:`InputError`.
     """
     lam = tuple(lam)
-    if len(lam) != g.graph.n + g.graph.m:
+    if len(lam) != g.n + g.m:
         raise InputError("boundary lengths do not match the graph")
     rows = [lam]
     for e1 in reversed(g.e1):
@@ -125,7 +118,7 @@ def gamma(x: StripConcaveArray) -> Flow:
     ``dx_{i0} = lam_1`` and ``dx_{i,i+m+1} = 0``.
     """
     c = x.config
-    return Flow(FlowGraph(c.n, c.m), *_slacks(_trapezoid_derivative(x).rows))
+    return Flow(c.n, c.m, *_slacks(_trapezoid_derivative(x).rows))
 
 
 def gamma_inv(g: Flow, lam: Sequence[Rat]) -> StripConcaveArray:
@@ -136,13 +129,12 @@ def gamma_inv(g: Flow, lam: Sequence[Rat]) -> StripConcaveArray:
     :class:`InputError` unless its slacks are ``g`` again, that is, unless
     ``g`` is admissible for ``lam``.
     """
-    config = ConvexConfig.trapezoid(g.graph.n, g.graph.m)
-    return integrate(GTPattern(config, _pattern_rows(g, lam)))
+    return integrate(GTPattern(ConvexConfig.trapezoid(g.n, g.m), _pattern_rows(g, lam)))
 
 
 def nu_of_flow(g: Flow) -> tuple:
     """Right-boundary differences read off the diagonal edges per layer."""
-    return tuple(sum(g.e1[i - 1], 0) for i in range(1, g.graph.n + 1))
+    return tuple(sum(g.e1[i - 1], 0) for i in range(1, g.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +270,7 @@ def swap_flow(g: Flow, layer: int) -> Flow:
     """The flow of the pattern of ``g`` after the row toggle of :func:`zigzag_swap`;
     raises :class:`InputError` unless ``g`` is admissible."""
     rows = _pattern_rows(g, boundary_of_flow(g)[0])
-    return Flow(g.graph, *_slacks(_toggle(rows, layer)))
+    return Flow(g.n, g.m, *_slacks(_toggle(rows, layer)))
 
 
 def _swap_layers(x: StripConcaveArray, layers) -> StripConcaveArray:
@@ -343,8 +335,8 @@ def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
 
 def flow_to_json(g: Flow) -> dict:
     return {
-        "n": g.graph.n,
-        "m": g.graph.m,
+        "n": g.n,
+        "m": g.m,
         "e0": _rows_to_json(g.e0),
         "e1": _rows_to_json(g.e1),
     }
@@ -356,7 +348,7 @@ def flow_from_json(obj) -> Flow:
     n, m = obj["n"], obj["m"]
     if not (_is_int(n) and _is_int(m)):
         raise InputError(f"flow needs integer n and m, got n={n!r}, m={m!r}")
-    return Flow(FlowGraph(n, m), _rows_from_json(obj["e0"]), _rows_from_json(obj["e1"]))
+    return Flow(n, m, _rows_from_json(obj["e0"]), _rows_from_json(obj["e1"]))
 
 
 class PathDecomposition(Record):

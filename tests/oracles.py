@@ -294,14 +294,13 @@ def tight_system_rank(p: GTPattern, fixed_nu=False):
 def divergence(g, node):
     """Inflow minus outflow at a node (void edges count as zero)."""
     i, j = node
-    g_ = g.graph
     total = 0
     if i > 0:
-        if j <= (i - 1) + g_.m:
+        if j <= (i - 1) + g.m:
             total = total + g.e0[i - 1][j]
         if j >= 1:
             total = total + g.e1[i - 1][j - 1]
-    if i < g_.n:
+    if i < g.n:
         total = total - g.e0[i][j] - g.e1[i][j]
     return total
 
@@ -313,7 +312,7 @@ def admissibility_violation(g, lam, lam_bar):
     layer n must take ``lam_j - lam_{j+1}`` in, with ``lam_0 = lam_1`` and
     zero past the ends; every other node conserves flow.
     """
-    n, m = g.graph.n, g.graph.m
+    n, m = g.n, g.m
     if len(lam) != n + m or len(lam_bar) != m:
         raise InputError("boundary lengths do not match the graph")
     lam_ext = [lam[0]] + list(lam) + [0]  # lam_ext[j] = lam_j with lam_0 = lam_1
@@ -338,7 +337,7 @@ def capacity_swap_flow(g, layer):
     through ``e1_{i-1,j}`` and ``e0_{i,j+1}`` exchange their bottleneck
     values; defined on every flow, admissible or not.
     """
-    n, m = g.graph.n, g.graph.m
+    n, m = g.n, g.m
     i = layer
     if not 1 <= i <= n - 1:
         raise InputError("swap layer must be between 1 and n-1")
@@ -352,7 +351,7 @@ def capacity_swap_flow(g, layer):
         e1[i][j] += delta
         e1[i - 1][j] -= delta
         e0[i][j + 1] -= delta
-    return Flow(g.graph, tuple(tuple(r) for r in e0), tuple(tuple(r) for r in e1))
+    return Flow(g.n, g.m, tuple(tuple(r) for r in e0), tuple(tuple(r) for r in e1))
 
 
 def enumerate_tableaux(outer, inner, content):
@@ -402,7 +401,7 @@ def greedy_path_decompose(g: Flow) -> PathDecomposition:
     through positive edges with the bottleneck weight; raises
     :class:`InputError` unless the flow is admissible.
     """
-    n, m = g.graph.n, g.graph.m
+    n, m = g.n, g.m
     _pattern_rows(g, boundary_of_flow(g)[0])
     e0 = [list(r) for r in g.e0]
     e1 = [list(r) for r in g.e1]

@@ -3,7 +3,16 @@ import time
 
 import pytest
 
-from stripconcave import array_from_json, boundary, config_to_json, spec_to_json, validate_array
+from stripconcave import (
+    BoundarySpec,
+    array_from_json,
+    boundary,
+    canonical_json,
+    check_parallelogram,
+    config_to_json,
+    spec_to_json,
+    validate_array,
+)
 from stripconcave.cli import main
 from stripconcave.fixtures import all_fixtures, hexagon_array
 
@@ -73,9 +82,38 @@ def test_check_wrong_field_type_exit_2(capsys, argv):
     assert json.loads(err)["error"] == "input"
 
 
-def test_check_general_mode_requires_config(capsys):
-    code, _, err = run(capsys, "check", "--mode", "general", "--spec", '{"lambda":[1],"nu":[1]}')
-    assert code == 2
+def test_check_mode_option_exits_2(capsys):
+    # the lengths of the spec, or --config, fix the shape: there is no --mode
+    for mode in ("trapezoid", "parallelogram", "general"):
+        argv = ("check", "--mode", mode, "--spec", '{"lambda":[1],"nu":[1]}')
+        assert_input_error(*run(capsys, *argv), "--mode")
+
+
+def test_check_picks_parallelogram_from_lengths(capsys):
+    # nu non-empty and lambda as long as lambda_bar: the (n, m) parallelogram
+    for nu, feasible in (((1, 1), True), ((3, -1), False)):
+        spec = BoundarySpec((3, 1), (2, 0), (0, 0), nu)
+        code, out, _ = run(capsys, "check", "--spec", json.dumps(spec_to_json(spec)))
+        verdict = check_parallelogram(spec, 2, 2)
+        assert verdict.feasible is feasible
+        assert (code, out) == (0 if feasible else 1, canonical_json(verdict.to_json()))
+
+
+def test_kostka_and_count_count_nu_minus_mu(capsys):
+    spec = {"lambda": [6, 4, 3, 1, 1], "lambda_bar": [5, 2], "mu": [1, 0, 0], "nu": [4, 2, 3]}
+    shifted = dict(spec, mu=[0, 0, 0], nu=[3, 2, 3])
+    for s in (spec, shifted):
+        assert run(capsys, "check", "--spec", json.dumps(s))[0] == 0
+        assert run(capsys, "kostka", "--spec", json.dumps(s))[:2] == (0, "8")
+        assert run(capsys, "count", "--spec", json.dumps(s), "--k", "2")[:2] == (0, "32")
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["build"], ["vertices"], ["kostka"], ["count", "--k", "2"]]
+)
+def test_mu_length_must_match_nu(capsys, argv):
+    spec = '{"lambda":[6,4,3,1,1],"lambda_bar":[5,2],"mu":[0],"nu":[3,2,3]}'
+    assert_input_error(*run(capsys, *argv, "--spec", spec), "mu and nu must have the same length")
 
 
 def test_build_and_check_round_trip(capsys):

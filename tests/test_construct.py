@@ -170,6 +170,21 @@ def test_trapezoid_lift_keeps_int_entries_int():
         assert all(type(v) is int for row in rows for v in row if v == int(v)), rows
 
 
+def test_builds_on_halved_patterns_hold_no_integral_fractions():
+    # integrate returns integral entries as int, also among Fraction entries
+    def halve(t):
+        return tuple(Fraction(v, 2) if v % 2 else v // 2 for v in t)
+
+    rng = random.Random(79)
+    for _ in range(200):
+        p = random_pattern(rng, rng.randint(1, 4), rng.randint(0, 3), -4, 9)
+        spec = BoundarySpec(halve(p.rows[-1]), halve(p.rows[0]), (0,) * p.config.n,
+                            halve(pattern_nu(p.rows)))
+        x = build_trapezoid(spec.lam, spec.lam_bar, spec.nu)
+        assert validate_array(x) and boundary(x) == spec
+        assert all(type(v) is int for row in x.rows for v in row if v == int(v)), x.rows
+
+
 def test_trapezoid_matches_oracle_exactly():
     lam = (4, 2, 1)
     bar = (3,)

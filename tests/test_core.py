@@ -115,7 +115,6 @@ def test_record_pickle_and_copy_round_trip():
         boundary(hexagon_array()),
         verdict.certificate,
         verdict,
-        flow.graph,
         flow,
         path_decompose(flow),
         facets(2, 1)[0],

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from stripconcave import (
     BoundarySpec,
+    Certificate,
     ConvexConfig,
+    FeasibilityVerdict,
     InputError,
     StripConcaveArray,
     best_subset,
@@ -40,6 +42,19 @@ def test_fixture_boundaries_feasible():
     assert exhaustive_feasible(b.lam, b.lam_bar, b.mu, b.nu)
     hb = boundary(hexagon_array())
     assert check_general(hexagon_array().config, hb).feasible
+
+
+def test_verdict_derives_feasible_from_the_certificate():
+    assert FeasibilityVerdict.__slots__ == ("certificate",)
+    cert = Certificate("balance", lhs=1)
+    for verdict, feasible in ((FeasibilityVerdict(), True), (FeasibilityVerdict(cert), False)):
+        assert verdict.feasible is feasible
+        assert verdict.to_json()["feasible"] is feasible
+        with pytest.raises(AttributeError):
+            verdict.feasible = not feasible
+    assert repr(FeasibilityVerdict(cert)) == (
+        "FeasibilityVerdict(certificate=Certificate(kind='balance', subset=None, lhs=1, deficit=None))"
+    )
 
 
 def test_structural_certificates():

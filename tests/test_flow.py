@@ -9,7 +9,6 @@ from stripconcave import (
     BoundarySpec,
     ConvexConfig,
     Flow,
-    FlowGraph,
     GTPattern,
     InputError,
     StripConcaveArray,
@@ -55,6 +54,22 @@ def test_gamma_fixture():
     assert g.e1 == trapezoid_flow().e1
 
 
+def test_flow_holds_its_size():
+    g = trapezoid_flow()
+    assert Flow.__slots__ == ("n", "m", "e0", "e1") and (g.n, g.m) == (3, 2)
+    assert flow_to_json(g) == {"n": 3, "m": 2, "e0": [list(r) for r in g.e0],
+                               "e1": [list(r) for r in g.e1]}
+    for args, needle in (
+        ((0, 1, (), ()), "flow graph needs n >= 1 and m >= 0"),
+        ((1, -1, ((),), ((),)), "flow graph needs n >= 1 and m >= 0"),
+        ((2, 0, ((0,),), ((0,),)), "e0 must have n rows"),
+        ((1, 1, ((0, 0),), ((0,),)), "e1 row 0 must have 2 entries"),
+        ((1, 0, ((0,),), ((-1,),)), "flow values must be nonnegative"),
+    ):
+        with pytest.raises(InputError, match=needle):
+            Flow(*args)
+
+
 def test_gamma_requires_trapezoid():
     config = ConvexConfig(2, (0, 0, 1), (1, 2, 2))
     x = integrate(derivative(integrate(trapezoid_pattern())))  # placeholder valid array
@@ -67,7 +82,7 @@ def test_gamma_boundary_edges_forced():
     # the leftmost bottom edge carries no flow; the rightmost carries lam_{n+m}
     g = gamma(fixture_array())
     lam, _ = boundary_of_flow(g)
-    n, m = g.graph.n, g.graph.m
+    n, m = g.n, g.m
     assert g.e0[n - 1][0] == 0
     assert g.e1[n - 1][n + m - 1] == lam[n + m - 1]
 
@@ -87,7 +102,7 @@ def test_gamma_round_trip_fixture():
 
 def test_gamma_inv_rejects_inadmissible():
     g = trapezoid_flow()
-    bad = Flow(g.graph, g.e0, tuple(
+    bad = Flow(g.n, g.m, g.e0, tuple(
         tuple(v + (i == 0 and j == 0) for j, v in enumerate(row))
         for i, row in enumerate(g.e1)
     ))
@@ -107,8 +122,7 @@ def test_nu_recovery():
 def test_constant_derivative_flow_support():
     # a constant-derivative array maps to the flow carried entirely by the
     # rightmost diagonal edges, and back
-    graph = FlowGraph(2, 1)
-    g = Flow(graph, ((0, 0), (0, 0, 0)), ((0, 3), (0, 0, 3)))
+    g = Flow(2, 1, ((0, 0), (0, 0, 0)), ((0, 3), (0, 0, 3)))
     x = gamma_inv(g, (3, 3, 3))
     assert derivative(x).rows == ((3,), (3, 3), (3, 3, 3))
     assert gamma(x) == g
@@ -330,8 +344,7 @@ def test_path_decompose_fixture_recomposes():
 
 
 def test_path_decompose_zero_flow_empty():
-    graph = FlowGraph(2, 0)
-    zero = Flow(graph, ((0,), (0, 0)), ((0,), (0, 0)))
+    zero = Flow(2, 0, ((0,), (0, 0)), ((0,), (0, 0)))
     assert path_decompose(zero).paths == ()
 
 
@@ -360,7 +373,7 @@ def test_path_decompose_matches_greedy_oracle():
             e = [[list(r) for r in g.e0], [list(r) for r in g.e1]]
             i = rng.randrange(n)
             e[k % 2][i][rng.randrange(i + m + 1)] += 1
-            g = Flow(g.graph, *e)
+            g = Flow(g.n, g.m, *e)
         got = _paths_or_error(path_decompose, g)
         want = _paths_or_error(greedy_path_decompose, g)
         assert got == want  # paths, weights by value, error texts
@@ -469,7 +482,7 @@ def test_gamma_inv_rejects_what_the_divergence_oracle_rejects():
             lam[rng.randrange(len(lam))] += 1
         if any(v < 0 for rows in e for row in rows for v in row):
             continue
-        h = Flow(g.graph, *e)
+        h = Flow(g.n, g.m, *e)
         admissible = admissibility_violation(h, lam, boundary_of_flow(h)[1]) is None
         try:
             x = gamma_inv(h, lam)
