@@ -5,7 +5,8 @@ JSON to standard output, and exits 0 on success, 1 on infeasibility, 2 on
 bad input and 3 on an internal guard failure.  ``check`` decides on the
 ``--config`` configuration, else on the parallelogram when ``nu`` is
 non-empty and ``lambda`` is as long as ``lambda_bar``, else on the
-trapezoid; ``kostka`` and ``count`` count the content ``nu - mu``.
+trapezoid, and ``build`` builds on the same shape; ``kostka`` and ``count``
+count the content ``nu - mu``.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ import json
 import sys
 
 from . import fixtures as fixture_module
-from .construct import build_trapezoid, mu_general_build
+from .construct import mu_general_build
 from .core import (
+    ConvexConfig,
     InfeasibleError,
     InputError,
     InternalError,
@@ -64,14 +66,19 @@ def _emit(obj) -> None:
     print(canonical_json(obj))
 
 
+def _shape(spec) -> tuple:
+    """``(n, m, parallelogram)`` of the shape that the lengths of ``spec`` fix."""
+    n, m = len(spec.nu), len(spec.lam_bar)
+    return n, m, bool(n) and len(spec.lam) == m
+
+
 def _cmd_check(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
     if args.config:
         verdict = check_general(config_from_json(_load_json(args.config)), spec)
     else:
-        n, m = len(spec.nu), len(spec.lam_bar)
-        shape = check_parallelogram if n and len(spec.lam) == m else check_trapezoid
-        verdict = shape(spec, n, m)
+        n, m, parallelogram = _shape(spec)
+        verdict = (check_parallelogram if parallelogram else check_trapezoid)(spec, n, m)
     _emit(verdict.to_json())
     return 0 if verdict.feasible else 1
 
@@ -80,12 +87,10 @@ def _cmd_build(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
     if args.config:
         config = config_from_json(_load_json(args.config))
-        out = mu_general_build(config, spec)
     else:
-        if any(v != 0 for v in spec.mu):
-            raise InputError("pass --config to build with a nonzero left boundary")
-        out = build_trapezoid(spec.lam, spec.lam_bar, spec.nu)
-    _emit(array_to_json(out))
+        n, m, parallelogram = _shape(spec)
+        config = (ConvexConfig.parallelogram if parallelogram else ConvexConfig.trapezoid)(n, m)
+    _emit(array_to_json(mu_general_build(config, spec)))
     return 0
 
 

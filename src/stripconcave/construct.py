@@ -6,15 +6,18 @@ common step, rebuilding the array through a ramp lift.  The step is the
 largest one that keeps the tuples ordered (with the lift applied in exact
 sub-steps).  Once ``lam_bar`` is empty, the triangle that is left is solved
 row by row, peeling the last entry of ``nu`` off ``lam``; a triangle is the
-trapezoid with ``m = 0`` and goes through the same builder.  The output is
-integral for integer data, and on the triangle it is a vertex of the
-corresponding polytope.
+trapezoid with ``m = 0`` and goes through the same builder.  The lifts are
+replayed on the interlacing slacks of the pattern (the edge values of
+``flow._slacks``), where a lift moves two slacks per row pair, so it costs
+``O(n)`` however wide its ramp; the rows, the same as those of a cell-by-cell
+replay, are summed up once at the end.  The output is integral for integer
+data, and on the triangle it is a vertex of the corresponding polytope.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, chain
-from operator import neg
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import add, neg, sub
 from typing import Sequence
 
 from .core import (
@@ -77,54 +80,57 @@ def build_triangular(lam: Sequence[Rat], nu: Sequence[Rat]) -> StripConcaveArray
 
 def _pick_rs(lam, lab):
     """Indices of the runs to lower: lam_r >= lab_1 = .. = lab_s > next."""
-    m = len(lab)
-    top = lab[0]
-    r = max(j for j in range(1, len(lam) + 1) if lam[j - 1] >= top)
-    s = 1
-    while s < m and lab[s] == top:
-        s += 1
-    return r, s
+    top = -lab[0]
+    return bisect_right(lam, top, key=neg), bisect_right(lab, top, key=neg)
 
 
-def _ramp_shape(rows, alpha):
-    """Start ``p(i)`` of each row's lift window: the number of entries
-    strictly greater than ``alpha`` (rows are weakly decreasing)."""
-    return [bisect_left(row, -alpha, key=neg) for row in rows]
+def _lift(top, a, b, alpha, s, cap):
+    """Lift the ramp at ``alpha`` by the largest step up to ``cap`` that
+    keeps the rows interlacing, and return the step.
 
-
-def _apply_lift(rows, shape, s, step):
-    for i, p in enumerate(shape):
-        row = rows[i]
-        for j in range(p, min(p + s, len(row))):
-            row[j] = row[j] + step
-
-
-def _max_substep(rows, shape, s, cap):
-    """Largest lift step keeping the pattern rhombus inequalities valid.
-
-    The lift adds ``step`` to the 1-based columns ``W(i) = (p(i), p(i) + s]``
-    of row ``i``; an inequality constrains the step only where the window
-    indicator decreases across it, and then the current slack is the bound.
-    Windows of equal width differ only between ``min(p(i), p(i-1))`` and
-    ``max(p(i), p(i-1))``, shifted by 0 or ``s``: only those columns are visited.
+    Row ``i`` is lifted on ``s`` columns from ``p(i)``, the number of its
+    entries above ``alpha``.  Interlacing gives ``p(i) = p(i+1)``
+    or ``p(i+1) - 1``, and ``v``, the last entry of row ``i + 1`` above
+    ``alpha``, decides which.  Equal windows move ``b[i]`` at their two
+    ends, shifted ones ``a[i]``: the slack at the left end shrinks and
+    bounds the step, the one ``s`` further on grows.
     """
-    bound = cap
-    for i in range(1, len(rows)):
-        row, up, p, q = rows[i], rows[i - 1], shape[i], shape[i - 1]
-        lo, hi = min(p, q), max(p, q)
-        for j in chain(range(max(lo, 1), hi + 1), range(lo + s, hi + s + 1)):
-            if j > len(up):
-                continue
-            in_up = q < j <= q + s
-            if in_up and not p < j <= p + s:
-                bound = min(bound, row[j - 1] - up[j - 1])
-            if not in_up and p < j + 1 <= p + s:
-                bound = min(bound, up[j - 1] - row[j])
-    return bound
+    p = start = bisect_left(top, -alpha, key=neg)
+    v = top[p - 1] if p else None
+    eps, length, shrink, grow = cap, len(top), [], []
+    for ai, bi in zip(reversed(a), reversed(b)):
+        length -= 1
+        if p and (p > length or v - ai[p - 1] <= alpha):
+            p -= 1
+            if p:
+                v += bi[p - 1]
+            e, j = ai, p
+        else:
+            if p:
+                v -= ai[p - 1]
+            e, j = bi, p - 1
+        if 0 <= j < length:
+            shrink.append((e, j))
+            if e[j] < eps:
+                eps = e[j]
+        if j + s < length:
+            grow.append((e, j + s))
+    if eps > 0:
+        for e, j in shrink:
+            e[j] -= eps
+        for e, k in grow:
+            e[k] += eps
+        top[start : start + s] = [w + eps for w in top[start : start + s]]
+    return eps
 
 
 def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
-    """Pattern rows for a feasible normalized spec (mu = 0, lam nonnegative)."""
+    """Pattern rows for a feasible normalized spec (mu = 0, lam nonnegative).
+
+    The replay keeps the top row and the interlacing slacks
+    ``a[i] = row_{i+1} - row_i`` and ``b[i] = row_i - row_{i+1}[1:]``, so a
+    lift moves two slacks per row pair; the rows are summed up once at the end.
+    """
     n = len(nu)
     size = len(lam)
     integral = all(isinstance(v, int) for v in lam + lab + nu)
@@ -137,7 +143,7 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
             raise InternalError("trapezoid construction exceeded its iteration cap")
         m = len(lab)
         if m == 0:
-            rows = [list(r) for r in _triangular_rows(lam, nu)]
+            rows = _triangular_rows(lam, nu)
             break
         if lam[-1] == lab[-1]:
             ops.append(("column", lab[-1]))
@@ -151,37 +157,44 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
         after = max(lam[r] if r < len(lam) else 0, lab[s] if s < m else 0)
         step = lab[0] - after
         ops.append(("lift", r, s, step))
-        lam = tuple(v - step if r - s + 1 <= j + 1 <= r else v for j, v in enumerate(lam))
-        lab = tuple(v - step if j < s else v for j, v in enumerate(lab))
+        lam = lam[: r - s] + tuple(v - step for v in lam[r - s : r]) + lam[r:]
+        lab = (after,) * s + lab[s:]
+    top = list(rows[-1])
+    a = [list(map(sub, down, up)) for up, down in zip(rows, rows[1:])]
+    b = [list(map(sub, up, down[1:])) for up, down in zip(rows, rows[1:])]
     for op in reversed(ops):
         if op[0] == "column":
             # re-add the truncated column: every row derivative there is value
-            value = op[1]
-            for row in rows:
-                row.append(value)
+            value, last = op[1], top[-1]
+            for ai, bi in zip(reversed(a), reversed(b)):
+                ai.append(last - value)
+                last += bi[-1] if bi else 0  # row 0 of a triangle is empty
+                bi.append(0)
+            top.append(value)
         elif op[0] == "prepend":
-            value = op[1]
-            for row in rows:
-                row.insert(0, value)
+            value, first = op[1], top[0]
+            for ai, bi in zip(reversed(a), reversed(b)):
+                bi.insert(0, value - first)
+                first -= ai[0] if ai else 0
+                ai.insert(0, 0)
+            top.insert(0, value)
         else:
             _, r, s, step = op
-            if step == 1 and integral:
-                shape = _ramp_shape(rows, rows[-1][r - s])
-                _apply_lift(rows, shape, s, 1)
-            else:
-                remaining = step
-                inner_cap = 10 * (size + 1) ** 2
-                inner = 0
-                while remaining > 0:
-                    inner += 1
-                    if inner > inner_cap:
-                        raise InternalError("lift phase exceeded its iteration cap")
-                    shape = _ramp_shape(rows, rows[-1][r - s])
-                    eps = _max_substep(rows, shape, s, remaining)
-                    if eps <= 0:
-                        raise InternalError("lift phase stalled with zero slack")
-                    _apply_lift(rows, shape, s, eps)
-                    remaining = remaining - eps
+            remaining = step
+            inner_cap = 10 * (size + 1) ** 2
+            inner = 0
+            while remaining > 0:
+                inner += 1
+                if inner > inner_cap:
+                    raise InternalError("lift phase exceeded its iteration cap")
+                eps = _lift(top, a, b, top[r - s], s, remaining)
+                if eps <= 0:
+                    raise InternalError("lift phase stalled with zero slack")
+                remaining = remaining - eps
+    rows = [top]
+    for bi in reversed(b):
+        rows.append(list(map(add, rows[-1][1:], bi)))
+    rows.reverse()
     if not integral:  # the lift arithmetic leaves Fraction(k, 1) entries
         rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
     return rows
@@ -207,6 +220,7 @@ def build_trapezoid(
     verdict = check_trapezoid(spec, n, m)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
+    config = ConvexConfig.trapezoid(n, m)  # refuses n = 0, where the top row runs empty
     # shift so that lambda is nonnegative (adds a constant to every pattern
     # entry and to each nu entry)
     t = max(0, -(min(lam, default=0) // 1))  # an int, so int entries stay int
@@ -217,7 +231,7 @@ def build_trapezoid(
     )
     if t:
         rows = [[v - t for v in row] for row in rows]
-    pattern = GTPattern(ConvexConfig.trapezoid(n, m), tuple(tuple(r) for r in rows))
+    pattern = GTPattern(config, tuple(tuple(r) for r in rows))
     return integrate(pattern)
 
 

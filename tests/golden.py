@@ -194,7 +194,7 @@ def build(rng, cli):
             cli("build", "--spec", _spec(lam, lam_bar, mu, nu, rng))
             cli("build", "--spec", _spec(*_perturb(rng, lam, lam_bar, mu, nu, unit=Fraction(1, d)), rng))
         *_, spec = _trapezoid_case(rng, d=d, mu_span=3)
-        cli("build", "--spec", _spec(*spec))  # a nonzero mu needs --config
+        cli("build", "--spec", _spec(*spec))  # a nonzero mu, on the trapezoid its lengths fix
         for _ in range(5):
             config, _, spec = _hexagon_case(rng, d)
             cli("build", "--config", config, "--spec", _spec(*spec))

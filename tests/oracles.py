@@ -4,8 +4,11 @@ Everything here is deliberately naive: direct enumeration, bitmask subset
 sweeps, and exact Gaussian elimination, with no reuse of the library's own
 algorithms beyond the shared data types.
 """
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
+from operator import neg
 
 from stripconcave import (
     BoundarySpec,
@@ -20,6 +23,7 @@ from stripconcave import (
     extend_to_trapezoid,
     pattern_constraints,
 )
+from stripconcave.construct import _triangular_rows
 from stripconcave.core import _is_int, interlacing_bounds, is_weakly_decreasing
 from stripconcave.flow import _pattern_rows
 from stripconcave.polytope import _require_ints
@@ -125,6 +129,120 @@ def overlap_reduce_to_triangle(lam, lam_bar):
             total = total + overlap(ext_lam(t + 1), ext_lam(t), ext_bar(t - k + 1), top)
         out.append(total)
     return tuple(out)
+
+
+def _ramp_shape(rows, alpha):
+    """Start ``p(i)`` of each row's lift window: the number of entries
+    strictly greater than ``alpha`` (rows are weakly decreasing)."""
+    return [bisect_left(row, -alpha, key=neg) for row in rows]
+
+
+def _apply_lift(rows, shape, s, step):
+    for i, p in enumerate(shape):
+        row = rows[i]
+        for j in range(p, min(p + s, len(row))):
+            row[j] = row[j] + step
+
+
+def _max_substep(rows, shape, s, cap):
+    """Largest lift step keeping the pattern rhombus inequalities valid.
+
+    The lift adds ``step`` to the 1-based columns ``W(i) = (p(i), p(i) + s]``
+    of row ``i``; an inequality constrains the step only where the window
+    indicator decreases across it, and then the current slack is the bound.
+    Windows of equal width differ only between ``min(p(i), p(i-1))`` and
+    ``max(p(i), p(i-1))``, shifted by 0 or ``s``: only those columns are visited.
+    """
+    bound = cap
+    for i in range(1, len(rows)):
+        row, up, p, q = rows[i], rows[i - 1], shape[i], shape[i - 1]
+        lo, hi = min(p, q), max(p, q)
+        for j in chain(range(max(lo, 1), hi + 1), range(lo + s, hi + s + 1)):
+            if j > len(up):
+                continue
+            in_up = q < j <= q + s
+            if in_up and not p < j <= p + s:
+                bound = min(bound, row[j - 1] - up[j - 1])
+            if not in_up and p < j + 1 <= p + s:
+                bound = min(bound, up[j - 1] - row[j])
+    return bound
+
+
+def ramp_solve_trapezoid(lam, lab, nu, seen=None):
+    """Pattern rows for a feasible normalized spec, lifting whole rows.
+
+    The reference for ``construct._solve_trapezoid``: the same forward
+    phase (truncate equal extreme entries, else lower the runs
+    ``lam_{r-s+1..r}`` and ``lab_{1..s}`` by the largest step), written
+    with linear scans, and a replay that adds each lift step to every cell
+    of the ramp windows and bounds a sub-step by scanning the window edges
+    of the rows themselves.  A ``Counter`` passed as ``seen`` counts the
+    replayed ops by kind, and ``"substep"`` for each lift sub-step shorter
+    than the step left.
+    """
+    seen = Counter() if seen is None else seen
+    n = len(nu)
+    size = len(lam)
+    integral = all(isinstance(v, int) for v in lam + lab + nu)
+    ops = []
+    outer_cap = 10 * (size + 1) ** 2 + size + 2
+    outer = 0
+    while True:
+        outer += 1
+        if outer > outer_cap:
+            raise InternalError("trapezoid construction exceeded its iteration cap")
+        m = len(lab)
+        if m == 0:
+            rows = [list(r) for r in _triangular_rows(lam, nu)]
+            break
+        if lam[-1] == lab[-1]:
+            ops.append(("column", lab[-1]))
+            lam, lab = lam[:-1], lab[:-1]
+            continue
+        if lam[0] == lab[0]:
+            ops.append(("prepend", lam[0]))
+            lam, lab = lam[1:], lab[1:]
+            continue
+        top = lab[0]
+        r = max(j for j in range(1, len(lam) + 1) if lam[j - 1] >= top)
+        s = 1
+        while s < m and lab[s] == top:
+            s += 1
+        after = max(lam[r] if r < len(lam) else 0, lab[s] if s < m else 0)
+        step = lab[0] - after
+        ops.append(("lift", r, s, step))
+        lam = tuple(v - step if r - s + 1 <= j + 1 <= r else v for j, v in enumerate(lam))
+        lab = tuple(v - step if j < s else v for j, v in enumerate(lab))
+    for op in reversed(ops):
+        seen[op[0]] += 1
+        if op[0] == "column":
+            for row in rows:
+                row.append(op[1])
+        elif op[0] == "prepend":
+            for row in rows:
+                row.insert(0, op[1])
+        else:
+            _, r, s, step = op
+            if step == 1 and integral:
+                _apply_lift(rows, _ramp_shape(rows, rows[-1][r - s]), s, 1)
+                continue
+            remaining = step
+            inner_cap = 10 * (size + 1) ** 2
+            inner = 0
+            while remaining > 0:
+                inner += 1
+                if inner > inner_cap:
+                    raise InternalError("lift phase exceeded its iteration cap")
+                shape = _ramp_shape(rows, rows[-1][r - s])
+                eps = _max_substep(rows, shape, s, remaining)
+                if eps <= 0:
+                    raise InternalError("lift phase stalled with zero slack")
+                _apply_lift(rows, shape, s, eps)
+                seen["substep"] += eps < remaining
+                remaining = remaining - eps
+    if not integral:
+        rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+    return rows
 
 
 def exhaustive_feasible(lam, lam_bar, mu, nu):

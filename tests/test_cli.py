@@ -124,6 +124,22 @@ def test_build_and_check_round_trip(capsys):
     assert array["rows"][-1] == [0, 5, 7, 8]
 
 
+@pytest.mark.parametrize("spec", [
+    '{"lambda":[6,4,3,1,1],"lambda_bar":[5,2],"mu":[1,0,0],"nu":[4,2,3]}',
+    '{"lambda":[4,1],"lambda_bar":[2,-1],"mu":[1,2],"nu":[3,4]}',
+    '{"lambda":[4,1],"lambda_bar":[2,-1],"mu":[1,2],"nu":[4,4]}',
+])
+def test_build_without_config_uses_the_shape_check_decides(capsys, spec):
+    # a nonzero mu on the trapezoid, and a parallelogram (equal lambda lengths)
+    code, out, _ = run(capsys, "check", "--spec", spec)
+    feasible = json.loads(out)["feasible"]
+    code, out, err = run(capsys, "build", "--spec", spec)
+    assert (code, err) == ((0 if feasible else 1), "")
+    if feasible:
+        x = array_from_json(json.loads(out))
+        assert validate_array(x) and spec_to_json(boundary(x)) == json.loads(spec)
+
+
 def test_build_infeasible_emits_certificate(capsys):
     code, out, _ = run(capsys, "build", "--spec", '{"lambda":[2,1],"nu":[3,0]}')
     assert code == 1

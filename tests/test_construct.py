@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     feasible_nu_set,
     overlap_reduce_to_triangle,
     pattern_nu,
+    ramp_solve_trapezoid,
     random_pattern,
     tight_system_rank,
 )
@@ -168,6 +170,32 @@ def test_trapezoid_lift_keeps_int_entries_int():
         p = random_pattern(rng, rng.randint(1, 4), rng.randint(0, 3), 0, 9)
         rows = _solve_trapezoid(halve(p.rows[-1]), halve(p.rows[0]), halve(pattern_nu(p.rows)))
         assert all(type(v) is int for row in rows for v in row if v == int(v)), rows
+
+
+def test_slack_replay_matches_row_replay():
+    # the lifts replayed on interlacing slacks give the rows, types included,
+    # of the reference replay that adds each step to every cell of the ramp
+    rng = random.Random(1515)
+    seen, kinds = Counter(), Counter()
+    for trial in range(1800):
+        d = 1 if trial < 1200 else rng.choice((2, 3))
+        n, m = rng.randint(1, 6), rng.randint(0, 4)
+        p = random_pattern(rng, n, m, rng.choice((-4, 0)), rng.choice((2, 6, 20)))
+        lam, lab, nu = (
+            tuple(Fraction(v, d) if v % d else v // d for v in t)
+            for t in (p.rows[-1], p.rows[0], pattern_nu(p.rows))
+        )
+        t = max(0, -(min(lam) // 1))  # the shift of build_trapezoid
+        lam, lab, nu = (tuple(v + t for v in x) for x in (lam, lab, nu))
+        got = _solve_trapezoid(lam, lab, nu)
+        assert repr(got) == repr(ramp_solve_trapezoid(lam, lab, nu, seen)), (lam, lab, nu)
+        kinds.update({
+            "int": all(type(v) is int for v in lam + lab + nu),
+            "triangle": m == 0, "n=1": n == 1, "negative": t > 0,
+        })
+    assert kinds["int"] >= 1000 and 1800 - kinds["int"] >= 500
+    assert min(kinds["triangle"], kinds["n=1"], kinds["negative"]) > 0, kinds
+    assert min(seen["column"], seen["prepend"], seen["lift"], seen["substep"]) > 0, seen
 
 
 def test_builds_on_halved_patterns_hold_no_integral_fractions():
