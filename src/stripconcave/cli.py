@@ -2,11 +2,12 @@
 
 Every subcommand reads JSON (inline or from a file path), writes canonical
 JSON to standard output, and exits 0 on success, 1 on infeasibility, 2 on
-bad input and 3 on an internal guard failure.  ``check`` decides on the
-``--config`` configuration, else on the parallelogram when ``nu`` is
-non-empty and ``lambda`` is as long as ``lambda_bar``, else on the
-trapezoid, and ``build`` builds on the same shape; ``kostka`` and ``count``
-count the content ``nu - mu``.
+bad input and 3 on an internal guard failure.  ``check``, ``build``,
+``kostka`` and ``count`` refuse an empty ``nu`` (``n = 0``).  ``check``
+decides on the ``--config`` configuration, else on the parallelogram when
+``lambda`` is as long as ``lambda_bar``, else on the trapezoid, and
+``build`` builds on the same shape; ``kostka`` and ``count`` count the
+content ``nu - mu``.
 """
 from __future__ import annotations
 
@@ -66,14 +67,22 @@ def _emit(obj) -> None:
     print(canonical_json(obj))
 
 
+def _load_spec(source: str):
+    """The spec at ``source``; an empty ``nu`` is refused, as no shape has ``n = 0`` rows."""
+    spec = spec_from_json(_load_json(source))
+    if not spec.nu:
+        raise InputError('spec needs n >= 1: "nu" is empty')
+    return spec
+
+
 def _shape(spec) -> tuple:
     """``(n, m, parallelogram)`` of the shape that the lengths of ``spec`` fix."""
     n, m = len(spec.nu), len(spec.lam_bar)
-    return n, m, bool(n) and len(spec.lam) == m
+    return n, m, len(spec.lam) == m
 
 
 def _cmd_check(args) -> int:
-    spec = spec_from_json(_load_json(args.spec))
+    spec = _load_spec(args.spec)
     if args.config:
         verdict = check_general(config_from_json(_load_json(args.config)), spec)
     else:
@@ -84,7 +93,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    spec = spec_from_json(_load_json(args.spec))
+    spec = _load_spec(args.spec)
     if args.config:
         config = config_from_json(_load_json(args.config))
     else:
@@ -146,13 +155,13 @@ def _cmd_facets(args) -> int:
 
 
 def _cmd_kostka(args) -> int:
-    spec = spec_from_json(_load_json(args.spec))
+    spec = _load_spec(args.spec)
     _emit(kostka(spec.lam, spec.lam_bar, shift_mu(spec).nu))
     return 0
 
 
 def _cmd_count(args) -> int:
-    spec = spec_from_json(_load_json(args.spec))
+    spec = _load_spec(args.spec)
     _emit(count_scaled_points(spec.lam, spec.lam_bar, shift_mu(spec).nu, args.k))
     return 0
 

@@ -12,8 +12,9 @@ each cell ``v`` to ``lo + hi - v`` within its interlacing interval.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain, product, repeat
-from operator import add, neg, sub
+from itertools import accumulate, chain, compress, product, repeat
+from math import prod
+from operator import add, ne, neg, sub
 from typing import Sequence
 
 from .core import (
@@ -141,40 +142,34 @@ def nu_of_flow(g: Flow) -> tuple:
 # vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _tiles_anchored(rows) -> bool:
-    """True iff every tile meets row 0 or row n.
+def _join_tiles(row, below, anchored):
+    """Each cell of ``row``, placed above ``below``, where its tile meets row
+    n, else ``None`` (``anchored`` is the same for ``below``); ``None`` when a
+    tile of ``below`` that is not anchored ends under ``row``.
 
-    A tile is a union-find component of cells joined by tight interlacing
-    equalities ``row_i[k] == row_{i-1}[k]`` or ``row_i[k+1] == row_{i-1}[k]``.
+    Cell ``k`` joins the tile of ``below[k]`` or ``below[k+1]`` that it
+    equals, and never two tiles: equal neighbours of a row above row n
+    share a tile through the cell between them in the row below.
     """
-    n = len(rows) - 1
-    start = [0]  # flat index of each row's first cell
-    for row in rows:
-        start.append(start[-1] + len(row))
-    parent = list(range(start[-1]))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for i in range(1, n + 1):
-        above, row, s, t = rows[i - 1], rows[i], start[i - 1], start[i]
-        for k, v in enumerate(above):
-            if row[k] == v:
-                parent[find(t + k)] = find(s + k)
-            if row[k + 1] == v:
-                parent[find(t + k + 1)] = find(s + k)
-    fixed = [*range(start[1]), *range(start[n], start[-1])]
-    anchored = {find(c) for c in fixed}
-    return all(find(c) in anchored for c in range(start[1], start[n]))
+    width = len(row)
+    for p, a in enumerate(anchored):
+        if a is None and not (p < width and row[p] == below[p] or p and row[p - 1] == below[p]):
+            return None
+    return [r if r == a or r == b else None for r, a, b in zip(row, anchored, anchored[1:])]
 
 
-def _support(rows) -> tuple:
-    """Edges ``(i, j, t)`` with a nonzero slack in the pattern ``rows``, sorted."""
-    e = _slacks(rows)
-    return tuple((i, j, t) for i, row in enumerate(e[0]) for j in range(len(row))
-                 for t in (0, 1) if e[t][i][j])
+def _support_key(rows) -> list:
+    """The edges ``(i, j, t)`` with a nonzero slack (:func:`_slacks`) in the
+    pattern ``rows``, in order, coded as ``2 (i w + j) + t``, ``w = len(lam)``:
+    the slacks of rows ``i`` and ``i + 1`` are the steps of ``lam_1, down_0,
+    up_0, down_1, .., down_{L-1}, 0``, and step ``k`` is edge ``(i, k // 2, k % 2)``.
+    """
+    w, key = len(rows[-1]), []
+    for i, (up, down) in enumerate(zip(rows, rows[1:])):
+        seq = [0] * (2 * len(down) + 1)
+        seq[0], seq[1::2], seq[2:-1:2] = rows[-1][0], down, up
+        key.extend(compress(range(2 * i * w, 2 * i * w + len(seq) - 1), map(ne, seq, seq[1:])))
+    return key
 
 
 VERTEX_SEARCH_MAX = 1_000_000
@@ -188,17 +183,24 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     the pattern polytope is a marked order polytope: a pattern is a vertex
     iff every tile (component of tight interlacing equalities) meets row 0
     or row n.  Every vertex entry is therefore a boundary value, so the
-    search fills rows n-1 .. 1 from those values, each cell between its two
-    neighbours in the row below and within the bounds ``lam_bar`` implies,
-    and keeps the patterns whose row 1 interlaces ``lam_bar`` and whose
-    tiles are all anchored.  The search holds one iterator per row, so its
-    depth is at most n.  The number of vertices grows exponentially, so the
-    search raises :class:`InputError` once it has placed more than
-    :data:`VERTEX_SEARCH_MAX` rows.
+    search fills rows n-1 .. 0 from those values, each cell between its two
+    neighbours in the row below and within the bounds ``lam_bar`` implies.
+    Each placed row carries its anchored cells, those whose tile meets row
+    n (:func:`_join_tiles`); a row under which a tile that is not anchored
+    ends is dropped with everything above it, and row 0, whose cells are
+    all anchored, completes a vertex.  The search holds one iterator per
+    row, so its depth is at most n.
 
-    Output is sorted by the support of each vertex's flow: the tuple of
-    edges ``(i, j, t)`` with a nonzero slack (:func:`_slacks`), in
-    ``(i, j, t)`` order.  A negative ``lam[-1]`` is first shifted to zero
+    The number of vertices grows exponentially.  Before it searches, the
+    function counts the rows the search would place if it dropped none,
+    level by level over distinct rows (each with the number of partial
+    patterns that reach it, Stanley's transfer-matrix method), and raises
+    :class:`InputError` once the count passes :data:`VERTEX_SEARCH_MAX`;
+    the search then draws each row's cell values from the count.
+
+    Output is sorted by the support of each vertex's flow: the edges
+    ``(i, j, t)`` with a nonzero slack, in ``(i, j, t)`` order
+    (:func:`_support_key`).  A negative ``lam[-1]`` is first shifted to zero
     in every pattern entry, as a flow needs ``lam[-1] >= 0``, and the
     vertices are shifted back.
     """
@@ -214,33 +216,47 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     values = sorted(set(lam) | set(lam_bar))
     index = {v: k for k, v in enumerate(values)}
 
-    def row_choices(i, below):
+    def cell_values(i, below):
         # every bound is a boundary value, so each cell takes a slice of values
         lo, hi = interlacing_bounds(i, below, lam_bar)
-        return product(*[values[index[a]:index[b] + 1] for a, b in zip(lo, hi)])
+        return [values[index[a]:index[b] + 1] for a, b in zip(lo, hi)]
+
+    level, placed = {lam: 1}, 0  # rows of a level -> partial patterns reaching them
+    choices = [None] * n
+    for i in range(n - 1, -1, -1):
+        choices[i] = cells = {below: cell_values(i, below) for below in level}
+        placed += sum(ways * prod(map(len, cells[below])) for below, ways in level.items())
+        if placed > VERTEX_SEARCH_MAX:
+            raise InputError(f"too many vertices: the search would place at least {placed} rows, "
+                             f"more than {VERTEX_SEARCH_MAX}")
+        if i:
+            above = {}
+            for below, ways in level.items():
+                for row in product(*cells[below]):
+                    above[row] = above.get(row, 0) + ways
+            level = above
 
     config = ConvexConfig.trapezoid(n, m)
     rows = [None] * n + [lam]
-    stack = [row_choices(n - 1, lam)]  # one iterator per row, depth at most n
+    anchored = [None] * n + [lam]
+    stack = [product(*choices[n - 1][lam])]  # one iterator per row, depth at most n
     found = []
-    placed = 0
     while stack:
         i = n - len(stack)
         row = next(stack[-1], None)
         if row is None:
             stack.pop()
             continue
-        placed += 1
-        if placed > VERTEX_SEARCH_MAX:
-            raise InputError(f"too many vertices: the search passed {VERTEX_SEARCH_MAX} rows")
+        tiles = _join_tiles(row, rows[i + 1], anchored[i + 1])
+        if tiles is None:
+            continue
+        rows[i] = row
         if i:
-            rows[i] = row
-            stack.append(row_choices(i - 1, row))
+            anchored[i] = tiles
+            stack.append(product(*choices[i - 1][row]))
         else:
-            rows[0] = row
-            if _tiles_anchored(rows):
-                found.append(tuple(rows))
-    found.sort(key=_support)
+            found.append(tuple(rows))
+    found.sort(key=_support_key)
     if t:
         found = [[[v - t for v in r] for r in rows] for rows in found]
     return [integrate(GTPattern(config, rows)) for rows in found]

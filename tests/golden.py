@@ -6,7 +6,7 @@ standard error of each of its calls, in order; ``tests/golden.json`` holds
 one digest per family, and ``test_golden`` compares against it.  The inputs
 cover every subcommand on ``int`` and ``Fraction`` data, feasible and
 infeasible boundaries, trapezoids, parallelograms and hexagons, negative
-``lambda`` and malformed input.
+``lambda``, empty ``nu`` and malformed input.
 
     PYTHONPATH=src python -m tests.golden           # list the families that differ
     PYTHONPATH=src python -m tests.golden --write   # regenerate tests/golden.json
@@ -344,10 +344,20 @@ def mu_length(rng, cli):
         cli("build", "--config", config, "--spec", spec)
 
 
+def empty_nu(rng, cli):
+    for spec in ('{"lambda":[2,1],"lambda_bar":[1,1],"nu":[]}',
+                 '{"lambda":[2,1],"lambda_bar":[2,1],"mu":[]}',
+                 '{"lambda":[],"lambda_bar":[]}'):
+        for argv in (["check"], ["build"], ["vertices"], ["kostka"], ["count", "--k", "2"]):
+            cli(*argv, "--spec", spec)
+        cli("check", "--config", '{"n":1,"a":[0,0],"b":[1,2]}', "--spec", spec)
+    cli("vertices", "--spec", '{"lambda":[2,1,0],"lambda_bar":[1]}')
+
+
 FAMILIES = (
     check_trapezoid, check_parallelogram, check_general, check_mode, build, flow, vertices,
     swap, decompose, facets, kostka_count, kostka_count_mu, tableau, fixtures, malformed,
-    mu_length,
+    mu_length, empty_nu,
 )
 
 

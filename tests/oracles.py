@@ -21,11 +21,13 @@ from stripconcave import (
     boundary_of_flow,
     check_trapezoid,
     extend_to_trapezoid,
+    integrate,
     pattern_constraints,
 )
+from stripconcave import flow
 from stripconcave.construct import _triangular_rows
 from stripconcave.core import _is_int, interlacing_bounds, is_weakly_decreasing
-from stripconcave.flow import _pattern_rows
+from stripconcave.flow import _pattern_rows, _slacks
 from stripconcave.polytope import _require_ints
 
 KOSTKA_ROWS_MAX = 1_000_000
@@ -659,3 +661,89 @@ def level_kostka(lam, lam_bar, nu):
                 above[r] = above.get(r, 0) + ways
         level = above
     return level.get(lam_bar, 0)
+
+
+def _tiles_anchored(rows) -> bool:
+    """True iff every tile meets row 0 or row n.
+
+    A tile is a union-find component of cells joined by tight interlacing
+    equalities ``row_i[k] == row_{i-1}[k]`` or ``row_i[k+1] == row_{i-1}[k]``.
+    """
+    n = len(rows) - 1
+    start = [0]  # flat index of each row's first cell
+    for row in rows:
+        start.append(start[-1] + len(row))
+    parent = list(range(start[-1]))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for i in range(1, n + 1):
+        above, row, s, t = rows[i - 1], rows[i], start[i - 1], start[i]
+        for k, v in enumerate(above):
+            if row[k] == v:
+                parent[find(t + k)] = find(s + k)
+            if row[k + 1] == v:
+                parent[find(t + k + 1)] = find(s + k)
+    fixed = [*range(start[1]), *range(start[n], start[-1])]
+    anchored = {find(c) for c in fixed}
+    return all(find(c) in anchored for c in range(start[1], start[n]))
+
+
+def _support(rows) -> tuple:
+    """Edges ``(i, j, t)`` with a nonzero slack in the pattern ``rows``, sorted."""
+    e = _slacks(rows)
+    return tuple((i, j, t) for i, row in enumerate(e[0]) for j in range(len(row))
+                 for t in (0, 1) if e[t][i][j])
+
+
+def tile_search_vertices(lam, lam_bar):
+    """``enumerate_vertices`` by the whole-pattern tile test: fill rows
+    n-1 .. 0 from the boundary values depth first, counting placed rows
+    against ``flow.VERTEX_SEARCH_MAX`` as they are placed, keep every
+    finished pattern whose tiles (:func:`_tiles_anchored`) all meet row 0
+    or row n, and sort by the flow support tuples of :func:`_support`."""
+    lam, lam_bar = tuple(lam), tuple(lam_bar)
+    if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
+        raise InputError("boundary tuples must be weakly decreasing")
+    n, m = len(lam) - len(lam_bar), len(lam_bar)
+    if n < 1:
+        raise InputError("lambda must be longer than lambda_bar")
+    t = max(0, -lam[-1])
+    if t:
+        lam, lam_bar = tuple(v + t for v in lam), tuple(v + t for v in lam_bar)
+    values = sorted(set(lam) | set(lam_bar))
+    index = {v: k for k, v in enumerate(values)}
+
+    def row_choices(i, below):
+        # every bound is a boundary value, so each cell takes a slice of values
+        lo, hi = interlacing_bounds(i, below, lam_bar)
+        return product(*[values[index[a]:index[b] + 1] for a, b in zip(lo, hi)])
+
+    config = ConvexConfig.trapezoid(n, m)
+    rows = [None] * n + [lam]
+    stack = [row_choices(n - 1, lam)]  # one iterator per row, depth at most n
+    found = []
+    placed = 0
+    while stack:
+        i = n - len(stack)
+        row = next(stack[-1], None)
+        if row is None:
+            stack.pop()
+            continue
+        placed += 1
+        if placed > flow.VERTEX_SEARCH_MAX:
+            raise InputError(f"too many vertices: the search passed {flow.VERTEX_SEARCH_MAX} rows")
+        if i:
+            rows[i] = row
+            stack.append(row_choices(i - 1, row))
+        else:
+            rows[0] = row
+            if _tiles_anchored(rows):
+                found.append(tuple(rows))
+    found.sort(key=_support)
+    if t:
+        found = [[[v - t for v in r] for r in rows] for rows in found]
+    return [integrate(GTPattern(config, rows)) for rows in found]

@@ -116,6 +116,19 @@ def test_mu_length_must_match_nu(capsys, argv):
     assert_input_error(*run(capsys, *argv, "--spec", spec), "mu and nu must have the same length")
 
 
+@pytest.mark.parametrize(
+    "argv", [["check"], ["build"], ["kostka"], ["count", "--k", "2"]]
+)
+@pytest.mark.parametrize("spec", [
+    '{"lambda":[2,1],"lambda_bar":[1,1],"nu":[]}',
+    '{"lambda":[2,1],"lambda_bar":[2,1],"nu":[]}',
+    '{"lambda":[2,1],"lambda_bar":[2,1]}',
+])
+def test_empty_nu_is_one_input_error(capsys, argv, spec):
+    # n = 0 has no shape, so every command that reads nu refuses it alike
+    assert_input_error(*run(capsys, *argv, "--spec", spec), 'spec needs n >= 1: "nu" is empty')
+
+
 def test_build_and_check_round_trip(capsys):
     spec = '{"lambda":[5,2,1],"nu":[3,2,3]}'
     code, out, _ = run(capsys, "build", "--spec", spec)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +32,7 @@ from stripconcave import (
     validate_array,
     zigzag_swap,
 )
+from stripconcave import flow as flow_module
 from stripconcave.fixtures import swapped_flow, trapezoid_flow, trapezoid_pattern
 
 from oracles import (
@@ -41,6 +43,7 @@ from oracles import (
     pattern_nu,
     random_pattern,
     tight_system_rank,
+    tile_search_vertices,
 )
 
 
@@ -257,6 +260,34 @@ def test_vertices_negative_lambda(lam, bar, shifted):
 
 def test_vertices_staircase_count():
     assert len(enumerate_vertices((6, 5, 4, 3, 2, 1), ())) == 4884
+
+
+def test_vertices_match_tile_search():
+    # the frontier search gives the whole-pattern tile test's vertices, in
+    # its order and with its types, on int, Fraction and negative boundaries
+    rng = random.Random(1616)
+    kinds = Counter()
+    for trial in range(240):
+        d = 1 if trial < 160 else rng.choice((2, 3))
+        n, m = rng.randint(1, 4), rng.randint(0, 3)
+        p = random_pattern(rng, n, m, rng.choice((-4, 0)), rng.choice((2, 3, 5)))
+        lam, bar = (tuple(Fraction(v, d) if v % d else v // d for v in row)
+                    for row in (p.rows[-1], p.rows[0]))
+        got = enumerate_vertices(lam, bar)
+        assert repr(got) == repr(tile_search_vertices(lam, bar)), (lam, bar)
+        kinds.update({"int": d == 1, "negative": lam[-1] < 0, "many": len(got) > 20})
+    assert kinds["int"] == 160 and min(kinds.values()) >= 30, kinds
+
+
+def test_vertex_guard_counts_the_rows_exactly(monkeypatch):
+    # (7,..,0)/(6,4,2,0): the search places 13 360 rows, so a cap one lower refuses it
+    lam, bar = tuple(range(7, -1, -1)), (6, 4, 2, 0)
+    monkeypatch.setattr(flow_module, "VERTEX_SEARCH_MAX", 13_359)
+    for search in (enumerate_vertices, tile_search_vertices):
+        with pytest.raises(InputError, match="too many vertices"):
+            search(lam, bar)
+    monkeypatch.setattr(flow_module, "VERTEX_SEARCH_MAX", 13_360)
+    assert len(enumerate_vertices(lam, bar)) == len(tile_search_vertices(lam, bar)) == 3696
 
 
 def flow_support(x):
