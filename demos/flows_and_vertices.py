@@ -59,4 +59,4 @@ print("weighted generator sum reproduces the pattern:",
 
 print()
 print("=== gamma is a bijection ===")
-print("round trip recovers the array:", gamma_inv(g, lam).rows == x.rows)
+print("round trip recovers the array:", gamma_inv(g).rows == x.rows)

@@ -23,7 +23,6 @@ from .core import (
     derivative,
     extend_to_trapezoid,
     integrate,
-    pattern_constraints,
     pattern_from_json,
     pattern_to_json,
     rat,
@@ -39,7 +38,6 @@ from .core import (
 from .feasibility import (
     Certificate,
     FeasibilityVerdict,
-    best_subset,
     check_general,
     check_parallelogram,
     check_trapezoid,

@@ -22,7 +22,6 @@ from .core import (
     InfeasibleError,
     InputError,
     InternalError,
-    _boundary_field,
     array_from_json,
     array_to_json,
     canonical_json,
@@ -34,7 +33,6 @@ from .core import (
 )
 from .feasibility import check_general, check_parallelogram, check_trapezoid
 from .flow import (
-    boundary_of_flow,
     enumerate_vertices,
     flow_from_json,
     flow_to_json,
@@ -112,12 +110,7 @@ def _cmd_flow(args) -> int:
     else:
         if not args.flow:
             raise InputError("flow from needs --flow")
-        g = flow_from_json(_load_json(args.flow))
-        if args.lam is not None:
-            lam = _boundary_field("lambda", _load_json(args.lam))
-        else:
-            lam, _ = boundary_of_flow(g)
-        _emit(array_to_json(gamma_inv(g, lam)))
+        _emit(array_to_json(gamma_inv(flow_from_json(_load_json(args.flow)))))
     return 0
 
 
@@ -217,7 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("direction", choices=["to", "from"])
     p.add_argument("--array")
     p.add_argument("--flow")
-    p.add_argument("--lambda", dest="lam")
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("vertices", help="enumerate polytope vertices")

@@ -1,17 +1,18 @@
 """Witness construction for feasible boundary data.
 
-The trapezoidal case repeatedly truncates matching extreme entries of the
-two boundary tuples and otherwise lowers a run of entries of both tuples by a
-common step, rebuilding the array through a ramp lift.  The step is the
-largest one that keeps the tuples ordered (with the lift applied in exact
-sub-steps).  Once ``lam_bar`` is empty, the triangle that is left is solved
-row by row, peeling the last entry of ``nu`` off ``lam``; a triangle is the
-trapezoid with ``m = 0`` and goes through the same builder.  The lifts are
-replayed on the interlacing slacks of the pattern (the edge values of
-``flow._slacks``), where a lift moves two slacks per row pair, so it costs
-``O(n)`` however wide its ramp; the rows, the same as those of a cell-by-cell
-replay, are summed up once at the end.  The output is integral for integer
-data, and on the triangle it is a vertex of the corresponding polytope.
+Every witness is solved on a trapezoid: a convex configuration is decided
+once and extended once to its trapezoid, the pattern of the content
+``nu - mu`` is solved there and integrated once with ``mu``, and the array
+is restricted back.  The solver repeatedly truncates matching extreme
+entries of the two boundary tuples and otherwise lowers a run of entries of
+both tuples by a common step, rebuilding the pattern through a ramp lift.
+The step is the largest one that keeps the tuples ordered (with the lift
+applied in exact sub-steps).  Once ``lam_bar`` is empty, the triangle that
+is left is solved row by row, peeling the last entry of ``nu`` off ``lam``.
+The lifts are replayed on the interlacing slacks of the pattern (the edge
+values of ``flow._slacks``), two per row pair, so a lift costs ``O(n)``
+however wide its ramp.  The output is integral for integer data, and on
+the triangle it is a vertex of the corresponding polytope.
 """
 from __future__ import annotations
 
@@ -30,12 +31,10 @@ from .core import (
     Rat,
     StripConcaveArray,
     deficits,
-    derivative,
     extend_to_trapezoid,
     integrate,
     is_weakly_decreasing,
     restrict_to,
-    shift_mu,
 )
 from .feasibility import check_general, check_trapezoid
 
@@ -200,6 +199,21 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
     return rows
 
 
+def _witness(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveArray:
+    """The pattern of feasible ``spec`` on the trapezoid ``config``, integrated with
+    ``mu``; it is solved with ``lam``, ``lam_bar`` and ``nu - mu`` shifted by one
+    constant that makes ``lam`` nonnegative."""
+    t = max(0, -(min(spec.lam, default=0) // 1))  # an int, so int entries stay int
+    rows = _solve_trapezoid(
+        tuple(v + t for v in spec.lam),
+        tuple(v + t for v in spec.lam_bar),
+        tuple(w - u + t for u, w in zip(spec.mu, spec.nu)),
+    )
+    if t:
+        rows = [[v - t for v in row] for row in rows]
+    return integrate(GTPattern(config, rows), spec.mu)
+
+
 def build_trapezoid(
     lam: Sequence[Rat],
     lam_bar: Sequence[Rat],
@@ -208,7 +222,8 @@ def build_trapezoid(
     """Witness array with boundary ``(lam, lam_bar, 0^n, nu)`` on the trapezoid.
 
     Each lowering takes the largest exact step at once.  Integer inputs
-    yield an integer array.
+    yield an integer array.  ``n = 0`` is refused, feasible or not, as no
+    configuration has an empty top row.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -216,39 +231,24 @@ def build_trapezoid(
     n, m = len(nu), len(lam_bar)
     if len(lam) != n + m:
         raise InputError("lambda must have length n+m")
+    config = ConvexConfig.trapezoid(n, m)
     spec = BoundarySpec(lam, lam_bar, (0,) * n, nu)
     verdict = check_trapezoid(spec, n, m)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
-    config = ConvexConfig.trapezoid(n, m)  # refuses n = 0, where the top row runs empty
-    # shift so that lambda is nonnegative (adds a constant to every pattern
-    # entry and to each nu entry)
-    t = max(0, -(min(lam, default=0) // 1))  # an int, so int entries stay int
-    rows = _solve_trapezoid(
-        tuple(v + t for v in lam),
-        tuple(v + t for v in lam_bar),
-        tuple(v + t for v in nu),
-    )
-    if t:
-        rows = [[v - t for v in row] for row in rows]
-    pattern = GTPattern(config, tuple(tuple(r) for r in rows))
-    return integrate(pattern)
+    return _witness(config, spec)
 
 
 def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveArray:
     """Witness array for an arbitrary convex configuration and boundary.
 
-    Extends to the trapezoid, normalizes the left boundary away, builds a
-    trapezoidal witness, then undoes the shift and restricts back.
+    Decides once with :func:`check_general`, builds the witness of the
+    extended boundary on the enclosing trapezoid, and restricts it back.
     """
     verdict = check_general(config, spec)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
-    tconfig, tspec = extend_to_trapezoid(config, spec)
-    normalized = shift_mu(tspec)
-    flat = build_trapezoid(normalized.lam, normalized.lam_bar, normalized.nu)
-    witness = integrate(derivative(flat), tspec.mu)
-    return restrict_to(witness, config)
+    return restrict_to(_witness(*extend_to_trapezoid(config, spec)), config)
 
 
 def reduce_to_triangle(lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:

@@ -12,8 +12,8 @@ import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from operator import attrgetter, ge, neg, sub
-from typing import Iterator, Sequence, Union
+from operator import attrgetter, ge, gt, lt, neg, sub
+from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -245,21 +245,6 @@ class BoundarySpec(Record):
 # operations
 # ---------------------------------------------------------------------------
 
-def pattern_constraints(config: ConvexConfig) -> Iterator[tuple]:
-    """Yield the rhombus-inequality instances for a configuration.
-
-    Each item is ``("upper", i, j)`` meaning ``dx_{ij} >= dx_{i-1,j}`` or
-    ``("lower", i, j)`` meaning ``dx_{i-1,j} >= dx_{i,j+1}``.
-    """
-    a, b = config.a, config.b
-    for i in range(1, config.n + 1):
-        for j in range(a[i] + 1, b[i] + 1):
-            if a[i - 1] + 1 <= j <= b[i - 1]:
-                yield ("upper", i, j)
-            if j < b[i] and a[i - 1] + 1 <= j <= b[i - 1]:
-                yield ("lower", i, j)
-
-
 def validate_pattern(p: GTPattern) -> bool:
     """True iff every rhombus inequality holds on the pattern entries.
 
@@ -440,18 +425,17 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
 
 
 def restrict_to(x: StripConcaveArray, config: ConvexConfig) -> StripConcaveArray:
-    """Restrict an array on a larger configuration to a sub-configuration."""
+    """Restrict an array to a sub-configuration: row ``i`` keeps its slice
+    ``a_i - A_i .. b_i - A_i``, ``A_i`` the ``a_i`` of ``x.config``."""
     big = x.config
     if big.n != config.n:
         raise InputError("restriction requires equal row counts")
-    for i in range(config.n + 1):
-        if config.a[i] < big.a[i] or config.b[i] > big.b[i]:
-            raise InputError("target configuration is not contained in the source")
-    rows = tuple(
-        tuple(x.entry(i, j) for j in range(config.a[i], config.b[i] + 1))
-        for i in range(config.n + 1)
-    )
-    return StripConcaveArray(config, rows)
+    if any(map(lt, config.a, big.a)) or any(map(gt, config.b, big.b)):
+        raise InputError("target configuration is not contained in the source")
+    if config == big:
+        return x
+    return StripConcaveArray(config, [row[a - s : b - s + 1] for row, a, b, s
+                                      in zip(x.rows, config.a, config.b, big.a)])
 
 
 # ---------------------------------------------------------------------------

@@ -73,16 +73,6 @@ class FeasibilityVerdict(Record):
         }
 
 
-def best_subset(weights: Sequence[Rat], k: int) -> tuple:
-    """The size-``k`` subset of ``1..n`` maximizing the given weights.
-
-    Ties are broken toward the lexicographically smallest index set, which
-    keeps verdicts deterministic; any maximizer is equivalent for the
-    decision itself.
-    """
-    return tuple(sorted(i + 1 for i in _weight_order(weights)[:k]))
-
-
 def _weight_order(weights: Sequence[Rat]) -> list:
     """0-based indices by decreasing weight, ties broken toward the smaller index."""
     return sorted(range(len(weights)), key=lambda i: (-weights[i], i))

@@ -76,17 +76,15 @@ def _slacks(rows) -> tuple:
     return e0, e1
 
 
-def _pattern_rows(g: Flow, lam: Sequence[Rat]) -> tuple:
-    """The pattern rows ``row_i = row_{i+1}[:-1] - e1[i]`` up from ``row_n = lam``.
+def _pattern_rows(g: Flow) -> tuple:
+    """The pattern rows ``row_i = row_{i+1}[:-1] - e1[i]`` up from ``row_n = lam``,
+    the ``lam`` of :func:`boundary_of_flow`.
 
     As :func:`gamma` is a bijection, ``g`` is admissible (every divergence
     is the one the boundary prescribes) exactly when the slacks of these
     rows are ``g`` again; otherwise this raises :class:`InputError`.
     """
-    lam = tuple(lam)
-    if len(lam) != g.n + g.m:
-        raise InputError("boundary lengths do not match the graph")
-    rows = [lam]
+    rows = [boundary_of_flow(g)[0]]
     for e1 in reversed(g.e1):
         rows.append(tuple(map(sub, rows[-1][:-1], e1)))
     rows = tuple(rows[::-1])
@@ -122,15 +120,14 @@ def gamma(x: StripConcaveArray) -> Flow:
     return Flow(c.n, c.m, *_slacks(_trapezoid_derivative(x).rows))
 
 
-def gamma_inv(g: Flow, lam: Sequence[Rat]) -> StripConcaveArray:
-    """The array with lower boundary ``lam`` and zero left boundary whose
-    flow image is ``g``.
+def gamma_inv(g: Flow) -> StripConcaveArray:
+    """The array with zero left boundary whose flow image is ``g``.
 
-    The pattern is rebuilt from its slacks up from ``lam``; it raises
-    :class:`InputError` unless its slacks are ``g`` again, that is, unless
-    ``g`` is admissible for ``lam``.
+    The pattern is rebuilt from its slacks up from the ``lam`` that ``g``
+    carries; it raises :class:`InputError` unless its slacks are ``g``
+    again, that is, unless ``g`` is admissible.
     """
-    return integrate(GTPattern(ConvexConfig.trapezoid(g.n, g.m), _pattern_rows(g, lam)))
+    return integrate(GTPattern(ConvexConfig.trapezoid(g.n, g.m), _pattern_rows(g)))
 
 
 def nu_of_flow(g: Flow) -> tuple:
@@ -285,8 +282,7 @@ def _toggle(rows, layer: int) -> tuple:
 def swap_flow(g: Flow, layer: int) -> Flow:
     """The flow of the pattern of ``g`` after the row toggle of :func:`zigzag_swap`;
     raises :class:`InputError` unless ``g`` is admissible."""
-    rows = _pattern_rows(g, boundary_of_flow(g)[0])
-    return Flow(g.n, g.m, *_slacks(_toggle(rows, layer)))
+    return Flow(g.n, g.m, *_slacks(_toggle(_pattern_rows(g), layer)))
 
 
 def _swap_layers(x: StripConcaveArray, layers) -> StripConcaveArray:
@@ -393,7 +389,7 @@ def path_decompose(g: Flow) -> PathDecomposition:
     pattern (Stanley's layer-cake decomposition of a marked order polytope
     point).  Raises :class:`InputError` unless the flow is admissible.
     """
-    rows = _pattern_rows(g, boundary_of_flow(g)[0])
+    rows = _pattern_rows(g)
     values = sorted(set(chain.from_iterable(rows)) | {0}, reverse=True)
     negated, layers = [tuple(map(neg, row)) for row in rows], range(len(rows))
     return PathDecomposition(tuple(

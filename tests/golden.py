@@ -177,14 +177,7 @@ def check_general(rng, cli):
 
 
 def check_mode(rng, cli):
-    *_, spec = _trapezoid_case(rng)
-    cli("check", "--mode", "trapezoid", "--spec", _spec(*spec))
-    rows = _parallelogram_rows(rng, 2, 2, 0, 4)
-    cli("check", "--mode", "parallelogram", "--spec", _spec(*_boundary(_integrate(rows, [0, 0]))))
-    config, _, spec = _hexagon_case(rng)
-    cli("check", "--mode", "general", "--config", config, "--spec", _spec(*spec))
-    cli("check", "--mode", "general", "--spec", _spec(*spec))
-    cli("check", "--mode", "hexagon", "--spec", _spec(*spec))
+    cli("check", "--mode", "trapezoid", "--spec", '{"lambda":[1],"nu":[1]}')  # no --mode: exit 2
 
 
 def build(rng, cli):
@@ -205,13 +198,11 @@ def flow(rng, cli):
     for d in (1, 2):
         for lo in (0, -3):
             for _ in range(5):
-                n, m, rows, x, _ = _trapezoid_case(rng, lo=lo, d=d)
+                x = _trapezoid_case(rng, lo=lo, d=d)[3]
                 code, out, _ = cli("flow", "to", "--array", _rows_json(x))
                 if code:
                     continue
                 cli("flow", "from", "--flow", out)
-                cli("flow", "from", "--flow", out, "--lambda", json.dumps([_enc(v) for v in rows[-1]]))
-                cli("flow", "from", "--flow", out, "--lambda", json.dumps([_enc(v + 1) for v in rows[-1]]))
     config, xr, _ = _hexagon_case(rng)
     cli("flow", "to", "--array", json.dumps({"config": json.loads(config), "rows": json.loads(_rows_json(xr))}))
     cli("flow", "to")

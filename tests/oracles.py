@@ -1,8 +1,16 @@
-"""Independent brute-force oracles used to validate the library.
+"""Independent oracles used to validate the library.
 
 Everything here is deliberately naive: direct enumeration, bitmask subset
-sweeps, and exact Gaussian elimination, with no reuse of the library's own
-algorithms beyond the shared data types.
+sweeps, exact Gaussian elimination, and the per-cell algorithms that the
+library has replaced, kept as references.  The oracles share the library's
+data types and errors, and call three of its public functions where that
+function is not the one under test: ``integrate`` to turn patterns into
+arrays, ``extend_to_trapezoid`` in :func:`general_feasible_oracle` and
+``check_trapezoid`` as the zero test of :func:`level_kostka`.  Every other
+helper they need (interlacing bounds, pattern slacks, the pattern of a
+flow, the triangular solve, the integer checks) is written here again from
+its definition, so a fault in one of the library's helpers cannot reach
+both sides of an equivalence test.
 """
 from bisect import bisect_left
 from collections import Counter
@@ -18,19 +26,127 @@ from stripconcave import (
     InputError,
     InternalError,
     PathDecomposition,
-    boundary_of_flow,
+    StripConcaveArray,
     check_trapezoid,
     extend_to_trapezoid,
     integrate,
-    pattern_constraints,
 )
 from stripconcave import flow
-from stripconcave.construct import _triangular_rows
-from stripconcave.core import _is_int, interlacing_bounds, is_weakly_decreasing
-from stripconcave.flow import _pattern_rows, _slacks
-from stripconcave.polytope import _require_ints
 
 KOSTKA_ROWS_MAX = 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# helpers, written from their definitions
+# ---------------------------------------------------------------------------
+
+def is_int(value):
+    """An integer JSON value: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_ints(*seqs):
+    """Refuse any entry that is not an ``int``, as the counting functions do."""
+    if any(not isinstance(v, int) for seq in seqs for v in seq):
+        raise InputError("counting requires integer data")
+
+
+def decreasing(seq):
+    """True iff ``seq`` is weakly decreasing."""
+    return all(seq[k] >= seq[k + 1] for k in range(len(seq) - 1))
+
+
+def interlacing_bounds(i, below, lam_bar):
+    """Bounds ``(lo, hi)`` on cell ``k`` of row ``i`` of a pattern with row 0
+    ``lam_bar``, given row ``i + 1`` as ``below``: interlacing gives
+    ``below[k + 1] <= cell <= below[k]``, and chains of it up to row 0 give
+    ``lam_bar[k] <= cell <= lam_bar[k - i]`` where those indices exist."""
+    m, cells = len(lam_bar), range(len(below) - 1)
+    lo = [max(below[k + 1], lam_bar[k]) if k < m else below[k + 1] for k in cells]
+    hi = [min(below[k], lam_bar[k - i]) if 0 <= k - i < m else below[k] for k in cells]
+    return lo, hi
+
+
+def pattern_slacks(rows):
+    """Edge values ``(e0, e1)`` of a pattern with rows ``0..n``: the slacks
+    ``e0[i][j] = row_i[j - 1] - row_{i+1}[j]`` and ``e1[i][j] = row_{i+1}[j] -
+    row_i[j]`` of the interlacing inequalities, where ``row_i[-1]`` reads as
+    ``lam_1`` and ``row_i[i + m]`` as 0."""
+    e0, e1 = [], []
+    for up, down in zip(rows, rows[1:]):
+        e0.append(tuple((up[j - 1] if j else rows[-1][0]) - down[j] for j in range(len(down))))
+        e1.append(tuple(down[j] - (up[j] if j < len(up) else 0) for j in range(len(down))))
+    return tuple(e0), tuple(e1)
+
+
+def flow_pattern_rows(g):
+    """The pattern of a flow: row ``n`` is ``lam``, ``lam_j`` the inflow into
+    the bottom-layer nodes ``j..n+m``, and row ``i`` is row ``i + 1`` without
+    its last entry, minus ``e1[i]``.  Raises :class:`InputError` unless the
+    slacks of these rows are ``g`` again, that is, unless ``g`` is admissible."""
+    inflow = [divergence(g, (g.n, j)) for j in range(1, g.n + g.m + 1)]
+    rows = [tuple(accumulate(reversed(inflow)))[::-1]]
+    for i in range(g.n - 1, -1, -1):
+        rows.append(tuple(v - e for v, e in zip(rows[-1][:-1], g.e1[i])))
+    rows = tuple(rows[::-1])
+    if pattern_slacks(rows) != (g.e0, g.e1):
+        raise InputError("flow is not admissible: its divergences do not match the boundary")
+    return rows
+
+
+def triangular_rows(lam, nu):
+    """Rows ``0..n`` of a pattern on the triangle with row ``n`` ``lam`` and
+    content ``nu``: row ``k - 1`` is row ``k`` with its first pair of
+    neighbours ``r_p >= r_{p+1}`` where ``r_{p+1} <= nu_k`` merged into the
+    single entry ``r_p + r_{p+1} - nu_k``."""
+    rows = [tuple(lam)]
+    for k in range(len(lam), 1, -1):
+        row = rows[-1]
+        p = next((p for p in range(k - 1) if row[p + 1] <= nu[k - 1]), None)
+        if p is None:
+            raise InternalError("no pivot position for a feasible triangular boundary")
+        rows.append(row[:p] + (row[p] + row[p + 1] - nu[k - 1],) + row[p + 2:])
+    if lam:
+        rows.append(())
+    return rows[::-1]
+
+
+def best_subset(weights, k):
+    """The size-``k`` subset of ``1..n`` with the largest weight, the
+    lexicographically smallest one among ties."""
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    return tuple(sorted(i + 1 for i in order[:k]))
+
+
+def pattern_constraints(config):
+    """Yield the rhombus-inequality instances for a configuration.
+
+    Each item is ``("upper", i, j)`` meaning ``dx_{ij} >= dx_{i-1,j}`` or
+    ``("lower", i, j)`` meaning ``dx_{i-1,j} >= dx_{i,j+1}``.
+    """
+    a, b = config.a, config.b
+    for i in range(1, config.n + 1):
+        for j in range(a[i] + 1, b[i] + 1):
+            if a[i - 1] + 1 <= j <= b[i - 1]:
+                yield ("upper", i, j)
+            if j < b[i] and a[i - 1] + 1 <= j <= b[i - 1]:
+                yield ("lower", i, j)
+
+
+def entrywise_restrict_to(x, config):
+    """``restrict_to`` cell by cell: entry ``(i, j)`` of the restriction is
+    ``x.entry(i, j)`` for ``a_i <= j <= b_i`` of the smaller configuration."""
+    big = x.config
+    if big.n != config.n:
+        raise InputError("restriction requires equal row counts")
+    for i in range(config.n + 1):
+        if config.a[i] < big.a[i] or config.b[i] > big.b[i]:
+            raise InputError("target configuration is not contained in the source")
+    rows = tuple(
+        tuple(x.entry(i, j) for j in range(config.a[i], config.b[i] + 1))
+        for i in range(config.n + 1)
+    )
+    return StripConcaveArray(config, rows)
 
 
 def interlacing_rows(lower):
@@ -195,7 +311,7 @@ def ramp_solve_trapezoid(lam, lab, nu, seen=None):
             raise InternalError("trapezoid construction exceeded its iteration cap")
         m = len(lab)
         if m == 0:
-            rows = [list(r) for r in _triangular_rows(lam, nu)]
+            rows = [list(r) for r in triangular_rows(lam, nu)]
             break
         if lam[-1] == lab[-1]:
             ops.append(("column", lab[-1]))
@@ -324,7 +440,7 @@ def deficits_definition(lam, lam_bar, n=None):
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
-    if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
+    if not decreasing(lam) or not decreasing(lam_bar):
         raise InputError("deficits need weakly decreasing inputs")
     if n is None:
         n = len(lam) - len(lam_bar)
@@ -522,7 +638,7 @@ def greedy_path_decompose(g: Flow) -> PathDecomposition:
     :class:`InputError` unless the flow is admissible.
     """
     n, m = g.n, g.m
-    _pattern_rows(g, boundary_of_flow(g)[0])
+    flow_pattern_rows(g)
     e0 = [list(r) for r in g.e0]
     e1 = [list(r) for r in g.e1]
     paths = []
@@ -556,7 +672,7 @@ def check_skew_tableau(outer, inner, rows):
     ``(outer, inner, rows)`` or raises :class:`InputError`."""
     outer, inner, rows = tuple(outer), tuple(inner), tuple(tuple(r) for r in rows)
     for name, part in (("outer", outer), ("inner", inner)):
-        if any(not _is_int(v) or v < 0 for v in part):
+        if any(not is_int(v) or v < 0 for v in part):
             raise InputError(f"{name} shape must be a nonnegative integer partition")
         if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
             raise InputError(f"{name} shape must be weakly decreasing")
@@ -571,7 +687,7 @@ def check_skew_tableau(outer, inner, rows):
     for r, row in enumerate(rows):
         if len(row) != outer[r] - pad[r]:
             raise InputError(f"row {r + 1} must hold {outer[r] - pad[r]} entries")
-        if any(not _is_int(v) or not 1 <= v <= n for v in row):
+        if any(not is_int(v) or not 1 <= v <= n for v in row):
             raise InputError(f"entries must be integers in 1..{n}")
         if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
             raise InputError(f"row {r + 1} must be weakly increasing")
@@ -619,7 +735,7 @@ def level_kostka(lam, lam_bar, nu):
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
     nu = tuple(nu)
-    _require_ints(lam, lam_bar, nu)
+    require_ints(lam, lam_bar, nu)
     n = len(nu)
     width = n + len(lam_bar)
     # trailing zero parts are empty rows; rows beyond n+m cannot be filled
@@ -694,7 +810,7 @@ def _tiles_anchored(rows) -> bool:
 
 def _support(rows) -> tuple:
     """Edges ``(i, j, t)`` with a nonzero slack in the pattern ``rows``, sorted."""
-    e = _slacks(rows)
+    e = pattern_slacks(rows)
     return tuple((i, j, t) for i, row in enumerate(e[0]) for j in range(len(row))
                  for t in (0, 1) if e[t][i][j])
 
@@ -706,7 +822,7 @@ def tile_search_vertices(lam, lam_bar):
     finished pattern whose tiles (:func:`_tiles_anchored`) all meet row 0
     or row n, and sort by the flow support tuples of :func:`_support`."""
     lam, lam_bar = tuple(lam), tuple(lam_bar)
-    if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
+    if not decreasing(lam) or not decreasing(lam_bar):
         raise InputError("boundary tuples must be weakly decreasing")
     n, m = len(lam) - len(lam_bar), len(lam_bar)
     if n < 1:

@@ -163,7 +163,7 @@ def test_criterion_4_flow_bijection():
             assert (lam, bar) == (p.rows[-1], p.rows[0])
             assert admissibility_violation(g, lam, bar) is None
             assert nu_of_flow(g) == pattern_nu(p.rows)
-            y = gamma_inv(g, lam)
+            y = gamma_inv(g)
             assert y.rows == x.rows
             assert gamma(y) == g
 

@@ -200,11 +200,20 @@ def test_swap_domains(capsys):
 
 def test_flow_from_lambda_must_be_a_list(capsys):
     flow = '{"n":1,"m":0,"e0":[[0]],"e1":[[1]]}'
-    code, out, _ = run(capsys, "flow", "from", "--flow", flow, "--lambda", "[1]")
+    code, out, _ = run(capsys, "flow", "from", "--flow", flow)
     assert code == 0 and json.loads(out)["rows"] == [[0], [0, 1]]
     # the keys of an object are not a list: {"1": "x"} must not read as lambda = (1,)
-    argv = ("flow", "from", "--flow", flow, "--lambda", '{"1": "x"}')
-    assert_input_error(*run(capsys, *argv), 'boundary "lambda" must be a list')
+    for command in ("check", "build", "kostka"):
+        argv = (command, "--spec", '{"lambda": {"1": "x"}, "nu": [1]}')
+        assert_input_error(*run(capsys, *argv), 'boundary "lambda" must be a list')
+
+
+def test_flow_from_lambda_option_exits_2(capsys):
+    # a flow carries its lambda (boundary_of_flow): there is no --lambda
+    flow = '{"n":1,"m":0,"e0":[[0]],"e1":[[1]]}'
+    for lam in ("[1]", "[2]"):
+        argv = ("flow", "from", "--flow", flow, "--lambda", lam)
+        assert_input_error(*run(capsys, *argv), "--lambda")
 
 
 def test_vertices(capsys):

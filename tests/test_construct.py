@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stripconcave import (
     BoundarySpec,
+    ConvexConfig,
     InfeasibleError,
     InputError,
     boundary,
@@ -21,6 +22,7 @@ from stripconcave import (
     shift_mu,
     validate_array,
 )
+from stripconcave import construct, core, feasibility
 from stripconcave.construct import _solve_trapezoid
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
@@ -232,6 +234,44 @@ def test_general_build_hexagon():
     x = mu_general_build(hexagon_array().config, hb)
     assert validate_array(x)
     assert boundary(x) == hb
+
+
+def test_builds_check_once_solve_once_integrate_once(monkeypatch):
+    calls = Counter()
+    for module, name in ((feasibility, "check_trapezoid"), (construct, "check_trapezoid"),
+                         (construct, "_solve_trapezoid"), (construct, "integrate"),
+                         (core, "derivative")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert not hasattr(construct, "derivative")
+    hexagon, trapezoid = hexagon_array(), trapezoid_array()
+    once = {"check_trapezoid": 1, "_solve_trapezoid": 1, "integrate": 1}
+    parallelogram = BoundarySpec((3, 1), (2, 0), (1, -1), (2, 0))
+    for config, spec in ((hexagon.config, boundary(hexagon)),
+                         (trapezoid.config, boundary(trapezoid)),
+                         (ConvexConfig.parallelogram(2, 2), parallelogram)):
+        calls.clear()
+        x = mu_general_build(config, spec)
+        assert calls == once, (config, calls)
+        assert validate_array(x) and boundary(x) == spec
+    calls.clear()
+    build_trapezoid((6, 4, 3, 1, 1), (5, 2), (3, 2, 3))
+    assert calls == once
+    calls.clear()
+    with pytest.raises(InfeasibleError):
+        mu_general_build(hexagon.config, BoundarySpec((3, 0), (2, 1), (2, -2, 5), (1, -5, 9)))
+    assert calls == {"check_trapezoid": 1}
+
+
+def test_build_trapezoid_refuses_n_0_feasible_or_not():
+    # no configuration has an empty top row, as the CLI refuses an empty nu
+    assert check_trapezoid(BoundarySpec((2, 1), (2, 1), (), ()), 0, 2).feasible
+    assert not check_trapezoid(BoundarySpec((2, 1), (1, 1), (), ()), 0, 2).feasible
+    for lam_bar in ((2, 1), (1, 1)):
+        with pytest.raises(InputError, match="n >= 1"):
+            build_trapezoid((2, 1), lam_bar, ())
 
 
 def test_reduce_to_triangle_worked_example():

@@ -2,6 +2,8 @@ import copy
 import json
 import pickle
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,7 +36,7 @@ from stripconcave import (
     validate_array,
     validate_pattern,
 )
-from oracles import broken_constraints, deficits_definition, random_pattern
+from oracles import broken_constraints, deficits_definition, entrywise_restrict_to, random_pattern
 from stripconcave.core import GTPattern, Record, StripConcaveArray
 from stripconcave.fixtures import (
     hexagon_array,
@@ -381,6 +383,33 @@ def test_restrict_to_round_trip():
     y = restrict_to(x, sub)
     assert y.entry(3, 1) == x.entry(3, 1)
     assert len(y.rows[0]) == 3
+
+
+def test_restrict_to_matches_entrywise_restriction():
+    """Row slices against the cell-by-cell oracle: arrays on trapezoids and
+    on hexagons restricted to the configurations inside them, errors too."""
+    rng = random.Random(4418)
+    seen = Counter()
+    for k in range(600):
+        config = _random_config(rng)
+        n, m = config.n, config.m
+        big = ConvexConfig.trapezoid(n, m) if k % 3 else _random_config(rng)
+        value = (lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))) if k % 2 else (
+            lambda: rng.randint(-9, 9))
+        x = StripConcaveArray(big, [[value() for _ in range(b - a + 1)]
+                                    for a, b in zip(big.a, big.b)])
+        for target in (config, big, ConvexConfig.trapezoid(n + 1, m)):
+            try:
+                want = entrywise_restrict_to(x, target)
+            except InputError as exc:
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    restrict_to(x, target)
+                continue
+            got = restrict_to(x, target)
+            assert repr(got) == repr(want)
+            assert got is x if target == big else got.config == target
+            seen[target == big, target.is_trapezoidal] += 1
+    assert min(seen[False, False], seen[True, False], seen[True, True]) > 100, seen
 
 
 def test_array_json_round_trip():

@@ -13,7 +13,6 @@ from stripconcave import (
     FeasibilityVerdict,
     InputError,
     StripConcaveArray,
-    best_subset,
     boundary,
     canonical_json,
     check_general,
@@ -29,7 +28,13 @@ from stripconcave import (
 )
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
-from oracles import exhaustive_feasible, feasible_nu_set, general_feasible_oracle, random_pattern
+from oracles import (
+    best_subset,
+    exhaustive_feasible,
+    feasible_nu_set,
+    general_feasible_oracle,
+    random_pattern,
+)
 
 
 def spec_of(lam, lam_bar, mu, nu):
