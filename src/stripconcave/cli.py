@@ -4,9 +4,9 @@ Every subcommand reads JSON (inline or from a file path), writes canonical
 JSON to standard output, and exits 0 on success, 1 on infeasibility, 2 on
 bad input and 3 on an internal guard failure.  ``check``, ``build``,
 ``kostka`` and ``count`` refuse an empty ``nu`` (``n = 0``).  ``check``
-decides on the ``--config`` configuration, else on the parallelogram when
-``lambda`` is as long as ``lambda_bar``, else on the trapezoid, and
-``build`` builds on the same shape; ``kostka`` and ``count`` count the
+and ``build`` decide through ``check_general`` on one configuration: the
+``--config`` one, else the parallelogram when ``lambda`` is as long as
+``lambda_bar``, else the trapezoid.  ``kostka`` and ``count`` count the
 content ``nu - mu``.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
     shift_mu,
     spec_from_json,
 )
-from .feasibility import check_general, check_parallelogram, check_trapezoid
+from .feasibility import FeasibilityVerdict, check_general
 from .flow import (
     enumerate_vertices,
     flow_from_json,
@@ -73,31 +73,24 @@ def _load_spec(source: str):
     return spec
 
 
-def _shape(spec) -> tuple:
-    """``(n, m, parallelogram)`` of the shape that the lengths of ``spec`` fix."""
+def _config(args, spec):
+    """The ``--config`` configuration, else the shape that the lengths of ``spec`` fix."""
+    if args.config:
+        return config_from_json(_load_json(args.config))
     n, m = len(spec.nu), len(spec.lam_bar)
-    return n, m, len(spec.lam) == m
+    return (ConvexConfig.parallelogram if len(spec.lam) == m else ConvexConfig.trapezoid)(n, m)
 
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
-    if args.config:
-        verdict = check_general(config_from_json(_load_json(args.config)), spec)
-    else:
-        n, m, parallelogram = _shape(spec)
-        verdict = (check_parallelogram if parallelogram else check_trapezoid)(spec, n, m)
+    verdict = check_general(_config(args, spec), spec)
     _emit(verdict.to_json())
     return 0 if verdict.feasible else 1
 
 
 def _cmd_build(args) -> int:
     spec = _load_spec(args.spec)
-    if args.config:
-        config = config_from_json(_load_json(args.config))
-    else:
-        n, m, parallelogram = _shape(spec)
-        config = (ConvexConfig.parallelogram if parallelogram else ConvexConfig.trapezoid)(n, m)
-    _emit(array_to_json(mu_general_build(config, spec)))
+    _emit(array_to_json(mu_general_build(_config(args, spec), spec)))
     return 0
 
 
@@ -262,7 +255,7 @@ def main(argv=None) -> int:
         print(canonical_json({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2
     except InfeasibleError as exc:
-        _emit({"feasible": False, "certificate": exc.certificate.to_json()})
+        _emit(FeasibilityVerdict(exc.certificate).to_json())
         return 1
     except InternalError as exc:
         print(canonical_json({"error": "internal", "message": str(exc)}), file=sys.stderr)

@@ -1,7 +1,8 @@
 """Witness construction for feasible boundary data.
 
-Every witness is solved on a trapezoid: a convex configuration is decided
-once and extended once to its trapezoid, the pattern of the content
+Every witness is built by :func:`mu_general_build`, :func:`build_trapezoid`
+included: the decision of :func:`~stripconcave.feasibility.check_general`
+extends the configuration once to its trapezoid, the pattern of the content
 ``nu - mu`` is solved there and integrated once with ``mu``, and the array
 is restricted back.  The solver repeatedly truncates matching extreme
 entries of the two boundary tuples and otherwise lowers a run of entries of
@@ -31,12 +32,11 @@ from .core import (
     Rat,
     StripConcaveArray,
     deficits,
-    extend_to_trapezoid,
     integrate,
     is_weakly_decreasing,
     restrict_to,
 )
-from .feasibility import check_general, check_trapezoid
+from .feasibility import _decide
 
 
 def _triangular_rows(lam: tuple, nu: tuple) -> list:
@@ -199,21 +199,6 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
     return rows
 
 
-def _witness(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveArray:
-    """The pattern of feasible ``spec`` on the trapezoid ``config``, integrated with
-    ``mu``; it is solved with ``lam``, ``lam_bar`` and ``nu - mu`` shifted by one
-    constant that makes ``lam`` nonnegative."""
-    t = max(0, -(min(spec.lam, default=0) // 1))  # an int, so int entries stay int
-    rows = _solve_trapezoid(
-        tuple(v + t for v in spec.lam),
-        tuple(v + t for v in spec.lam_bar),
-        tuple(w - u + t for u, w in zip(spec.mu, spec.nu)),
-    )
-    if t:
-        rows = [[v - t for v in row] for row in rows]
-    return integrate(GTPattern(config, rows), spec.mu)
-
-
 def build_trapezoid(
     lam: Sequence[Rat],
     lam_bar: Sequence[Rat],
@@ -231,24 +216,30 @@ def build_trapezoid(
     n, m = len(nu), len(lam_bar)
     if len(lam) != n + m:
         raise InputError("lambda must have length n+m")
-    config = ConvexConfig.trapezoid(n, m)
-    spec = BoundarySpec(lam, lam_bar, (0,) * n, nu)
-    verdict = check_trapezoid(spec, n, m)
-    if not verdict.feasible:
-        raise InfeasibleError(verdict.certificate)
-    return _witness(config, spec)
+    return mu_general_build(ConvexConfig.trapezoid(n, m), BoundarySpec(lam, lam_bar, (0,) * n, nu))
 
 
 def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveArray:
     """Witness array for an arbitrary convex configuration and boundary.
 
-    Decides once with :func:`check_general`, builds the witness of the
-    extended boundary on the enclosing trapezoid, and restricts it back.
+    Decides once as :func:`check_general` does, which extends once to the
+    enclosing trapezoid.  The pattern of the extended content ``nu - mu`` is
+    solved there with ``lam``, ``lam_bar`` and ``nu - mu`` shifted by one
+    constant that makes ``lam`` nonnegative, shifted back, integrated with
+    ``mu`` and restricted to ``config``.
     """
-    verdict = check_general(config, spec)
+    verdict, tconfig, tspec = _decide(config, spec)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
-    return restrict_to(_witness(*extend_to_trapezoid(config, spec)), config)
+    t = max(0, -(min(tspec.lam, default=0) // 1))  # an int, so int entries stay int
+    rows = _solve_trapezoid(
+        tuple(v + t for v in tspec.lam),
+        tuple(v + t for v in tspec.lam_bar),
+        tuple(w - u + t for u, w in zip(tspec.mu, tspec.nu)),
+    )
+    if t:
+        rows = [[v - t for v in row] for row in rows]
+    return restrict_to(integrate(GTPattern(tconfig, rows), tspec.mu), config)
 
 
 def reduce_to_triangle(lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:

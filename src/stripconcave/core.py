@@ -164,15 +164,8 @@ class ConvexConfig(Record):
         )
 
     @property
-    def is_triangular(self) -> bool:
-        return self.is_trapezoidal and self.m == 0
-
-    @property
     def is_parallelogram(self) -> bool:
         return all(x == 0 for x in self.a) and all(x == self.m for x in self.b)
-
-    def size(self) -> int:
-        return sum(self.b[i] - self.a[i] + 1 for i in range(self.n + 1))
 
 
 class StripConcaveArray(Record):

@@ -147,21 +147,29 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdic
     return FeasibilityVerdict(cert)
 
 
-def check_general(config: ConvexConfig, spec: BoundarySpec) -> FeasibilityVerdict:
-    """Feasibility for an arbitrary convex configuration.
-
-    Reduces to the trapezoid of size ``(n, b_0)`` by the boundary extension
-    with the constant :func:`~stripconcave.core.rough_bound`; the extension
-    preserves feasibility in both directions, and the violated subset of a
-    negative verdict indexes the original rows.
-
-    On a non-trapezoidal configuration a subset certificate carries only
-    ``I``: the extension's left-hand side reads ``A + B c`` in the reduction
-    constant ``c``, and the inequality fails for every large ``c``.
-    """
+def _decide(config: ConvexConfig, spec: BoundarySpec) -> tuple:
+    """``(verdict, trapezoid_config, extended_spec)``: the verdict of
+    :func:`check_general` and the extension it was decided on, made once."""
     tconfig, tspec = extend_to_trapezoid(config, spec)
+    if config.is_parallelogram:
+        return check_parallelogram(spec, config.n, config.m), tconfig, tspec
     verdict = check_trapezoid(tspec, tconfig.n, tconfig.m)
     cert = verdict.certificate
     if cert is not None and cert.kind == "subset" and not config.is_trapezoidal:
-        return FeasibilityVerdict(Certificate("subset", cert.subset))
-    return verdict
+        verdict = FeasibilityVerdict(Certificate("subset", cert.subset))
+    return verdict, tconfig, tspec
+
+
+def check_general(config: ConvexConfig, spec: BoundarySpec) -> FeasibilityVerdict:
+    """Feasibility for an arbitrary convex configuration.
+
+    The boundary extension to the trapezoid of size ``(n, b_0)``, with the
+    constant :func:`~stripconcave.core.rough_bound`, is the one length check
+    and preserves feasibility in both directions.  A parallelogram is decided
+    by :func:`check_parallelogram`, any other shape by :func:`check_trapezoid`
+    on its extension; the violated subset ``I`` indexes the original rows.
+    Off trapezoids and parallelograms a subset certificate carries only
+    ``I``: the extension's left-hand side reads ``A + B c`` in the reduction
+    constant ``c``, and the inequality fails for every large ``c``.
+    """
+    return _decide(config, spec)[0]

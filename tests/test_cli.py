@@ -1,7 +1,10 @@
 import json
+import random
 import time
 
 import pytest
+
+import golden
 
 from stripconcave import (
     BoundarySpec,
@@ -151,6 +154,33 @@ def test_build_without_config_uses_the_shape_check_decides(capsys, spec):
     if feasible:
         x = array_from_json(json.loads(out))
         assert validate_array(x) and spec_to_json(boundary(x)) == json.loads(spec)
+
+
+def test_check_and_build_agree(capsys):
+    # one decision path: on the seeded specs of the golden families (trapezoids,
+    # parallelograms and hexagons, int and Fraction, nonzero mu, perturbed and
+    # malformed) both commands exit alike, and print the same verdict or error
+    argvs = []
+
+    def collect(*argv):
+        if argv[:1] in (("check",), ("build",)):
+            argvs.append(argv[1:])
+
+    def through_config(command, *args):  # the parallelogram that the lengths fix, passed explicitly
+        spec = json.loads(args[-1])
+        n, m = len(spec["nu"]), len(spec["lambda"])
+        argvs.append(args + ("--config", json.dumps({"n": n, "a": [0] * (n + 1), "b": [m] * (n + 1)})))
+
+    for family in (golden.check_trapezoid, golden.check_parallelogram, golden.check_general,
+                   golden.build, golden.mu_length, golden.empty_nu, golden.malformed):
+        family(random.Random(f"agree:{family.__name__}"), collect)
+    golden.check_parallelogram(random.Random("agree:config"), through_config)
+    assert len(argvs) > 250
+    for args in argvs:
+        checked, built = run(capsys, "check", *args), run(capsys, "build", *args)
+        assert checked[0] == built[0], args
+        if checked[0] != 0:
+            assert checked == built, args
 
 
 def test_build_infeasible_emits_certificate(capsys):

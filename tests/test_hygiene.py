@@ -1,15 +1,18 @@
 """Source hygiene: no package module imports a name it never uses, no
-private definition is left unused, no package function is recursive, and
-the CLI imports no heavy stdlib module."""
+private definition is left unused, every public name is read outside the
+tests, no package function is recursive, and the CLI imports no heavy
+stdlib module."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import stripconcave
 
 PACKAGE = Path(stripconcave.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list:
@@ -65,14 +68,21 @@ def unreferenced_private_definitions(sources: dict) -> list:
             and node.name.startswith("_")
             and not node.name.startswith("__")
         ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
+        read |= names_read(tree)
     return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def names_read(tree: ast.AST) -> set:
+    """Every name that appears as a ``Name``, as an attribute or in an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
 
 
 def test_no_unreferenced_private_definitions():
@@ -94,6 +104,34 @@ def test_detector_flags_unreferenced_private_definitions():
         "c": "def _attr_only():\n    pass\n",
     }
     assert unreferenced_private_definitions(sources) == ["a:_DeadClass", "a:_dead"]
+
+
+# Public names that only the tests read, each kept for a reason of its own.
+UNREAD_PUBLIC_NAMES = {
+    "spec_to_json": "the inverse of spec_from_json",
+    "permute_nu": "the paper's rearrangement of nu by adjacent zigzag swaps",
+}
+
+
+def unread_public_names(public, sources) -> list:
+    """The names of ``public`` that none of ``sources`` reads."""
+    read = set().union(*(names_read(ast.parse(source)) for source in sources))
+    return sorted(set(public) - read)
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # read by a package module other than __init__, a demo or the benchmark
+    public = [name for name in stripconcave.__all__
+              if not isinstance(getattr(stripconcave, name), ModuleType)]
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "bench").glob("*.py"))
+    assert unread_public_names(public, [path.read_text() for path in paths]) == sorted(UNREAD_PUBLIC_NAMES)
+
+
+def test_detector_flags_unread_public_names():
+    sources = ["from a import imported\n", "import a\na.attr_only\nname_only()\n"]
+    public = ["imported", "attr_only", "name_only", "planted"]
+    assert unread_public_names(public, sources) == ["planted"]
 
 
 def self_calling_functions(source: str) -> list:
