@@ -1,8 +1,9 @@
 """Witness construction for feasible boundary data.
 
 Every witness is built by :func:`mu_general_build`, :func:`build_trapezoid`
-included: the decision of :func:`~stripconcave.feasibility.check_general`
-extends the configuration once to its trapezoid, the pattern of the content
+included: it decides as :func:`~stripconcave.feasibility.check_general`
+does and extends the configuration once to its trapezoid (a parallelogram
+only once its verdict is feasible), the pattern of the content
 ``nu - mu`` is solved there and integrated once with ``mu``, and the array
 is restricted back.  The solver repeatedly truncates matching extreme
 entries of the two boundary tuples and otherwise lowers a run of entries of
@@ -32,6 +33,7 @@ from .core import (
     Rat,
     StripConcaveArray,
     deficits,
+    extend_to_trapezoid,
     integrate,
     is_weakly_decreasing,
     restrict_to,
@@ -222,15 +224,17 @@ def build_trapezoid(
 def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveArray:
     """Witness array for an arbitrary convex configuration and boundary.
 
-    Decides once as :func:`check_general` does, which extends once to the
-    enclosing trapezoid.  The pattern of the extended content ``nu - mu`` is
-    solved there with ``lam``, ``lam_bar`` and ``nu - mu`` shifted by one
-    constant that makes ``lam`` nonnegative, shifted back, integrated with
-    ``mu`` and restricted to ``config``.
+    Decides once as :func:`check_general` does, and extends once to the
+    enclosing trapezoid: the extension the decision was taken on, or on a
+    parallelogram one made after a feasible verdict.  The pattern of the
+    extended content ``nu - mu`` is solved there with ``lam``, ``lam_bar``
+    and ``nu - mu`` shifted by one constant that makes ``lam`` nonnegative,
+    shifted back, integrated with ``mu`` and restricted to ``config``.
     """
-    verdict, tconfig, tspec = _decide(config, spec)
+    verdict, extension = _decide(config, spec)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
+    tconfig, tspec = extension or extend_to_trapezoid(config, spec)
     t = max(0, -(min(tspec.lam, default=0) // 1))  # an int, so int entries stay int
     rows = _solve_trapezoid(
         tuple(v + t for v in tspec.lam),

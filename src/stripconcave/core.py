@@ -74,7 +74,7 @@ def canonical_json(obj) -> str:
 
 
 def is_weakly_decreasing(seq: Sequence[Rat]) -> bool:
-    return all(x >= y for x, y in zip(seq, seq[1:]))
+    return all(map(ge, seq, seq[1:]))
 
 
 _set = object.__setattr__
@@ -314,8 +314,9 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple
     indices in range.  As both tuples decrease, ``+lam_bar_t`` enters the
     ``k`` from the first ``lam_j < lam_bar_t`` on, and ``-lam_j`` the ``k``
     for which ``t = j - k`` lies in the prefix with ``lam_bar_t > lam_j``.
-    Bisection finds each interval and a difference list sums them: the cost
-    is ``O((n + m) log(n + m))``, not ``O(n m)``.
+    Each tuple is negated once, so that it increases, and bisected with no
+    key to find each interval; a difference list sums them: the cost is
+    ``O((n + m) log(n + m))``, not ``O(n m)``.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
@@ -325,17 +326,21 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple
         n = len(lam) - len(lam_bar)
     if n < 0:
         raise InputError("lam must be at least as long as lam_bar")
+    up, up_bar = list(map(neg, lam)), list(map(neg, lam_bar))
     diff = [0] * (n + 2)
-
-    def add(lo, hi, w):  # w on every k in lo..hi
+    last = len(lam) - 1
+    for t, lb in enumerate(lam_bar):  # +lb on every k in lo..hi
+        lo, hi = bisect_right(up, -lb) - t, last - t
+        lo, hi = lo if lo > 0 else 0, hi if hi < n else n
         if lo <= hi:
-            diff[lo] += w
-            diff[hi + 1] -= w
-
-    for t, lb in enumerate(lam_bar):
-        add(max(bisect_right(lam, -lb, key=neg) - t, 0), min(len(lam) - 1 - t, n), lb)
-    for j, v in enumerate(lam):
-        add(max(j - bisect_left(lam_bar, -v, key=neg) + 1, 0), min(j, n), -v)
+            diff[lo] += lb
+            diff[hi + 1] -= lb
+    for j, v in enumerate(lam):  # -v on every k in lo..hi
+        lo, hi = j + 1 - bisect_left(up_bar, -v), j
+        lo, hi = lo if lo > 0 else 0, hi if hi < n else n
+        if lo <= hi:
+            diff[lo] -= v
+            diff[hi + 1] += v
     return tuple(accumulate(diff))[: n + 1]
 
 
@@ -373,7 +378,16 @@ def rough_bound(spec: BoundarySpec) -> Rat:
     the same first violated subset, those of any ``c`` large enough for the
     reduction to preserve feasibility.
     """
-    return 4 * sum((abs(e) for e in spec.lam + spec.lam_bar + spec.mu + spec.nu), 0) + 1
+    return 4 * sum(map(abs, spec.lam + spec.lam_bar + spec.mu + spec.nu)) + 1
+
+
+def _check_lengths(config: ConvexConfig, spec: BoundarySpec) -> None:
+    """Refuse a boundary whose tuple lengths do not fit ``config``."""
+    n = config.n
+    if len(spec.lam) != config.b[n] - config.a[n] or len(spec.lam_bar) != config.b[0]:
+        raise InputError("boundary lengths do not match the configuration")
+    if len(spec.mu) != n or len(spec.nu) != n:
+        raise InputError("mu and nu must have length n")
 
 
 def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None):
@@ -389,12 +403,9 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
     keep their positions in the trapezoid, and on a trapezoidal
     configuration both are returned unchanged.
     """
+    _check_lengths(config, spec)
     n = config.n
     a, b = config.a, config.b
-    if len(spec.lam) != b[n] - a[n] or len(spec.lam_bar) != b[0]:
-        raise InputError("boundary lengths do not match the configuration")
-    if len(spec.mu) != n or len(spec.nu) != n:
-        raise InputError("mu and nu must have length n")
     if config.is_trapezoidal:
         return config, spec
     if c is None:
@@ -453,10 +464,17 @@ def _rows_to_json(rows) -> list:
             for row in rows]
 
 
+def _rats(values) -> tuple:
+    """The entries of a JSON list as exact rationals (see :func:`rat`).  A list
+    whose entries all have type ``int`` is copied as it is; a ``bool`` takes
+    the :func:`rat` path, as ``type(True)`` is ``bool``."""
+    return tuple(values) if set(map(type, values)) <= {int} else tuple(map(rat, values))
+
+
 def _rows_from_json(obj) -> tuple:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise InputError("rows must be a list of lists")
-    return tuple(tuple(rat(v) for v in row) for row in obj)
+    return tuple(map(_rats, obj))
 
 
 def _config_and_rows(obj, config, extra: int) -> tuple:
@@ -508,7 +526,7 @@ def spec_to_json(spec: BoundarySpec) -> dict:
 def _boundary_field(key: str, value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise InputError(f'boundary "{key}" must be a list of rationals, got {value!r}')
-    return tuple(rat(v) for v in value)
+    return _rats(value)
 
 
 def spec_from_json(obj) -> BoundarySpec:

@@ -10,6 +10,7 @@ the subset scan ``O(n log n)``.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     InputError,
     Rat,
     Record,
+    _check_lengths,
     _set,
     deficits,
     extend_to_trapezoid,
@@ -74,8 +76,9 @@ class FeasibilityVerdict(Record):
 
 
 def _weight_order(weights: Sequence[Rat]) -> list:
-    """0-based indices by decreasing weight, ties broken toward the smaller index."""
-    return sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    """0-based indices by decreasing weight, ties broken toward the smaller index
+    (the sort is stable under ``reverse``)."""
+    return sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
 
 
 def _structural(spec: BoundarySpec) -> Optional[Certificate]:
@@ -88,21 +91,21 @@ def _structural(spec: BoundarySpec) -> Optional[Certificate]:
     return None
 
 
-def _check_subsets(spec: BoundarySpec, n: int, base: Sequence[Rat], profile: Sequence[Rat]):
+def _check_subsets(spec: BoundarySpec, base: Sequence[Rat], profile: Sequence[Rat]):
     """Run the inequality family; ``base[k]`` is the subset-free part for size ``k``.
 
     Each size-``k`` subset is the previous one plus the next index in weight
     order, so ``mu(I) - nu(I)`` is a running sum.  A violation's certificate
     carries the deficit ``profile[k]``, or none where the profile ends.
     """
-    weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
+    weights = list(map(sub, spec.nu, spec.mu))
     order = _weight_order(weights)
-    for k, running in enumerate(accumulate((-weights[i] for i in order), initial=0)):
-        lhs = base[k] + running
-        if lhs < 0:
-            subset = tuple(sorted(i + 1 for i in order[:k]))
-            return Certificate("subset", subset, lhs, profile[k] if k < len(profile) else None)
-    return None
+    lhs = list(map(add, base, accumulate(map(weights.__getitem__, order), sub, initial=0)))
+    if min(lhs) >= 0:
+        return None
+    k = next(k for k, v in enumerate(lhs) if v < 0)
+    subset = tuple(sorted(i + 1 for i in order[:k]))
+    return Certificate("subset", subset, lhs[k], profile[k] if k < len(profile) else None)
 
 
 def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
@@ -119,8 +122,8 @@ def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
     cert = _structural(spec)
     if cert is None:
         profile = deficits(spec.lam, spec.lam_bar, n)
-        base = [p - d for p, d in zip(accumulate(spec.lam, initial=0), profile)]
-        cert = _check_subsets(spec, n, base, profile)
+        base = list(map(sub, accumulate(spec.lam, initial=0), profile))
+        cert = _check_subsets(spec, base, profile)
     return FeasibilityVerdict(cert)
 
 
@@ -139,37 +142,40 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdic
     cert = _structural(spec)
     if cert is None:
         profile = deficits(spec.lam, spec.lam_bar, n)
-        prefix = list(accumulate(spec.lam, initial=0))
-        tail = list(accumulate(reversed(spec.lam_bar), initial=0))  # tail[k] = lam_bar[m-k+1, m]
-        base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
-                for k in range(n + 1)]
-        cert = _check_subsets(spec, n, base, profile[: m + 1])
+        # lam[1,k] - lam_bar[m-k+1,m] for k = 0..m
+        sums = list(map(sub, accumulate(spec.lam, initial=0),
+                        accumulate(reversed(spec.lam_bar), initial=0)))
+        base = list(map(sub, sums, profile)) + sums[-1:] * (n - m)
+        cert = _check_subsets(spec, base, profile[: m + 1])
     return FeasibilityVerdict(cert)
 
 
 def _decide(config: ConvexConfig, spec: BoundarySpec) -> tuple:
-    """``(verdict, trapezoid_config, extended_spec)``: the verdict of
-    :func:`check_general` and the extension it was decided on, made once."""
-    tconfig, tspec = extend_to_trapezoid(config, spec)
+    """``(verdict, extension)``: the verdict of :func:`check_general` and the
+    ``(trapezoid_config, extended_spec)`` it was decided on, made once; a
+    parallelogram is decided on ``spec`` itself and has no extension."""
     if config.is_parallelogram:
-        return check_parallelogram(spec, config.n, config.m), tconfig, tspec
+        _check_lengths(config, spec)
+        return check_parallelogram(spec, config.n, config.m), None
+    tconfig, tspec = extend_to_trapezoid(config, spec)
     verdict = check_trapezoid(tspec, tconfig.n, tconfig.m)
     cert = verdict.certificate
     if cert is not None and cert.kind == "subset" and not config.is_trapezoidal:
         verdict = FeasibilityVerdict(Certificate("subset", cert.subset))
-    return verdict, tconfig, tspec
+    return verdict, (tconfig, tspec)
 
 
 def check_general(config: ConvexConfig, spec: BoundarySpec) -> FeasibilityVerdict:
     """Feasibility for an arbitrary convex configuration.
 
-    The boundary extension to the trapezoid of size ``(n, b_0)``, with the
-    constant :func:`~stripconcave.core.rough_bound`, is the one length check
-    and preserves feasibility in both directions.  A parallelogram is decided
-    by :func:`check_parallelogram`, any other shape by :func:`check_trapezoid`
-    on its extension; the violated subset ``I`` indexes the original rows.
-    Off trapezoids and parallelograms a subset certificate carries only
-    ``I``: the extension's left-hand side reads ``A + B c`` in the reduction
-    constant ``c``, and the inequality fails for every large ``c``.
+    A parallelogram is decided by :func:`check_parallelogram` on ``spec``
+    itself, any other shape by :func:`check_trapezoid` on its extension to
+    the trapezoid of size ``(n, b_0)`` with the constant
+    :func:`~stripconcave.core.rough_bound`, which preserves feasibility in
+    both directions; the violated subset ``I`` indexes the original rows.
+    Every shape passes the one length check first.  Off trapezoids and
+    parallelograms a subset certificate carries only ``I``: the extension's
+    left-hand side reads ``A + B c`` in the reduction constant ``c``, and
+    the inequality fails for every large ``c``.
     """
     return _decide(config, spec)[0]

@@ -1,8 +1,8 @@
 """Independent oracles used to validate the library.
 
 Everything here is deliberately naive: direct enumeration, bitmask subset
-sweeps, exact Gaussian elimination, and the per-cell algorithms that the
-library has replaced, kept as references.  The oracles share the library's
+sweeps, exact Gaussian elimination, and the per-cell algorithms and
+per-entry loops that the library has replaced, kept as references.  The oracles share the library's
 data types and errors, and call three of its public functions where that
 function is not the one under test: ``integrate`` to turn patterns into
 arrays, ``extend_to_trapezoid`` in :func:`general_feasible_oracle` and
@@ -12,7 +12,7 @@ flow, the triangular solve, the integer checks) is written here again from
 its definition, so a fault in one of the library's helpers cannot reach
 both sides of an equivalence test.
 """
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, product
@@ -20,7 +20,9 @@ from operator import neg
 
 from stripconcave import (
     BoundarySpec,
+    Certificate,
     ConvexConfig,
+    FeasibilityVerdict,
     Flow,
     GTPattern,
     InputError,
@@ -111,11 +113,17 @@ def triangular_rows(lam, nu):
     return rows[::-1]
 
 
+def weight_order(weights):
+    """0-based indices by decreasing weight, ties broken toward the smaller
+    index, sorted on the ``(-w, i)`` key that the library's stable reverse
+    sort replaced."""
+    return sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+
+
 def best_subset(weights, k):
     """The size-``k`` subset of ``1..n`` with the largest weight, the
     lexicographically smallest one among ties."""
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    return tuple(sorted(i + 1 for i in order[:k]))
+    return tuple(sorted(i + 1 for i in weight_order(weights)[:k]))
 
 
 def pattern_constraints(config):
@@ -449,6 +457,64 @@ def deficits_definition(lam, lam_bar, n=None):
     return tuple(
         sum((max(0, lb - v) for lb, v in zip(lam_bar, lam[k:])), 0) for k in range(n + 1)
     )
+
+
+def keyed_bisect_deficits(lam, lam_bar, n=None):
+    """Deficits by the interval sweep that the library replaced: each probe
+    bisects the decreasing tuple with ``key=neg`` and each interval is
+    clipped by ``min``/``max`` and added through a closure."""
+    lam = tuple(lam)
+    lam_bar = tuple(lam_bar)
+    if not decreasing(lam) or not decreasing(lam_bar):
+        raise InputError("deficits need weakly decreasing inputs")
+    if n is None:
+        n = len(lam) - len(lam_bar)
+    if n < 0:
+        raise InputError("lam must be at least as long as lam_bar")
+    diff = [0] * (n + 2)
+
+    def add(lo, hi, w):  # w on every k in lo..hi
+        if lo <= hi:
+            diff[lo] += w
+            diff[hi + 1] -= w
+
+    for t, lb in enumerate(lam_bar):
+        add(max(bisect_right(lam, -lb, key=neg) - t, 0), min(len(lam) - 1 - t, n), lb)
+    for j, v in enumerate(lam):
+        add(max(j - bisect_left(lam_bar, -v, key=neg) + 1, 0), min(j, n), -v)
+    return tuple(accumulate(diff))[: n + 1]
+
+
+def scan_verdict(spec, n, m, parallelogram=False):
+    """The verdict of ``check_trapezoid`` (``check_parallelogram`` with
+    ``parallelogram``) by the scan that the library replaced: bases and
+    running sums built entry by entry, :func:`keyed_bisect_deficits` and
+    :func:`weight_order`, stopping at the first violated size."""
+    if not decreasing(spec.lam):
+        return FeasibilityVerdict(Certificate("monotone_lambda"))
+    if not decreasing(spec.lam_bar):
+        return FeasibilityVerdict(Certificate("monotone_lambda_bar"))
+    balance = sum(spec.lam, 0) - sum(spec.lam_bar, 0) + sum(spec.mu, 0) - sum(spec.nu, 0)
+    if balance != 0:
+        return FeasibilityVerdict(Certificate("balance", lhs=balance))
+    profile = keyed_bisect_deficits(spec.lam, spec.lam_bar, n)
+    prefix = list(accumulate(spec.lam, initial=0))
+    if parallelogram:
+        tail = list(accumulate(reversed(spec.lam_bar), initial=0))
+        base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
+                for k in range(n + 1)]
+        profile = profile[: m + 1]
+    else:
+        base = [p - d for p, d in zip(prefix, profile)]
+    weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
+    order = weight_order(weights)
+    for k, running in enumerate(accumulate((-weights[i] for i in order), initial=0)):
+        lhs = base[k] + running
+        if lhs < 0:
+            subset = tuple(sorted(i + 1 for i in order[:k]))
+            deficit = profile[k] if k < len(profile) else None
+            return FeasibilityVerdict(Certificate("subset", subset, lhs, deficit))
+    return FeasibilityVerdict()
 
 
 def broken_constraints(p: GTPattern):

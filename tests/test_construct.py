@@ -14,15 +14,20 @@ from stripconcave import (
     build_trapezoid,
     build_triangular,
     canonical_json,
+    check_general,
     check_trapezoid,
     derivative,
+    extend_to_trapezoid,
+    integrate,
     mu_general_build,
     rat_to_json,
     reduce_to_triangle,
+    restrict_to,
     shift_mu,
     validate_array,
 )
 from stripconcave import construct, core, feasibility
+from stripconcave.core import GTPattern
 from stripconcave.construct import _solve_trapezoid
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
@@ -269,6 +274,33 @@ def test_builds_check_once_solve_once_integrate_once(monkeypatch):
     with pytest.raises(InfeasibleError):
         mu_general_build(hexagon.config, BoundarySpec((3, 0), (2, 1), (2, -2, 5), (1, -5, 9)))
     assert calls == {"extend_to_trapezoid": 1, "check_trapezoid": 1}
+    # a parallelogram verdict is taken on the spec itself, with no extension
+    calls.clear()
+    assert check_general(ConvexConfig.parallelogram(2, 2), parallelogram).feasible
+    assert calls == {"check_parallelogram": 1}
+    calls.clear()
+    infeasible = BoundarySpec((3, 1), (2, 0), (0, 0), (3, -1))
+    with pytest.raises(InfeasibleError):
+        mu_general_build(ConvexConfig.parallelogram(2, 2), infeasible)
+    assert calls == {"check_parallelogram": 1}
+
+
+def test_parallelogram_builds_equal_builds_on_the_extension():
+    # the witness is the one built on the extension, as when the verdict was taken there
+    rng = random.Random(1914)
+    for trial in range(300):
+        n, m = rng.randint(1, 6), rng.randint(0, 4)
+        p = random_pattern(rng, n, m, -5, 9)
+        mu = [rng.randint(-4, 4) for _ in range(n)]
+        if trial % 2:
+            p = GTPattern(p.config, [[Fraction(v, 2) for v in row] for row in p.rows])
+            mu = [Fraction(u, 3) for u in mu]
+        config = ConvexConfig.parallelogram(n, m)
+        spec = boundary(restrict_to(integrate(p, mu), config))
+        got = mu_general_build(config, spec)
+        want = restrict_to(mu_general_build(*extend_to_trapezoid(config, spec)), config)
+        assert repr(got) == repr(want), spec
+        assert validate_array(got) and boundary(got) == spec
 
 
 def test_build_trapezoid_refuses_n_0_feasible_or_not():

@@ -36,7 +36,13 @@ from stripconcave import (
     validate_array,
     validate_pattern,
 )
-from oracles import broken_constraints, deficits_definition, entrywise_restrict_to, random_pattern
+from oracles import (
+    broken_constraints,
+    deficits_definition,
+    entrywise_restrict_to,
+    keyed_bisect_deficits,
+    random_pattern,
+)
 from stripconcave.core import GTPattern, Record, StripConcaveArray
 from stripconcave.fixtures import (
     hexagon_array,
@@ -297,6 +303,32 @@ def test_deficits_agree_with_definition_seeded():
     assert 900 < interlaced < 1100 and 400 < fractional < 600
 
 
+def test_deficits_repr_matches_keyed_bisect_sweep():
+    """The key-free sweep against the ``key=neg`` one by repr, so that an
+    ``int`` turning into ``Fraction(k, 1)`` shows: int, Fraction, negative
+    and tie-heavy entries (``2`` next to ``Fraction(4, 2)``), ``n`` up to 5
+    beyond ``len(lam) - len(lam_bar)``."""
+    rng = random.Random(1913)
+    ties = (2, Fraction(4, 2), 2, Fraction(1, 2), 0, -1, Fraction(-2, 1), -3)
+    kinds, fraction_deficits = Counter(), 0
+
+    def draw():
+        return rng.choice(ties) if kind == "ties" else _draw(rng, kind == "fraction")
+
+    for _ in range(3000):
+        kind = rng.choice(("int", "fraction", "ties"))
+        kinds[kind] += 1
+        size = rng.randint(0, 40)
+        m = rng.randint(0, size)
+        lam = sorted((draw() for _ in range(size)), reverse=True)
+        lam_bar = sorted((draw() for _ in range(m)), reverse=True)
+        n = size - m + rng.randint(0, 5)
+        got = deficits(lam, lam_bar, n)
+        assert repr(got) == repr(keyed_bisect_deficits(lam, lam_bar, n)), (lam, lam_bar, n)
+        fraction_deficits += kind == "ties" and any(isinstance(d, Fraction) for d in got)
+    assert min(kinds.values()) > 900 and fraction_deficits > 300, (kinds, fraction_deficits)
+
+
 def test_deficits_monotone_required():
     with pytest.raises(InputError):
         deficits((1, 2), ())
@@ -428,6 +460,22 @@ def test_bare_rows_json_infer_trapezoid():
         pattern_from_json([[1], [1]])
     with pytest.raises(InputError, match="must not be empty"):
         array_from_json([])
+
+
+@pytest.mark.parametrize("parse", [
+    lambda values: spec_from_json({"lambda": values}).lam,
+    lambda values: array_from_json([[0, 1], values]).rows[1],
+])
+def test_int_lists_parse_as_they_are(parse):
+    values = [3, 0, -2]
+    for bad in (True, 1.5, "x", "1/0"):
+        with pytest.raises(InputError):
+            parse(values[:1] + [bad] + values[2:])
+    got = parse([3, "4/2", -2])
+    assert repr(got) == "(3, 2, -2)"
+    got = parse(values)
+    assert type(got) is tuple and got == tuple(values)
+    assert repr(parse([3, "1/2", -2])) == "(3, Fraction(1, 2), -2)"
 
 
 def test_spec_json_defaults_mu_zero():

@@ -26,6 +26,7 @@ from stripconcave import (
     shift_mu,
     validate_array,
 )
+from stripconcave.feasibility import _weight_order
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
 from oracles import (
@@ -34,6 +35,8 @@ from oracles import (
     feasible_nu_set,
     general_feasible_oracle,
     random_pattern,
+    scan_verdict,
+    weight_order,
 )
 
 
@@ -85,6 +88,56 @@ def test_length_validation():
         check_trapezoid(spec_of((1,), (), (0, 0), (1, 0)), 2, 0)
     with pytest.raises(InputError):
         check_parallelogram(spec_of((1, 1), (1,), (0,), (0,)), 1, 2)
+    # every shape reports the one length check of the general decider
+    bad = spec_of((3, 0), (2, 1, 0), (0, 0), (3, -3))
+    for config in (ConvexConfig.parallelogram(2, 2), ConvexConfig.trapezoid(2, 2),
+                   hexagon_array().config):
+        with pytest.raises(InputError, match="boundary lengths do not match the configuration"):
+            check_general(config, bad)
+
+
+# tie-heavy entries: 2 and Fraction(4, 2) compare equal but print apart
+_TIES = (2, Fraction(4, 2), 2, 1, Fraction(1, 2), 0, -1, Fraction(-3, 2))
+
+
+def _tie_heavy(rng):
+    if rng.random() < 0.7:
+        return rng.choice(_TIES)
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+
+
+def test_weight_order_matches_keyed_sort_seeded():
+    rng = random.Random(1911)
+    for _ in range(3000):
+        weights = [_tie_heavy(rng) for _ in range(rng.randint(0, 12))]
+        assert _weight_order(weights) == weight_order(weights), weights
+
+
+def test_subset_scan_matches_entrywise_scan_seeded():
+    """Whole verdicts of both shapes against the entrywise scan, by repr:
+    kind, ``I``, ``lhs`` and deficit, with ``int``/``Fraction`` kept apart."""
+    rng = random.Random(1912)
+    seen = Counter()
+    for trial in range(4000):
+        parallelogram = trial % 2 == 1
+        n, m = rng.randint(1, 10), rng.randint(0, 6)
+        draw = _tie_heavy if rng.random() < 0.5 else lambda r: r.randint(-9, 9)
+        lam = sorted((draw(rng) for _ in range(m if parallelogram else n + m)), reverse=True)
+        bar = sorted((draw(rng) for _ in range(m)), reverse=True)
+        if rng.random() < 0.05:
+            lam.reverse()
+        mu = [draw(rng) for _ in range(n)]
+        # nu - mu sums to |lam| - |lam_bar|, spread evenly or not
+        share = Fraction(sum(lam, 0) - sum(bar, 0), n)
+        nu = [u + (share if rng.random() < 0.5 else draw(rng)) for u in mu]
+        if rng.random() < 0.9:
+            nu[-1] += sum(lam, 0) - sum(bar, 0) + sum(mu, 0) - sum(nu, 0)
+        spec = spec_of(lam, bar, mu, nu)
+        check = check_parallelogram if parallelogram else check_trapezoid
+        got = check(spec, n, m)
+        assert repr(got) == repr(scan_verdict(spec, n, m, parallelogram)), (spec, parallelogram)
+        seen[parallelogram, got.certificate.kind if got.certificate else "feasible"] += 1
+    assert min(seen.values()) > 50 and len(seen) == 8, seen
 
 
 def test_best_subset_lexicographic_ties():
