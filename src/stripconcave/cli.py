@@ -2,12 +2,13 @@
 
 Every subcommand reads JSON (inline or from a file path), writes canonical
 JSON to standard output, and exits 0 on success, 1 on infeasibility, 2 on
-bad input and 3 on an internal guard failure.  ``check``, ``build``,
-``kostka`` and ``count`` refuse an empty ``nu`` (``n = 0``).  ``check``
-and ``build`` decide through ``check_general`` on one configuration: the
-``--config`` one, else the parallelogram when ``lambda`` is as long as
-``lambda_bar``, else the trapezoid.  ``kostka`` and ``count`` count the
-content ``nu - mu``.
+bad input and 3 on an internal guard failure.  Bad input includes JSON
+nested too deep and an integer, read or written, past the ``str()`` digit
+limit.  ``check``, ``build``, ``kostka`` and ``count`` refuse an empty
+``nu`` (``n = 0``).  ``check`` and ``build`` decide through
+``check_general`` on one configuration: the ``--config`` one, else the
+parallelogram when ``lambda`` is as long as ``lambda_bar``, else the
+trapezoid.  ``kostka`` and ``count`` count the content ``nu - mu``.
 """
 from __future__ import annotations
 
@@ -57,12 +58,18 @@ def _load_json(source: str):
             raise InputError(f"cannot read {source}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # an int past the str() digit limit; deep nesting
         raise InputError(f"invalid JSON in {source!r}: {exc}") from exc
 
 
 def _emit(obj) -> None:
-    print(canonical_json(obj))
+    """Print ``obj`` as canonical JSON; an int past the ``str()`` digit limit
+    is an :class:`InputError`, and nothing is printed."""
+    try:
+        text = canonical_json(obj)
+    except ValueError as exc:
+        raise InputError(f"output too large to write: {exc}") from exc
+    print(text)
 
 
 def _load_spec(source: str):
@@ -250,13 +257,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except InfeasibleError as exc:
+            _emit(FeasibilityVerdict(exc.certificate).to_json())
+            return 1
     except InputError as exc:
         print(canonical_json({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2
-    except InfeasibleError as exc:
-        _emit(FeasibilityVerdict(exc.certificate).to_json())
-        return 1
     except InternalError as exc:
         print(canonical_json({"error": "internal", "message": str(exc)}), file=sys.stderr)
         return 3

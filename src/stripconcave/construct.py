@@ -265,9 +265,8 @@ def reduce_to_triangle(lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:
     n = len(lam) - len(lam_bar)
     if n < 0:
         raise InputError("lambda must be at least as long as lambda_bar")
-    for j in range(len(lam_bar)):
-        below = lam[j + n] if j + n < len(lam) else 0
-        if not below <= lam_bar[j] <= lam[j]:
+    for below, lb, top in zip(lam[n:], lam_bar, lam):
+        if not below <= lb <= top:
             raise InputError(
                 "incompatible shapes: need lam_{j+n} <= lam_bar_j <= lam_j"
             )

@@ -29,8 +29,11 @@ class InfeasibleError(Exception):
     """
 
     def __init__(self, certificate):
-        super().__init__(f"infeasible boundary data: {certificate}")
+        super().__init__(certificate)
         self.certificate = certificate
+
+    def __str__(self):  # formatted on demand: a certificate int may pass the str() digit limit
+        return f"infeasible boundary data: {self.certificate}"
 
 
 class InternalError(RuntimeError):
@@ -159,13 +162,15 @@ class ConvexConfig(Record):
 
     @property
     def is_trapezoidal(self) -> bool:
-        return all(x == 0 for x in self.a) and all(
-            self.b[i] == i + self.m for i in range(self.n + 1)
-        )
+        """``a_n = 0`` and ``b_n - b_0 = n``: convexity makes ``a`` all 0 and
+        every step of ``b`` a 1 exactly then."""
+        return self.a[self.n] == 0 and self.b[self.n] == self.m + self.n
 
     @property
     def is_parallelogram(self) -> bool:
-        return all(x == 0 for x in self.a) and all(x == self.m for x in self.b)
+        """``a_n = 0`` and ``b_n = b_0``: convexity makes ``a`` all 0 and ``b``
+        constant exactly then."""
+        return self.a[self.n] == 0 and self.b[self.n] == self.m
 
 
 class StripConcaveArray(Record):
@@ -286,13 +291,10 @@ def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
 
 def boundary(x: StripConcaveArray) -> BoundarySpec:
     """Boundary quadruple of an array: lower/upper derivatives, side steps."""
-    c = x.config
     p = derivative(x)
-    lam = p.rows[c.n]
-    lam_bar = p.rows[0]
-    mu = tuple(x.entry(i, c.a[i]) - x.entry(i - 1, c.a[i - 1]) for i in range(1, c.n + 1))
-    nu = tuple(x.entry(i, c.b[i]) - x.entry(i - 1, c.b[i - 1]) for i in range(1, c.n + 1))
-    return BoundarySpec(lam, lam_bar, mu, nu)
+    left, right = [row[0] for row in x.rows], [row[-1] for row in x.rows]
+    mu, nu = map(sub, left[1:], left), map(sub, right[1:], right)
+    return BoundarySpec(p.rows[-1], p.rows[0], mu, nu)
 
 
 def shift_mu(spec: BoundarySpec) -> BoundarySpec:
@@ -393,39 +395,31 @@ def _check_lengths(config: ConvexConfig, spec: BoundarySpec) -> None:
 def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None):
     """Embed a convex configuration into the trapezoid of size ``(n, b_0)``.
 
-    New nodes on the left take derivative ``c`` and shift ``mu``; new nodes
-    on the right take derivative ``-c`` and shift ``nu``.  For large enough
-    ``c`` feasibility is preserved in both directions and restricting any
-    extended witness to the original index set yields a witness; the default
-    :func:`rough_bound` gives the same verdict as every larger ``c``.
+    Convexity makes ``a`` a run of 0s and then steps of 1, and ``b`` a run of
+    steps of 1 and then a constant, so the extension is read off ``a_n`` and
+    ``b_n - b_0``: row n gains ``a_n`` nodes on the left, of derivative ``c``,
+    and the last ``a_n`` entries of ``mu`` drop by ``c``; it gains
+    ``b_0 + n - b_n`` nodes on the right, of derivative ``-c``, and as many
+    last entries of ``nu`` drop by ``c``.  For large enough ``c`` feasibility
+    is preserved in both directions and restricting any extended witness to
+    the original index set yields a witness; the default :func:`rough_bound`
+    gives the same verdict as every larger ``c``.
 
     Returns ``(trapezoid_config, extended_spec)``.  The original index pairs
     keep their positions in the trapezoid, and on a trapezoidal
     configuration both are returned unchanged.
     """
     _check_lengths(config, spec)
-    n = config.n
-    a, b = config.a, config.b
     if config.is_trapezoidal:
         return config, spec
     if c is None:
         c = rough_bound(spec)
-    lam = list(spec.lam)
-    mu = list(spec.mu)
-    nu = list(spec.nu)
-    if a[n] != 0:
-        p = max(i for i in range(n + 1) if a[i] == 0)
-        lam = [c] * (n - p) + lam
-        for i in range(p, n):
-            mu[i] = mu[i] - c
-    if b[n] < b[0] + n:
-        q = max(i for i in range(n + 1) if b[i] == b[0] + i)
-        lam = lam + [-c] * (n - q)
-        for i in range(q, n):
-            nu[i] = nu[i] - c
-    new_config = ConvexConfig.trapezoid(n, b[0])
-    new_spec = BoundarySpec(tuple(lam), spec.lam_bar, tuple(mu), tuple(nu))
-    return new_config, new_spec
+    n, m = config.n, config.m
+    left, right = config.a[n], m + n - config.b[n]
+    lam = (c,) * left + spec.lam + (-c,) * right
+    mu = spec.mu[:n - left] + tuple(v - c for v in spec.mu[n - left:])
+    nu = spec.nu[:n - right] + tuple(v - c for v in spec.nu[n - right:])
+    return ConvexConfig.trapezoid(n, m), BoundarySpec(lam, spec.lam_bar, mu, nu)
 
 
 def restrict_to(x: StripConcaveArray, config: ConvexConfig) -> StripConcaveArray:
@@ -477,15 +471,17 @@ def _rows_from_json(obj) -> tuple:
     return tuple(map(_rats, obj))
 
 
-def _config_and_rows(obj, config, extra: int) -> tuple:
+def _config_and_rows(obj, extra: int) -> tuple:
     """Config and rows of an array (``extra = 1``) or pattern (``extra = 0``).
 
     ``obj`` is ``{"config": ..., "rows": ...}`` or bare rows.  Without a
     config, bare rows must form a trapezoid with ``m + extra`` entries in
     row 0 and one more in each row after it.
     """
+    config = None
     if isinstance(obj, dict):
-        config = config_from_json(obj.get("config")) if "config" in obj else config
+        if "config" in obj:
+            config = config_from_json(obj["config"])
         obj = obj.get("rows")
     rows = _rows_from_json(obj)
     kind = "array" if extra else "pattern"
@@ -502,16 +498,16 @@ def array_to_json(x: StripConcaveArray) -> dict:
     return {"config": config_to_json(x.config), "rows": _rows_to_json(x.rows)}
 
 
-def array_from_json(obj, config: ConvexConfig = None) -> StripConcaveArray:
-    return StripConcaveArray(*_config_and_rows(obj, config, extra=1))
+def array_from_json(obj) -> StripConcaveArray:
+    return StripConcaveArray(*_config_and_rows(obj, extra=1))
 
 
 def pattern_to_json(p: GTPattern) -> dict:
     return {"config": config_to_json(p.config), "rows": _rows_to_json(p.rows)}
 
 
-def pattern_from_json(obj, config: ConvexConfig = None) -> GTPattern:
-    return GTPattern(*_config_and_rows(obj, config, extra=0))
+def pattern_from_json(obj) -> GTPattern:
+    return GTPattern(*_config_and_rows(obj, extra=0))
 
 
 def spec_to_json(spec: BoundarySpec) -> dict:

@@ -12,9 +12,9 @@ each cell ``v`` to ``lo + hi - v`` within its interlacing interval.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, count, product, repeat
 from math import prod
-from operator import add, ne, neg, sub
+from operator import add, neg, sub
 from typing import Sequence
 
 from .core import (
@@ -156,17 +156,11 @@ def _join_tiles(row, below, anchored):
 
 
 def _support_key(rows) -> list:
-    """The edges ``(i, j, t)`` with a nonzero slack (:func:`_slacks`) in the
-    pattern ``rows``, in order, coded as ``2 (i w + j) + t``, ``w = len(lam)``:
-    the slacks of rows ``i`` and ``i + 1`` are the steps of ``lam_1, down_0,
-    up_0, down_1, .., down_{L-1}, 0``, and step ``k`` is edge ``(i, k // 2, k % 2)``.
-    """
-    w, key = len(rows[-1]), []
-    for i, (up, down) in enumerate(zip(rows, rows[1:])):
-        seq = [0] * (2 * len(down) + 1)
-        seq[0], seq[1::2], seq[2:-1:2] = rows[-1][0], down, up
-        key.extend(compress(range(2 * i * w, 2 * i * w + len(seq) - 1), map(ne, seq, seq[1:])))
-    return key
+    """The positions of the nonzero slacks (:func:`_slacks`) of the pattern
+    ``rows``, with the edges ``(i, j, t)`` numbered in that order; any
+    increasing numbering of the edges sorts the supports the same way."""
+    pairs = chain.from_iterable(map(zip, *_slacks(rows)))  # (e0, e1) of each edge (i, j)
+    return list(compress(count(), chain.from_iterable(pairs)))
 
 
 VERTEX_SEARCH_MAX = 1_000_000

@@ -121,7 +121,7 @@ def facet_count_consistent(n: int, m: int) -> dict:
         raise InputError("facets need n >= 1 and m >= 0")
     if n > 1 and n + m > FACET_COUNT_MAX:
         raise InputError(f"counting facets needs n + m <= {FACET_COUNT_MAX} for n > 1, got {n + m}")
-    enumerated = (2**n - 2) * 2**m + (m if n + m > 1 else 0) + m
+    enumerated = ((2**n - 2) * 2**m if n > 1 else 0) + (m if n + m > 1 else 0) + m
     if not (n == 1 or (n == 2 and m == 0)):
         enumerated += (n + m - 1) + max(0, m - 1)
     formula = facet_count_formula(n, m)
@@ -162,10 +162,9 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
     _require_ints(lam, lam_bar, nu)
     n, m = len(nu), len(lam_bar)
     # trailing zero parts are empty rows; rows beyond n+m cannot be filled
-    while len(lam) > n + m:
-        if lam[-1] != 0:
-            return 0
-        lam = lam[:-1]
+    if any(lam[n + m:]):
+        return 0
+    lam = lam[:n + m]
     if len(lam) < n + m:
         if lam and lam[-1] < 0:
             return 0

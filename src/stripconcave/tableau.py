@@ -122,16 +122,11 @@ def tableau_to_pattern(t: SkewTableau) -> GTPattern:
     together with the inner shape; inverse of ``pattern_to_tableau``."""
     m = len(t.inner)
     n = len(t.outer) - m
-    if n < 0:
-        raise InputError("outer shape needs at least as many rows as inner")
     pad = t.inner + (0,) * n
-    rows = []
-    for i in range(n + 1):
-        full = list(map(add, pad, map(bisect_right, t.rows, repeat(i))))
-        if any(full[i + m :]):
-            raise InputError(f"entries below row {i + m} are too small for a pattern")
-        rows.append(tuple(full[: i + m]))
-    return GTPattern(ConvexConfig.trapezoid(n, m), tuple(rows))
+    # row m + k holds no entry < k: a column strictly increases from 1 down from row m + 1
+    rows = tuple(tuple(map(add, pad, map(bisect_right, t.rows[:i + m], repeat(i))))
+                 for i in range(n + 1))
+    return GTPattern(ConvexConfig.trapezoid(n, m), rows)
 
 
 def content(t: SkewTableau) -> tuple:

@@ -2,15 +2,15 @@
 
 Everything here is deliberately naive: direct enumeration, bitmask subset
 sweeps, exact Gaussian elimination, and the per-cell algorithms and
-per-entry loops that the library has replaced, kept as references.  The oracles share the library's
-data types and errors, and call three of its public functions where that
-function is not the one under test: ``integrate`` to turn patterns into
-arrays, ``extend_to_trapezoid`` in :func:`general_feasible_oracle` and
-``check_trapezoid`` as the zero test of :func:`level_kostka`.  Every other
-helper they need (interlacing bounds, pattern slacks, the pattern of a
-flow, the triangular solve, the integer checks) is written here again from
-its definition, so a fault in one of the library's helpers cannot reach
-both sides of an equivalence test.
+per-entry loops that the library has replaced, kept as references.  The
+oracles share the library's data types and errors, and call two of its
+public functions where that function is not the one under test:
+``integrate`` to turn patterns into arrays and ``check_trapezoid`` as the
+zero test of :func:`level_kostka`.  Every other helper they need
+(interlacing bounds, pattern slacks, the pattern of a flow, the triangular
+solve, the integer checks, the extension to a trapezoid) is written here
+again from its definition, so a fault in one of the library's helpers
+cannot reach both sides of an equivalence test.
 """
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -30,7 +30,6 @@ from stripconcave import (
     PathDecomposition,
     StripConcaveArray,
     check_trapezoid,
-    extend_to_trapezoid,
     integrate,
 )
 from stripconcave import flow
@@ -413,6 +412,52 @@ def _extension_lhs(spec, mask):
     return sum(lam[:k]) - deficit + sum(spec.mu[i] - spec.nu[i] for i in rows)
 
 
+def scan_is_trapezoidal(config):
+    """``ConvexConfig.is_trapezoidal`` by the scan of every bound that the
+    library replaced."""
+    return all(x == 0 for x in config.a) and all(
+        config.b[i] == i + config.m for i in range(config.n + 1)
+    )
+
+
+def scan_is_parallelogram(config):
+    """``ConvexConfig.is_parallelogram`` by the scan of every bound that the
+    library replaced."""
+    return all(x == 0 for x in config.a) and all(x == config.m for x in config.b)
+
+
+def scan_extend_to_trapezoid(config, spec, c=None):
+    """``extend_to_trapezoid`` by the scan that the library replaced: the
+    last row of each run found by ``max``, then ``mu`` and ``nu`` edited
+    entry by entry.  The length checks and ``rough_bound`` are written out."""
+    n = config.n
+    if len(spec.lam) != config.b[n] - config.a[n] or len(spec.lam_bar) != config.b[0]:
+        raise InputError("boundary lengths do not match the configuration")
+    if len(spec.mu) != n or len(spec.nu) != n:
+        raise InputError("mu and nu must have length n")
+    a, b = config.a, config.b
+    if scan_is_trapezoidal(config):
+        return config, spec
+    if c is None:
+        c = 4 * sum(map(abs, spec.lam + spec.lam_bar + spec.mu + spec.nu)) + 1
+    lam = list(spec.lam)
+    mu = list(spec.mu)
+    nu = list(spec.nu)
+    if a[n] != 0:
+        p = max(i for i in range(n + 1) if a[i] == 0)
+        lam = [c] * (n - p) + lam
+        for i in range(p, n):
+            mu[i] = mu[i] - c
+    if b[n] < b[0] + n:
+        q = max(i for i in range(n + 1) if b[i] == b[0] + i)
+        lam = lam + [-c] * (n - q)
+        for i in range(q, n):
+            nu[i] = nu[i] - c
+    new_config = ConvexConfig.trapezoid(n, b[0])
+    new_spec = BoundarySpec(tuple(lam), spec.lam_bar, tuple(mu), tuple(nu))
+    return new_config, new_spec
+
+
 def general_feasible_oracle(config, spec):
     """Feasibility on a convex configuration in the limit of a large constant.
 
@@ -429,8 +474,8 @@ def general_feasible_oracle(config, spec):
     if sum(lam) - sum(lam_bar) + sum(spec.mu) - sum(spec.nu) != 0:
         return False
     c = max((abs(e) for e in lam + lam_bar + spec.mu + spec.nu), default=0) + 1
-    one = extend_to_trapezoid(config, spec, c)[1]
-    two = extend_to_trapezoid(config, spec, 2 * c)[1]
+    one = scan_extend_to_trapezoid(config, spec, c)[1]
+    two = scan_extend_to_trapezoid(config, spec, 2 * c)[1]
     for mask in range(1 << config.n):
         low, high = _extension_lhs(one, mask), _extension_lhs(two, mask)
         a, b = 2 * low - high, Fraction(high - low) / c

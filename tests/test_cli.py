@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -8,16 +9,19 @@ import golden
 
 from stripconcave import (
     BoundarySpec,
+    InternalError,
     array_from_json,
     boundary,
     canonical_json,
     check_parallelogram,
     config_to_json,
+    pattern_to_json,
     spec_to_json,
     validate_array,
 )
+from stripconcave import construct
 from stripconcave.cli import main
-from stripconcave.fixtures import all_fixtures, hexagon_array
+from stripconcave.fixtures import all_fixtures, hexagon_array, hexagon_pattern
 
 
 def run(capsys, *argv):
@@ -404,4 +408,74 @@ def test_vertex_search_size_guard(capsys):
 )
 def test_integer_fields_reject_floats_and_bools(capsys, argv, needle):
     # int() would truncate 1.5 and read false as 0; JSON true is a Python bool
+    assert_input_error(*run(capsys, *argv), needle)
+
+
+@pytest.fixture
+def digit_limit():
+    """``str()`` and ``int()`` at Python's default limit of 4300 digits,
+    whatever the environment sets."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield "9" * 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("command, spec, needle", [
+    ("check", '{"lambda":[%s9]}', "invalid JSON"),  # 4301 digits do not parse
+    ("build", '{"lambda":[%s,%s,0],"lambda_bar":[%s],"nu":[%s,0]}', "output too large"),
+    # the balance certificate's lhs 3 B has 4301 digits
+    ("check", '{"lambda":[%s,%s],"nu":[-%s,0]}', "output too large"),
+    ("build", '{"lambda":[%s,%s],"nu":[-%s,0]}', "output too large"),
+])
+def test_oversized_integers_exit_2(capsys, digit_limit, command, spec, needle):
+    spec = spec.replace("%s", digit_limit)
+    assert_input_error(*run(capsys, command, "--spec", spec), needle)
+
+
+def test_too_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert_input_error(*run(capsys, "check", "--spec", str(path)), "maximum recursion depth")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def stall(*args):
+        raise InternalError("lift phase stalled with zero slack")
+
+    monkeypatch.setattr(construct, "_solve_trapezoid", stall)
+    code, out, err = run(capsys, "build", "--spec", '{"lambda":[2,1],"nu":[2,1]}')
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "internal", "message": "lift phase stalled with zero slack"}
+
+
+SMALL_CONFIG = '{"n":1,"a":[0,0],"b":[0,1]}'
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["tableau", "from-pattern"], "needs --pattern"),
+    (["tableau", "from-pattern", "--pattern", canonical_json(pattern_to_json(hexagon_pattern()))],
+     "tableaux correspond to trapezoidal patterns"),
+    (["check", "--config", '{"n":2,"a":[0,0,0],"b":[1,1,2]}', "--spec", TRIANGLE_SPEC],
+     "increments of b must weakly decrease"),
+    (["check", "--config", '{"n":2,"a":5,"b":[0,1,2]}', "--spec", TRIANGLE_SPEC],
+     "integer n and integer lists a, b"),
+    (["check", "--config", canonical_json(config_to_json(hexagon_array().config)),
+      "--spec", '{"lambda":[3,0],"lambda_bar":[2,1],"mu":[2,-2],"nu":[1,0]}'],
+     "mu and nu must have length n"),
+    (["flow", "to", "--array", "[1,2]"], "rows must be a list of lists"),
+    (["flow", "to", "--array", '{"config":%s,"rows":[[0]]}' % SMALL_CONFIG],
+     "array must have n+1 rows"),
+    (["flow", "to", "--array", '{"config":%s,"rows":[[0],[0]]}' % SMALL_CONFIG],
+     "row 1 must have 2 entries"),
+    (["tableau", "from-pattern", "--pattern", '{"config":%s,"rows":[[]]}' % SMALL_CONFIG],
+     "pattern must have n+1 rows"),
+    (["tableau", "from-pattern", "--pattern", '{"config":%s,"rows":[[],[]]}' % SMALL_CONFIG],
+     "pattern row 1 must have 1 entries"),
+    (["tableau", "content", "--tableau", '{"outer":[1],"inner":[1,0],"rows":[[]]}'],
+     "inner shape has more rows than outer"),
+    (["tableau", "content", "--tableau", '{"outer":[2,1],"inner":[],"rows":[[1],[2]]}'],
+     "row 1 must hold 2 entries"),
+])
+def test_input_error_branches_exit_2(capsys, argv, needle):
     assert_input_error(*run(capsys, *argv), needle)

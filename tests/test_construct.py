@@ -312,6 +312,20 @@ def test_build_trapezoid_refuses_n_0_feasible_or_not():
             build_trapezoid((2, 1), lam_bar, ())
 
 
+def test_build_trapezoid_refuses_a_wrong_lambda_length():
+    with pytest.raises(InputError, match="lambda must have length n"):
+        build_trapezoid((2, 1), (1,), (1, 1))
+
+
+def test_reduce_to_triangle_refuses_incompatible_shapes():
+    with pytest.raises(InputError, match="lambda must be at least as long as lambda_bar"):
+        reduce_to_triangle((2,), (2, 1))
+    with pytest.raises(InputError, match="incompatible shapes"):
+        reduce_to_triangle((3, 1, 0), (2, 2))  # lam_1 = 1 < lam_bar_1 = 2
+    with pytest.raises(InputError, match="incompatible shapes"):
+        reduce_to_triangle((3, 2, 2), (1,))  # lam_bar_0 = 1 < lam_2 = 2
+
+
 def test_reduce_to_triangle_worked_example():
     assert reduce_to_triangle((6, 4, 3, 1, 1), (5, 2)) == (5, 2, 1)
 

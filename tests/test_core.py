@@ -42,6 +42,9 @@ from oracles import (
     entrywise_restrict_to,
     keyed_bisect_deficits,
     random_pattern,
+    scan_extend_to_trapezoid,
+    scan_is_parallelogram,
+    scan_is_trapezoidal,
 )
 from stripconcave.core import GTPattern, Record, StripConcaveArray
 from stripconcave.fixtures import (
@@ -334,6 +337,16 @@ def test_deficits_monotone_required():
         deficits((1, 2), ())
 
 
+def test_deficits_refuse_a_short_lam():
+    with pytest.raises(InputError, match="lam must be at least as long as lam_bar"):
+        deficits((1,), (2, 1))
+
+
+def test_integrate_refuses_a_wrong_mu_length():
+    with pytest.raises(InputError, match="mu must have length n"):
+        integrate(trapezoid_pattern(), (0, 0))
+
+
 def _random_config(rng):
     """A random convex configuration: trapezoid, parallelogram or hexagon."""
     while True:
@@ -406,6 +419,89 @@ def test_extend_identity_on_trapezoid():
     spec = boundary(x)
     tconfig, tspec = extend_to_trapezoid(x.config, spec)
     assert tconfig == x.config and tspec == spec
+
+
+def _shaped_config(rng, shape):
+    """A random trapezoid, parallelogram or, for any other ``shape``, a convex
+    configuration that is neither."""
+    n, m = rng.randint(1, 7), rng.randint(0, 4)
+    if shape == "trapezoid":
+        return ConvexConfig.trapezoid(n, m)
+    if shape == "parallelogram":
+        return ConvexConfig.parallelogram(n, m)
+    while True:
+        config = _random_config(rng)
+        if not (scan_is_trapezoidal(config) or scan_is_parallelogram(config)):
+            return config
+
+
+def test_shape_tests_match_the_bound_scans_seeded():
+    """The corner tests against the scans of every bound, on every convex
+    configuration with n <= 4, b_0 <= 3, and on seeded larger ones."""
+    rng = random.Random(2001)
+    configs = [ConvexConfig(n, tuple(max(0, i - p) for i in range(n + 1)),
+                            tuple(m + min(i, q) for i in range(n + 1)))
+               for n in range(1, 5) for m in range(4) for p in range(n + 1)
+               for q in range(n + 1) if n - p <= m + q]
+    configs += [_random_config(rng) for _ in range(2000)]
+    seen = Counter()
+    for config in configs:
+        got = (config.is_trapezoidal, config.is_parallelogram)
+        assert got == (scan_is_trapezoidal(config), scan_is_parallelogram(config)), config
+        seen[got] += 1
+    assert min(seen.values()) > 50 and len(seen) == 3, seen
+
+
+def test_extend_to_trapezoid_repr_matches_the_scan_seeded():
+    """The closed-form extension against the scan that it replaced, by repr:
+    hexagons, parallelograms and trapezoids, int, Fraction and negative
+    data, the default ``c`` and explicit ones, and wrong lengths."""
+    rng = random.Random(2002)
+    seen = Counter()
+    for k in range(3000):
+        shape = ("hexagon", "parallelogram", "trapezoid")[k % 3]
+        config = _shaped_config(rng, shape)
+        data = rng.choice(("int", "fraction", "negative"))
+        low = -9 if data == "negative" else 0
+
+        def draw(size):
+            return [Fraction(rng.randint(low, 9), rng.choice((1, 2, 3))) if data == "fraction"
+                    else rng.randint(low, 9) for _ in range(size)]
+
+        n = config.n
+        lengths = [config.b[n] - config.a[n], config.m, n, n]
+        if k % 10 == 0:
+            i = rng.randrange(4)
+            lengths[i] += rng.choice((-1, 1)) if lengths[i] else 1
+        spec = BoundarySpec(*map(draw, lengths))
+        c = rng.choice((None, rng.randint(-5, 50), Fraction(rng.randint(1, 50), 3)))
+        try:
+            want = scan_extend_to_trapezoid(config, spec, c)
+        except InputError as exc:
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                extend_to_trapezoid(config, spec, c)
+            seen["error"] += 1
+            continue
+        got = extend_to_trapezoid(config, spec, c)
+        assert repr(got) == repr(want), (config, spec, c)
+        seen[shape, data, c is None] += 1
+    assert len(seen) == 19 and min(seen.values()) > 50, seen
+
+
+def test_boundary_reads_the_row_ends():
+    """``mu`` and ``nu`` off the first and last entries of each row against
+    ``x_{i,a_i} - x_{i-1,a_{i-1}}`` and ``x_{i,b_i} - x_{i-1,b_{i-1}}``."""
+    rng = random.Random(2003)
+    for k in range(300):
+        config = _random_config(rng)
+        x = StripConcaveArray(config, [[Fraction(rng.randint(-9, 9), 2) if k % 2
+                                        else rng.randint(-9, 9) for _ in range(b - a + 1)]
+                                       for a, b in zip(config.a, config.b)])
+        spec = boundary(x)
+        for side, bounds in ((spec.mu, config.a), (spec.nu, config.b)):
+            want = tuple(x.entry(i, bounds[i]) - x.entry(i - 1, bounds[i - 1])
+                         for i in range(1, config.n + 1))
+            assert repr(side) == repr(want)
 
 
 def test_restrict_to_round_trip():

@@ -88,6 +88,10 @@ def test_length_validation():
         check_trapezoid(spec_of((1,), (), (0, 0), (1, 0)), 2, 0)
     with pytest.raises(InputError):
         check_parallelogram(spec_of((1, 1), (1,), (0,), (0,)), 1, 2)
+    with pytest.raises(InputError, match="mu and nu must have length n"):
+        check_trapezoid(spec_of((1, 0), (), (0,), (1, 0)), 2, 0)
+    with pytest.raises(InputError, match="mu and nu must have length n"):
+        check_parallelogram(spec_of((1, 1), (1, 1), (0, 0), (0,)), 2, 2)
     # every shape reports the one length check of the general decider
     bad = spec_of((3, 0), (2, 1, 0), (0, 0), (3, -3))
     for config in (ConvexConfig.parallelogram(2, 2), ConvexConfig.trapezoid(2, 2),

@@ -421,6 +421,12 @@ def test_generator_array_shapes():
         generator_array([(0, 0), (1, 0), (2, 0)], 0)  # ends at leftmost node
     with pytest.raises(InputError):
         generator_array([(0, 0), (2, 1)], 0)  # skips a layer
+    with pytest.raises(InputError, match="path must start on layer 0"):
+        generator_array([(1, 0), (2, 1)], 0)
+    with pytest.raises(InputError, match="path steps must follow graph edges"):
+        generator_array([(0, 0), (1, 0), (2, 2)], 0)
+    with pytest.raises(InputError, match="path node out of range"):
+        generator_array([(0, 2), (1, 2), (2, 3)], 1)
 
 
 def test_generator_identity_fixture():

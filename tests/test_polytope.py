@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -58,6 +60,8 @@ def test_facet_count_matches_listing():
             assert facet_count_consistent(n, m)["enumerated"] == len(facets(n, m)), (n, m)
     with pytest.raises(InputError):
         facet_count_consistent(2, -1)
+    with pytest.raises(InputError, match="facet count needs n >= 1"):
+        facet_count_formula(0, 1)
 
 
 def test_facet_count_divergence_without_top_row():
@@ -66,6 +70,19 @@ def test_facet_count_divergence_without_top_row():
         report = facet_count_consistent(n, 0)
         assert not report["consistent"]
         assert report["enumerated"] == report["formula"] + 1
+
+
+def test_facet_count_for_one_row_allocates_no_power():
+    """For n = 1 the subset term is 0 and is not computed: ``2**m`` alone
+    would take about 125 MB at m = 10**9."""
+    tracemalloc.start()
+    try:
+        report = facet_count_consistent(1, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == {"enumerated": 2 * 10**9, "formula": 2 * 10**9, "consistent": True}
+    assert peak < 1 << 20, peak
 
 
 def test_facets_n2_m0_contents():
@@ -132,6 +149,17 @@ def test_kostka_base_cases():
     assert kostka((1, 1, 1, 1), (), (2, 2)) == 0
     # ... and a short lam padded with zeros must stay weakly decreasing
     assert kostka((2, -1), (), (1, 0, 0)) == 0
+
+
+def test_kostka_trims_trailing_zeros_at_once():
+    """200 000 zero parts beyond n + m are dropped in one slice; a nonzero
+    part among them makes the count 0."""
+    zeros = (0,) * 200_000
+    start = time.perf_counter()
+    assert kostka((1,) + zeros, (), (1,)) == 1
+    assert kostka((1,) + zeros + (1,), (), (1,)) == 0
+    assert kostka((2, 1) + zeros, (1,), (1, 1)) == 2
+    assert time.perf_counter() - start < 5
 
 
 def test_kostka_fixture_contains_pattern():

@@ -54,6 +54,12 @@ def test_non_skew_when_inner_empty():
     assert t.rows == ((1, 1), (2, 3), (3,))
 
 
+def test_entry_reads_rows_past_the_inner_shape():
+    t = SkewTableau((3, 2, 1), (1,), ((1, 1), (1, 2), (2,)))
+    assert [t.entry(1, 2), t.entry(1, 3), t.entry(2, 1), t.entry(2, 2), t.entry(3, 1)] == [
+        1, 1, 1, 2, 2]
+
+
 def test_validation_rejects_bad_tableaux():
     with pytest.raises(InputError):
         SkewTableau((2,), (), ((2, 1),))  # row decreasing
