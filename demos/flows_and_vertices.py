@@ -5,6 +5,7 @@ Run with: python3 demos/flows_and_vertices.py
 from stripconcave import (
     boundary,
     boundary_of_flow,
+    derivative,
     enumerate_vertices,
     gamma,
     gamma_inv,
@@ -14,9 +15,10 @@ from stripconcave import (
     path_decompose,
     zigzag_swap,
 )
-from stripconcave.fixtures import trapezoid_pattern
+from stripconcave.fixtures import trapezoid_array
 
-x = integrate(trapezoid_pattern())  # left boundary normalized to zero
+pattern = derivative(trapezoid_array())
+x = integrate(pattern)  # left boundary normalized to zero
 print("=== The flow image of the fixture pattern ===")
 g = gamma(x)
 print("horizontal edge values (per layer):")
@@ -48,14 +50,14 @@ print()
 print("=== Every nonnegative pattern is a sum of 0/1 generators ===")
 decomposition = path_decompose(g)
 print(f"{len(decomposition.paths)} weighted source-to-sink paths:")
-reconstructed = [[0] * len(row) for row in trapezoid_pattern().rows]
+reconstructed = [[0] * len(row) for row in pattern.rows]
 for nodes, weight in decomposition.paths:
     print("    weight", weight, "through", nodes)
     for i, row in enumerate(generator_array(nodes, 2).rows):
         for j, v in enumerate(row):
             reconstructed[i][j] += weight * v
 print("weighted generator sum reproduces the pattern:",
-      tuple(map(tuple, reconstructed)) == trapezoid_pattern().rows)
+      tuple(map(tuple, reconstructed)) == pattern.rows)
 
 print()
 print("=== gamma is a bijection ===")

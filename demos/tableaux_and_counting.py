@@ -8,22 +8,24 @@ from stripconcave import (
     boundary,
     content,
     count_scaled_points,
+    derivative,
     facet_count_consistent,
     facets,
     kostka,
     pattern_to_tableau,
     tableau_to_pattern,
 )
-from stripconcave.fixtures import trapezoid_array, trapezoid_pattern
+from stripconcave.fixtures import trapezoid_array
 
 print("=== Integer patterns are skew Young tableaux ===")
-t = pattern_to_tableau(trapezoid_pattern())
+pattern = derivative(trapezoid_array())
+t = pattern_to_tableau(pattern)
 print("shape:", t.outer, "minus", t.inner)
 for r, row in enumerate(t.rows, start=1):
     pad = t.inner[r - 1] if r <= len(t.inner) else 0
     print("   row", r, ":", "." * pad + "".join(str(v) for v in row))
 print("content (how often each entry occurs):", content(t))
-print("the bijection inverts:", tableau_to_pattern(t).rows == trapezoid_pattern().rows)
+print("the bijection inverts:", tableau_to_pattern(t).rows == pattern.rows)
 
 print()
 print("=== Counting lattice points = counting tableaux ===")

@@ -9,6 +9,7 @@ when the two rhombus inequalities hold on every strip.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -55,6 +56,14 @@ def rat(value) -> Rat:
             raise InputError(f"not a rational: {value!r}") from exc
         return int(f) if f.denominator == 1 else f
     raise InputError(f"not a rational: {value!r} (floats are not accepted)")
+
+
+def _int_text(value: int) -> str:
+    """``str(value)``, or a bound where a positive ``value`` passes the ``str()`` digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"10^{sys.get_int_max_str_digits()} or more"
 
 
 def _is_int(value) -> bool:
@@ -144,10 +153,6 @@ class ConvexConfig(Record):
 
     # -- constructors for the special shapes -------------------------------
     @classmethod
-    def triangle(cls, n: int) -> "ConvexConfig":
-        return cls(n, (0,) * (n + 1), tuple(range(n + 1)))
-
-    @classmethod
     def trapezoid(cls, n: int, m: int) -> "ConvexConfig":
         return cls(n, (0,) * (n + 1), tuple(i + m for i in range(n + 1)))
 
@@ -192,10 +197,7 @@ class StripConcaveArray(Record):
             raise InputError("array must have n+1 rows")
         for i, row in enumerate(rows):
             if len(row) != c.b[i] - c.a[i] + 1:
-                raise InputError(f"row {i} must have {c.b[i] - c.a[i] + 1} entries")
-
-    def entry(self, i: int, j: int) -> Rat:
-        return self.rows[i][j - self.config.a[i]]
+                raise InputError(f"row {i} must have {_int_text(c.b[i] - c.a[i] + 1)} entries")
 
 
 class GTPattern(Record):
@@ -216,9 +218,6 @@ class GTPattern(Record):
         for i, row in enumerate(rows):
             if len(row) != c.b[i] - c.a[i]:
                 raise InputError(f"pattern row {i} must have {c.b[i] - c.a[i]} entries")
-
-    def entry(self, i: int, j: int) -> Rat:
-        return self.rows[i][j - self.config.a[i] - 1]
 
 
 class BoundarySpec(Record):
@@ -244,17 +243,19 @@ class BoundarySpec(Record):
 # ---------------------------------------------------------------------------
 
 def validate_pattern(p: GTPattern) -> bool:
-    """True iff every rhombus inequality holds on the pattern entries.
+    """True iff every rhombus inequality of the two kept types holds.
 
-    Rows ``i - 1`` and ``i`` of a convex configuration share the columns
-    ``a_i < j <= b_{i-1}``.  Row ``i - 1`` read from column ``a_i + 1`` is
-    compared with row ``i`` (upper) and with row ``i`` shifted by one
-    (lower); ``zip`` stops where either row ends.
+    With ``s = a_i - a_{i-1}``, row ``i - 1`` read from column ``a_i + 1``
+    is ``rows[i-1][s:]``; the upper inequality ``dx_{ij} >= dx_{i-1,j}``
+    compares it with row ``i``.  The lower one, ``dx_{i-1,j} >= dx_{i,j+1}``,
+    starts at ``j = a_i`` where the left side steps (``s = 1``), so it
+    compares all of row ``i - 1`` with ``rows[i][1 - s:]``.  ``zip`` stops
+    where either row ends.
     """
     a, rows = p.config.a, p.rows
     for i in range(1, len(rows)):
-        up, row = rows[i - 1][a[i] - a[i - 1]:], rows[i]
-        if not (all(map(ge, row, up)) and all(map(ge, up, row[1:]))):
+        above, row, s = rows[i - 1], rows[i], a[i] - a[i - 1]
+        if not (all(map(ge, row, above[s:])) and all(map(ge, above, row[1 - s:]))):
             return False
     return True
 
@@ -383,10 +384,9 @@ def rough_bound(spec: BoundarySpec) -> Rat:
     return 4 * sum(map(abs, spec.lam + spec.lam_bar + spec.mu + spec.nu)) + 1
 
 
-def _check_lengths(config: ConvexConfig, spec: BoundarySpec) -> None:
-    """Refuse a boundary whose tuple lengths do not fit ``config``."""
-    n = config.n
-    if len(spec.lam) != config.b[n] - config.a[n] or len(spec.lam_bar) != config.b[0]:
+def _check_lengths(spec: BoundarySpec, n: int, lam_len: int, lam_bar_len: int) -> None:
+    """Refuse a boundary unless its lengths are ``lam_len``, ``lam_bar_len``, ``n`` and ``n``."""
+    if len(spec.lam) != lam_len or len(spec.lam_bar) != lam_bar_len:
         raise InputError("boundary lengths do not match the configuration")
     if len(spec.mu) != n or len(spec.nu) != n:
         raise InputError("mu and nu must have length n")
@@ -409,12 +409,12 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
     keep their positions in the trapezoid, and on a trapezoidal
     configuration both are returned unchanged.
     """
-    _check_lengths(config, spec)
+    n, m = config.n, config.m
+    _check_lengths(spec, n, config.b[n] - config.a[n], m)
     if config.is_trapezoidal:
         return config, spec
     if c is None:
         c = rough_bound(spec)
-    n, m = config.n, config.m
     left, right = config.a[n], m + n - config.b[n]
     lam = (c,) * left + spec.lam + (-c,) * right
     mu = spec.mu[:n - left] + tuple(v - c for v in spec.mu[n - left:])

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .core import (
     BoundarySpec,
     ConvexConfig,
-    InputError,
     Rat,
     Record,
     _check_lengths,
@@ -113,12 +112,10 @@ def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
 
     Feasible iff both boundary tuples are weakly decreasing, the quadruple is
     balanced, and ``lam[1,|I|] + mu(I) - nu(I) - D_{|I|} >= 0`` for every
-    subset ``I`` of ``1..n``.
+    subset ``I`` of ``1..n``.  ``lam``, ``lam_bar``, ``mu`` and ``nu`` must
+    have the lengths ``n + m``, ``m``, ``n`` and ``n`` of the trapezoid.
     """
-    if len(spec.lam) != n + m or len(spec.lam_bar) != m:
-        raise InputError("lambda must have length n+m and lambda_bar length m")
-    if len(spec.mu) != n or len(spec.nu) != n:
-        raise InputError("mu and nu must have length n")
+    _check_lengths(spec, n, n + m, m)
     cert = _structural(spec)
     if cert is None:
         profile = deficits(spec.lam, spec.lam_bar, n)
@@ -133,12 +130,10 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdic
     For ``|I| <= m`` the inequality reads
     ``lam[1,|I|] - lam_bar[m-|I|+1, m] + mu(I) - nu(I) - D_{|I|} >= 0``;
     for larger subsets the deficit saturates and it degenerates to
-    ``|lam| - |lam_bar| + mu(I) - nu(I) >= 0``.
+    ``|lam| - |lam_bar| + mu(I) - nu(I) >= 0``.  ``lam``, ``lam_bar``,
+    ``mu`` and ``nu`` must have the lengths ``m``, ``m``, ``n`` and ``n``.
     """
-    if len(spec.lam) != m or len(spec.lam_bar) != m:
-        raise InputError("lambda and lambda_bar must both have length m")
-    if len(spec.mu) != n or len(spec.nu) != n:
-        raise InputError("mu and nu must have length n")
+    _check_lengths(spec, n, m, m)
     cert = _structural(spec)
     if cert is None:
         profile = deficits(spec.lam, spec.lam_bar, n)
@@ -155,7 +150,6 @@ def _decide(config: ConvexConfig, spec: BoundarySpec) -> tuple:
     ``(trapezoid_config, extended_spec)`` it was decided on, made once; a
     parallelogram is decided on ``spec`` itself and has no extension."""
     if config.is_parallelogram:
-        _check_lengths(config, spec)
         return check_parallelogram(spec, config.n, config.m), None
     tconfig, tspec = extend_to_trapezoid(config, spec)
     verdict = check_trapezoid(tspec, tconfig.n, tconfig.m)

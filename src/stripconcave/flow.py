@@ -24,6 +24,7 @@ from .core import (
     Rat,
     Record,
     StripConcaveArray,
+    _int_text,
     _is_int,
     _rows_from_json,
     _rows_to_json,
@@ -57,7 +58,7 @@ class Flow(Record):
                 raise InputError(f"{name} must have n rows")
             for i, row in enumerate(rows):
                 if len(row) != i + m + 1:
-                    raise InputError(f"{name} row {i} must have {i + m + 1} entries")
+                    raise InputError(f"{name} row {i} must have {_int_text(i + m + 1)} entries")
         if min(map(min, e0 + e1)) < 0:
             raise InputError("flow values must be nonnegative")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import BoundarySpec, InputError, Rat, Record, _set
+from .core import BoundarySpec, InputError, Rat, Record, _int_text, _set
 from .feasibility import check_trapezoid
 
 
@@ -120,7 +120,8 @@ def facet_count_consistent(n: int, m: int) -> dict:
     if n < 1 or m < 0:
         raise InputError("facets need n >= 1 and m >= 0")
     if n > 1 and n + m > FACET_COUNT_MAX:
-        raise InputError(f"counting facets needs n + m <= {FACET_COUNT_MAX} for n > 1, got {n + m}")
+        raise InputError(f"counting facets needs n + m <= {FACET_COUNT_MAX} for n > 1, "
+                         f"got {_int_text(n + m)}")
     enumerated = ((2**n - 2) * 2**m if n > 1 else 0) + (m if n + m > 1 else 0) + m
     if not (n == 1 or (n == 2 and m == 0)):
         enumerated += (n + m - 1) + max(0, m - 1)

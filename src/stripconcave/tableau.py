@@ -61,10 +61,6 @@ class SkewTableau(Record):
                 k = next(k for k, (u, v) in enumerate(zip(upper, lower)) if u >= v)
                 raise InputError(f"column {pad[r - 1] + k + 1} must strictly increase downward")
 
-    def entry(self, r: int, col: int) -> int:
-        pad = self.inner[r - 1] if r <= len(self.inner) else 0
-        return self.rows[r - 1][col - pad - 1]
-
     def to_json(self) -> dict:
         return {
             "outer": list(self.outer),

@@ -129,20 +129,33 @@ def pattern_constraints(config):
     """Yield the rhombus-inequality instances for a configuration.
 
     Each item is ``("upper", i, j)`` meaning ``dx_{ij} >= dx_{i-1,j}`` or
-    ``("lower", i, j)`` meaning ``dx_{i-1,j} >= dx_{i,j+1}``.
+    ``("lower", i, j)`` meaning ``dx_{i-1,j} >= dx_{i,j+1}``, wherever every
+    cell named exists.  Where the left side steps (``a_i = a_{i-1} + 1``),
+    this includes the lower rhombus at ``j = a_i``.
     """
     a, b = config.a, config.b
     for i in range(1, config.n + 1):
-        for j in range(a[i] + 1, b[i] + 1):
+        for j in range(a[i], b[i] + 1):
             if a[i - 1] + 1 <= j <= b[i - 1]:
-                yield ("upper", i, j)
-            if j < b[i] and a[i - 1] + 1 <= j <= b[i - 1]:
-                yield ("lower", i, j)
+                if j > a[i]:
+                    yield ("upper", i, j)
+                if j < b[i]:
+                    yield ("lower", i, j)
+
+
+def array_cell(x, i, j):
+    """Entry ``x_{ij}`` of an array: row ``i`` starts at column ``a_i``."""
+    return x.rows[i][j - x.config.a[i]]
+
+
+def pattern_cell(p, i, j):
+    """Entry ``dx_{ij}`` of a pattern: row ``i`` starts at column ``a_i + 1``."""
+    return p.rows[i][j - p.config.a[i] - 1]
 
 
 def entrywise_restrict_to(x, config):
     """``restrict_to`` cell by cell: entry ``(i, j)`` of the restriction is
-    ``x.entry(i, j)`` for ``a_i <= j <= b_i`` of the smaller configuration."""
+    ``x_{ij}`` for ``a_i <= j <= b_i`` of the smaller configuration."""
     big = x.config
     if big.n != config.n:
         raise InputError("restriction requires equal row counts")
@@ -150,7 +163,7 @@ def entrywise_restrict_to(x, config):
         if config.a[i] < big.a[i] or config.b[i] > big.b[i]:
             raise InputError("target configuration is not contained in the source")
     rows = tuple(
-        tuple(x.entry(i, j) for j in range(config.a[i], config.b[i] + 1))
+        tuple(array_cell(x, i, j) for j in range(config.a[i], config.b[i] + 1))
         for i in range(config.n + 1)
     )
     return StripConcaveArray(config, rows)
@@ -564,13 +577,13 @@ def scan_verdict(spec, n, m, parallelogram=False):
 
 def broken_constraints(p: GTPattern):
     """The rhombus inequalities of :func:`pattern_constraints` that the
-    pattern violates, each read off two ``GTPattern.entry`` cells."""
+    pattern violates, each read off two :func:`pattern_cell` cells."""
     broken = []
     for kind, i, j in pattern_constraints(p.config):
         if kind == "upper":
-            ok = p.entry(i, j) >= p.entry(i - 1, j)
+            ok = pattern_cell(p, i, j) >= pattern_cell(p, i - 1, j)
         else:
-            ok = p.entry(i - 1, j) >= p.entry(i, j + 1)
+            ok = pattern_cell(p, i - 1, j) >= pattern_cell(p, i, j + 1)
         if not ok:
             broken.append((kind, i, j))
     return broken
@@ -619,10 +632,10 @@ def tight_system_rank(p: GTPattern, fixed_nu=False):
     for kind, i, j in pattern_constraints(c):
         if kind == "upper":
             pair = ((i, j), (i - 1, j))
-            tight = p.entry(i, j) == p.entry(i - 1, j)
+            tight = pattern_cell(p, i, j) == pattern_cell(p, i - 1, j)
         else:
             pair = ((i - 1, j), (i, j + 1))
-            tight = p.entry(i - 1, j) == p.entry(i, j + 1)
+            tight = pattern_cell(p, i - 1, j) == pattern_cell(p, i, j + 1)
         if not tight:
             continue
         row = [0] * len(free)

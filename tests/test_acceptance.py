@@ -34,14 +34,7 @@ from stripconcave import (
     swap_flow,
     validate_array,
 )
-from stripconcave.fixtures import (
-    hexagon_array,
-    skew_tableau,
-    swapped_flow,
-    trapezoid_array,
-    trapezoid_flow,
-    trapezoid_pattern,
-)
+from stripconcave.fixtures import hexagon_array, trapezoid_array
 
 from oracles import (
     admissibility_violation,
@@ -52,6 +45,7 @@ from oracles import (
     random_pattern,
     tight_system_rank,
 )
+from worked_examples import SKEW_TABLEAU, SWAPPED_FLOW, TRAPEZOID_FLOW, TRAPEZOID_PATTERN
 
 
 @contextmanager
@@ -80,13 +74,13 @@ def test_criterion_1_fixture_fidelity():
         assert boundary(trapezoid_array()) == BoundarySpec(
             (6, 4, 3, 1, 1), (5, 2), (1, -7, -2), (4, -5, 1)
         )
-        assert derivative(trapezoid_array()).rows == trapezoid_pattern().rows
-        t = pattern_to_tableau(trapezoid_pattern())
-        assert t == skew_tableau()
+        assert derivative(trapezoid_array()).rows == TRAPEZOID_PATTERN.rows
+        t = pattern_to_tableau(TRAPEZOID_PATTERN)
+        assert t == SKEW_TABLEAU
         from stripconcave import content
 
         assert content(t) == (3, 2, 3)
-        assert swap_flow(trapezoid_flow(), 2) == swapped_flow()
+        assert swap_flow(TRAPEZOID_FLOW, 2) == SWAPPED_FLOW
 
 
 def test_criterion_2_feasibility_oracle_equivalence():

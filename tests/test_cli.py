@@ -11,17 +11,21 @@ from stripconcave import (
     BoundarySpec,
     InternalError,
     array_from_json,
+    array_to_json,
     boundary,
     canonical_json,
     check_parallelogram,
     config_to_json,
+    flow_to_json,
     pattern_to_json,
     spec_to_json,
     validate_array,
 )
 from stripconcave import construct
 from stripconcave.cli import main
-from stripconcave.fixtures import all_fixtures, hexagon_array, hexagon_pattern
+from stripconcave.fixtures import all_fixtures, hexagon_array, trapezoid_array
+
+from worked_examples import HEXAGON_PATTERN, SKEW_TABLEAU, SWAPPED_FLOW, TRAPEZOID_FLOW, TRAPEZOID_PATTERN
 
 
 def run(capsys, *argv):
@@ -199,7 +203,7 @@ def test_flow_round_trip(capsys):
     code, out, _ = run(capsys, "flow", "to", "--array", array)
     assert code == 0
     flow = json.loads(out)
-    assert flow == fixtures["flow"]
+    assert flow == flow_to_json(TRAPEZOID_FLOW)
     code, out, _ = run(capsys, "flow", "from", "--flow", json.dumps(flow))
     assert code == 0
     # mu-normalized array shares the fixture's derivative
@@ -213,7 +217,7 @@ def test_swap_reproduces_swapped_fixture(capsys):
         capsys, "swap", "--layer", "2", "--flow", json.dumps(fixtures["flow"])
     )
     assert code == 0
-    assert json.loads(out) == fixtures["flow_swapped"]
+    assert json.loads(out) == flow_to_json(SWAPPED_FLOW)
 
 
 def test_swap_domains(capsys):
@@ -316,12 +320,12 @@ def test_tableau_commands(capsys):
     pattern = json.dumps(fixtures["trapezoid_pattern"])
     code, out, _ = run(capsys, "tableau", "from-pattern", "--pattern", pattern)
     assert code == 0
-    assert json.loads(out) == fixtures["tableau"]
+    assert json.loads(out) == SKEW_TABLEAU.to_json()
     code, out, _ = run(
         capsys, "tableau", "to-pattern", "--tableau", json.dumps(fixtures["tableau"])
     )
     assert code == 0
-    assert json.loads(out)["rows"] == fixtures["trapezoid_pattern"]["rows"]
+    assert json.loads(out)["rows"] == pattern_to_json(TRAPEZOID_PATTERN)["rows"]
     code, out, _ = run(
         capsys, "tableau", "content", "--tableau", json.dumps(fixtures["tableau"])
     )
@@ -331,15 +335,15 @@ def test_tableau_commands(capsys):
 def test_fixtures_self_validate(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0
-    blob = json.loads(out)
-    assert set(blob) == {
-        "hexagon_array",
-        "hexagon_pattern",
-        "trapezoid_array",
-        "trapezoid_pattern",
-        "flow",
-        "flow_swapped",
-        "tableau",
+    # the five derived examples are the hand-written ones
+    assert json.loads(out) == {
+        "hexagon_array": array_to_json(hexagon_array()),
+        "hexagon_pattern": pattern_to_json(HEXAGON_PATTERN),
+        "trapezoid_array": array_to_json(trapezoid_array()),
+        "trapezoid_pattern": pattern_to_json(TRAPEZOID_PATTERN),
+        "flow": flow_to_json(TRAPEZOID_FLOW),
+        "flow_swapped": flow_to_json(SWAPPED_FLOW),
+        "tableau": SKEW_TABLEAU.to_json(),
     }
     # byte stability
     code2, out2, _ = run(capsys, "fixtures")
@@ -433,6 +437,21 @@ def test_oversized_integers_exit_2(capsys, digit_limit, command, spec, needle):
     assert_input_error(*run(capsys, command, "--spec", spec), needle)
 
 
+@pytest.mark.parametrize("argv, message, named", [
+    (["facets", "--count-only", "--n", "2", "--m", "%s"],
+     "counting facets needs n + m <= 14000 for n > 1, got %s", "100001"),
+    (["flow", "from", "--flow", '{"n":1,"m":%s,"e0":[[0]],"e1":[[1]]}'],
+     "e0 row 0 must have %s entries", "100000"),
+    (["flow", "to", "--array", '{"config":{"n":1,"a":[0,0],"b":[%s,%s]},"rows":[[0],[0]]}'],
+     "row 0 must have %s entries", "100000"),
+], ids=["facets", "flow-from", "flow-to"])
+def test_messages_bound_a_computed_integer_past_the_digit_limit(capsys, digit_limit, argv, message, named):
+    # B has 4300 digits, and the integer each message names, B + 1 or B + 2, has 4301
+    for value, text in ((digit_limit, "10^4300 or more"), ("99999", named)):
+        code, out, err = run(capsys, *(arg.replace("%s", value) for arg in argv))
+        assert (code, out, json.loads(err)) == (2, "", {"error": "input", "message": message % text})
+
+
 def test_too_deeply_nested_json_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
@@ -454,7 +473,7 @@ SMALL_CONFIG = '{"n":1,"a":[0,0],"b":[0,1]}'
 
 @pytest.mark.parametrize("argv, needle", [
     (["tableau", "from-pattern"], "needs --pattern"),
-    (["tableau", "from-pattern", "--pattern", canonical_json(pattern_to_json(hexagon_pattern()))],
+    (["tableau", "from-pattern", "--pattern", canonical_json(pattern_to_json(HEXAGON_PATTERN))],
      "tableaux correspond to trapezoidal patterns"),
     (["check", "--config", '{"n":2,"a":[0,0,0],"b":[1,1,2]}', "--spec", TRIANGLE_SPEC],
      "increments of b must weakly decrease"),

@@ -19,6 +19,7 @@ from stripconcave import (
     array_to_json,
     boundary,
     canonical_json,
+    check_general,
     check_trapezoid,
     deficits,
     derivative,
@@ -37,6 +38,7 @@ from stripconcave import (
     validate_pattern,
 )
 from oracles import (
+    array_cell,
     broken_constraints,
     deficits_definition,
     entrywise_restrict_to,
@@ -47,14 +49,8 @@ from oracles import (
     scan_is_trapezoidal,
 )
 from stripconcave.core import GTPattern, Record, StripConcaveArray
-from stripconcave.fixtures import (
-    hexagon_array,
-    hexagon_pattern,
-    skew_tableau,
-    trapezoid_array,
-    trapezoid_flow,
-    trapezoid_pattern,
-)
+from stripconcave.fixtures import hexagon_array, trapezoid_array
+from worked_examples import HEXAGON_PATTERN, SKEW_TABLEAU, TRAPEZOID_FLOW, TRAPEZOID_PATTERN
 
 
 def test_rat_parsing():
@@ -73,7 +69,7 @@ def test_rat_json_round_trip():
 
 
 def test_config_shapes():
-    t = ConvexConfig.triangle(3)
+    t = ConvexConfig.trapezoid(3, 0)
     assert t.is_trapezoidal and t.m == 0
     z = ConvexConfig.trapezoid(3, 2)
     assert z.is_trapezoidal and z.m == 2
@@ -84,7 +80,7 @@ def test_config_shapes():
 
 
 def test_record_repr_matches_field_order():
-    assert repr(ConvexConfig.triangle(2)) == "ConvexConfig(n=2, a=(0, 0, 0), b=(0, 1, 2))"
+    assert repr(ConvexConfig.trapezoid(2, 0)) == "ConvexConfig(n=2, a=(0, 0, 0), b=(0, 1, 2))"
     assert repr(Certificate("subset", (1, 3), Fraction(-1, 2), 2)) == (
         "Certificate(kind='subset', subset=(1, 3), lhs=Fraction(-1, 2), deficit=2)"
     )
@@ -94,7 +90,7 @@ def test_record_repr_matches_field_order():
 
 
 def test_record_is_immutable_and_slotted():
-    config = ConvexConfig.triangle(2)
+    config = ConvexConfig.trapezoid(2, 0)
     with pytest.raises(AttributeError):
         config.n = 3
     with pytest.raises(AttributeError):
@@ -117,18 +113,18 @@ def test_record_equality_and_hash():
 
 def test_record_pickle_and_copy_round_trip():
     verdict = check_trapezoid(BoundarySpec((2, 1), (), (0, 0), (3, 0)), 2, 0)
-    flow = trapezoid_flow()
+    flow = TRAPEZOID_FLOW
     records = [
         hexagon_array().config,
         hexagon_array(),
-        hexagon_pattern(),
+        HEXAGON_PATTERN,
         boundary(hexagon_array()),
         verdict.certificate,
         verdict,
         flow,
         path_decompose(flow),
         facets(2, 1)[0],
-        skew_tableau(),
+        SKEW_TABLEAU,
     ]
     assert {type(r) for r in records} == set(Record.__subclasses__())
     for record in records:
@@ -143,7 +139,7 @@ def test_record_pickle_and_copy_round_trip():
 
 def test_record_keyword_construction():
     config = ConvexConfig(n=2, a=[0, 0, 0], b=[0, 1, 2])
-    assert config == ConvexConfig.triangle(2) and config.a == (0, 0, 0)
+    assert config == ConvexConfig.trapezoid(2, 0) and config.a == (0, 0, 0)
     assert Certificate(kind="balance", lhs=1) == Certificate("balance", None, 1, None)
     assert FacetInequality("chamber_lambda", j=2).j == 2
 
@@ -177,15 +173,15 @@ def test_fixture_boundaries():
 
 
 def test_fixture_derivatives():
-    assert derivative(trapezoid_array()).rows == trapezoid_pattern().rows
-    assert derivative(hexagon_array()).rows == hexagon_pattern().rows
+    assert derivative(trapezoid_array()).rows == TRAPEZOID_PATTERN.rows
+    assert derivative(hexagon_array()).rows == HEXAGON_PATTERN.rows
 
 
 def test_validate_fixtures():
     assert validate_array(hexagon_array())
     assert validate_array(trapezoid_array())
-    assert validate_pattern(hexagon_pattern())
-    assert validate_pattern(trapezoid_pattern())
+    assert validate_pattern(HEXAGON_PATTERN)
+    assert validate_pattern(TRAPEZOID_PATTERN)
 
 
 def test_validate_rejects_broken_concavity():
@@ -344,7 +340,7 @@ def test_deficits_refuse_a_short_lam():
 
 def test_integrate_refuses_a_wrong_mu_length():
     with pytest.raises(InputError, match="mu must have length n"):
-        integrate(trapezoid_pattern(), (0, 0))
+        integrate(TRAPEZOID_PATTERN, (0, 0))
 
 
 def _random_config(rng):
@@ -385,7 +381,7 @@ def test_validate_pattern_agrees_with_constraints():
     """Row slices against the per-inequality oracle on trapezoids,
     parallelograms and hexagons, valid and with one edge cell moved."""
     rng = random.Random(4417)
-    patterns = [hexagon_pattern(), trapezoid_pattern()]
+    patterns = [HEXAGON_PATTERN, TRAPEZOID_PATTERN]
     for _ in range(150):
         patterns.append(_pattern_on(rng, _random_config(rng)))
         n, m = rng.randint(1, 5), rng.randint(1, 4)
@@ -400,6 +396,32 @@ def test_validate_pattern_agrees_with_constraints():
             assert validate_pattern(q) == (not broken), (q, broken)
             single += len(broken) == 1
     assert single > 1000
+
+
+def test_validate_array_checks_the_left_step_rhombus():
+    # a_1 = a_0 + 1: the lower rhombus dx_{0,1} >= dx_{1,2} reads 6 >= 11
+    config = ConvexConfig(3, (0, 1, 2, 3), (1, 2, 3, 3))
+    x = StripConcaveArray(config, ((0, 6), (-3, 8), (-5, 6), (-8,)))
+    assert not validate_array(x)
+    assert not check_general(config, boundary(x)).feasible
+
+
+def test_validated_arrays_are_feasible():
+    """``validate_array(x)`` implies that ``check_general`` finds the boundary
+    of ``x`` feasible, on random convex shapes, valid or with one edge cell
+    moved, integrated with a random left boundary."""
+    rng = random.Random(4421)
+    validated = stepped = 0
+    for _ in range(150):
+        config = _random_config(rng)
+        p = _pattern_on(rng, config)
+        for q in (p, *_edge_moves(p)):
+            x = integrate(q, [rng.randint(-3, 3) for _ in range(config.n)])
+            if validate_array(x):
+                assert check_general(config, boundary(x)).feasible, x
+                validated += 1
+                stepped += config.a[-1] > 0
+    assert validated > 1000 and stepped > 300
 
 
 def test_extend_to_trapezoid_hexagon():
@@ -499,7 +521,7 @@ def test_boundary_reads_the_row_ends():
                                        for a, b in zip(config.a, config.b)])
         spec = boundary(x)
         for side, bounds in ((spec.mu, config.a), (spec.nu, config.b)):
-            want = tuple(x.entry(i, bounds[i]) - x.entry(i - 1, bounds[i - 1])
+            want = tuple(array_cell(x, i, bounds[i]) - array_cell(x, i - 1, bounds[i - 1])
                          for i in range(1, config.n + 1))
             assert repr(side) == repr(want)
 
@@ -508,7 +530,7 @@ def test_restrict_to_round_trip():
     x = trapezoid_array()
     sub = ConvexConfig(3, (0, 0, 0, 1), (2, 3, 3, 3))
     y = restrict_to(x, sub)
-    assert y.entry(3, 1) == x.entry(3, 1)
+    assert array_cell(y, 3, 1) == array_cell(x, 3, 1)
     assert len(y.rows[0]) == 3
 
 
@@ -548,7 +570,7 @@ def test_array_json_round_trip():
 def test_bare_rows_json_infer_trapezoid():
     x = trapezoid_array()
     assert array_from_json([list(r) for r in x.rows]).config == x.config
-    p = trapezoid_pattern()
+    p = TRAPEZOID_PATTERN
     assert pattern_from_json([list(r) for r in p.rows]) == p
     with pytest.raises(InputError, match="bare array rows must form a trapezoid"):
         array_from_json([[0, 1], [0, 1]])

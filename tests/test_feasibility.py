@@ -84,9 +84,10 @@ def test_subset_certificate_contents():
 
 
 def test_length_validation():
-    with pytest.raises(InputError):
+    # the deciders for the two special shapes share the general length rule
+    with pytest.raises(InputError, match="boundary lengths do not match the configuration"):
         check_trapezoid(spec_of((1,), (), (0, 0), (1, 0)), 2, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="boundary lengths do not match the configuration"):
         check_parallelogram(spec_of((1, 1), (1,), (0,), (0,)), 1, 2)
     with pytest.raises(InputError, match="mu and nu must have length n"):
         check_trapezoid(spec_of((1, 0), (), (0,), (1, 0)), 2, 0)
@@ -194,7 +195,7 @@ def test_general_reduction_respects_fixture():
     # a triangle fed through the general path: nu_1 > lam_1 is infeasible
     from stripconcave import ConvexConfig
 
-    tri = ConvexConfig.triangle(2)
+    tri = ConvexConfig.trapezoid(2, 0)
     broken = BoundarySpec((2, 1), (), (0, 0), (3, 0))
     verdict = check_general(tri, broken)
     assert not verdict.feasible and verdict.certificate.kind == "subset"
@@ -294,7 +295,7 @@ def test_hexagon_certificate_carries_only_the_subset():
 
 
 def test_trapezoidal_general_certificate_keeps_lhs():
-    tri = ConvexConfig.triangle(2)
+    tri = ConvexConfig.trapezoid(2, 0)
     cert = check_general(tri, spec_of((2, 1), (), (0, 0), (3, 0))).certificate
     assert cert.to_json() == {"kind": "subset", "I": [1], "lhs": -1, "deficit": 0}
 

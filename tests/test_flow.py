@@ -33,7 +33,6 @@ from stripconcave import (
     zigzag_swap,
 )
 from stripconcave import flow as flow_module
-from stripconcave.fixtures import swapped_flow, trapezoid_flow, trapezoid_pattern
 
 from oracles import (
     admissibility_violation,
@@ -45,20 +44,21 @@ from oracles import (
     tight_system_rank,
     tile_search_vertices,
 )
+from worked_examples import SWAPPED_FLOW, TRAPEZOID_FLOW, TRAPEZOID_PATTERN
 
 
 def fixture_array():
-    return integrate(trapezoid_pattern())
+    return integrate(TRAPEZOID_PATTERN)
 
 
 def test_gamma_fixture():
     g = gamma(fixture_array())
-    assert g.e0 == trapezoid_flow().e0
-    assert g.e1 == trapezoid_flow().e1
+    assert g.e0 == TRAPEZOID_FLOW.e0
+    assert g.e1 == TRAPEZOID_FLOW.e1
 
 
 def test_flow_holds_its_size():
-    g = trapezoid_flow()
+    g = TRAPEZOID_FLOW
     assert Flow.__slots__ == ("n", "m", "e0", "e1") and (g.n, g.m) == (3, 2)
     assert flow_to_json(g) == {"n": 3, "m": 2, "e0": [list(r) for r in g.e0],
                                "e1": [list(r) for r in g.e1]}
@@ -75,7 +75,7 @@ def test_flow_holds_its_size():
 
 def test_gamma_requires_trapezoid():
     config = ConvexConfig(2, (0, 0, 1), (1, 2, 2))
-    x = integrate(derivative(integrate(trapezoid_pattern())))  # placeholder valid array
+    x = integrate(derivative(integrate(TRAPEZOID_PATTERN)))  # placeholder valid array
     bad = type(x)(config, ((0, 0), (0, 0, 0), (0, 0)))
     with pytest.raises(InputError, match="extend_to_trapezoid"):
         gamma(bad)
@@ -104,7 +104,7 @@ def test_gamma_round_trip_fixture():
 
 
 def test_gamma_inv_rejects_inadmissible():
-    g = trapezoid_flow()
+    g = TRAPEZOID_FLOW
     bad = Flow(g.n, g.m, g.e0, tuple(
         tuple(v + (i == 0 and j == 0) for j, v in enumerate(row))
         for i, row in enumerate(g.e1)
@@ -118,8 +118,8 @@ def test_gamma_inv_rejects_inadmissible():
 
 
 def test_nu_recovery():
-    assert nu_of_flow(trapezoid_flow()) == (3, 2, 3)
-    assert nu_of_flow(swapped_flow()) == (3, 3, 2)
+    assert nu_of_flow(TRAPEZOID_FLOW) == (3, 2, 3)
+    assert nu_of_flow(SWAPPED_FLOW) == (3, 3, 2)
 
 
 def test_constant_derivative_flow_support():
@@ -136,8 +136,8 @@ def test_constant_derivative_flow_support():
 
 
 def test_swap_fixture():
-    sw = swap_flow(trapezoid_flow(), 2)
-    assert sw.e0 == swapped_flow().e0 and sw.e1 == swapped_flow().e1
+    sw = swap_flow(TRAPEZOID_FLOW, 2)
+    assert sw.e0 == SWAPPED_FLOW.e0 and sw.e1 == SWAPPED_FLOW.e1
 
 
 def test_zigzag_swap_involution_and_nu():
@@ -219,7 +219,7 @@ def test_permute_nu_equals_composed_swaps():
 
 
 def test_flow_json_round_trip():
-    g = trapezoid_flow()
+    g = TRAPEZOID_FLOW
     assert flow_from_json(flow_to_json(g)) == g
     with pytest.raises(InputError):
         flow_from_json({"n": 1, "m": 0})
@@ -430,7 +430,7 @@ def test_generator_array_shapes():
 
 
 def test_generator_identity_fixture():
-    pat = trapezoid_pattern()
+    pat = TRAPEZOID_PATTERN
     g = gamma(integrate(pat))
     total = [[0] * len(r) for r in pat.rows]
     for nodes, w in path_decompose(g).paths:

@@ -1,13 +1,13 @@
 """Source hygiene: no package module imports a name it never uses, no
-private definition is left unused, every public name is read outside the
-tests, no package function is recursive, and the CLI imports no heavy
-stdlib module."""
+private definition is left unused, every public name and every public
+member of a public class is read outside the tests, no package function is
+recursive, and the CLI imports no heavy stdlib module."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import stripconcave
 
@@ -119,19 +119,74 @@ def unread_public_names(public, sources) -> list:
     return sorted(set(public) - read)
 
 
-def test_every_public_name_is_read_outside_the_tests():
-    # read by a package module other than __init__, a demo or the benchmark
-    public = [name for name in stripconcave.__all__
-              if not isinstance(getattr(stripconcave, name), ModuleType)]
+def sources_outside_the_tests() -> list:
+    """The package modules other than ``__init__``, the demos and the benchmark."""
     paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     paths += sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "bench").glob("*.py"))
-    assert unread_public_names(public, [path.read_text() for path in paths]) == sorted(UNREAD_PUBLIC_NAMES)
+    return [path.read_text() for path in paths]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    public = [name for name in stripconcave.__all__
+              if not isinstance(getattr(stripconcave, name), ModuleType)]
+    assert unread_public_names(public, sources_outside_the_tests()) == sorted(UNREAD_PUBLIC_NAMES)
 
 
 def test_detector_flags_unread_public_names():
     sources = ["from a import imported\n", "import a\na.attr_only\nname_only()\n"]
     public = ["imported", "attr_only", "name_only", "planted"]
     assert unread_public_names(public, sources) == ["planted"]
+
+
+# Public methods, properties and classmethods that only the tests read,
+# each kept for a reason of its own.
+UNREAD_PUBLIC_MEMBERS = {}
+
+
+def unread_public_members(classes, sources) -> list:
+    """``Class.name`` of each public method, property or classmethod defined
+    in the body of one of ``classes`` that none of ``sources`` reads as an
+    attribute."""
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+    return sorted(
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and name not in read
+        and isinstance(value, (FunctionType, property, classmethod, staticmethod))
+    )
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    classes = [value for name in stripconcave.__all__
+               if isinstance(value := getattr(stripconcave, name), type)]
+    assert unread_public_members(classes, sources_outside_the_tests()) == sorted(UNREAD_PUBLIC_MEMBERS)
+
+
+def test_detector_flags_unread_public_members():
+    class Planted:
+        slot = None
+
+        def method(self):
+            pass
+
+        @property
+        def prop(self):
+            pass
+
+        @classmethod
+        def build(cls):
+            pass
+
+        def _private(self):
+            pass
+
+        def named_only(self):
+            pass
+
+    sources = ["x.method()\nx.prop\nnamed_only()\n"]
+    assert unread_public_members([Planted], sources) == ["Planted.build", "Planted.named_only"]
 
 
 def self_calling_functions(source: str) -> list:

@@ -26,7 +26,7 @@ from stripconcave import (
     kostka,
     shift_mu,
 )
-from stripconcave.fixtures import trapezoid_array, trapezoid_pattern
+from stripconcave.fixtures import trapezoid_array
 
 from oracles import (
     enumerate_patterns,
@@ -35,6 +35,7 @@ from oracles import (
     pattern_nu,
     random_pattern,
 )
+from worked_examples import TRAPEZOID_PATTERN
 
 
 def test_facet_counts_match_examples():
@@ -166,7 +167,7 @@ def test_kostka_fixture_contains_pattern():
     K = kostka((6, 4, 3, 1, 1), (5, 2), (3, 2, 3))
     assert K >= 1
     rows_seen = set(enumerate_patterns((6, 4, 3, 1, 1), (5, 2)))
-    assert trapezoid_pattern().rows in rows_seen
+    assert TRAPEZOID_PATTERN.rows in rows_seen
     matching = [r for r in rows_seen if pattern_nu(r) == (3, 2, 3)]
     assert len(matching) == K
 
