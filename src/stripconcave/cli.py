@@ -2,7 +2,7 @@
 
 Every subcommand reads JSON (inline or from a file path), writes canonical
 JSON to standard output, and exits 0 on success, 1 on infeasibility, 2 on
-bad input and 3 on an internal guard failure.  Bad input includes JSON
+bad input and 3 past a proven bound of the witness solver.  Bad input includes JSON
 nested too deep and an integer, read or written, past the ``str()`` digit
 limit.  ``check``, ``build``, ``kostka`` and ``count`` refuse an empty
 ``nu`` (``n = 0``).  ``check`` and ``build`` decide through

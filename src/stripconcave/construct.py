@@ -5,16 +5,13 @@ included: it decides as :func:`~stripconcave.feasibility.check_general`
 does and extends the configuration once to its trapezoid (a parallelogram
 only once its verdict is feasible), the pattern of the content
 ``nu - mu`` is solved there and integrated once with ``mu``, and the array
-is restricted back.  The solver repeatedly truncates matching extreme
-entries of the two boundary tuples and otherwise lowers a run of entries of
-both tuples by a common step, rebuilding the pattern through a ramp lift.
-The step is the largest one that keeps the tuples ordered (with the lift
-applied in exact sub-steps).  Once ``lam_bar`` is empty, the triangle that
-is left is solved row by row, peeling the last entry of ``nu`` off ``lam``.
-The lifts are replayed on the interlacing slacks of the pattern (the edge
-values of ``flow._slacks``), two per row pair, so a lift costs ``O(n)``
-however wide its ramp.  The output is integral for integer data, and on
-the triangle it is a vertex of the corresponding polytope.
+is restricted back.  The solver truncates equal extreme entries of the two
+boundary tuples, or else lowers a run of both by the largest step that
+keeps them ordered, until a triangle is left to peel row by row; it then
+replays the lifts on the interlacing slacks of the pattern (the edge values
+of ``flow._slacks``), so a lift sub-step costs ``O(n)`` however wide its
+ramp.  The output is integral for integer data, and on the triangle it is
+a vertex of the corresponding polytope.
 """
 from __future__ import annotations
 
@@ -42,36 +39,31 @@ from .feasibility import _decide
 
 
 def _triangular_rows(lam: tuple, nu: tuple) -> list:
-    """Pattern rows (row i of length i), peeling ``nu_n, nu_{n-1}, ..`` off ``lam``."""
+    """Pattern rows (row i of length i), peeling ``nu_n, nu_{n-1}, ..`` off ``lam``.
+
+    Row ``k - 1`` merges the first ``lam_p >= nu_k >= lam_{p+1}`` of row ``k``
+    into ``lam_p + lam_{p+1} - nu_k``.  The pivot exists while row ``k``
+    majorizes ``nu_{1..k}``, as then ``lam_k <= nu_k <= lam_1``, and every pivot
+    keeps that: ``j < p`` entries of ``nu_{1..k-1}`` sum to at most ``lam[1,j]``,
+    and ``j >= p`` of them, with ``nu_k``, to at most ``lam[1,j+1]``.
+    """
     rows = [lam]
     for n in range(len(lam), 1, -1):
-        # smallest p with lam_p >= nu_n >= lam_{p+1}
-        p = next((p for p in range(1, n) if lam[p] <= nu[n - 1]), None)
-        if p is None:
-            raise InternalError("no pivot position for a feasible triangular boundary")
+        p = max(1, bisect_left(lam, -nu[n - 1], key=neg))  # first lam_{p+1} <= nu_n
         lam = lam[: p - 1] + (lam[p - 1] + lam[p] - nu[n - 1],) + lam[p + 1 :]
         rows.append(lam)
-    if lam:
-        rows.append(())
-    return rows[::-1]
+    return [(), *rows[::-1]]
 
 
 def build_triangular(lam: Sequence[Rat], nu: Sequence[Rat]) -> StripConcaveArray:
     """Witness array with boundary ``(lam, 0^n, nu)`` on the triangle.
 
-    The triangle is the trapezoid with ``m = 0``, so this is
-    :func:`build_trapezoid` with an empty ``lam_bar``: feasibility is
-    ``|lam| = |nu|`` and ``nu`` majorized by ``lam``, and infeasible data
-    raises with :func:`check_trapezoid`'s certificate.  The output has
-    ``x_{nj} = lam[1,j]``, is integral for integer data, and is a vertex:
-    its tight rhombus equalities determine it uniquely.
+    This is :func:`build_trapezoid` with an empty ``lam_bar``: feasibility is
+    ``|lam| = |nu|`` and ``nu`` majorized by a weakly decreasing ``lam``, and
+    infeasible data raises with :func:`check_trapezoid`'s certificate.  The
+    output has ``x_{nj} = lam[1,j]``, is integral for integer data, and is a
+    vertex: its tight rhombus equalities determine it uniquely.
     """
-    lam = tuple(lam)
-    nu = tuple(nu)
-    if len(lam) != len(nu):
-        raise InputError("lambda and nu must have equal length")
-    if not is_weakly_decreasing(lam):
-        raise InputError("lambda must be weakly decreasing")
     return build_trapezoid(lam, (), nu)
 
 
@@ -116,35 +108,45 @@ def _lift(top, a, b, alpha, s, cap):
                 eps = e[j]
         if j + s < length:
             grow.append((e, j + s))
-    if eps > 0:
-        for e, j in shrink:
-            e[j] -= eps
-        for e, k in grow:
-            e[k] += eps
-        top[start : start + s] = [w + eps for w in top[start : start + s]]
+    for e, j in shrink:
+        e[j] -= eps
+    for e, k in grow:
+        e[k] += eps
+    top[start : start + s] = [w + eps for w in top[start : start + s]]
     return eps
 
 
 def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
-    """Pattern rows for a feasible normalized spec (mu = 0, lam nonnegative).
+    """Pattern rows for a feasible spec with ``mu = 0``.
+
+    Forward, with ``T = lab_1``, ``r = #{lam >= T}``, ``s = #{lab = T}`` and
+    ``N = len(lam)``, every step keeps both tuples weakly decreasing, the
+    shape ``lam_{j+n} <= lab_j <= lam_j`` of a feasible spec, ``|lam| - |lab|``
+    and ``lam[1,k] - D_k`` for ``k <= n``: the triangle left at ``m = 0`` is
+    :func:`reduce_to_triangle`'s, which majorizes ``nu``.  In a lift,
+    ``lam_N < T`` (else ``lam_N = lab_m``, a column step), so
+    ``A = max(lam_{r+1}, lab_{s+1})`` exists; ``lab_{1..s}`` drop to ``A`` and
+    ``lam_{r-s+1..r}`` by ``T - A``, and ``D_k`` loses ``T - A`` once per
+    ``t <= s`` with ``t + k > r``, as often as ``lam[1,k]`` does.
+    ``(N - r) + (m - s) + m >= 1`` falls on every step: a column or prepend
+    step drops an entry of each tuple and at most one of ``r`` and ``s``
+    each, and a lift raises ``r + s``.  So ``lab`` is empty within
+    ``N + 2m + 1`` passes, for the ``N`` and ``m`` of the input.
 
     The replay keeps the top row and the interlacing slacks
     ``a[i] = row_{i+1} - row_i`` and ``b[i] = row_i - row_{i+1}[1:]``, so a
-    lift moves two slacks per row pair; the rows are summed up once at the end.
+    lift moves two slacks per row pair; the rows are summed up once at the
+    end.  A lift sub-step raises row ``i`` from ``p(i)`` (see :func:`_lift`)
+    by ``eps``, the step left or the least left-end slack, which is positive.
+    No ``p(i)`` rises, as the entries above ``alpha`` stay and the ramp stays
+    at most ``alpha + eps``; in a shorter sub-step a slack reaches 0 and an
+    entry above ``alpha`` meets the ramp, so some ``p(i)`` falls.  As
+    ``p(n) = r - s`` throughout and interlacing keeps ``p(i)`` in
+    ``[p(n) - n + i, p(n)]``, a lift takes at most ``1 + n(n + 1)/2`` sub-steps.
     """
-    n = len(nu)
-    size = len(lam)
-    integral = all(isinstance(v, int) for v in lam + lab + nu)
     ops = []
-    outer_cap = 10 * (size + 1) ** 2 + size + 2
-    outer = 0
-    while True:
-        outer += 1
-        if outer > outer_cap:
-            raise InternalError("trapezoid construction exceeded its iteration cap")
-        m = len(lab)
-        if m == 0:
-            rows = _triangular_rows(lam, nu)
+    for _ in range(len(lam) + 2 * len(lab) + 1):
+        if not lab:
             break
         if lam[-1] == lab[-1]:
             ops.append(("column", lab[-1]))
@@ -155,14 +157,18 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
             lam, lab = lam[1:], lab[1:]
             continue
         r, s = _pick_rs(lam, lab)
-        after = max(lam[r] if r < len(lam) else 0, lab[s] if s < m else 0)
+        after = max(lam[r], lab[s]) if s < len(lab) else lam[r]
         step = lab[0] - after
         ops.append(("lift", r, s, step))
         lam = lam[: r - s] + tuple(v - step for v in lam[r - s : r]) + lam[r:]
         lab = (after,) * s + lab[s:]
+    else:
+        raise InternalError("the forward phase exceeded its proven step bound")
+    rows = _triangular_rows(lam, nu)
     top = list(rows[-1])
     a = [list(map(sub, down, up)) for up, down in zip(rows, rows[1:])]
     b = [list(map(sub, up, down[1:])) for up, down in zip(rows, rows[1:])]
+    substeps = 1 + len(nu) * (len(nu) + 1) // 2
     for op in reversed(ops):
         if op[0] == "column":
             # re-add the truncated column: every row derivative there is value
@@ -180,44 +186,30 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
                 ai.insert(0, 0)
             top.insert(0, value)
         else:
-            _, r, s, step = op
-            remaining = step
-            inner_cap = 10 * (size + 1) ** 2
-            inner = 0
-            while remaining > 0:
-                inner += 1
-                if inner > inner_cap:
-                    raise InternalError("lift phase exceeded its iteration cap")
-                eps = _lift(top, a, b, top[r - s], s, remaining)
-                if eps <= 0:
-                    raise InternalError("lift phase stalled with zero slack")
-                remaining = remaining - eps
+            _, r, s, remaining = op
+            for _ in range(substeps):
+                remaining -= _lift(top, a, b, top[r - s], s, remaining)
+                if not remaining:
+                    break
+            else:
+                raise InternalError("a lift exceeded its proven sub-step bound")
     rows = [top]
     for bi in reversed(b):
         rows.append(list(map(add, rows[-1][1:], bi)))
     rows.reverse()
-    if not integral:  # the lift arithmetic leaves Fraction(k, 1) entries
-        rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
     return rows
 
 
-def build_trapezoid(
-    lam: Sequence[Rat],
-    lam_bar: Sequence[Rat],
-    nu: Sequence[Rat],
-) -> StripConcaveArray:
+def build_trapezoid(lam: Sequence[Rat], lam_bar: Sequence[Rat],
+                    nu: Sequence[Rat]) -> StripConcaveArray:
     """Witness array with boundary ``(lam, lam_bar, 0^n, nu)`` on the trapezoid.
 
     Each lowering takes the largest exact step at once.  Integer inputs
     yield an integer array.  ``n = 0`` is refused, feasible or not, as no
-    configuration has an empty top row.
+    configuration has an empty top row; the other lengths are checked as
+    :func:`check_general` checks them.
     """
-    lam = tuple(lam)
-    lam_bar = tuple(lam_bar)
-    nu = tuple(nu)
     n, m = len(nu), len(lam_bar)
-    if len(lam) != n + m:
-        raise InputError("lambda must have length n+m")
     return mu_general_build(ConvexConfig.trapezoid(n, m), BoundarySpec(lam, lam_bar, (0,) * n, nu))
 
 
@@ -227,22 +219,14 @@ def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveAr
     Decides once as :func:`check_general` does, and extends once to the
     enclosing trapezoid: the extension the decision was taken on, or on a
     parallelogram one made after a feasible verdict.  The pattern of the
-    extended content ``nu - mu`` is solved there with ``lam``, ``lam_bar``
-    and ``nu - mu`` shifted by one constant that makes ``lam`` nonnegative,
-    shifted back, integrated with ``mu`` and restricted to ``config``.
+    extended content ``nu - mu`` is solved there, integrated with ``mu``
+    and restricted to ``config``.
     """
     verdict, extension = _decide(config, spec)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
     tconfig, tspec = extension or extend_to_trapezoid(config, spec)
-    t = max(0, -(min(tspec.lam, default=0) // 1))  # an int, so int entries stay int
-    rows = _solve_trapezoid(
-        tuple(v + t for v in tspec.lam),
-        tuple(v + t for v in tspec.lam_bar),
-        tuple(w - u + t for u, w in zip(tspec.mu, tspec.nu)),
-    )
-    if t:
-        rows = [[v - t for v in row] for row in rows]
+    rows = _solve_trapezoid(tspec.lam, tspec.lam_bar, tuple(map(sub, tspec.nu, tspec.mu)))
     return restrict_to(integrate(GTPattern(tconfig, rows), tspec.mu), config)
 
 

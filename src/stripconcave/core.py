@@ -38,7 +38,7 @@ class InfeasibleError(Exception):
 
 
 class InternalError(RuntimeError):
-    """An internal guard tripped, e.g. an iteration cap (CLI exit code 3)."""
+    """A proven bound of the witness solver was exceeded (CLI exit code 3)."""
 
 
 def rat(value) -> Rat:
@@ -292,10 +292,10 @@ def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
 
 def boundary(x: StripConcaveArray) -> BoundarySpec:
     """Boundary quadruple of an array: lower/upper derivatives, side steps."""
-    p = derivative(x)
-    left, right = [row[0] for row in x.rows], [row[-1] for row in x.rows]
+    rows = x.rows
+    left, right = [row[0] for row in rows], [row[-1] for row in rows]
     mu, nu = map(sub, left[1:], left), map(sub, right[1:], right)
-    return BoundarySpec(p.rows[-1], p.rows[0], mu, nu)
+    return BoundarySpec(map(sub, rows[-1][1:], rows[-1]), map(sub, rows[0][1:], rows[0]), mu, nu)
 
 
 def shift_mu(spec: BoundarySpec) -> BoundarySpec:

@@ -12,7 +12,9 @@ from bisect import bisect_right
 from itertools import chain, repeat
 from operator import add, le, lt, sub
 
-from .core import ConvexConfig, GTPattern, InputError, Record, _is_int, _set
+from .core import ConvexConfig, GTPattern, InputError, Record, _int_text, _is_int, _set
+
+TABLEAU_CELLS_MAX = 1_000_000
 
 
 class SkewTableau(Record):
@@ -100,11 +102,16 @@ def pattern_to_tableau(p: GTPattern) -> SkewTableau:
     Row ``i`` of the pattern is a partition; consecutive rows are nested, and
     the cells added at step ``i`` all receive entry ``i``.  The content of
     the result is the right boundary of the pattern integrated with zero
-    left boundary.
+    left boundary.  A shape of more than :data:`TABLEAU_CELLS_MAX` cells
+    (``|outer| - |inner|``) is refused before any cell is made.
     """
     parts, n, m = _padded_chain(p)
     if not all(all(map(le, a, b)) for a, b in zip(parts, parts[1:])):
         raise InputError("pattern rows are not nested partitions")
+    cells = sum(parts[n]) - sum(parts[0])
+    if cells > TABLEAU_CELLS_MAX:
+        raise InputError(f"tableau too large: {_int_text(cells)} cells, "
+                         f"more than {TABLEAU_CELLS_MAX}")
     steps = range(1, n + 1)
     rows = tuple(
         tuple(chain.from_iterable(map(repeat, steps, map(sub, col[1:], col))))

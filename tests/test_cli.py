@@ -9,7 +9,6 @@ import golden
 
 from stripconcave import (
     BoundarySpec,
-    InternalError,
     array_from_json,
     array_to_json,
     boundary,
@@ -332,6 +331,13 @@ def test_tableau_commands(capsys):
     assert code == 0 and json.loads(out) == [3, 2, 3]
 
 
+def test_tableau_from_pattern_refuses_past_the_cell_cap(capsys):
+    # one cell past the cap, so that a build with no cap makes the cells and passes
+    for big in (1_000_001, 10**12):
+        code, out, err = run(capsys, "tableau", "from-pattern", "--pattern", f"[[],[{big}]]")
+        assert_input_error(code, out, err, f"tableau too large: {big} cells, more than 1000000")
+
+
 def test_fixtures_self_validate(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0
@@ -459,13 +465,13 @@ def test_too_deeply_nested_json_exits_2(capsys, tmp_path):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    def stall(*args):
-        raise InternalError("lift phase stalled with zero slack")
-
-    monkeypatch.setattr(construct, "_solve_trapezoid", stall)
-    code, out, err = run(capsys, "build", "--spec", '{"lambda":[2,1],"nu":[2,1]}')
+    # a lift that makes no progress runs out the solver's proven sub-step bound
+    monkeypatch.setattr(construct, "_lift", lambda *args: 0)
+    spec = '{"lambda":[4,2,1],"lambda_bar":[3],"nu":[2,2]}'
+    code, out, err = run(capsys, "build", "--spec", spec)
     assert code == 3 and out == ""
-    assert json.loads(err) == {"error": "internal", "message": "lift phase stalled with zero slack"}
+    assert json.loads(err) == {"error": "internal",
+                               "message": "a lift exceeded its proven sub-step bound"}
 
 
 SMALL_CONFIG = '{"n":1,"a":[0,0],"b":[0,1]}'

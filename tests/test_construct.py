@@ -10,6 +10,7 @@ from stripconcave import (
     ConvexConfig,
     InfeasibleError,
     InputError,
+    InternalError,
     boundary,
     build_trapezoid,
     build_triangular,
@@ -118,11 +119,109 @@ def test_triangular_certificate_is_check_trapezoid_certificate():
     assert kinds == {"balance", "subset"}
 
 
+def test_infeasible_error_names_its_certificate():
+    with pytest.raises(InfeasibleError) as exc:
+        build_triangular((2, 1), (1, 1))
+    assert str(exc.value) == f"infeasible boundary data: {exc.value.certificate}"
+    assert "kind='balance'" in str(exc.value)
+
+
 def test_triangular_rejects_bad_shape():
-    with pytest.raises(InputError):
+    # an increasing lambda is infeasible data, decided as build_trapezoid decides it
+    with pytest.raises(InfeasibleError) as exc:
         build_triangular((1, 2), (1, 2))
-    with pytest.raises(InputError):
+    assert exc.value.certificate.kind == "monotone_lambda"
+    with pytest.raises(InputError, match="boundary lengths do not match the configuration"):
         build_triangular((2, 1), (3,))
+
+
+def _logged_solver(monkeypatch):
+    """Wrap the solver's steps; each solve appends a record of its input, its
+    lift count, the sub-steps of each replayed lift and its triangle."""
+    solve, pick, lift, triangle = (construct._solve_trapezoid, construct._pick_rs,
+                                   construct._lift, construct._triangular_rows)
+    runs = []
+
+    def logged_solve(lam, lab, nu):
+        runs.append({"args": (lam, lab, nu), "lifts": 0, "substeps": [], "triangle": None})
+        return solve(lam, lab, nu)
+
+    def logged_pick(lam, lab):
+        runs[-1]["lifts"] += 1
+        return pick(lam, lab)
+
+    def logged_lift(top, a, b, alpha, s, cap):
+        eps = lift(top, a, b, alpha, s, cap)
+        counts = runs[-1]["substeps"]
+        if not counts or counts[-1][1]:  # the last lift is done: this one starts a new lift
+            counts.append([0, False])
+        counts[-1][0] += 1
+        counts[-1][1] = eps == cap
+        return eps
+
+    def logged_triangle(lam, nu):
+        runs[-1]["triangle"] = lam
+        return triangle(lam, nu)
+
+    for name, f in (("_solve_trapezoid", logged_solve), ("_pick_rs", logged_pick),
+                    ("_lift", logged_lift), ("_triangular_rows", logged_triangle)):
+        monkeypatch.setattr(construct, name, f)
+    return runs
+
+
+def test_solver_stays_within_its_proven_bounds(monkeypatch):
+    """Every solve takes at most ``N + 2M + 1`` forward passes and at most
+    ``1 + n(n + 1)/2`` sub-steps per lift, and its forward phase ends on
+    ``reduce_to_triangle(lam, lab)``; on int, Fraction and negative data, and
+    on the trapezoid extensions of hexagons."""
+    runs = _logged_solver(monkeypatch)
+    rng = random.Random(2207)
+    for trial in range(400):
+        n, m = rng.randint(1, 12), rng.randint(0, 8)
+        low = rng.choice((-9, 0))
+        p = random_pattern(rng, n, m, low, low + rng.choice((3, 12, 60)))
+        d = (1, 2, 3)[trial % 3]
+        lam, lab, nu = (tuple(Fraction(v, d) if v % d else v // d for v in t)
+                        for t in (p.rows[-1], p.rows[0], pattern_nu(p.rows)))
+        assert boundary(build_trapezoid(lam, lab, nu)) == BoundarySpec(lam, lab, (0,) * n, nu)
+    for trial in range(150):
+        n, m = rng.randint(2, 10), rng.randint(1, 5)
+        q = rng.randint(1, n)
+        corner = rng.randint(max(1, n - m - q), n - 1)  # a_n = n - corner <= b_n = m + q
+        config = ConvexConfig(n, tuple(max(0, i - corner) for i in range(n + 1)),
+                              tuple(m + min(i, q) for i in range(n + 1)))
+        mu = [Fraction(rng.randint(-6, 6), (1, 2)[trial % 2]) for _ in range(n)]
+        x = restrict_to(integrate(random_pattern(rng, n, m, 0, 20), mu), config)
+        assert boundary(mu_general_build(config, boundary(x))) == boundary(x)
+    kinds = Counter()
+    for run in runs:
+        lam, lab, nu = run["args"]
+        n, m = len(nu), len(lab)
+        # m column or prepend steps, one pass per lift, and the last pass
+        assert m + run["lifts"] + 1 <= len(lam) + 2 * m + 1
+        counts = [c for c, done in run["substeps"]]
+        assert len(counts) == run["lifts"] and all(done for c, done in run["substeps"])
+        assert max(counts, default=1) <= 1 + n * (n + 1) // 2
+        t = max(0, -(min(lam) // 1))  # reduce_to_triangle takes lam >= 0
+        want = reduce_to_triangle([v + t for v in lam], [v + t for v in lab])
+        assert run["triangle"] == tuple(v - t for v in want), run["args"]
+        kinds.update({"negative": min(lam) < 0, "fraction": any(type(v) is Fraction for v in lam),
+                      "several substeps": max(counts, default=1) > 1})
+    assert len(runs) == 550 and min(kinds.values()) > 50, kinds
+
+
+def test_exhausted_bounds_raise_internal_error(monkeypatch):
+    # a lift that makes no progress runs out its sub-step bound, and a forward
+    # phase that makes no progress runs out its pass bound
+    lam, lab, nu = (4, 2, 1), (3,), (2, 2)
+    assert boundary(build_trapezoid(lam, lab, nu)) == BoundarySpec(lam, lab, (0, 0), nu)
+    monkeypatch.setattr(construct, "_lift", lambda *args: 0)
+    with pytest.raises(InternalError, match="a lift exceeded its proven sub-step bound"):
+        build_trapezoid(lam, lab, nu)
+    monkeypatch.undo()
+    monkeypatch.setattr(construct, "_pick_rs", lambda lam, lab: (0, 0))
+    with pytest.raises(InternalError, match="the forward phase exceeded its proven step bound"):
+        build_trapezoid(lam, lab, nu)
 
 
 def test_trapezoid_fixture_boundary():
@@ -154,8 +253,8 @@ def test_trapezoid_fractional_data():
 
 
 def test_trapezoid_shift_keeps_int_entries_int():
-    # lam has a negative non-integer minimum; the shift by an integer keeps
-    # the int lam_1 an int in the bottom row (a Fraction(2, 1) before)
+    # lam has a negative non-integer minimum; the int lam_1 stays an int in
+    # the bottom row
     lam, bar, nu = (2, 1, Fraction(-1, 2)), (1,), (1, Fraction(1, 2))
     x = build_trapezoid(lam, bar, nu)
     assert validate_array(x)
@@ -164,24 +263,20 @@ def test_trapezoid_shift_keeps_int_entries_int():
 
 
 def test_trapezoid_lift_keeps_int_entries_int():
-    # on Fraction data, integral entries of the lifted pattern come back as int
+    # on Fraction data, integral entries of the lifted array come back as int
     x = build_trapezoid((2, 1, Fraction(-1, 2)), (1,), (1, Fraction(1, 2)))
     assert x.rows[0] == (0, 1) and type(x.rows[0][1]) is int
 
-    def halve(t):
-        return tuple(Fraction(v, 2) if v % 2 else v // 2 for v in t)
 
-    # the pattern rows themselves; the array's prefix sums of Fractions stay Fractions
-    rng = random.Random(78)
-    for _ in range(200):
-        p = random_pattern(rng, rng.randint(1, 4), rng.randint(0, 3), 0, 9)
-        rows = _solve_trapezoid(halve(p.rows[-1]), halve(p.rows[0]), halve(pattern_nu(p.rows)))
-        assert all(type(v) is int for row in rows for v in row if v == int(v)), rows
+def _int_if_integral(rows):
+    return [[int(v) if isinstance(v, Fraction) and v.denominator == 1 else v for v in row]
+            for row in rows]
 
 
 def test_slack_replay_matches_row_replay():
-    # the lifts replayed on interlacing slacks give the rows, types included,
-    # of the reference replay that adds each step to every cell of the ramp
+    # the lifts replayed on interlacing slacks give the rows of the reference
+    # replay that adds each step to every cell of the ramp; the reference
+    # turns integral Fractions into ints, as integrate does for the array
     rng = random.Random(1515)
     seen, kinds = Counter(), Counter()
     for trial in range(1800):
@@ -192,13 +287,14 @@ def test_slack_replay_matches_row_replay():
             tuple(Fraction(v, d) if v % d else v // d for v in t)
             for t in (p.rows[-1], p.rows[0], pattern_nu(p.rows))
         )
-        t = max(0, -(min(lam) // 1))  # the shift of build_trapezoid
-        lam, lab, nu = (tuple(v + t for v in x) for x in (lam, lab, nu))
-        got = _solve_trapezoid(lam, lab, nu)
-        assert repr(got) == repr(ramp_solve_trapezoid(lam, lab, nu, seen)), (lam, lab, nu)
+        got = _int_if_integral(_solve_trapezoid(lam, lab, nu))
+        # the reference reads 0 as its floor, so it solves the data shifted to lam >= 0
+        t = max(0, -(min(lam) // 1))
+        want = ramp_solve_trapezoid(*(tuple(v + t for v in x) for x in (lam, lab, nu)), seen)
+        assert repr(got) == repr([[v - t for v in row] for row in want]), (lam, lab, nu)
         kinds.update({
             "int": all(type(v) is int for v in lam + lab + nu),
-            "triangle": m == 0, "n=1": n == 1, "negative": t > 0,
+            "triangle": m == 0, "n=1": n == 1, "negative": min(lam) < 0,
         })
     assert kinds["int"] >= 1000 and 1800 - kinds["int"] >= 500
     assert min(kinds["triangle"], kinds["n=1"], kinds["negative"]) > 0, kinds
@@ -313,7 +409,8 @@ def test_build_trapezoid_refuses_n_0_feasible_or_not():
 
 
 def test_build_trapezoid_refuses_a_wrong_lambda_length():
-    with pytest.raises(InputError, match="lambda must have length n"):
+    # the length check is check_general's
+    with pytest.raises(InputError, match="boundary lengths do not match the configuration"):
         build_trapezoid((2, 1), (1,), (1, 1))
 
 

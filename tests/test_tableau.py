@@ -15,6 +15,8 @@ from stripconcave import (
     tableau_to_pattern,
 )
 
+from stripconcave.tableau import TABLEAU_CELLS_MAX
+
 from oracles import (
     cellwise_pattern_to_tableau,
     check_skew_tableau,
@@ -80,6 +82,18 @@ def test_pattern_preconditions():
         pattern_to_tableau(
             GTPattern(ConvexConfig.trapezoid(1, 1), ((3,), (2, 1)))
         )
+
+
+def test_pattern_to_tableau_refuses_past_the_cell_cap():
+    # |outer| - |inner| cells, refused before any is made
+    cap = TABLEAU_CELLS_MAX
+    assert cap == 1_000_000
+    for inner, outer in ((0, cap + 1), (5, cap + 6), (0, 10**12)):
+        p = GTPattern(ConvexConfig.trapezoid(1, 1), ((inner,), (outer, 0)))
+        with pytest.raises(InputError, match=f"tableau too large: {outer - inner} cells"):
+            pattern_to_tableau(p)
+    t = pattern_to_tableau(GTPattern(ConvexConfig.trapezoid(1, 1), ((5,), (cap + 5, 0))))
+    assert content(t) == (cap,)
 
 
 def test_tableau_to_pattern_staircase():
