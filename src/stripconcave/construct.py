@@ -32,7 +32,6 @@ from .core import (
     deficits,
     extend_to_trapezoid,
     integrate,
-    is_weakly_decreasing,
     restrict_to,
 )
 from .feasibility import _decide
@@ -238,21 +237,17 @@ def reduce_to_triangle(lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:
     of consecutive differences.  With ``mu = 0`` the inequality reads
     ``lam'[1,|I|] - nu(I) >= 0``: a right boundary ``nu`` is feasible for
     ``(lam, lam_bar)`` exactly when it is majorized by ``lam'``.  The result
-    is weakly decreasing with ``|lam'| = |lam| - |lam_bar|``.
+    is weakly decreasing with ``|lam'| = |lam| - |lam_bar|``.  The data may
+    have any sign: the deficits do not move when both tuples move by ``t``,
+    so ``lam'`` moves by ``t`` with them.
     """
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
-    if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
-        raise InputError("boundary tuples must be weakly decreasing")
-    if lam and lam[-1] < 0:
-        raise InputError("lambda must be nonnegative (shift first)")
-    n = len(lam) - len(lam_bar)
-    if n < 0:
-        raise InputError("lambda must be at least as long as lambda_bar")
-    for below, lb, top in zip(lam[n:], lam_bar, lam):
+    profile = deficits(lam, lam_bar)  # refuses unordered tuples and a short lam
+    for below, lb, top in zip(lam[len(lam) - len(lam_bar):], lam_bar, lam):
         if not below <= lb <= top:
             raise InputError(
                 "incompatible shapes: need lam_{j+n} <= lam_bar_j <= lam_j"
             )
-    base = [p - d for p, d in zip(accumulate(lam, initial=0), deficits(lam, lam_bar, n))]
+    base = [p - d for p, d in zip(accumulate(lam, initial=0), profile)]
     return tuple(b - a for a, b in zip(base, base[1:]))

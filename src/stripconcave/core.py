@@ -262,7 +262,7 @@ def validate_pattern(p: GTPattern) -> bool:
 
 def validate_array(x: StripConcaveArray) -> bool:
     """True iff ``x_00 = 0`` and the array is strip-concave."""
-    if x.config.a[0] != 0 or x.rows[0][0] != 0:
+    if x.rows[0][0] != 0:
         return False
     return validate_pattern(derivative(x))
 
@@ -324,11 +324,11 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
     if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
-        raise InputError("deficits need weakly decreasing inputs")
+        raise InputError("boundary tuples must be weakly decreasing")
     if n is None:
         n = len(lam) - len(lam_bar)
     if n < 0:
-        raise InputError("lam must be at least as long as lam_bar")
+        raise InputError("lambda must be at least as long as lambda_bar")
     up, up_bar = list(map(neg, lam)), list(map(neg, lam_bar))
     diff = [0] * (n + 2)
     last = len(lam) - 1

@@ -63,17 +63,18 @@ class Flow(Record):
             raise InputError("flow values must be nonnegative")
 
 
-def _slacks(rows) -> tuple:
+def _slacks(rows, floor=0) -> tuple:
     """Edge values ``(e0, e1)`` of the pattern with rows ``rows`` (tuples).
 
     ``e0[i] = (lam_1,) + row_i - row_{i+1}`` and
-    ``e1[i] = row_{i+1} - (row_i + (0,))``, taken elementwise: the slacks of
-    the interlacing inequalities between rows ``i`` and ``i + 1``, with
-    ``lam_1`` and 0 as the bounds outside the rows.
+    ``e1[i] = row_{i+1} - (row_i + (floor,))``, taken elementwise: the slacks
+    of the interlacing inequalities between rows ``i`` and ``i + 1``, with
+    ``lam_1`` and ``floor`` as the bounds outside the rows.  A flow has
+    ``floor = 0``; any ``floor <= lam[-1]`` keeps every slack nonnegative.
     """
     head, pairs = rows[-1][:1], tuple(zip(rows, rows[1:]))
     e0 = tuple(tuple(map(sub, head + up, down)) for up, down in pairs)
-    e1 = tuple(tuple(map(sub, down, up + (0,))) for up, down in pairs)
+    e1 = tuple(tuple(map(sub, down, up + (floor,))) for up, down in pairs)
     return e0, e1
 
 
@@ -156,11 +157,12 @@ def _join_tiles(row, below, anchored):
     return [r if r == a or r == b else None for r, a, b in zip(row, anchored, anchored[1:])]
 
 
-def _support_key(rows) -> list:
-    """The positions of the nonzero slacks (:func:`_slacks`) of the pattern
-    ``rows``, with the edges ``(i, j, t)`` numbered in that order; any
-    increasing numbering of the edges sorts the supports the same way."""
-    pairs = chain.from_iterable(map(zip, *_slacks(rows)))  # (e0, e1) of each edge (i, j)
+def _support_key(rows, floor) -> list:
+    """The positions of the nonzero slacks (:func:`_slacks` with ``floor``)
+    of the pattern ``rows``, with the edges ``(i, j, t)`` numbered in that
+    order; any increasing numbering of the edges sorts the supports the
+    same way."""
+    pairs = chain.from_iterable(map(zip, *_slacks(rows, floor)))  # (e0, e1) of each edge (i, j)
     return list(compress(count(), chain.from_iterable(pairs)))
 
 
@@ -192,9 +194,11 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
 
     Output is sorted by the support of each vertex's flow: the edges
     ``(i, j, t)`` with a nonzero slack, in ``(i, j, t)`` order
-    (:func:`_support_key`).  A negative ``lam[-1]`` is first shifted to zero
-    in every pattern entry, as a flow needs ``lam[-1] >= 0``, and the
-    vertices are shifted back.
+    (:func:`_support_key`).  The search commutes with adding a constant to
+    every pattern entry, so data of any sign is searched as given; only the
+    flow needs ``lam[-1] >= 0``, and its last ``e1`` slack in each layer is
+    read against ``floor = min(0, lam[-1])``, as it would be after a shift
+    of ``lam[-1]`` to 0.
     """
     lam, lam_bar = tuple(lam), tuple(lam_bar)
     if not is_weakly_decreasing(lam) or not is_weakly_decreasing(lam_bar):
@@ -202,9 +206,6 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
     n, m = len(lam) - len(lam_bar), len(lam_bar)
     if n < 1:
         raise InputError("lambda must be longer than lambda_bar")
-    t = max(0, -lam[-1])
-    if t:
-        lam, lam_bar = tuple(v + t for v in lam), tuple(v + t for v in lam_bar)
     values = sorted(set(lam) | set(lam_bar))
     index = {v: k for k, v in enumerate(values)}
 
@@ -248,9 +249,8 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
             stack.append(product(*choices[i - 1][row]))
         else:
             found.append(tuple(rows))
-    found.sort(key=_support_key)
-    if t:
-        found = [[[v - t for v in r] for r in rows] for rows in found]
+    floor = min(0, lam[-1])
+    found.sort(key=lambda rows: _support_key(rows, floor))
     return [integrate(GTPattern(config, rows)) for rows in found]
 
 

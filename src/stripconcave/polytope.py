@@ -165,11 +165,7 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
     # trailing zero parts are empty rows; rows beyond n+m cannot be filled
     if any(lam[n + m:]):
         return 0
-    lam = lam[:n + m]
-    if len(lam) < n + m:
-        if lam and lam[-1] < 0:
-            return 0
-        lam = lam + (0,) * (n + m - len(lam))
+    lam = lam[:n + m] + (0,) * (n + m - len(lam))  # a short lam ending below 0 now rises
     if not check_trapezoid(BoundarySpec(lam, lam_bar, (0,) * n, nu), n, m).feasible:
         return 0
     nu = sorted(nu)

@@ -320,15 +320,9 @@ def ramp_solve_trapezoid(lam, lab, nu, seen=None):
     """
     seen = Counter() if seen is None else seen
     n = len(nu)
-    size = len(lam)
     integral = all(isinstance(v, int) for v in lam + lab + nu)
     ops = []
-    outer_cap = 10 * (size + 1) ** 2 + size + 2
-    outer = 0
-    while True:
-        outer += 1
-        if outer > outer_cap:
-            raise InternalError("trapezoid construction exceeded its iteration cap")
+    for _ in range(len(lam) + 2 * len(lab) + 1):  # the solver's proven pass bound
         m = len(lab)
         if m == 0:
             rows = [list(r) for r in triangular_rows(lam, nu)]
@@ -346,11 +340,13 @@ def ramp_solve_trapezoid(lam, lab, nu, seen=None):
         s = 1
         while s < m and lab[s] == top:
             s += 1
-        after = max(lam[r] if r < len(lam) else 0, lab[s] if s < m else 0)
+        after = max(lam[r], lab[s]) if s < m else lam[r]
         step = lab[0] - after
         ops.append(("lift", r, s, step))
         lam = tuple(v - step if r - s + 1 <= j + 1 <= r else v for j, v in enumerate(lam))
         lab = tuple(v - step if j < s else v for j, v in enumerate(lab))
+    else:
+        raise InternalError("the forward phase exceeded its proven step bound")
     for op in reversed(ops):
         seen[op[0]] += 1
         if op[0] == "column":
@@ -365,19 +361,16 @@ def ramp_solve_trapezoid(lam, lab, nu, seen=None):
                 _apply_lift(rows, _ramp_shape(rows, rows[-1][r - s]), s, 1)
                 continue
             remaining = step
-            inner_cap = 10 * (size + 1) ** 2
-            inner = 0
-            while remaining > 0:
-                inner += 1
-                if inner > inner_cap:
-                    raise InternalError("lift phase exceeded its iteration cap")
+            for _ in range(1 + n * (n + 1) // 2):  # the solver's proven sub-step bound
                 shape = _ramp_shape(rows, rows[-1][r - s])
                 eps = _max_substep(rows, shape, s, remaining)
-                if eps <= 0:
-                    raise InternalError("lift phase stalled with zero slack")
                 _apply_lift(rows, shape, s, eps)
                 seen["substep"] += eps < remaining
                 remaining = remaining - eps
+                if not remaining:
+                    break
+            else:
+                raise InternalError("a lift exceeded its proven sub-step bound")
     if not integral:
         rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
     return rows
@@ -507,11 +500,11 @@ def deficits_definition(lam, lam_bar, n=None):
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
     if not decreasing(lam) or not decreasing(lam_bar):
-        raise InputError("deficits need weakly decreasing inputs")
+        raise InputError("boundary tuples must be weakly decreasing")
     if n is None:
         n = len(lam) - len(lam_bar)
     if n < 0:
-        raise InputError("lam must be at least as long as lam_bar")
+        raise InputError("lambda must be at least as long as lambda_bar")
     return tuple(
         sum((max(0, lb - v) for lb, v in zip(lam_bar, lam[k:])), 0) for k in range(n + 1)
     )
@@ -524,11 +517,11 @@ def keyed_bisect_deficits(lam, lam_bar, n=None):
     lam = tuple(lam)
     lam_bar = tuple(lam_bar)
     if not decreasing(lam) or not decreasing(lam_bar):
-        raise InputError("deficits need weakly decreasing inputs")
+        raise InputError("boundary tuples must be weakly decreasing")
     if n is None:
         n = len(lam) - len(lam_bar)
     if n < 0:
-        raise InputError("lam must be at least as long as lam_bar")
+        raise InputError("lambda must be at least as long as lambda_bar")
     diff = [0] * (n + 2)
 
     def add(lo, hi, w):  # w on every k in lo..hi

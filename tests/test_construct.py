@@ -202,9 +202,7 @@ def test_solver_stays_within_its_proven_bounds(monkeypatch):
         counts = [c for c, done in run["substeps"]]
         assert len(counts) == run["lifts"] and all(done for c, done in run["substeps"])
         assert max(counts, default=1) <= 1 + n * (n + 1) // 2
-        t = max(0, -(min(lam) // 1))  # reduce_to_triangle takes lam >= 0
-        want = reduce_to_triangle([v + t for v in lam], [v + t for v in lab])
-        assert run["triangle"] == tuple(v - t for v in want), run["args"]
+        assert run["triangle"] == reduce_to_triangle(lam, lab), run["args"]
         kinds.update({"negative": min(lam) < 0, "fraction": any(type(v) is Fraction for v in lam),
                       "several substeps": max(counts, default=1) > 1})
     assert len(runs) == 550 and min(kinds.values()) > 50, kinds
@@ -288,10 +286,7 @@ def test_slack_replay_matches_row_replay():
             for t in (p.rows[-1], p.rows[0], pattern_nu(p.rows))
         )
         got = _int_if_integral(_solve_trapezoid(lam, lab, nu))
-        # the reference reads 0 as its floor, so it solves the data shifted to lam >= 0
-        t = max(0, -(min(lam) // 1))
-        want = ramp_solve_trapezoid(*(tuple(v + t for v in x) for x in (lam, lab, nu)), seen)
-        assert repr(got) == repr([[v - t for v in row] for row in want]), (lam, lab, nu)
+        assert repr(got) == repr(ramp_solve_trapezoid(lam, lab, nu, seen)), (lam, lab, nu)
         kinds.update({
             "int": all(type(v) is int for v in lam + lab + nu),
             "triangle": m == 0, "n=1": n == 1, "negative": min(lam) < 0,
@@ -449,10 +444,24 @@ def test_reduce_to_triangle_matches_overlap_definition():
 
 
 def test_reduce_to_triangle_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="boundary tuples must be weakly decreasing"):
         reduce_to_triangle((1, 2), ())
-    with pytest.raises(InputError):
-        reduce_to_triangle((2, -1), ())  # negative entries need a shift first
+
+
+def test_reduce_to_triangle_moves_with_a_shift():
+    # the deficits do not move with a common shift t of lam and lam_bar, so
+    # the triangle moves by t, into negative values too
+    rng = random.Random(2323)
+    kinds = Counter()
+    for trial in range(600):
+        n, m = rng.randint(1, 6), rng.randint(0, 4)
+        p = random_pattern(rng, n, m, rng.choice((-6, 0)), rng.choice((3, 9, 25)))
+        lam, bar = p.rows[-1], p.rows[0]
+        t = (1, 3, Fraction(7, 2), 40)[trial % 4]
+        got = reduce_to_triangle([v - t for v in lam], [v - t for v in bar])
+        assert got == tuple(v - t for v in reduce_to_triangle(lam, bar)), (lam, bar, t)
+        kinds[lam[-1] < 0] += 1
+    assert min(kinds.values()) > 100, kinds
 
 
 @settings(max_examples=100, deadline=None)

@@ -334,7 +334,7 @@ def test_deficits_monotone_required():
 
 
 def test_deficits_refuse_a_short_lam():
-    with pytest.raises(InputError, match="lam must be at least as long as lam_bar"):
+    with pytest.raises(InputError, match="lambda must be at least as long as lambda_bar"):
         deficits((1,), (2, 1))
 
 

@@ -250,12 +250,20 @@ def test_vertices_long_constant_lambda():
 )
 def test_vertices_negative_lambda(lam, bar, shifted):
     vs = enumerate_vertices(lam, bar)
-    t = shifted[0] - lam[0]
-    assert len(vs) == len(enumerate_vertices(shifted, tuple(v + t for v in bar))) > 1
+    assert len(vs) > 1
     for x in vs:
         assert validate_array(x)
         b = boundary(x)
         assert (b.lam, b.lam_bar) == (lam, bar)
+    # lowering the data by t lowers every pattern entry of every vertex by t,
+    # in the same order: up to lam[-1] = 0 (t < 0) and further below 0, by
+    # int and Fraction t
+    patterns = [derivative(x).rows for x in vs]
+    for t in (lam[0] - shifted[0], 1, Fraction(7, 2), 40):
+        moved = enumerate_vertices(*(tuple(v - t for v in w) for w in (lam, bar)))
+        assert [derivative(x).rows for x in moved] == [
+            tuple(tuple(v - t for v in row) for row in rows) for rows in patterns
+        ], (lam, bar, t)
 
 
 def test_vertices_staircase_count():

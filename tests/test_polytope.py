@@ -150,6 +150,8 @@ def test_kostka_base_cases():
     assert kostka((1, 1, 1, 1), (), (2, 2)) == 0
     # ... and a short lam padded with zeros must stay weakly decreasing
     assert kostka((2, -1), (), (1, 0, 0)) == 0
+    assert kostka((0, -2), (), (-1, -1, 0)) == 0
+    assert kostka((3, 1, -1), (1,), (1, 1, 0)) == 0
 
 
 def test_kostka_trims_trailing_zeros_at_once():
