@@ -11,7 +11,6 @@ from .core import (
     InfeasibleError,
     InputError,
     InternalError,
-    Rat,
     StripConcaveArray,
     array_from_json,
     array_to_json,
@@ -81,4 +80,11 @@ from .tableau import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["Rat"]
+
+
+def __getattr__(name):  # Rat, which core builds on first read
+    if name != "Rat":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .core import Rat
+    return Rat

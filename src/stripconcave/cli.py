@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 
-from . import fixtures as fixture_module
 from .construct import mu_general_build
 from .core import (
     ConvexConfig,
@@ -177,7 +176,8 @@ def _cmd_tableau(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    _emit(fixture_module.all_fixtures())
+    from .fixtures import all_fixtures  # its hexagon array holds a Fraction
+    _emit(all_fixtures())
     return 0
 
 

@@ -27,7 +27,6 @@ from .core import (
     InfeasibleError,
     InputError,
     InternalError,
-    Rat,
     StripConcaveArray,
     deficits,
     extend_to_trapezoid,

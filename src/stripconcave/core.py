@@ -5,18 +5,26 @@ values, never floats.  An array ``X = (x_{ij})`` lives on a convex
 configuration with row bounds ``a_i <= j <= b_i``; its row derivative
 ``dx_{ij} = x_{ij} - x_{i,j-1}`` is a (generalized) Gelfand-Tsetlin pattern
 when the two rhombus inequalities hold on every strip.
+
+``import stripconcave`` loads neither ``fractions`` nor ``json``: ``Rat`` is
+built on first read, a non-``int`` entry imports ``fractions`` and
+:func:`canonical_json` imports ``json``.  Other modules name ``Rat`` only in
+annotations, which ``from __future__ import annotations`` leaves unevaluated.
 """
 from __future__ import annotations
 
-import json
 import sys
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from itertools import accumulate
 from operator import attrgetter, ge, gt, lt, neg, sub
 from typing import Sequence, Union
 
-Rat = Union[int, Fraction]
+
+def __getattr__(name):  # Rat = Union[int, Fraction], built on first read
+    if name != "Rat":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import fractions
+    return globals().setdefault("Rat", Union[int, fractions.Fraction])
 
 
 class InputError(ValueError):
@@ -47,11 +55,12 @@ def rat(value) -> Rat:
         raise InputError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
+    import fractions  # not "from fractions import Fraction", which costs ~1 us a call
+    if isinstance(value, fractions.Fraction):
         return value if value.denominator != 1 else int(value)
     if isinstance(value, str):
         try:
-            f = Fraction(value)
+            f = fractions.Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {value!r}") from exc
         return int(f) if f.denominator == 1 else f
@@ -73,7 +82,10 @@ def _is_int(value) -> bool:
 
 def rat_to_json(value: Rat):
     """Encode an exact rational as an int, or ``"p/q"`` when non-integral."""
-    if isinstance(value, Fraction):
+    if type(value) is int:
+        return value
+    import fractions
+    if isinstance(value, fractions.Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
@@ -82,6 +94,7 @@ def rat_to_json(value: Rat):
 
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed separators for byte-stable output."""
+    import json
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -284,7 +297,10 @@ def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
     if len(mu) != c.n:
         raise InputError("mu must have length n")
     lefts = accumulate(mu, initial=0)
-    rows = (tuple(accumulate(prow, initial=left)) for left, prow in zip(lefts, p.rows))
+    rows = [tuple(accumulate(prow, initial=left)) for left, prow in zip(lefts, p.rows)]
+    if all(type(row[-1]) is int for row in rows):
+        return StripConcaveArray(c, rows)
+    from fractions import Fraction
     # a Fraction entry makes every later prefix sum a Fraction, the last one too
     return StripConcaveArray(c, [tuple(int(v) if v.denominator == 1 else v for v in row)
                                  if isinstance(row[-1], Fraction) else row for row in rows])

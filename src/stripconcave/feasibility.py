@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .core import (
     BoundarySpec,
     ConvexConfig,
-    Rat,
     Record,
     _check_lengths,
     _set,

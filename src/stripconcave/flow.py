@@ -21,7 +21,6 @@ from .core import (
     ConvexConfig,
     GTPattern,
     InputError,
-    Rat,
     Record,
     StripConcaveArray,
     _int_text,

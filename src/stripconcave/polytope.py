@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import BoundarySpec, InputError, Rat, Record, _int_text, _set
+from .core import BoundarySpec, InputError, Record, _int_text, _set
 from .feasibility import check_trapezoid
 
 
@@ -63,7 +63,7 @@ class FacetInequality(Record):
 
 FACET_LISTING_MAX = 18
 FACET_COUNT_MAX = 14_000  # 2^14000 has 4215 digits; str() refuses more than 4300
-KOSTKA_STATES_MAX = 500_000
+KOSTKA_STATES_MAX = 1_300_000  # summed over cells; the tests' largest count makes 1 269 281
 
 
 def facets(n: int, m: int) -> list:
@@ -156,8 +156,8 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
     cell at a time: row ``i`` interlaces row ``i + 1`` and sums to
     ``|lam_bar| + nu_1 + ... + nu_i``, and the state after cell ``k`` of row
     ``i`` is that row up to cell ``k`` and row ``i + 1`` from cell ``k + 1``
-    on; equal states merge.  It raises :class:`InputError` before a cell
-    would create more than :data:`KOSTKA_STATES_MAX` states.
+    on; equal states merge.  It raises :class:`InputError` before a cell would
+    bring the states created, summed over cells, past :data:`KOSTKA_STATES_MAX`.
     """
     lam, lam_bar, nu = tuple(lam), tuple(lam_bar), tuple(nu)
     _require_ints(lam, lam_bar, nu)
@@ -170,14 +170,14 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
         return 0
     nu = sorted(nu)
     states = {lam: 1}  # frontier state -> ways it reaches lam
-    total = sum(lam)
+    total, created = sum(lam), 0  # created: states made so far, summed over cells
     for i in range(n - 1, -1, -1):
         total -= nu[i]
         # the chains up to row 0 (see interlacing_bounds): lam_bar[k] <= row_i[k] <= lam_bar[k-i]
         floor, ceil = lam_bar + (lam[-1],) * i, (lam[0],) * i + lam_bar
         for k, f, c in zip(range(m + i), floor, ceil):
             stop = None if k < m + i - 1 else k + 1  # the last cell drops row i + 1's last
-            grown, created = [], 0
+            grown = []
             for s, ways in states.items():
                 # cell k lies in [a, b] and leaves cells k+1.. of the row a sum
                 # between those of s[k+2:] and s[k+1:-1]; if-else beats max/min here
@@ -190,8 +190,8 @@ def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int
                     grown.append((s[:k], s[k + 1:stop], ways, lo, hi))
                     created += hi - lo + 1
             if created > KOSTKA_STATES_MAX:
-                raise InputError(f"count too large: a cell would create {created} frontier "
-                                 f"states, more than {KOSTKA_STATES_MAX}")
+                raise InputError(f"count too large: the cells would create {_int_text(created)} "
+                                 f"frontier states, more than {KOSTKA_STATES_MAX}")
             states = {}
             for head, tail, ways, lo, hi in grown:
                 for v in range(lo, hi + 1):

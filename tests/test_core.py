@@ -68,6 +68,64 @@ def test_rat_json_round_trip():
         assert rat(rat_to_json(v)) == v
 
 
+def outcome(func, *args) -> str:
+    try:
+        return repr(func(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# (value, (repr or error of rat(value), of rat_to_json(value))), as before
+# fractions was imported on demand; type(True) is bool, not int.  A list, as
+# Fraction(3, 2) == 1.5 would share a dict key
+RAT_OUTCOMES = [
+    (3, ("3", "3")),
+    (-7, ("-7", "-7")),
+    (True, ("InputError: not a rational: True", "True")),
+    (False, ("InputError: not a rational: False", "False")),
+    (Fraction(3, 2), ("Fraction(3, 2)", "'3/2'")),
+    (Fraction(4, 2), ("2", "2")),
+    (Fraction(-6, 3), ("-2", "-2")),
+    ("3/4", ("Fraction(3, 4)", "'3/4'")),
+    ("6/3", ("2", "'6/3'")),
+    (" -2 ", ("-2", "' -2 '")),
+    ("x", ("InputError: not a rational: 'x'", "'x'")),
+    ("1/0", ("InputError: not a rational: '1/0'", "'1/0'")),
+    (1.5, ("InputError: not a rational: 1.5 (floats are not accepted)", "1.5")),
+    (2.0, ("InputError: not a rational: 2.0 (floats are not accepted)", "2.0")),
+    (None, ("InputError: not a rational: None (floats are not accepted)", "None")),
+]
+
+
+@pytest.mark.parametrize("value, outcomes", RAT_OUTCOMES, ids=[repr(v) for v, _ in RAT_OUTCOMES])
+def test_rat_outcomes_are_pinned(value, outcomes):
+    assert (outcome(rat, value), outcome(rat_to_json, value)) == outcomes
+
+
+C11 = ConvexConfig.trapezoid(1, 1)
+
+
+def array_repr(rows: str) -> str:
+    return f"StripConcaveArray(config={C11!r}, rows={rows})"
+
+
+@pytest.mark.parametrize("rows, mu, expected", [
+    (((2,), (3, 1)), None, array_repr("((0, 2), (0, 3, 4))")),
+    (((2,), (3, 1)), (1,), array_repr("((0, 2), (1, 4, 5))")),
+    (((2,), (3, 1)), (True,), array_repr("((0, 2), (1, 4, 5))")),
+    (((True,), (3, False)), None, array_repr("((0, 1), (0, 3, 3))")),
+    (((Fraction(1, 2),), (Fraction(3, 2), 1)), None,
+     array_repr("((0, Fraction(1, 2)), (0, Fraction(3, 2), Fraction(5, 2)))")),
+    (((Fraction(1, 2),), (Fraction(3, 2), 1)), (Fraction(1, 2),),
+     array_repr("((0, Fraction(1, 2)), (Fraction(1, 2), 2, 3))")),
+    (((1.5,), (3, 1)), None, array_repr("((0, 1.5), (0, 3, 4))")),
+    (((2,), (3, 1)), (0.5,), array_repr("((0, 2), (0.5, 3.5, 4.5))")),
+    ((("1/2",), (3, 1)), None, "TypeError: unsupported operand type(s) for +: 'int' and 'str'"),
+])
+def test_integrate_outcomes_are_pinned(rows, mu, expected):
+    assert outcome(integrate, GTPattern(C11, rows), mu) == expected
+
+
 def test_config_shapes():
     t = ConvexConfig.trapezoid(3, 0)
     assert t.is_trapezoidal and t.m == 0

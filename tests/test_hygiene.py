@@ -1,13 +1,18 @@
 """Source hygiene: no package module imports a name it never uses, no
 private definition is left unused, every public name and every public
 member of a public class is read outside the tests, no package function is
-recursive, and the CLI imports no heavy stdlib module."""
+recursive, the CLI imports no heavy stdlib module, and integer data loads
+neither ``json`` at import nor ``fractions``."""
 import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import FunctionType, ModuleType
+from typing import Union
+
+import pytest
 
 import stripconcave
 
@@ -227,19 +232,56 @@ def test_detector_flags_self_calls():
     assert self_calling_functions(source) == ["f", "g"]
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
-    every CLI call would pay for them at start-up."""
+def loaded_by(code: str) -> tuple:
+    """The modules that ``code`` adds to those of a bare interpreter start,
+    run in a fresh interpreter, and what it printed before the list."""
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import stripconcave.cli\n"
+        f"{code}\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    loaded = subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    ).stdout.split()
+    ).stdout.splitlines()
+    return set(out[-1].split()), "\n".join(out[:-1])
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
+    every CLI call would pay for them at start-up."""
+    loaded, _ = loaded_by("import stripconcave.cli")
     assert "stripconcave.cli" in loaded
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+FRACTION_STACK = {"fractions", "decimal", "numbers"}
+
+
+def test_package_import_skips_json_and_fractions():
+    """``json`` and ``fractions`` (with ``decimal`` and ``numbers``) load on
+    first need, not with the package."""
+    loaded, _ = loaded_by("import stripconcave")
+    assert "stripconcave.core" in loaded
+    assert loaded.isdisjoint(FRACTION_STACK | {"json"})
+
+
+def test_integer_cli_call_skips_fractions():
+    call = "from stripconcave import cli\nprint(cli.main(['check', '--spec', {!r}]))"
+    loaded, out = loaded_by(call.format('{"lambda":[6,4,3,1,1],"lambda_bar":[5,2],"nu":[3,2,3]}'))
+    assert out == '{"certificate":null,"feasible":true}\n0'
+    assert "stripconcave.cli" in loaded and loaded.isdisjoint(FRACTION_STACK)
+    loaded, out = loaded_by(call.format('{"lambda":[2,"1/2"],"lambda_bar":["5/2"],"nu":[0]}'))
+    assert out == ('{"certificate":{"I":[],"deficit":"1/2","kind":"subset","lhs":"-1/2"},'
+                   '"feasible":false}\n1')
+    assert "fractions" in loaded
+
+
+def test_rat_is_read_on_demand():
+    assert stripconcave.Rat == Union[int, Fraction]
+    assert "Rat" in stripconcave.__all__
+    assert stripconcave.core.Rat is stripconcave.Rat
+    with pytest.raises(AttributeError, match="has no attribute 'Rot'"):
+        stripconcave.Rot
