@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Every subcommand reads JSON (inline or from a file path), writes canonical
-JSON to standard output, and exits 0 on success, 1 on infeasibility, 2 on
-bad input and 3 past a proven bound of the witness solver.  Bad input includes JSON
-nested too deep and an integer, read or written, past the ``str()`` digit
-limit.  ``check``, ``build``, ``kostka`` and ``count`` refuse an empty
-``nu`` (``n = 0``).  ``check`` and ``build`` decide through
+Each subcommand parses JSON (inline or from a file path) and computes: it
+returns the library result or raises.  :func:`_emit`, the one writer, prints
+the result as canonical JSON.  The exit code is 0 on success, 1 on
+infeasibility (the verdict with its certificate), 2 on bad input and 3 past
+a proven bound of the witness solver.  Bad input includes JSON nested too
+deep and an integer, read or written (``"p/q"`` entries too), past the
+``str()`` digit limit.  ``check``, ``build``, ``kostka`` and ``count``
+refuse an empty ``nu`` (``n = 0``).  ``check`` and ``build`` decide through
 ``check_general`` on one configuration: the ``--config`` one, else the
 parallelogram when ``lambda`` is as long as ``lambda_bar``, else the
 trapezoid.  ``kostka`` and ``count`` count the content ``nu - mu``.
@@ -19,9 +21,12 @@ import sys
 from .construct import mu_general_build
 from .core import (
     ConvexConfig,
+    GTPattern,
     InfeasibleError,
     InputError,
     InternalError,
+    Record,
+    StripConcaveArray,
     array_from_json,
     array_to_json,
     canonical_json,
@@ -33,6 +38,7 @@ from .core import (
 )
 from .feasibility import FeasibilityVerdict, check_general
 from .flow import (
+    Flow,
     enumerate_vertices,
     flow_from_json,
     flow_to_json,
@@ -61,16 +67,6 @@ def _load_json(source: str):
         raise InputError(f"invalid JSON in {source!r}: {exc}") from exc
 
 
-def _emit(obj) -> None:
-    """Print ``obj`` as canonical JSON; an int past the ``str()`` digit limit
-    is an :class:`InputError`, and nothing is printed."""
-    try:
-        text = canonical_json(obj)
-    except ValueError as exc:
-        raise InputError(f"output too large to write: {exc}") from exc
-    print(text)
-
-
 def _load_spec(source: str):
     """The spec at ``source``; an empty ``nu`` is refused, as no shape has ``n = 0`` rows."""
     spec = spec_from_json(_load_json(source))
@@ -87,98 +83,74 @@ def _config(args, spec):
     return (ConvexConfig.parallelogram if len(spec.lam) == m else ConvexConfig.trapezoid)(n, m)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     spec = _load_spec(args.spec)
     verdict = check_general(_config(args, spec), spec)
-    _emit(verdict.to_json())
-    return 0 if verdict.feasible else 1
+    if not verdict.feasible:
+        raise InfeasibleError(verdict.certificate)
+    return verdict
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args):
     spec = _load_spec(args.spec)
-    _emit(array_to_json(mu_general_build(_config(args, spec), spec)))
-    return 0
+    return mu_general_build(_config(args, spec), spec)
 
 
-def _cmd_flow(args) -> int:
+def _cmd_flow(args):
     if args.direction == "to":
         if not args.array:
             raise InputError("flow to needs --array")
-        x = array_from_json(_load_json(args.array))
-        _emit(flow_to_json(gamma(x)))
-    else:
-        if not args.flow:
-            raise InputError("flow from needs --flow")
-        _emit(array_to_json(gamma_inv(flow_from_json(_load_json(args.flow)))))
-    return 0
+        return gamma(array_from_json(_load_json(args.array)))
+    if not args.flow:
+        raise InputError("flow from needs --flow")
+    return gamma_inv(flow_from_json(_load_json(args.flow)))
 
 
-def _cmd_vertices(args) -> int:
+def _cmd_vertices(args):
     spec = spec_from_json(_load_json(args.spec))
-    out = enumerate_vertices(spec.lam, spec.lam_bar)
-    _emit([array_to_json(x) for x in out])
-    return 0
+    return enumerate_vertices(spec.lam, spec.lam_bar)
 
 
-def _cmd_swap(args) -> int:
+def _cmd_swap(args):
     if args.flow:
-        g = flow_from_json(_load_json(args.flow))
-        _emit(flow_to_json(swap_flow(g, args.layer)))
-    elif args.array:
-        x = array_from_json(_load_json(args.array))
-        _emit(array_to_json(zigzag_swap(x, args.layer)))
-    else:
-        raise InputError("swap needs --flow or --array")
-    return 0
+        return swap_flow(flow_from_json(_load_json(args.flow)), args.layer)
+    if args.array:
+        return zigzag_swap(array_from_json(_load_json(args.array)), args.layer)
+    raise InputError("swap needs --flow or --array")
 
 
-def _cmd_decompose(args) -> int:
-    g = flow_from_json(_load_json(args.flow))
-    _emit(path_decompose(g).to_json())
-    return 0
+def _cmd_decompose(args):
+    return path_decompose(flow_from_json(_load_json(args.flow)))
 
 
-def _cmd_facets(args) -> int:
-    if args.count_only:
-        _emit(facet_count_consistent(args.n, args.m))
-    else:
-        _emit([f.to_json() for f in facets(args.n, args.m)])
-    return 0
+def _cmd_facets(args):
+    return (facet_count_consistent if args.count_only else facets)(args.n, args.m)
 
 
-def _cmd_kostka(args) -> int:
+def _cmd_kostka(args):
     spec = _load_spec(args.spec)
-    _emit(kostka(spec.lam, spec.lam_bar, shift_mu(spec).nu))
-    return 0
+    return kostka(spec.lam, spec.lam_bar, shift_mu(spec).nu)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     spec = _load_spec(args.spec)
-    _emit(count_scaled_points(spec.lam, spec.lam_bar, shift_mu(spec).nu, args.k))
-    return 0
+    return count_scaled_points(spec.lam, spec.lam_bar, shift_mu(spec).nu, args.k)
 
 
-def _cmd_tableau(args) -> int:
+def _cmd_tableau(args):
     if args.action == "from-pattern":
         if not args.pattern:
             raise InputError("tableau from-pattern needs --pattern")
-        p = pattern_from_json(_load_json(args.pattern))
-        _emit(pattern_to_tableau(p).to_json())
-    else:
-        if not args.tableau:
-            raise InputError(f"tableau {args.action} needs --tableau")
-        t = SkewTableau.from_json(_load_json(args.tableau))
-        if args.action == "to-pattern":
-            _emit(pattern_to_json(tableau_to_pattern(t)))
-        else:
-            _emit(list(content(t)))
-    return 0
+        return pattern_to_tableau(pattern_from_json(_load_json(args.pattern)))
+    if not args.tableau:
+        raise InputError(f"tableau {args.action} needs --tableau")
+    t = SkewTableau.from_json(_load_json(args.tableau))
+    return tableau_to_pattern(t) if args.action == "to-pattern" else content(t)
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args):
     from .fixtures import all_fixtures  # its hexagon array holds a Fraction
-    _emit(all_fixtures())
-    return 0
+    return all_fixtures()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,15 +225,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+_ENCODERS = {StripConcaveArray: array_to_json, GTPattern: pattern_to_json, Flow: flow_to_json}
+
+
+def _json(value):
+    """The JSON data of one result: arrays, patterns and flows through their
+    encoders, other records through ``to_json``, plain data as it is."""
+    encode = _ENCODERS.get(type(value))
+    if encode:
+        return encode(value)
+    return value.to_json() if isinstance(value, Record) else value
+
+
+def _emit(result, code: int) -> int:
+    """Print ``result`` as one line of canonical JSON and return the exit ``code``.
+
+    The only writer of results: a top-level list is encoded item by item.  An
+    int past the ``str()`` digit limit, bare or in a ``"p/q"`` string, is an
+    :class:`InputError`, and nothing is printed.
+    """
     try:
-        args = parser.parse_args(argv)
+        text = canonical_json(list(map(_json, result)) if type(result) is list else _json(result))
+    except ValueError as exc:
+        raise InputError(f"output too large to write: {exc}") from exc
+    print(text)
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
         try:
-            return args.func(args)
+            return _emit(args.func(args), 0)
         except InfeasibleError as exc:
-            _emit(FeasibilityVerdict(exc.certificate).to_json())
-            return 1
+            return _emit(FeasibilityVerdict(exc.certificate), 1)
     except InputError as exc:
         print(canonical_json({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2

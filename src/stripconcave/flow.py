@@ -219,8 +219,8 @@ def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
         choices[i] = cells = {below: cell_values(i, below) for below in level}
         placed += sum(ways * prod(map(len, cells[below])) for below, ways in level.items())
         if placed > VERTEX_SEARCH_MAX:
-            raise InputError(f"too many vertices: the search would place at least {placed} rows, "
-                             f"more than {VERTEX_SEARCH_MAX}")
+            raise InputError(f"too many vertices: the search would place at least "
+                             f"{_int_text(placed)} rows, more than {VERTEX_SEARCH_MAX}")
         if i:
             above = {}
             for below, ways in level.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import BoundarySpec, InputError, Record, _int_text, _set
+from .core import BoundarySpec, InputError, Record, _int_text, _is_int, _set
 from .feasibility import check_trapezoid
 
 
@@ -81,7 +81,7 @@ def facets(n: int, m: int) -> list:
         raise InputError("facets need n >= 1 and m >= 0")
     if n + m > FACET_LISTING_MAX:
         raise InputError(
-            f"listing facets needs n + m <= {FACET_LISTING_MAX}, got {n + m}; "
+            f"listing facets needs n + m <= {FACET_LISTING_MAX}, got {_int_text(n + m)}; "
             "use --count-only for the number of facets"
         )
     rows = sorted(I for k in range(n + 1) for I in combinations(range(1, n + 1), k))
@@ -138,10 +138,8 @@ def facet_count_consistent(n: int, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _require_ints(*seqs):
-    for seq in seqs:
-        for v in seq:
-            if not isinstance(v, int):
-                raise InputError("counting requires integer data")
+    if not all(all(map(_is_int, seq)) for seq in seqs):
+        raise InputError("counting requires integer data")
 
 
 def kostka(lam: Sequence[int], lam_bar: Sequence[int], nu: Sequence[int]) -> int:
@@ -209,7 +207,7 @@ def count_scaled_points(
     By homogeneity this is the integer count for the boundary scaled by
     ``k``; equal for all rearrangements of ``nu``.
     """
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise InputError("k must be a positive integer")
     _require_ints(lam, lam_bar, nu)
     return kostka(

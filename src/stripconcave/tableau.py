@@ -88,7 +88,7 @@ def _padded_chain(p: GTPattern):
     parts = []
     for row in p.rows:
         if not (set(map(type, row)) <= {int} and min(row, default=0) >= 0):
-            if any(not isinstance(v, int) for v in row):
+            if not all(map(_is_int, row)):
                 raise InputError("tableaux need an integer pattern")
             if any(v < 0 for v in row):
                 raise InputError("tableaux need nonnegative pattern rows; shift first")

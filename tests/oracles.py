@@ -47,8 +47,8 @@ def is_int(value):
 
 
 def require_ints(*seqs):
-    """Refuse any entry that is not an ``int``, as the counting functions do."""
-    if any(not isinstance(v, int) for seq in seqs for v in seq):
+    """Refuse any entry that is not an ``int`` or is a ``bool``, as the counting functions do."""
+    if any(not is_int(v) for seq in seqs for v in seq):
         raise InputError("counting requires integer data")
 
 
@@ -829,7 +829,7 @@ def cellwise_pattern_to_tableau(p: GTPattern):
     chain = []
     for i in range(n + 1):
         row = p.rows[i]
-        if any(not isinstance(v, int) for v in row):
+        if any(not is_int(v) for v in row):
             raise InputError("tableaux need an integer pattern")
         if any(v < 0 for v in row):
             raise InputError("tableaux need nonnegative pattern rows; shift first")

@@ -401,9 +401,12 @@ def test_unknown_subcommand_exit_2(capsys):
     assert_input_error(*run(capsys, "check"), "--spec")
 
 
-def test_vertex_search_size_guard(capsys):
+def test_vertex_search_size_guard(capsys, digit_limit):
     spec = '{"lambda":[8,7,6,5,4,3,2,1,0],"lambda_bar":[7,5,3,1]}'
     assert_input_error(*run(capsys, "vertices", "--spec", spec), "too many vertices")
+    # no lambda_bar: the search would place about 2^14999 rows, a count past the digit limit
+    spec = json.dumps({"lambda": list(range(30000, 0, -2))})
+    assert_input_error(*run(capsys, "vertices", "--spec", spec), "at least 10^4300 or more rows")
 
 
 @pytest.mark.parametrize(
@@ -437,6 +440,9 @@ def digit_limit():
     # the balance certificate's lhs 3 B has 4301 digits
     ("check", '{"lambda":[%s,%s],"nu":[-%s,0]}', "output too large"),
     ("build", '{"lambda":[%s,%s],"nu":[-%s,0]}', "output too large"),
+    # a "p/q" entry whose numerator has 4301 digits
+    ("vertices", '{"lambda":[%s,"1/2"]}', "output too large to write"),
+    ("build", '{"lambda":[%s,"1/2"],"nu":["1/2",%s]}', "output too large to write"),
 ])
 def test_oversized_integers_exit_2(capsys, digit_limit, command, spec, needle):
     spec = spec.replace("%s", digit_limit)
@@ -446,11 +452,13 @@ def test_oversized_integers_exit_2(capsys, digit_limit, command, spec, needle):
 @pytest.mark.parametrize("argv, message, named", [
     (["facets", "--count-only", "--n", "2", "--m", "%s"],
      "counting facets needs n + m <= 14000 for n > 1, got %s", "100001"),
+    (["facets", "--n", "1", "--m", "%s"],
+     "listing facets needs n + m <= 18, got %s; use --count-only for the number of facets", "100000"),
     (["flow", "from", "--flow", '{"n":1,"m":%s,"e0":[[0]],"e1":[[1]]}'],
      "e0 row 0 must have %s entries", "100000"),
     (["flow", "to", "--array", '{"config":{"n":1,"a":[0,0],"b":[%s,%s]},"rows":[[0],[0]]}'],
      "row 0 must have %s entries", "100000"),
-], ids=["facets", "flow-from", "flow-to"])
+], ids=["facets", "facet-listing", "flow-from", "flow-to"])
 def test_messages_bound_a_computed_integer_past_the_digit_limit(capsys, digit_limit, argv, message, named):
     # B has 4300 digits, and the integer each message names, B + 1 or B + 2, has 4301
     for value, text in ((digit_limit, "10^4300 or more"), ("99999", named)):

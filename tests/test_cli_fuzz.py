@@ -155,6 +155,10 @@ N0_SPECS = ['{"lambda":[2,1],"lambda_bar":[1,1],"nu":[]}', '{"lambda":[2,1],"lam
 @example(["check", "--spec", '{"lambda":[%s,%s],"nu":[-%s,0]}' % (B, B, B)])
 @example(["build", "--spec", '{"lambda":[%s,%s],"nu":[-%s,0]}' % (B, B, B)])
 @example(["facets", "--count-only", "--n", "2", "--m", B])
+@example(["facets", "--n", "1", "--m", B])
+@example(["vertices", "--spec", '{"lambda":[%s,"1/2"]}' % B])
+@example(["build", "--spec", '{"lambda":[%s,"1/2"],"nu":["1/2",%s]}' % (B, B)])
+@example(["vertices", "--spec", json.dumps({"lambda": list(range(30000, 0, -2))})])
 @example(["flow", "from", "--flow", '{"n":1,"m":%s,"e0":[[0]],"e1":[[1]]}' % B])
 @example(["flow", "to", "--array", '{"config":{"n":1,"a":[0,0],"b":[%s,%s]},"rows":[[0],[0]]}' % (B, B)])
 @example(["count", "--spec", json.dumps({"lambda": [2 * 10**400, 10**400, 0], "nu": [10**400] * 3}),

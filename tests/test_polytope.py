@@ -243,6 +243,14 @@ def test_kostka_rejects_fractions():
         kostka((Fraction(3, 2), 0), (), (Fraction(3, 2),))
 
 
+def test_counting_refuses_bools():
+    # a bool is an int to isinstance; counting takes it neither as data nor as k
+    with pytest.raises(InputError, match="counting requires integer data"):
+        kostka((True, False), (), (True,))
+    with pytest.raises(InputError, match="k must be a positive integer"):
+        count_scaled_points((2, 1, 0), (), (1, 1, 1), True)
+
+
 def test_kostka_permutation_invariance():
     rng = random.Random(11)
     checked = 0

@@ -82,6 +82,8 @@ def test_pattern_preconditions():
         pattern_to_tableau(
             GTPattern(ConvexConfig.trapezoid(1, 1), ((3,), (2, 1)))
         )
+    with pytest.raises(InputError, match="tableaux need an integer pattern"):
+        pattern_to_tableau(GTPattern(ConvexConfig.trapezoid(1, 0), ((), (True,))))
 
 
 def test_pattern_to_tableau_refuses_past_the_cell_cap():
