@@ -12,8 +12,6 @@ refuse an empty ``nu`` (``n = 0``).  ``check`` and ``build`` decide through
 parallelogram when ``lambda`` is as long as ``lambda_bar``, else the
 trapezoid.  ``kostka`` and ``count`` count the content ``nu - mu``.
 """
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -160,7 +158,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
     parser = _Parser(
         prog="stripconcave",
         description="Exact feasibility, construction, flows, polytopes and tableaux "

@@ -13,12 +13,9 @@ of ``flow._slacks``), so a lift sub-step costs ``O(n)`` however wide its
 ramp.  The output is integral for integer data, and on the triangle it is
 a vertex of the corresponding polytope.
 """
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import add, neg, sub
-from typing import Sequence
 
 from .core import (
     BoundarySpec,
@@ -27,7 +24,6 @@ from .core import (
     InfeasibleError,
     InputError,
     InternalError,
-    StripConcaveArray,
     deficits,
     extend_to_trapezoid,
     integrate,
@@ -53,7 +49,7 @@ def _triangular_rows(lam: tuple, nu: tuple) -> list:
     return [(), *rows[::-1]]
 
 
-def build_triangular(lam: Sequence[Rat], nu: Sequence[Rat]) -> StripConcaveArray:
+def build_triangular(lam: "Sequence[Rat]", nu: "Sequence[Rat]") -> "StripConcaveArray":
     """Witness array with boundary ``(lam, 0^n, nu)`` on the triangle.
 
     This is :func:`build_trapezoid` with an empty ``lam_bar``: feasibility is
@@ -198,8 +194,8 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
     return rows
 
 
-def build_trapezoid(lam: Sequence[Rat], lam_bar: Sequence[Rat],
-                    nu: Sequence[Rat]) -> StripConcaveArray:
+def build_trapezoid(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]",
+                    nu: "Sequence[Rat]") -> "StripConcaveArray":
     """Witness array with boundary ``(lam, lam_bar, 0^n, nu)`` on the trapezoid.
 
     Each lowering takes the largest exact step at once.  Integer inputs
@@ -211,7 +207,7 @@ def build_trapezoid(lam: Sequence[Rat], lam_bar: Sequence[Rat],
     return mu_general_build(ConvexConfig.trapezoid(n, m), BoundarySpec(lam, lam_bar, (0,) * n, nu))
 
 
-def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveArray:
+def mu_general_build(config: "ConvexConfig", spec: "BoundarySpec") -> "StripConcaveArray":
     """Witness array for an arbitrary convex configuration and boundary.
 
     Decides once as :func:`check_general` does, and extends once to the
@@ -228,7 +224,7 @@ def mu_general_build(config: ConvexConfig, spec: BoundarySpec) -> StripConcaveAr
     return restrict_to(integrate(GTPattern(tconfig, rows), tspec.mu), config)
 
 
-def reduce_to_triangle(lam: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:
+def reduce_to_triangle(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]") -> tuple:
     """Triangular boundary tuple with the same feasible right boundaries.
 
     The prefix sums of ``lam'`` are the subset-free parts of the trapezoid

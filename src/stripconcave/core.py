@@ -8,16 +8,14 @@ when the two rhombus inequalities hold on every strip.
 
 ``import stripconcave`` loads neither ``fractions`` nor ``json``: ``Rat`` is
 built on first read, a non-``int`` entry imports ``fractions`` and
-:func:`canonical_json` imports ``json``.  Other modules name ``Rat`` only in
-annotations, which ``from __future__ import annotations`` leaves unevaluated.
+:func:`canonical_json` imports ``json``.  The package names ``Rat`` only in
+quoted annotations, which are never evaluated.
 """
-from __future__ import annotations
-
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import attrgetter, ge, gt, lt, neg, sub
-from typing import Sequence, Union
+from typing import Union
 
 
 def __getattr__(name):  # Rat = Union[int, Fraction], built on first read
@@ -49,7 +47,7 @@ class InternalError(RuntimeError):
     """A proven bound of the witness solver was exceeded (CLI exit code 3)."""
 
 
-def rat(value) -> Rat:
+def rat(value) -> "Rat":
     """Parse an exact rational from an int, Fraction or ``"p/q"`` string."""
     if isinstance(value, bool):
         raise InputError(f"not a rational: {value!r}")
@@ -80,7 +78,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def rat_to_json(value: Rat):
+def rat_to_json(value: "Rat"):
     """Encode an exact rational as an int, or ``"p/q"`` when non-integral."""
     if type(value) is int:
         return value
@@ -98,7 +96,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def is_weakly_decreasing(seq: Sequence[Rat]) -> bool:
+def is_weakly_decreasing(seq: "Sequence[Rat]") -> bool:
     return all(map(ge, seq, seq[1:]))
 
 
@@ -201,7 +199,7 @@ class StripConcaveArray(Record):
 
     __slots__ = ("config", "rows")
 
-    def __init__(self, config: ConvexConfig, rows: tuple):
+    def __init__(self, config: "ConvexConfig", rows: tuple):
         rows = tuple(tuple(r) for r in rows)
         _set(self, "config", config)
         _set(self, "rows", rows)
@@ -221,7 +219,7 @@ class GTPattern(Record):
 
     __slots__ = ("config", "rows")
 
-    def __init__(self, config: ConvexConfig, rows: tuple):
+    def __init__(self, config: "ConvexConfig", rows: tuple):
         rows = tuple(tuple(r) for r in rows)
         _set(self, "config", config)
         _set(self, "rows", rows)
@@ -244,7 +242,7 @@ class BoundarySpec(Record):
         _set(self, "mu", tuple(mu))
         _set(self, "nu", tuple(nu))
 
-    def balance(self) -> Rat:
+    def balance(self) -> "Rat":
         """``|lam| - |lam_bar| + |mu| - |nu|`` (zero for any valid boundary)."""
         return (
             sum(self.lam, 0) - sum(self.lam_bar, 0) + sum(self.mu, 0) - sum(self.nu, 0)
@@ -255,7 +253,7 @@ class BoundarySpec(Record):
 # operations
 # ---------------------------------------------------------------------------
 
-def validate_pattern(p: GTPattern) -> bool:
+def validate_pattern(p: "GTPattern") -> bool:
     """True iff every rhombus inequality of the two kept types holds.
 
     With ``s = a_i - a_{i-1}``, row ``i - 1`` read from column ``a_i + 1``
@@ -273,19 +271,19 @@ def validate_pattern(p: GTPattern) -> bool:
     return True
 
 
-def validate_array(x: StripConcaveArray) -> bool:
+def validate_array(x: "StripConcaveArray") -> bool:
     """True iff ``x_00 = 0`` and the array is strip-concave."""
     if x.rows[0][0] != 0:
         return False
     return validate_pattern(derivative(x))
 
 
-def derivative(x: StripConcaveArray) -> GTPattern:
+def derivative(x: "StripConcaveArray") -> "GTPattern":
     """Row derivative ``dx_{ij} = x_{ij} - x_{i,j-1}``."""
     return GTPattern(x.config, tuple(tuple(map(sub, row[1:], row)) for row in x.rows))
 
 
-def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
+def integrate(p: "GTPattern", mu: "Sequence[Rat]" = None) -> "StripConcaveArray":
     """Rebuild an array from its row derivative and left boundary ``mu``.
 
     With ``mu`` omitted the left boundary is normalized to zero
@@ -306,7 +304,7 @@ def integrate(p: GTPattern, mu: Sequence[Rat] = None) -> StripConcaveArray:
                                  if isinstance(row[-1], Fraction) else row for row in rows])
 
 
-def boundary(x: StripConcaveArray) -> BoundarySpec:
+def boundary(x: "StripConcaveArray") -> "BoundarySpec":
     """Boundary quadruple of an array: lower/upper derivatives, side steps."""
     rows = x.rows
     left, right = [row[0] for row in rows], [row[-1] for row in rows]
@@ -314,7 +312,7 @@ def boundary(x: StripConcaveArray) -> BoundarySpec:
     return BoundarySpec(map(sub, rows[-1][1:], rows[-1]), map(sub, rows[0][1:], rows[0]), mu, nu)
 
 
-def shift_mu(spec: BoundarySpec) -> BoundarySpec:
+def shift_mu(spec: "BoundarySpec") -> "BoundarySpec":
     """Normalize the left boundary to zero: ``(lam, lam_bar, 0^n, nu - mu)``.
 
     Corresponds to the row shift ``x'_{ij} = x_{ij} + q_i`` with
@@ -326,7 +324,7 @@ def shift_mu(spec: BoundarySpec) -> BoundarySpec:
     return BoundarySpec(spec.lam, spec.lam_bar, (0,) * n, nu)
 
 
-def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple:
+def deficits(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]", n: int = None) -> tuple:
     """Deficits ``(D_0, .., D_n)`` of a pair of weakly decreasing tuples.
 
     ``D_k = sum_t max(0, lam_bar_t - lam_{t+k})`` over the ``t`` with both
@@ -363,7 +361,7 @@ def deficits(lam: Sequence[Rat], lam_bar: Sequence[Rat], n: int = None) -> tuple
     return tuple(accumulate(diff))[: n + 1]
 
 
-def interlacing_bounds(i: int, below: Sequence[Rat], lam_bar: Sequence[Rat]) -> tuple:
+def interlacing_bounds(i: int, below: "Sequence[Rat]", lam_bar: "Sequence[Rat]") -> tuple:
     """Bounds ``(lo, hi)`` on the cells of row ``i`` of a pattern with row 0
     ``lam_bar``, given row ``i + 1`` as ``below``.
 
@@ -381,7 +379,7 @@ def interlacing_bounds(i: int, below: Sequence[Rat], lam_bar: Sequence[Rat]) -> 
     return lo, hi
 
 
-def rough_bound(spec: BoundarySpec) -> Rat:
+def rough_bound(spec: "BoundarySpec") -> "Rat":
     """Reduction constant ``c = 4 S + 1``, ``S`` the sum of ``|e|`` over all
     boundary entries (1 when every entry is 0).
 
@@ -400,7 +398,7 @@ def rough_bound(spec: BoundarySpec) -> Rat:
     return 4 * sum(map(abs, spec.lam + spec.lam_bar + spec.mu + spec.nu)) + 1
 
 
-def _check_lengths(spec: BoundarySpec, n: int, lam_len: int, lam_bar_len: int) -> None:
+def _check_lengths(spec: "BoundarySpec", n: int, lam_len: int, lam_bar_len: int) -> None:
     """Refuse a boundary unless its lengths are ``lam_len``, ``lam_bar_len``, ``n`` and ``n``."""
     if len(spec.lam) != lam_len or len(spec.lam_bar) != lam_bar_len:
         raise InputError("boundary lengths do not match the configuration")
@@ -408,7 +406,7 @@ def _check_lengths(spec: BoundarySpec, n: int, lam_len: int, lam_bar_len: int) -
         raise InputError("mu and nu must have length n")
 
 
-def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None):
+def extend_to_trapezoid(config: "ConvexConfig", spec: "BoundarySpec", c: "Rat" = None):
     """Embed a convex configuration into the trapezoid of size ``(n, b_0)``.
 
     Convexity makes ``a`` a run of 0s and then steps of 1, and ``b`` a run of
@@ -438,7 +436,7 @@ def extend_to_trapezoid(config: ConvexConfig, spec: BoundarySpec, c: Rat = None)
     return ConvexConfig.trapezoid(n, m), BoundarySpec(lam, spec.lam_bar, mu, nu)
 
 
-def restrict_to(x: StripConcaveArray, config: ConvexConfig) -> StripConcaveArray:
+def restrict_to(x: "StripConcaveArray", config: "ConvexConfig") -> "StripConcaveArray":
     """Restrict an array to a sub-configuration: row ``i`` keeps its slice
     ``a_i - A_i .. b_i - A_i``, ``A_i`` the ``a_i`` of ``x.config``."""
     big = x.config
@@ -456,11 +454,11 @@ def restrict_to(x: StripConcaveArray, config: ConvexConfig) -> StripConcaveArray
 # JSON encoding
 # ---------------------------------------------------------------------------
 
-def config_to_json(config: ConvexConfig) -> dict:
+def config_to_json(config: "ConvexConfig") -> dict:
     return {"n": config.n, "a": list(config.a), "b": list(config.b)}
 
 
-def config_from_json(obj) -> ConvexConfig:
+def config_from_json(obj) -> "ConvexConfig":
     if not isinstance(obj, dict) or not {"n", "a", "b"} <= set(obj):
         raise InputError("config JSON must be an object with keys n, a, b")
     n, a, b = obj["n"], obj["a"], obj["b"]
@@ -510,23 +508,23 @@ def _config_and_rows(obj, extra: int) -> tuple:
     return config, rows
 
 
-def array_to_json(x: StripConcaveArray) -> dict:
+def array_to_json(x: "StripConcaveArray") -> dict:
     return {"config": config_to_json(x.config), "rows": _rows_to_json(x.rows)}
 
 
-def array_from_json(obj) -> StripConcaveArray:
+def array_from_json(obj) -> "StripConcaveArray":
     return StripConcaveArray(*_config_and_rows(obj, extra=1))
 
 
-def pattern_to_json(p: GTPattern) -> dict:
+def pattern_to_json(p: "GTPattern") -> dict:
     return {"config": config_to_json(p.config), "rows": _rows_to_json(p.rows)}
 
 
-def pattern_from_json(obj) -> GTPattern:
+def pattern_from_json(obj) -> "GTPattern":
     return GTPattern(*_config_and_rows(obj, extra=0))
 
 
-def spec_to_json(spec: BoundarySpec) -> dict:
+def spec_to_json(spec: "BoundarySpec") -> dict:
     return {
         "lambda": [rat_to_json(v) for v in spec.lam],
         "lambda_bar": [rat_to_json(v) for v in spec.lam_bar],
@@ -541,7 +539,7 @@ def _boundary_field(key: str, value) -> tuple:
     return _rats(value)
 
 
-def spec_from_json(obj) -> BoundarySpec:
+def spec_from_json(obj) -> "BoundarySpec":
     if not isinstance(obj, dict) or "lambda" not in obj:
         raise InputError('boundary JSON must be an object with a "lambda" key')
     lam, lam_bar, nu = (_boundary_field(k, obj.get(k, ())) for k in ("lambda", "lambda_bar", "nu"))

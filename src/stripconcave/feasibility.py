@@ -7,15 +7,10 @@ ever need evaluating: for each size ``k`` the one maximizing
 ``(nu - mu)(I)``.  The deficit profile costs ``O((n + m) log(n + m))`` and
 the subset scan ``O(n log n)``.
 """
-from __future__ import annotations
-
 from itertools import accumulate
 from operator import add, sub
-from typing import Optional, Sequence
 
 from .core import (
-    BoundarySpec,
-    ConvexConfig,
     Record,
     _check_lengths,
     _set,
@@ -37,7 +32,7 @@ class Certificate(Record):
 
     __slots__ = ("kind", "subset", "lhs", "deficit")
 
-    def __init__(self, kind: str, subset: tuple = None, lhs: Rat = None, deficit: Rat = None):
+    def __init__(self, kind: str, subset: tuple = None, lhs: "Rat" = None, deficit: "Rat" = None):
         _set(self, "kind", kind)
         _set(self, "subset", subset)
         _set(self, "lhs", lhs)
@@ -59,7 +54,7 @@ class FeasibilityVerdict(Record):
 
     __slots__ = ("certificate",)
 
-    def __init__(self, certificate: Optional[Certificate] = None):
+    def __init__(self, certificate: "Optional[Certificate]" = None):
         _set(self, "certificate", certificate)
 
     @property
@@ -73,13 +68,13 @@ class FeasibilityVerdict(Record):
         }
 
 
-def _weight_order(weights: Sequence[Rat]) -> list:
+def _weight_order(weights: "Sequence[Rat]") -> list:
     """0-based indices by decreasing weight, ties broken toward the smaller index
     (the sort is stable under ``reverse``)."""
     return sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
 
 
-def _structural(spec: BoundarySpec) -> Optional[Certificate]:
+def _structural(spec: "BoundarySpec") -> "Optional[Certificate]":
     if not is_weakly_decreasing(spec.lam):
         return Certificate("monotone_lambda")
     if not is_weakly_decreasing(spec.lam_bar):
@@ -89,7 +84,7 @@ def _structural(spec: BoundarySpec) -> Optional[Certificate]:
     return None
 
 
-def _check_subsets(spec: BoundarySpec, base: Sequence[Rat], profile: Sequence[Rat]):
+def _check_subsets(spec: "BoundarySpec", base: "Sequence[Rat]", profile: "Sequence[Rat]"):
     """Run the inequality family; ``base[k]`` is the subset-free part for size ``k``.
 
     Each size-``k`` subset is the previous one plus the next index in weight
@@ -106,7 +101,7 @@ def _check_subsets(spec: BoundarySpec, base: Sequence[Rat], profile: Sequence[Ra
     return Certificate("subset", subset, lhs[k], profile[k] if k < len(profile) else None)
 
 
-def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
+def check_trapezoid(spec: "BoundarySpec", n: int, m: int) -> "FeasibilityVerdict":
     """Feasibility for the trapezoid of size ``(n, m)``.
 
     Feasible iff both boundary tuples are weakly decreasing, the quadruple is
@@ -123,7 +118,7 @@ def check_trapezoid(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
     return FeasibilityVerdict(cert)
 
 
-def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdict:
+def check_parallelogram(spec: "BoundarySpec", n: int, m: int) -> "FeasibilityVerdict":
     """Feasibility for the parallelogram of size ``(n, m)``.
 
     For ``|I| <= m`` the inequality reads
@@ -144,7 +139,7 @@ def check_parallelogram(spec: BoundarySpec, n: int, m: int) -> FeasibilityVerdic
     return FeasibilityVerdict(cert)
 
 
-def _decide(config: ConvexConfig, spec: BoundarySpec) -> tuple:
+def _decide(config: "ConvexConfig", spec: "BoundarySpec") -> tuple:
     """``(verdict, extension)``: the verdict of :func:`check_general` and the
     ``(trapezoid_config, extended_spec)`` it was decided on, made once; a
     parallelogram is decided on ``spec`` itself and has no extension."""
@@ -158,7 +153,7 @@ def _decide(config: ConvexConfig, spec: BoundarySpec) -> tuple:
     return verdict, (tconfig, tspec)
 
 
-def check_general(config: ConvexConfig, spec: BoundarySpec) -> FeasibilityVerdict:
+def check_general(config: "ConvexConfig", spec: "BoundarySpec") -> "FeasibilityVerdict":
     """Feasibility for an arbitrary convex configuration.
 
     A parallelogram is decided by :func:`check_parallelogram` on ``spec``

@@ -5,8 +5,6 @@ integer trapezoidal array.  The rest is derived by the library: the
 derivative pattern of each, the flow image of the trapezoidal array, that
 flow after the layer-2 zigzag swap, and the skew tableau of its pattern.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .core import ConvexConfig, StripConcaveArray, array_to_json, derivative, pattern_to_json
@@ -14,7 +12,7 @@ from .flow import flow_to_json, gamma, swap_flow
 from .tableau import pattern_to_tableau
 
 
-def hexagon_array() -> StripConcaveArray:
+def hexagon_array() -> "StripConcaveArray":
     """A strip-concave array on a hexagonal configuration (one entry is 11/2)."""
     config = ConvexConfig(3, (0, 0, 0, 1), (2, 3, 3, 3))
     rows = (
@@ -26,7 +24,7 @@ def hexagon_array() -> StripConcaveArray:
     return StripConcaveArray(config, rows)
 
 
-def trapezoid_array() -> StripConcaveArray:
+def trapezoid_array() -> "StripConcaveArray":
     """An integer strip-concave array on the (3, 2) trapezoid."""
     config = ConvexConfig.trapezoid(3, 2)
     rows = (

@@ -9,20 +9,16 @@ correspond to flows supported on forests.  Swapping two adjacent entries of
 the right boundary is the Bender-Knuth involution: one pattern row toggles,
 each cell ``v`` to ``lo + hi - v`` within its interlacing interval.
 """
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, count, product, repeat
 from math import prod
 from operator import add, neg, sub
-from typing import Sequence
 
 from .core import (
     ConvexConfig,
     GTPattern,
     InputError,
     Record,
-    StripConcaveArray,
     _int_text,
     _is_int,
     _rows_from_json,
@@ -77,7 +73,7 @@ def _slacks(rows, floor=0) -> tuple:
     return e0, e1
 
 
-def _pattern_rows(g: Flow) -> tuple:
+def _pattern_rows(g: "Flow") -> tuple:
     """The pattern rows ``row_i = row_{i+1}[:-1] - e1[i]`` up from ``row_n = lam``,
     the ``lam`` of :func:`boundary_of_flow`.
 
@@ -94,7 +90,7 @@ def _pattern_rows(g: Flow) -> tuple:
     return rows
 
 
-def boundary_of_flow(g: Flow) -> tuple:
+def boundary_of_flow(g: "Flow") -> tuple:
     """Recover ``(lam, lam_bar)``: ``lam_j`` is the inflow into bottom-layer
     nodes ``j..n+m`` and ``lam_bar_j`` the outflow from top-layer nodes
     ``j..m``."""
@@ -103,13 +99,13 @@ def boundary_of_flow(g: Flow) -> tuple:
     return tuple(tuple(accumulate(v[::-1]))[::-1] for v in (inflow, outflow))
 
 
-def _trapezoid_derivative(x: StripConcaveArray) -> GTPattern:
+def _trapezoid_derivative(x: "StripConcaveArray") -> "GTPattern":
     if not x.config.is_trapezoidal:
         raise InputError("flows are defined on trapezoids; apply extend_to_trapezoid first")
     return derivative(x)
 
 
-def gamma(x: StripConcaveArray) -> Flow:
+def gamma(x: "StripConcaveArray") -> "Flow":
     """The flow image of a trapezoidal array: the interlacing slacks of its
     row derivative (see :func:`_slacks`).
 
@@ -121,7 +117,7 @@ def gamma(x: StripConcaveArray) -> Flow:
     return Flow(c.n, c.m, *_slacks(_trapezoid_derivative(x).rows))
 
 
-def gamma_inv(g: Flow) -> StripConcaveArray:
+def gamma_inv(g: "Flow") -> "StripConcaveArray":
     """The array with zero left boundary whose flow image is ``g``.
 
     The pattern is rebuilt from its slacks up from the ``lam`` that ``g``
@@ -131,7 +127,7 @@ def gamma_inv(g: Flow) -> StripConcaveArray:
     return integrate(GTPattern(ConvexConfig.trapezoid(g.n, g.m), _pattern_rows(g)))
 
 
-def nu_of_flow(g: Flow) -> tuple:
+def nu_of_flow(g: "Flow") -> tuple:
     """Right-boundary differences read off the diagonal edges per layer."""
     return tuple(sum(g.e1[i - 1], 0) for i in range(1, g.n + 1))
 
@@ -168,7 +164,7 @@ def _support_key(rows, floor) -> list:
 VERTEX_SEARCH_MAX = 1_000_000
 
 
-def enumerate_vertices(lam: Sequence[Rat], lam_bar: Sequence[Rat]):
+def enumerate_vertices(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]"):
     """All vertices of the polytope of arrays with fixed lower and upper
     boundaries and zero left boundary.
 
@@ -273,13 +269,13 @@ def _toggle(rows, layer: int) -> tuple:
     return rows[:layer] + (toggled,) + rows[layer + 1:]
 
 
-def swap_flow(g: Flow, layer: int) -> Flow:
+def swap_flow(g: "Flow", layer: int) -> "Flow":
     """The flow of the pattern of ``g`` after the row toggle of :func:`zigzag_swap`;
     raises :class:`InputError` unless ``g`` is admissible."""
     return Flow(g.n, g.m, *_slacks(_toggle(_pattern_rows(g), layer)))
 
 
-def _swap_layers(x: StripConcaveArray, layers) -> StripConcaveArray:
+def _swap_layers(x: "StripConcaveArray", layers) -> "StripConcaveArray":
     """Toggle the pattern rows ``layers`` in turn, exchanging the matching
     entries of ``mu`` as well, and integrate once; refuse ``x_00 != 0``."""
     if x.rows[0][0] != 0:
@@ -297,7 +293,7 @@ def _swap_layers(x: StripConcaveArray, layers) -> StripConcaveArray:
     return integrate(GTPattern(p.config, rows), mu)
 
 
-def zigzag_swap(x: StripConcaveArray, layer: int) -> StripConcaveArray:
+def zigzag_swap(x: "StripConcaveArray", layer: int) -> "StripConcaveArray":
     """Exchange right-boundary entries ``layer`` and ``layer + 1``.
 
     Toggles row ``layer`` of the row derivative (see :func:`_toggle`), which
@@ -310,7 +306,7 @@ def zigzag_swap(x: StripConcaveArray, layer: int) -> StripConcaveArray:
     return _swap_layers(x, (layer,))
 
 
-def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
+def permute_nu(x: "StripConcaveArray", pi: "Sequence[int]") -> "StripConcaveArray":
     """Rearrange the right and left boundaries: entry ``k`` of the result's
     ``nu`` and ``mu`` is the original entry ``pi[k-1]``.
 
@@ -339,7 +335,7 @@ def permute_nu(x: StripConcaveArray, pi: Sequence[int]) -> StripConcaveArray:
 # path decomposition and generators
 # ---------------------------------------------------------------------------
 
-def flow_to_json(g: Flow) -> dict:
+def flow_to_json(g: "Flow") -> dict:
     return {
         "n": g.n,
         "m": g.m,
@@ -348,7 +344,7 @@ def flow_to_json(g: Flow) -> dict:
     }
 
 
-def flow_from_json(obj) -> Flow:
+def flow_from_json(obj) -> "Flow":
     if not isinstance(obj, dict) or not {"n", "m", "e0", "e1"} <= set(obj):
         raise InputError("flow JSON must be an object with keys n, m, e0, e1")
     n, m = obj["n"], obj["m"]
@@ -366,13 +362,14 @@ class PathDecomposition(Record):
         _set(self, "paths", paths)
 
     def to_json(self) -> list:
+        """Each path's own tuple of ``(i, j)`` nodes, which ``json`` writes as arrays."""
         return [
-            {"nodes": [list(v) for v in nodes], "weight": rat_to_json(w)}
+            {"nodes": nodes, "weight": rat_to_json(w)}
             for nodes, w in self.paths
         ]
 
 
-def path_decompose(g: Flow) -> PathDecomposition:
+def path_decompose(g: "Flow") -> "PathDecomposition":
     """Level-set decomposition: one weighted path per distinct pattern value.
 
     With the distinct entries of the pattern of ``g`` and 0 sorted
@@ -392,7 +389,7 @@ def path_decompose(g: Flow) -> PathDecomposition:
     ))
 
 
-def generator_array(path: Sequence[tuple], m: int) -> GTPattern:
+def generator_array(path: "Sequence[tuple]", m: int) -> "GTPattern":
     """The 0/1 pattern generator attached to a top-to-bottom path.
 
     Row ``i`` has ones in the first ``p(i)`` slots, where ``(i, p(i))`` is

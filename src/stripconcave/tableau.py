@@ -6,8 +6,6 @@ yields a semi-standard skew tableau of shape ``outer / inner`` whose content
 is the right-minus-left boundary of any integrating array.  Rows are
 1-indexed top-down and columns 1-indexed left-right.
 """
-from __future__ import annotations
-
 from bisect import bisect_right
 from itertools import chain, repeat
 from operator import add, le, lt, sub
@@ -78,7 +76,7 @@ class SkewTableau(Record):
             raise InputError(f"malformed tableau JSON: {exc}") from exc
 
 
-def _padded_chain(p: GTPattern):
+def _padded_chain(p: "GTPattern"):
     """Pattern rows as nested partitions, padded with zeros to full length."""
     c = p.config
     if not c.is_trapezoidal:
@@ -96,7 +94,7 @@ def _padded_chain(p: GTPattern):
     return parts, n, m
 
 
-def pattern_to_tableau(p: GTPattern) -> SkewTableau:
+def pattern_to_tableau(p: "GTPattern") -> "SkewTableau":
     """Tableau whose entry at each cell is the first chain index covering it.
 
     Row ``i`` of the pattern is a partition; consecutive rows are nested, and
@@ -120,7 +118,7 @@ def pattern_to_tableau(p: GTPattern) -> SkewTableau:
     return SkewTableau(parts[n], parts[0][:m], rows)
 
 
-def tableau_to_pattern(t: SkewTableau) -> GTPattern:
+def tableau_to_pattern(t: "SkewTableau") -> "GTPattern":
     """The pattern whose row ``i`` is the region occupied by entries ``<= i``
     together with the inner shape; inverse of ``pattern_to_tableau``."""
     m = len(t.inner)
@@ -132,7 +130,7 @@ def tableau_to_pattern(t: SkewTableau) -> GTPattern:
     return GTPattern(ConvexConfig.trapezoid(n, m), rows)
 
 
-def content(t: SkewTableau) -> tuple:
+def content(t: "SkewTableau") -> tuple:
     """How many times each entry ``1..n`` occurs."""
     n = len(t.outer) - len(t.inner)
     counts = [0] * n

@@ -844,6 +844,27 @@ def cellwise_pattern_to_tableau(p: GTPattern):
     return check_skew_tableau(chain[n], chain[0][:m], rows)
 
 
+def _subsets(k):
+    return [tuple(i for i, bit in enumerate(bits, 1) if bit) for bits in product((0, 1), repeat=k)]
+
+
+def brute_force_facets(n, m):
+    """The facet keys ``(kind, I, J, j)`` of the classification that
+    ``polytope.facets`` documents: every subset pair of ``1..n`` and ``1..m``
+    filtered by it and sorted by ``(|I|+|J|, I, J)``, then the chamber steps."""
+    horn = sorted(
+        (len(I) + len(J), I, J)
+        for I, J in product(_subsets(n), _subsets(m))
+        if 0 < len(I) + len(J) < n + m
+        and (0 < len(I) < n or (len(I), len(J)) in ((0, 1), (n, m - 1)))
+    )
+    keys = [("horn", I, J, None) for _, I, J in horn]
+    if not (n == 1 or (n, m) == (2, 0)):
+        keys += [("chamber_lambda", (), (), j) for j in range(1, n + m)]
+        keys += [("chamber_lambda_bar", (), (), j) for j in range(1, m)]
+    return keys
+
+
 def level_kostka(lam, lam_bar, nu):
     """``kostka`` counted level by level: for each row of a level, every
     interlacing row above it of the level's sum, cut cell by cell by the

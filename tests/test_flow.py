@@ -16,6 +16,7 @@ from stripconcave import (
     boundary,
     boundary_of_flow,
     build_trapezoid,
+    canonical_json,
     derivative,
     enumerate_vertices,
     flow_from_json,
@@ -380,6 +381,14 @@ def test_path_decompose_fixture_recomposes():
             (acc1 if qj - pj else acc0)[pi][pj] += w
     assert tuple(map(tuple, acc0)) == g.e0
     assert tuple(map(tuple, acc1)) == g.e1
+
+
+def test_path_decomposition_json_keeps_its_node_tuples():
+    pd = path_decompose(gamma(fixture_array()))
+    out = pd.to_json()
+    assert [p["nodes"] for p in out] == [nodes for nodes, _ in pd.paths]
+    as_lists = [{"nodes": [list(v) for v in nodes], "weight": w} for nodes, w in pd.paths]
+    assert canonical_json(out) == canonical_json(as_lists)
 
 
 def test_path_decompose_zero_flow_empty():

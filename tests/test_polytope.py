@@ -16,6 +16,7 @@ from stripconcave import (
     FacetInequality,
     InputError,
     boundary,
+    canonical_json,
     check_trapezoid,
     count_scaled_points,
     deficits,
@@ -29,6 +30,7 @@ from stripconcave import (
 from stripconcave.fixtures import trapezoid_array
 
 from oracles import (
+    brute_force_facets,
     enumerate_patterns,
     enumerate_tableaux,
     level_kostka,
@@ -84,6 +86,41 @@ def test_facet_count_for_one_row_allocates_no_power():
         tracemalloc.stop()
     assert report == {"enumerated": 2 * 10**9, "formula": 2 * 10**9, "consistent": True}
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("call", [
+    lambda: facet_count_consistent(3.0, 1),
+    lambda: facet_count_formula(2.5, 1),
+    lambda: facets(2.0, 1),
+    lambda: facets(True, 2),
+], ids=["count-float-n", "formula-float-n", "facets-float-n", "facets-bool-n"])
+def test_facet_shapes_must_be_ints(call):
+    with pytest.raises(InputError, match="facets need integer n and m"):
+        call()
+
+
+def test_facet_listing_allocates_no_lists():
+    """A facet's JSON holds the record's own tuples: 441 B per facet with
+    two fresh lists each, about 270 B without."""
+    fs = facets(7, 7)
+    tracemalloc.start()
+    try:
+        out = [f.to_json() for f in facets(7, 7)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(fs) == 16161
+    assert peak < 320 * len(fs), peak / len(fs)
+
+
+def test_facets_match_the_brute_force_classification():
+    for n in range(1, 11):
+        for m in range(11 - n):
+            fs = facets(n, m)
+            assert [(f.kind, f.I, f.J, f.j) for f in fs] == brute_force_facets(n, m), (n, m)
+            as_lists = [{"kind": f.kind, "I": list(f.I), "J": list(f.J)} if f.kind == "horn"
+                        else {"kind": f.kind, "j": f.j} for f in fs]
+            assert canonical_json([f.to_json() for f in fs]) == canonical_json(as_lists), (n, m)
 
 
 def test_facets_n2_m0_contents():
