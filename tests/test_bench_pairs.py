@@ -10,7 +10,7 @@ STUB = '''\
 import argparse, json
 from pathlib import Path
 p = argparse.ArgumentParser()
-for flag in ("--workload", "--seed", "--seconds", "--trace"):
+for flag in ("--workload", "--seed", "--trace"):
     p.add_argument(flag)
 a = p.parse_args()
 v = int((Path(__file__).resolve().parent.parent / "src" / "value.txt").read_text())
@@ -42,9 +42,8 @@ def test_pairs_run_the_base_bench_on_both_trees(tmp_path):
     (repo / "src" / "value.txt").write_text("2")
     (repo / "bench" / "run.py").write_text("raise SystemExit(1)\n")
     out = tmp_path / "pairs.json"
-    subprocess.run([sys.executable, str(TOOL), "--repo", str(repo), "--pairs", "w=3",
-                    "--seed", "7", "--seconds", "1", "--out", str(out)],
-                   check=True, capture_output=True, timeout=120)
+    subprocess.run([sys.executable, str(TOOL), "--pairs", "w=3", "--seed", "7", "--out", str(out)],
+                   cwd=repo, check=True, capture_output=True, timeout=120)
     report = json.loads(out.read_text())
     assert report["base"]["rev"] == report["head"]["rev"] and report["head"]["src_modified"]
     assert report["base"]["src_sha256"] != report["head"]["src_sha256"]

@@ -100,17 +100,19 @@ def test_facet_shapes_must_be_ints(call):
 
 
 def test_facet_listing_allocates_no_lists():
-    """A facet's JSON holds the record's own tuples: 441 B per facet with
-    two fresh lists each, about 270 B without."""
+    """A facet's JSON is one dict holding the record's own tuples, so the list
+    of them costs each dict's size plus a slot (8 B, with room here for the
+    list's growth); two fresh lists per facet would add over 150 B."""
     fs = facets(7, 7)
+    bound = sum(sys.getsizeof(f.to_json()) + 32 for f in fs)
     tracemalloc.start()
     try:
-        out = [f.to_json() for f in facets(7, 7)]
+        out = [f.to_json() for f in fs]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(out) == len(fs) == 16161
-    assert peak < 320 * len(fs), peak / len(fs)
+    assert peak < bound, (peak / len(fs), bound / len(fs))
 
 
 def test_facets_match_the_brute_force_classification():

@@ -4,14 +4,15 @@
 Usage, from the root of a checkout::
 
     python3 tools/bench_pairs.py --base HEAD --pairs library=10 --pairs cli=3 \\
-        --seed 1 --seconds 50 --out pairs.json
+        --seed 1 --out pairs.json
 
 Both sides run the *base* revision's ``bench/run.py`` and ``BENCHMARK.json``:
 the base side is a ``git archive`` of ``--base``, the head side is the
 worktree's ``src/`` next to a copy of that same ``bench/``, so only the
 library differs.  Pair ``i`` of a workload uses seed ``--seed + i`` on both
 sides and runs the base first when ``i`` is even, the head first when it is
-odd.  The output file records both revisions, the sha256 of ``bench/``, the
+odd; each run lasts as long as the base's ``bench/run.py`` sets by default.
+The output file records both revisions, the sha256 of ``bench/``, the
 seeds, each run's last JSON line, each end-to-end metric's median, quartiles
 and pairs won, and the failed ops.  Standard library only.
 """
@@ -53,11 +54,10 @@ def make_trees(repo: Path, base: str, work: Path) -> dict:
     return {"base": work / "base", "head": work / "head"}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                          timeout=10 * seconds + 600)
+            "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         raise SystemExit(f"{argv} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -82,21 +82,18 @@ def summarize(runs: list, end_to_end: list) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repo", type=Path, default=Path.cwd())
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    repo = args.repo.resolve()
+    repo = Path.cwd()
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs)]
     report = {
         "base": {"rev": git(repo, "rev-parse", args.base).decode().strip()},
         "head": {"rev": git(repo, "rev-parse", "HEAD").decode().strip(), "worktree": True,
                  "src_modified": bool(git(repo, "status", "--porcelain", "--", "src"))},
         "python": platform.python_version(),
-        "seconds": args.seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -111,7 +108,7 @@ def main(argv=None) -> int:
                 seed, order = args.seed + i, ("base", "head") if i % 2 == 0 else ("head", "base")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = run_once(trees[side], workload, seed, args.seconds)
+                    run[side] = run_once(trees[side], workload, seed)
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"{json.dumps(run[side]['metrics'])}", file=sys.stderr)
                 runs.append(run)
