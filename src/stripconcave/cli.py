@@ -5,8 +5,9 @@ returns the library result or raises.  :func:`_emit`, the one writer, prints
 the result as canonical JSON.  The exit code is 0 on success, 1 on
 infeasibility (the verdict with its certificate), 2 on bad input and 3 past
 a proven bound of the witness solver.  Bad input includes JSON nested too
-deep and an integer, read or written (``"p/q"`` entries too), past the
-``str()`` digit limit.  ``check``, ``build``, ``kostka`` and ``count``
+deep, an integer, read or written (``"p/q"`` entries too), past the ``str()``
+digit limit, and a result of more than ``core.CELLS_MAX`` cells, counted
+before it is made.  ``check``, ``build``, ``kostka`` and ``count``
 refuse an empty ``nu`` (``n = 0``).  ``check`` and ``build`` decide through
 ``check_general`` on one configuration: the ``--config`` one, else the
 parallelogram when ``lambda`` is as long as ``lambda_bar``, else the

@@ -24,6 +24,7 @@ from .core import (
     InfeasibleError,
     InputError,
     InternalError,
+    _check_cells,
     deficits,
     extend_to_trapezoid,
     integrate,
@@ -214,12 +215,15 @@ def mu_general_build(config: "ConvexConfig", spec: "BoundarySpec") -> "StripConc
     enclosing trapezoid: the extension the decision was taken on, or on a
     parallelogram one made after a feasible verdict.  The pattern of the
     extended content ``nu - mu`` is solved there, integrated with ``mu``
-    and restricted to ``config``.
+    and restricted to ``config``; an extension of more than
+    :data:`core.CELLS_MAX` entries is refused before it is solved.
     """
     verdict, extension = _decide(config, spec)
     if not verdict.feasible:
         raise InfeasibleError(verdict.certificate)
     tconfig, tspec = extension or extend_to_trapezoid(config, spec)
+    n, m = tconfig.n, tconfig.m
+    _check_cells((n + 1) * (m + 1) + n * (n + 1) // 2, "witness array")
     rows = _solve_trapezoid(tspec.lam, tspec.lam_bar, tuple(map(sub, tspec.nu, tspec.mu)))
     return restrict_to(integrate(GTPattern(tconfig, rows), tspec.mu), config)
 

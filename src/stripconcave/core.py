@@ -73,6 +73,18 @@ def _int_text(value: int) -> str:
         return f"10^{sys.get_int_max_str_digits()} or more"
 
 
+# The output budget, in entries (cells, nodes), counted before any is made: the
+# tests' largest output is a 721 801-entry witness, the benchmark's about 10^4.
+# Kostka states (work) and the facet caps (about 2^(n+m) facets; a count's
+# digits) keep their own units in ``polytope``.
+CELLS_MAX = 1_000_000
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > CELLS_MAX:
+        raise InputError(f"{what} too large: {_int_text(cells)} cells, more than {CELLS_MAX}")
+
+
 def _is_int(value) -> bool:
     """An integer JSON field: an ``int`` that is not a ``bool`` (``true`` parses to one)."""
     return isinstance(value, int) and not isinstance(value, bool)

@@ -10,6 +10,7 @@ the right boundary is the Bender-Knuth involution: one pattern row toggles,
 each cell ``v`` to ``lo + hi - v`` within its interlacing interval.
 """
 from bisect import bisect_left
+from functools import cache
 from itertools import accumulate, chain, compress, count, product, repeat
 from math import prod
 from operator import add, neg, sub
@@ -19,6 +20,7 @@ from .core import (
     GTPattern,
     InputError,
     Record,
+    _check_cells,
     _int_text,
     _is_int,
     _rows_from_json,
@@ -161,9 +163,6 @@ def _support_key(rows, floor) -> list:
     return list(compress(count(), chain.from_iterable(pairs)))
 
 
-VERTEX_SEARCH_MAX = 1_000_000
-
-
 def enumerate_vertices(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]"):
     """All vertices of the polytope of arrays with fixed lower and upper
     boundaries and zero left boundary.
@@ -181,11 +180,11 @@ def enumerate_vertices(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]"):
     row, so its depth is at most n.
 
     The number of vertices grows exponentially.  Before it searches, the
-    function counts the rows the search would place if it dropped none,
-    level by level over distinct rows (each with the number of partial
-    patterns that reach it, Stanley's transfer-matrix method), and raises
-    :class:`InputError` once the count passes :data:`VERTEX_SEARCH_MAX`;
-    the search then draws each row's cell values from the count.
+    function counts the cells (``i + m`` a row at level ``i``) the search
+    would place if it dropped no row, level by level over distinct rows
+    (each with the number of partial patterns that reach it, Stanley's
+    transfer-matrix method), and raises :class:`InputError` once the count
+    passes :data:`core.CELLS_MAX`; the search draws its cells from the count.
 
     Output is sorted by the support of each vertex's flow: the edges
     ``(i, j, t)`` with a nonzero slack, in ``(i, j, t)`` order
@@ -204,19 +203,18 @@ def enumerate_vertices(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]"):
     values = sorted(set(lam) | set(lam_bar))
     index = {v: k for k, v in enumerate(values)}
 
+    span = cache(lambda lo, hi: values[index[lo]:index[hi] + 1])  # one list per bound pair
+
     def cell_values(i, below):
         # every bound is a boundary value, so each cell takes a slice of values
-        lo, hi = interlacing_bounds(i, below, lam_bar)
-        return [values[index[a]:index[b] + 1] for a, b in zip(lo, hi)]
+        return list(map(span, *interlacing_bounds(i, below, lam_bar)))
 
     level, placed = {lam: 1}, 0  # rows of a level -> partial patterns reaching them
     choices = [None] * n
     for i in range(n - 1, -1, -1):
         choices[i] = cells = {below: cell_values(i, below) for below in level}
-        placed += sum(ways * prod(map(len, cells[below])) for below, ways in level.items())
-        if placed > VERTEX_SEARCH_MAX:
-            raise InputError(f"too many vertices: the search would place at least "
-                             f"{_int_text(placed)} rows, more than {VERTEX_SEARCH_MAX}")
+        placed += (i + m) * sum(ways * prod(map(len, cells[row])) for row, ways in level.items())
+        _check_cells(placed, "vertex search")
         if i:
             above = {}
             for below, ways in level.items():
@@ -382,6 +380,7 @@ def path_decompose(g: "Flow") -> "PathDecomposition":
     """
     rows = _pattern_rows(g)
     values = sorted(set(chain.from_iterable(rows)) | {0}, reverse=True)
+    _check_cells((len(values) - 1) * len(rows), "path decomposition")
     negated, layers = [tuple(map(neg, row)) for row in rows], range(len(rows))
     return PathDecomposition(tuple(
         (tuple(zip(layers, map(bisect_left, negated, repeat(-lo)))), hi - lo)
@@ -395,6 +394,7 @@ def generator_array(path: "Sequence[tuple]", m: int) -> "GTPattern":
     Row ``i`` has ones in the first ``p(i)`` slots, where ``(i, p(i))`` is
     the node of the path on layer ``i``; every nonnegative pattern is the
     weighted sum of the generators of any path decomposition of its flow.
+    A pattern of more than :data:`core.CELLS_MAX` entries is refused.
     """
     path = [tuple(v) for v in path]
     if not path or path[0][0] != 0:
@@ -409,5 +409,6 @@ def generator_array(path: "Sequence[tuple]", m: int) -> "GTPattern":
             raise InputError("path node out of range")
     if path[-1] == (n, 0):
         raise InputError("path may not end at the leftmost bottom node")
+    _check_cells((n + 1) * m + n * (n + 1) // 2, "generator")
     rows = tuple(tuple([1] * j + [0] * (i + m - j)) for i, j in path)
     return GTPattern(ConvexConfig.trapezoid(n, m), rows)

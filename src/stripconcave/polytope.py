@@ -64,9 +64,11 @@ FACET_COUNT_MAX = 14_000  # 2^14000 has 4215 digits; str() refuses more than 430
 KOSTKA_STATES_MAX = 1_300_000  # summed over cells; the tests' largest count makes 1 269 281
 
 
-def _require_int_shape(n, m) -> None:
+def _require_shape(n, m) -> None:
     if not (_is_int(n) and _is_int(m)):
         raise InputError("facets need integer n and m")
+    if n < 1 or m < 0:
+        raise InputError("facets need n >= 1 and m >= 0")
 
 
 def facets(n: int, m: int) -> list:
@@ -84,9 +86,7 @@ def facets(n: int, m: int) -> list:
     ``stripconcave facets --n 9 --m 9`` prints its 261 163 facets in about 1 s
     at 107 MB peak RSS (2 CPUs, Python 3.11).
     """
-    _require_int_shape(n, m)
-    if n < 1 or m < 0:
-        raise InputError("facets need n >= 1 and m >= 0")
+    _require_shape(n, m)
     if n + m > FACET_LISTING_MAX:
         raise InputError(
             f"listing facets needs n + m <= {FACET_LISTING_MAX}, got {_int_text(n + m)}; "
@@ -112,9 +112,7 @@ def facets(n: int, m: int) -> list:
 def facet_count_formula(n: int, m: int) -> int:
     """Closed-form facet count: ``(2^n - 2)*2^m + n + 4m - 2`` for n >= 2,
     ``2m`` for n = 1."""
-    _require_int_shape(n, m)
-    if n < 1:
-        raise InputError("facet count needs n >= 1")
+    _require_shape(n, m)
     if n == 1:
         return 2 * m
     return (2**n - 2) * 2**m + n + 4 * m - 2
@@ -129,9 +127,7 @@ def facet_count_consistent(n: int, m: int) -> dict:
     numbers rather than hiding the discrepancy.  For ``n > 1`` the count is
     about ``2^(n+m)``, so ``n + m`` is capped at :data:`FACET_COUNT_MAX`.
     """
-    _require_int_shape(n, m)
-    if n < 1 or m < 0:
-        raise InputError("facets need n >= 1 and m >= 0")
+    _require_shape(n, m)
     if n > 1 and n + m > FACET_COUNT_MAX:
         raise InputError(f"counting facets needs n + m <= {FACET_COUNT_MAX} for n > 1, "
                          f"got {_int_text(n + m)}")

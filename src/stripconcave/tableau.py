@@ -10,9 +10,7 @@ from bisect import bisect_right
 from itertools import chain, repeat
 from operator import add, le, lt, sub
 
-from .core import ConvexConfig, GTPattern, InputError, Record, _int_text, _is_int, _set
-
-TABLEAU_CELLS_MAX = 1_000_000
+from .core import ConvexConfig, GTPattern, InputError, Record, _check_cells, _is_int, _set
 
 
 class SkewTableau(Record):
@@ -100,16 +98,13 @@ def pattern_to_tableau(p: "GTPattern") -> "SkewTableau":
     Row ``i`` of the pattern is a partition; consecutive rows are nested, and
     the cells added at step ``i`` all receive entry ``i``.  The content of
     the result is the right boundary of the pattern integrated with zero
-    left boundary.  A shape of more than :data:`TABLEAU_CELLS_MAX` cells
+    left boundary.  A shape of more than :data:`core.CELLS_MAX` cells
     (``|outer| - |inner|``) is refused before any cell is made.
     """
     parts, n, m = _padded_chain(p)
     if not all(all(map(le, a, b)) for a, b in zip(parts, parts[1:])):
         raise InputError("pattern rows are not nested partitions")
-    cells = sum(parts[n]) - sum(parts[0])
-    if cells > TABLEAU_CELLS_MAX:
-        raise InputError(f"tableau too large: {_int_text(cells)} cells, "
-                         f"more than {TABLEAU_CELLS_MAX}")
+    _check_cells(sum(parts[n]) - sum(parts[0]), "tableau")
     steps = range(1, n + 1)
     rows = tuple(
         tuple(chain.from_iterable(map(repeat, steps, map(sub, col[1:], col))))
@@ -120,9 +115,11 @@ def pattern_to_tableau(p: "GTPattern") -> "SkewTableau":
 
 def tableau_to_pattern(t: "SkewTableau") -> "GTPattern":
     """The pattern whose row ``i`` is the region occupied by entries ``<= i``
-    together with the inner shape; inverse of ``pattern_to_tableau``."""
+    together with the inner shape; inverse of ``pattern_to_tableau``.  Its
+    entries are counted against :data:`core.CELLS_MAX` before any is made."""
     m = len(t.inner)
     n = len(t.outer) - m
+    _check_cells((n + 1) * m + n * (n + 1) // 2, "pattern")
     pad = t.inner + (0,) * n
     # row m + k holds no entry < k: a column strictly increases from 1 down from row m + 1
     rows = tuple(tuple(map(add, pad, map(bisect_right, t.rows[:i + m], repeat(i))))

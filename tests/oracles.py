@@ -32,7 +32,7 @@ from stripconcave import (
     check_trapezoid,
     integrate,
 )
-from stripconcave import flow
+from stripconcave import core
 
 KOSTKA_ROWS_MAX = 1_000_000
 
@@ -955,8 +955,8 @@ def _support(rows) -> tuple:
 
 def tile_search_vertices(lam, lam_bar):
     """``enumerate_vertices`` by the whole-pattern tile test: fill rows
-    n-1 .. 0 from the boundary values depth first, counting placed rows
-    against ``flow.VERTEX_SEARCH_MAX`` as they are placed, keep every
+    n-1 .. 0 from the boundary values depth first, counting the cells of
+    placed rows against ``core.CELLS_MAX`` as they are placed, keep every
     finished pattern whose tiles (:func:`_tiles_anchored`) all meet row 0
     or row n, and sort by the flow support tuples of :func:`_support`."""
     lam, lam_bar = tuple(lam), tuple(lam_bar)
@@ -987,9 +987,9 @@ def tile_search_vertices(lam, lam_bar):
         if row is None:
             stack.pop()
             continue
-        placed += 1
-        if placed > flow.VERTEX_SEARCH_MAX:
-            raise InputError(f"too many vertices: the search passed {flow.VERTEX_SEARCH_MAX} rows")
+        placed += len(row)
+        if placed > core.CELLS_MAX:
+            raise InputError(f"vertex search too large: the search passed {core.CELLS_MAX} cells")
         if i:
             rows[i] = row
             stack.append(row_choices(i - 1, row))

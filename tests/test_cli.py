@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from stripconcave import construct
 from stripconcave.cli import main
 from stripconcave.fixtures import all_fixtures, hexagon_array, trapezoid_array
 
+from test_cli_fuzz import OVERSIZED
 from worked_examples import HEXAGON_PATTERN, SKEW_TABLEAU, SWAPPED_FLOW, TRAPEZOID_FLOW, TRAPEZOID_PATTERN
 
 
@@ -338,6 +342,30 @@ def test_tableau_from_pattern_refuses_past_the_cell_cap(capsys):
         assert_input_error(code, out, err, f"tableau too large: {big} cells, more than 1000000")
 
 
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+def test_quadratic_outputs_are_refused_by_their_count(command):
+    # under a 1 GB address-space limit, where building any of them fails with MemoryError
+    probe = (
+        "import json, resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from stripconcave.cli import main\n"
+        "argv = json.load(sys.stdin)\n"
+        "start = time.perf_counter()\n"
+        "code = main(argv)\n"
+        "print(code, time.perf_counter() - start, file=sys.stderr)\n"
+    )
+    path = [str(Path(construct.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", probe], input=json.dumps(OVERSIZED[command]),
+                            capture_output=True, text=True, env=env, timeout=60)
+    error, status = result.stderr.splitlines()
+    code, seconds = status.split()
+    assert (result.returncode, result.stdout, code) == (0, "", "2"), result.stderr[-500:]
+    error = json.loads(error)
+    assert error["error"] == "input" and " too large: " in error["message"]
+    assert float(seconds) < 1, seconds
+
+
 def test_fixtures_self_validate(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0
@@ -403,10 +431,10 @@ def test_unknown_subcommand_exit_2(capsys):
 
 def test_vertex_search_size_guard(capsys, digit_limit):
     spec = '{"lambda":[8,7,6,5,4,3,2,1,0],"lambda_bar":[7,5,3,1]}'
-    assert_input_error(*run(capsys, "vertices", "--spec", spec), "too many vertices")
+    assert_input_error(*run(capsys, "vertices", "--spec", spec), "vertex search too large")
     # no lambda_bar: the search would place about 2^14999 rows, a count past the digit limit
     spec = json.dumps({"lambda": list(range(30000, 0, -2))})
-    assert_input_error(*run(capsys, "vertices", "--spec", spec), "at least 10^4300 or more rows")
+    assert_input_error(*run(capsys, "vertices", "--spec", spec), "too large: 10^4300 or more cells")
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,19 @@ def other_calls(draw):
     return command + [draw(JUNK)]
 
 
+# Inputs of 60 KB to 2 MB whose outputs would hold 10^8 cells or more, each
+# refused by its count in well under a second.  The flow is the one of the
+# 700-layer pattern row_i[j] = (700 - j) 702 + i: 245 350 paths of 701 nodes.
+N = 20_000
+OVERSIZED = {
+    "build": ["build", "--spec", json.dumps({"lambda": [1] * N, "nu": [1] * N})],
+    "vertices": ["vertices", "--spec", json.dumps({"lambda": [1] * N})],
+    "to-pattern": ["tableau", "to-pattern", "--tableau", json.dumps(
+        {"outer": [1] * N, "inner": [], "rows": [[v] for v in range(1, N + 1)]})],
+    "decompose": ["decompose", "--flow", json.dumps(
+        {"n": 700, "m": 0, "e0": [[699 - i] + [701] * i for i in range(700)],
+         "e1": [[1] * i + [(700 - i) * 702 + i + 1] for i in range(700)]})],
+}
 NEAR_EQUAL_STAIRCASE = '{"lambda":[22,20,18,16,14,12,10,8,6,4,2],"nu":[14,13,13,12,12,12,12,11,11,11,11]}'
 N0_SPECS = ['{"lambda":[2,1],"lambda_bar":[1,1],"nu":[]}', '{"lambda":[2,1],"lambda_bar":[2,1],"nu":[]}',
             '{"lambda":[2,1],"lambda_bar":[2,1]}']
@@ -165,6 +178,10 @@ N0_SPECS = ['{"lambda":[2,1],"lambda_bar":[1,1],"nu":[]}', '{"lambda":[2,1],"lam
           "--k", "9" * 4000])
 @example(["tableau", "from-pattern", "--pattern", "[[],[1000000000000]]"])
 @example(["check", "--spec", "[" * 200_000])
+@example(OVERSIZED["build"])
+@example(OVERSIZED["vertices"])
+@example(OVERSIZED["to-pattern"])
+@example(OVERSIZED["decompose"])
 @example(["kostka", "--spec", N0_SPECS[0]])
 @example(["count", "--spec", N0_SPECS[1], "--k", "2"])
 @example(["build", "--spec", N0_SPECS[2]])

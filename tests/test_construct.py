@@ -376,6 +376,24 @@ def test_builds_check_once_solve_once_integrate_once(monkeypatch):
     assert calls == {"check_parallelogram": 1}
 
 
+def test_build_counts_the_extension_at_the_budget(monkeypatch):
+    # the hexagon's 14 entries are solved on a (3, 2) trapezoid of 18; an
+    # infeasible spec keeps its certificate under any budget
+    hexagon = hexagon_array()
+    spec = boundary(hexagon)
+    monkeypatch.setattr(core, "CELLS_MAX", 18)
+    assert boundary(mu_general_build(hexagon.config, spec)) == spec
+    assert sum(map(len, build_trapezoid((4, 3, 2, 1, 0), (3, 1), (2, 2, 2)).rows)) == 18
+    monkeypatch.setattr(core, "CELLS_MAX", 17)
+    with pytest.raises(InputError, match="witness array too large: 18 cells, more than 17"):
+        mu_general_build(hexagon.config, spec)
+    with pytest.raises(InputError, match="witness array too large: 18 cells"):
+        build_trapezoid((4, 3, 2, 1, 0), (3, 1), (2, 2, 2))
+    monkeypatch.setattr(core, "CELLS_MAX", 0)
+    with pytest.raises(InfeasibleError):
+        mu_general_build(hexagon.config, BoundarySpec((3, 0), (2, 1), (2, -2, 5), (1, -5, 9)))
+
+
 def test_parallelogram_builds_equal_builds_on_the_extension():
     # the witness is the one built on the extension, as when the verdict was taken there
     rng = random.Random(1914)

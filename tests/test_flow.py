@@ -33,7 +33,7 @@ from stripconcave import (
     validate_array,
     zigzag_swap,
 )
-from stripconcave import flow as flow_module
+from stripconcave import core
 
 from oracles import (
     admissibility_violation,
@@ -288,14 +288,15 @@ def test_vertices_match_tile_search():
     assert kinds["int"] == 160 and min(kinds.values()) >= 30, kinds
 
 
-def test_vertex_guard_counts_the_rows_exactly(monkeypatch):
-    # (7,..,0)/(6,4,2,0): the search places 13 360 rows, so a cap one lower refuses it
+def test_vertex_guard_counts_the_cells_exactly(monkeypatch):
+    # (7,..,0)/(6,4,2,0): the search places 13 360 rows of 61 792 cells, so a
+    # budget one cell lower refuses it
     lam, bar = tuple(range(7, -1, -1)), (6, 4, 2, 0)
-    monkeypatch.setattr(flow_module, "VERTEX_SEARCH_MAX", 13_359)
+    monkeypatch.setattr(core, "CELLS_MAX", 61_791)
     for search in (enumerate_vertices, tile_search_vertices):
-        with pytest.raises(InputError, match="too many vertices"):
+        with pytest.raises(InputError, match="vertex search too large"):
             search(lam, bar)
-    monkeypatch.setattr(flow_module, "VERTEX_SEARCH_MAX", 13_360)
+    monkeypatch.setattr(core, "CELLS_MAX", 61_792)
     assert len(enumerate_vertices(lam, bar)) == len(tile_search_vertices(lam, bar)) == 3696
 
 
@@ -391,6 +392,16 @@ def test_path_decomposition_json_keeps_its_node_tuples():
     assert canonical_json(out) == canonical_json(as_lists)
 
 
+def test_path_decompose_counts_its_nodes_at_the_budget(monkeypatch):
+    # the fixture's pattern has 6 distinct nonzero values: 6 paths of 4 nodes
+    g = gamma(fixture_array())
+    monkeypatch.setattr(core, "CELLS_MAX", 24)
+    assert sum(len(nodes) for nodes, _ in path_decompose(g).paths) == 24
+    monkeypatch.setattr(core, "CELLS_MAX", 23)
+    with pytest.raises(InputError, match="path decomposition too large: 24 cells, more than 23"):
+        path_decompose(g)
+
+
 def test_path_decompose_zero_flow_empty():
     zero = Flow(2, 0, ((0,), (0, 0)), ((0,), (0, 0)))
     assert path_decompose(zero).paths == ()
@@ -444,6 +455,15 @@ def test_generator_array_shapes():
         generator_array([(0, 0), (1, 0), (2, 2)], 0)
     with pytest.raises(InputError, match="path node out of range"):
         generator_array([(0, 2), (1, 2), (2, 3)], 1)
+
+
+def test_generator_array_counts_its_pattern_at_the_budget(monkeypatch):
+    path = [(0, 0), (1, 1), (2, 2), (3, 2)]  # n = 3, m = 1: 4 + 6 entries
+    monkeypatch.setattr(core, "CELLS_MAX", 10)
+    assert sum(map(len, generator_array(path, 1).rows)) == 10
+    monkeypatch.setattr(core, "CELLS_MAX", 9)
+    with pytest.raises(InputError, match="generator too large: 10 cells, more than 9"):
+        generator_array(path, 1)
 
 
 def test_generator_identity_fixture():

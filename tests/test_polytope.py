@@ -63,7 +63,7 @@ def test_facet_count_matches_listing():
             assert facet_count_consistent(n, m)["enumerated"] == len(facets(n, m)), (n, m)
     with pytest.raises(InputError):
         facet_count_consistent(2, -1)
-    with pytest.raises(InputError, match="facet count needs n >= 1"):
+    with pytest.raises(InputError, match="facets need n >= 1 and m >= 0"):
         facet_count_formula(0, 1)
 
 
@@ -97,6 +97,14 @@ def test_facet_count_for_one_row_allocates_no_power():
 def test_facet_shapes_must_be_ints(call):
     with pytest.raises(InputError, match="facets need integer n and m"):
         call()
+
+
+@pytest.mark.parametrize("n, m", [(2, -1), (1, -3), (3, -2), (0, 1)])
+@pytest.mark.parametrize("facet_function", [facets, facet_count_formula, facet_count_consistent])
+def test_facet_functions_refuse_a_negative_shape(facet_function, n, m):
+    # the closed form alone once gave -3.0, -6 and -5.5 for the first three
+    with pytest.raises(InputError, match="facets need n >= 1 and m >= 0"):
+        facet_function(n, m)
 
 
 def test_facet_listing_allocates_no_lists():

@@ -15,7 +15,7 @@ from stripconcave import (
     tableau_to_pattern,
 )
 
-from stripconcave.tableau import TABLEAU_CELLS_MAX
+from stripconcave import core
 
 from oracles import (
     cellwise_pattern_to_tableau,
@@ -86,16 +86,28 @@ def test_pattern_preconditions():
         pattern_to_tableau(GTPattern(ConvexConfig.trapezoid(1, 0), ((), (True,))))
 
 
-def test_pattern_to_tableau_refuses_past_the_cell_cap():
+def test_pattern_to_tableau_refuses_past_the_cell_cap(monkeypatch):
     # |outer| - |inner| cells, refused before any is made
-    cap = TABLEAU_CELLS_MAX
-    assert cap == 1_000_000
-    for inner, outer in ((0, cap + 1), (5, cap + 6), (0, 10**12)):
+    p = GTPattern(ConvexConfig.trapezoid(1, 1), ((10**12,), (2 * 10**12, 0)))
+    with pytest.raises(InputError, match=f"tableau too large: {10**12} cells, more than {core.CELLS_MAX}"):
+        pattern_to_tableau(p)
+    monkeypatch.setattr(core, "CELLS_MAX", 1000)
+    for inner, outer in ((0, 1001), (5, 1006)):
         p = GTPattern(ConvexConfig.trapezoid(1, 1), ((inner,), (outer, 0)))
-        with pytest.raises(InputError, match=f"tableau too large: {outer - inner} cells"):
+        with pytest.raises(InputError, match="tableau too large: 1001 cells, more than 1000"):
             pattern_to_tableau(p)
-    t = pattern_to_tableau(GTPattern(ConvexConfig.trapezoid(1, 1), ((5,), (cap + 5, 0))))
-    assert content(t) == (cap,)
+    t = pattern_to_tableau(GTPattern(ConvexConfig.trapezoid(1, 1), ((5,), (1005, 0))))
+    assert content(t) == (1000,)
+
+
+def test_tableau_to_pattern_counts_the_pattern_at_the_budget(monkeypatch):
+    # a one-column tableau of n = 10 cells (m = 0) has a pattern of (n + 1) m + n (n + 1) / 2 = 55 entries
+    t = SkewTableau((1,) * 10, (), tuple((v,) for v in range(1, 11)))
+    monkeypatch.setattr(core, "CELLS_MAX", 55)
+    assert sum(map(len, tableau_to_pattern(t).rows)) == 55
+    monkeypatch.setattr(core, "CELLS_MAX", 54)
+    with pytest.raises(InputError, match="pattern too large: 55 cells, more than 54"):
+        tableau_to_pattern(t)
 
 
 def test_tableau_to_pattern_staircase():
