@@ -73,9 +73,9 @@ print()
 print("=== General configurations embed into a trapezoid ===")
 hexagon = hexagon_array()
 hspec = boundary(hexagon)
-tconfig, tspec = extend_to_trapezoid(hexagon.config, hspec, c=50)
-print("hexagon boundary", hspec.lam, "extends to", tspec.lam, "with c = 50")
+tconfig, tspec = extend_to_trapezoid(hexagon.config, hspec)
+print("hexagon boundary", hspec.lam, "extends to", tspec.lam,
+      "with c = 4 * sum|e| + 1 =", rough_bound(hspec))
 w = mu_general_build(hexagon.config, hspec)
-print("witness on the hexagon, built with c = 4 * sum|e| + 1 =", rough_bound(hspec),
-      "(boundary reproduced:", boundary(w) == hspec, ")")
+print("witness on the hexagon (boundary reproduced:", boundary(w) == hspec, ")")
 show(w)

@@ -66,42 +66,38 @@ def build_triangular(lam: "Sequence[Rat]", nu: "Sequence[Rat]") -> "StripConcave
 # trapezoid construction
 # ---------------------------------------------------------------------------
 
-def _pick_rs(lam, lab):
-    """Indices of the runs to lower: lam_r >= lab_1 = .. = lab_s > next."""
-    top = -lab[0]
-    return bisect_right(lam, top, key=neg), bisect_right(lab, top, key=neg)
-
-
-def _lift(top, a, b, alpha, s, cap):
+def _lift(top, a, b, alpha, s, cap, lo, hi):
     """Lift the ramp at ``alpha`` by the largest step up to ``cap`` that
     keeps the rows interlacing, and return the step.
 
-    Row ``i`` is lifted on ``s`` columns from ``p(i)``, the number of its
-    entries above ``alpha``.  Interlacing gives ``p(i) = p(i+1)``
-    or ``p(i+1) - 1``, and ``v``, the last entry of row ``i + 1`` above
+    Row ``i`` (``top`` for ``i = n``) fills columns ``lo .. hi + i - 1``
+    and is lifted on ``s`` columns from ``lo + p(i)``, ``p(i)`` the number
+    of its entries above ``alpha``.  Interlacing gives ``p(i) = p(i+1)`` or
+    ``p(i+1) - 1``, and ``v``, the last entry of row ``i + 1`` above
     ``alpha``, decides which.  Equal windows move ``b[i]`` at their two
     ends, shifted ones ``a[i]``: the slack at the left end shrinks and
     bounds the step, the one ``s`` further on grows.
     """
-    p = start = bisect_left(top, -alpha, key=neg)
-    v = top[p - 1] if p else None
-    eps, length, shrink, grow = cap, len(top), [], []
+    end = hi + len(a)
+    p = start = bisect_left(top, -alpha, lo, end, key=neg)
+    v = top[p - 1] if p > lo else None
+    eps, shrink, grow = cap, [], []
     for ai, bi in zip(reversed(a), reversed(b)):
-        length -= 1
-        if p and (p > length or v - ai[p - 1] <= alpha):
+        end -= 1
+        if p > lo and (p > end or v - ai[p - 1] <= alpha):
             p -= 1
-            if p:
+            if p > lo:
                 v += bi[p - 1]
             e, j = ai, p
         else:
-            if p:
+            if p > lo:
                 v -= ai[p - 1]
             e, j = bi, p - 1
-        if 0 <= j < length:
+        if lo <= j < end:
             shrink.append((e, j))
             if e[j] < eps:
                 eps = e[j]
-        if j + s < length:
+        if j + s < end:
             grow.append((e, j + s))
     for e, j in shrink:
         e[j] -= eps
@@ -128,62 +124,72 @@ def _solve_trapezoid(lam: tuple, lab: tuple, nu: tuple) -> list:
     each, and a lift raises ``r + s``.  So ``lab`` is empty within
     ``N + 2m + 1`` passes, for the ``N`` and ``m`` of the input.
 
-    The replay keeps the top row and the interlacing slacks
-    ``a[i] = row_{i+1} - row_i`` and ``b[i] = row_i - row_{i+1}[1:]``, so a
-    lift moves two slacks per row pair; the rows are summed up once at the
-    end.  A lift sub-step raises row ``i`` from ``p(i)`` (see :func:`_lift`)
-    by ``eps``, the step left or the least left-end slack, which is positive.
-    No ``p(i)`` rises, as the entries above ``alpha`` stay and the ramp stays
-    at most ``alpha + eps``; in a shorter sub-step a slack reaches 0 and an
-    entry above ``alpha`` meets the ramp, so some ``p(i)`` falls.  As
-    ``p(n) = r - s`` throughout and interlacing keeps ``p(i)`` in
-    ``[p(n) - n + i, p(n)]``, a lift takes at most ``1 + n(n + 1)/2`` sub-steps.
+    Both phases work in windows of lists of the input's width: the tuples
+    left are ``lam[lo:hi + n]`` and ``lab[lo:hi]``, and the replay keeps the
+    top row and the interlacing slacks ``a[i] = row_{i+1} - row_i`` and
+    ``b[i] = row_i - row_{i+1}[1:]`` in columns ``lo .. hi + i - 1``, so no
+    step copies a row and a lift moves two slacks per row pair; the rows
+    are summed up once at the end.  A lift sub-step raises row ``i`` from
+    ``p(i)`` (see :func:`_lift`) by ``eps``, the step left or the least
+    left-end slack, which is positive.  No ``p(i)`` rises, as the entries
+    above ``alpha`` stay and the ramp stays at most ``alpha + eps``; in a
+    shorter sub-step a slack reaches 0 and an entry above ``alpha`` meets
+    the ramp, so some ``p(i)`` falls.  As ``p(n) = r - s`` throughout and
+    interlacing keeps ``p(i)`` in ``[p(n) - n + i, p(n)]``, a lift takes at
+    most ``1 + n(n + 1)/2`` sub-steps.
     """
-    ops = []
-    for _ in range(len(lam) + 2 * len(lab) + 1):
-        if not lab:
+    n, m = len(nu), len(lab)
+    lam, lab, lo, hi, ops = list(lam), list(lab), 0, m, []
+    for _ in range(len(lam) + 2 * m + 1):
+        if lo == hi:
             break
-        if lam[-1] == lab[-1]:
-            ops.append(("column", lab[-1]))
-            lam, lab = lam[:-1], lab[:-1]
-            continue
-        if lam[0] == lab[0]:
-            ops.append(("prepend", lam[0]))
-            lam, lab = lam[1:], lab[1:]
-            continue
-        r, s = _pick_rs(lam, lab)
-        after = max(lam[r], lab[s]) if s < len(lab) else lam[r]
-        step = lab[0] - after
-        ops.append(("lift", r, s, step))
-        lam = lam[: r - s] + tuple(v - step for v in lam[r - s : r]) + lam[r:]
-        lab = (after,) * s + lab[s:]
+        if lam[hi + n - 1] == lab[hi - 1]:
+            hi -= 1
+            ops.append(("column", lab[hi]))
+        elif lam[lo] == lab[lo]:
+            ops.append(("prepend", lam[lo]))
+            lo += 1
+        else:
+            t = -lab[lo]
+            r, s = bisect_right(lam, t, lo, hi + n, key=neg), bisect_right(lab, t, lo, hi, key=neg)
+            after = max(lam[r], lab[s]) if s < hi else lam[r]
+            step, w = -t - after, s - lo
+            ops.append(("lift", r - w, w, step))
+            lam[r - w : r] = [v - step for v in lam[r - w : r]]
+            lab[lo:s] = [after] * w
     else:
         raise InternalError("the forward phase exceeded its proven step bound")
-    rows = _triangular_rows(lam, nu)
-    top = list(rows[-1])
-    a = [list(map(sub, down, up)) for up, down in zip(rows, rows[1:])]
-    b = [list(map(sub, up, down[1:])) for up, down in zip(rows, rows[1:])]
-    substeps = 1 + len(nu) * (len(nu) + 1) // 2
+    rows = _triangular_rows(tuple(lam[lo : lo + n]), nu)
+    head, tail = [0] * lo, [0] * (m - lo)
+    top = head + list(rows[-1]) + tail
+    a = [head + list(map(sub, down, up)) + tail for up, down in zip(rows, rows[1:])]
+    b = [head + list(map(sub, up, down[1:])) + tail for up, down in zip(rows, rows[1:])]
+    substeps = 1 + n * (n + 1) // 2
     for op in reversed(ops):
+        end = hi + n
         if op[0] == "column":
             # re-add the truncated column: every row derivative there is value
-            value, last = op[1], top[-1]
+            value, last = op[1], top[end - 1]
             for ai, bi in zip(reversed(a), reversed(b)):
-                ai.append(last - value)
-                last += bi[-1] if bi else 0  # row 0 of a triangle is empty
-                bi.append(0)
-            top.append(value)
+                end -= 1
+                ai[end] = last - value
+                last += bi[end - 1] if end > lo else 0  # row 0 of a triangle is empty
+                bi[end] = 0
+            top[hi + n] = value
+            hi += 1
         elif op[0] == "prepend":
-            value, first = op[1], top[0]
+            value, first = op[1], top[lo]
             for ai, bi in zip(reversed(a), reversed(b)):
-                bi.insert(0, value - first)
-                first -= ai[0] if ai else 0
-                ai.insert(0, 0)
-            top.insert(0, value)
+                end -= 1
+                bi[lo - 1] = value - first
+                first -= ai[lo] if end > lo else 0
+                ai[lo - 1] = 0
+            lo -= 1
+            top[lo] = value
         else:
-            _, r, s, remaining = op
+            _, start, s, remaining = op
             for _ in range(substeps):
-                remaining -= _lift(top, a, b, top[r - s], s, remaining)
+                remaining -= _lift(top, a, b, top[start], s, remaining, lo, hi)
                 if not remaining:
                     break
             else:

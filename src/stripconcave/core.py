@@ -418,7 +418,7 @@ def _check_lengths(spec: "BoundarySpec", n: int, lam_len: int, lam_bar_len: int)
         raise InputError("mu and nu must have length n")
 
 
-def extend_to_trapezoid(config: "ConvexConfig", spec: "BoundarySpec", c: "Rat" = None):
+def extend_to_trapezoid(config: "ConvexConfig", spec: "BoundarySpec"):
     """Embed a convex configuration into the trapezoid of size ``(n, b_0)``.
 
     Convexity makes ``a`` a run of 0s and then steps of 1, and ``b`` a run of
@@ -426,10 +426,10 @@ def extend_to_trapezoid(config: "ConvexConfig", spec: "BoundarySpec", c: "Rat" =
     ``b_n - b_0``: row n gains ``a_n`` nodes on the left, of derivative ``c``,
     and the last ``a_n`` entries of ``mu`` drop by ``c``; it gains
     ``b_0 + n - b_n`` nodes on the right, of derivative ``-c``, and as many
-    last entries of ``nu`` drop by ``c``.  For large enough ``c`` feasibility
-    is preserved in both directions and restricting any extended witness to
-    the original index set yields a witness; the default :func:`rough_bound`
-    gives the same verdict as every larger ``c``.
+    last entries of ``nu`` drop by ``c``, with ``c`` the :func:`rough_bound`
+    of ``spec``.  That ``c`` gives the same verdict as every larger one:
+    feasibility is preserved in both directions and restricting any
+    extended witness to the original index set yields a witness.
 
     Returns ``(trapezoid_config, extended_spec)``.  The original index pairs
     keep their positions in the trapezoid, and on a trapezoidal
@@ -439,8 +439,7 @@ def extend_to_trapezoid(config: "ConvexConfig", spec: "BoundarySpec", c: "Rat" =
     _check_lengths(spec, n, config.b[n] - config.a[n], m)
     if config.is_trapezoidal:
         return config, spec
-    if c is None:
-        c = rough_bound(spec)
+    c = rough_bound(spec)
     left, right = config.a[n], m + n - config.b[n]
     lam = (c,) * left + spec.lam + (-c,) * right
     mu = spec.mu[:n - left] + tuple(v - c for v in spec.mu[n - left:])

@@ -1,10 +1,7 @@
 import json
-import os
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +24,7 @@ from stripconcave import construct
 from stripconcave.cli import main
 from stripconcave.fixtures import all_fixtures, hexagon_array, trapezoid_array
 
+from fresh import fresh_python
 from test_cli_fuzz import OVERSIZED
 from worked_examples import HEXAGON_PATTERN, SKEW_TABLEAU, SWAPPED_FLOW, TRAPEZOID_FLOW, TRAPEZOID_PATTERN
 
@@ -212,6 +210,12 @@ def test_flow_round_trip(capsys):
     # mu-normalized array shares the fixture's derivative
     rows = json.loads(out)["rows"]
     assert [b - a for a, b in zip(rows[-1], rows[-1][1:])] == [6, 4, 3, 1, 1]
+    # and with mu = 0 the round trip gives the array back
+    code, out, _ = run(capsys, "flow", "to", "--array", json.dumps(rows))
+    assert code == 0 and json.loads(out) == flow
+    code, out, _ = run(capsys, "flow", "from", "--flow", out)
+    assert code == 0 and json.loads(out)["rows"] == rows == [
+        [0, 5, 7], [0, 5, 8, 10], [0, 5, 9, 11, 12], [0, 6, 10, 13, 14, 15]]
 
 
 def test_swap_reproduces_swapped_fixture(capsys):
@@ -261,6 +265,8 @@ def test_vertices(capsys):
     code, out, _ = run(capsys, "vertices", "--spec", '{"lambda":[2,1],"nu":[]}')
     assert code == 0
     assert len(json.loads(out)) == 2
+    code, out, _ = run(capsys, "vertices", "--spec", '{"lambda":[2,1,-1]}')
+    assert code == 0 and len(json.loads(out)) == 7
 
 
 def test_decompose_weights_positive(capsys):
@@ -308,6 +314,12 @@ def test_kostka_size_guard(capsys):
     # a scaled count whose widest cell makes about 262 000 states
     spec = {"lambda": [9, 7, 6, 6, 4, 2, 1, 1, 0], "lambda_bar": [5, 4, 2], "nu": [3, 2, 5, 6, 5, 4]}
     assert run(capsys, "count", "--spec", json.dumps(spec), "--k", "3")[:2] == (0, "137382251429")
+    # n = 11 stays under the cap in every cell: the budget summed over cells
+    # refuses it in seconds, not minutes
+    staircase = {"lambda": list(range(22, 0, -2)), "nu": [14, 13, 13] + [12] * 4 + [11] * 4}
+    start = time.perf_counter()
+    assert_input_error(*run(capsys, "kostka", "--spec", json.dumps(staircase)), "frontier states")
+    assert time.perf_counter() - start < 10
     # scaled by 100, each cell of the n = 9 staircase has 201 values: the third
     # cell would create about 8 million states, refused before it is built
     hundred = {key: [100 * v for v in row] for key, row in nine.items()}
@@ -346,24 +358,31 @@ def test_tableau_from_pattern_refuses_past_the_cell_cap(capsys):
 def test_quadratic_outputs_are_refused_by_their_count(command):
     # under a 1 GB address-space limit, where building any of them fails with MemoryError
     probe = (
-        "import json, resource, sys, time\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import json, sys, time\n"
         "from stripconcave.cli import main\n"
         "argv = json.load(sys.stdin)\n"
         "start = time.perf_counter()\n"
         "code = main(argv)\n"
         "print(code, time.perf_counter() - start, file=sys.stderr)\n"
     )
-    path = [str(Path(construct.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run([sys.executable, "-c", probe], input=json.dumps(OVERSIZED[command]),
-                            capture_output=True, text=True, env=env, timeout=60)
+    result = fresh_python(probe, stdin=json.dumps(OVERSIZED[command]), memory=1 << 30)
     error, status = result.stderr.splitlines()
     code, seconds = status.split()
     assert (result.returncode, result.stdout, code) == (0, "", "2"), result.stderr[-500:]
     error = json.loads(error)
     assert error["error"] == "input" and " too large: " in error["message"]
     assert float(seconds) < 1, seconds
+
+
+def test_largest_facet_listing_fits_in_memory(capsys):
+    # (9, 9) is the largest listing allowed: under a 1 GB address-space limit
+    # it prints every facet that --count-only counts
+    probe = "import json, sys\nfrom stripconcave.cli import main\nsys.exit(main(json.load(sys.stdin)))\n"
+    result = fresh_python(probe, stdin='["facets", "--n", "9", "--m", "9"]', memory=1 << 30)
+    assert (result.returncode, result.stderr) == (0, "")
+    listed = len(json.loads(result.stdout))
+    code, out, _ = run(capsys, "facets", "--n", "9", "--m", "9", "--count-only")
+    assert code == 0 and listed == json.loads(out)["enumerated"] == 261_163
 
 
 def test_fixtures_self_validate(capsys):
@@ -537,6 +556,9 @@ SMALL_CONFIG = '{"n":1,"a":[0,0],"b":[0,1]}'
      "inner shape has more rows than outer"),
     (["tableau", "content", "--tableau", '{"outer":[2,1],"inner":[],"rows":[[1],[2]]}'],
      "row 1 must hold 2 entries"),
+    (["check", "--config", '{"n":2,"a":[0,0,0],"b":[2,2,2]}',
+      "--spec", '{"lambda":[3,0],"lambda_bar":[2,1,0],"nu":[3,-3]}'],
+     "boundary lengths do not match the configuration"),
 ])
 def test_input_error_branches_exit_2(capsys, argv, needle):
     assert_input_error(*run(capsys, *argv), needle)

@@ -155,14 +155,12 @@ OVERSIZED = {
         {"n": 700, "m": 0, "e0": [[699 - i] + [701] * i for i in range(700)],
          "e1": [[1] * i + [(700 - i) * 702 + i + 1] for i in range(700)]})],
 }
-NEAR_EQUAL_STAIRCASE = '{"lambda":[22,20,18,16,14,12,10,8,6,4,2],"nu":[14,13,13,12,12,12,12,11,11,11,11]}'
 N0_SPECS = ['{"lambda":[2,1],"lambda_bar":[1,1],"nu":[]}', '{"lambda":[2,1],"lambda_bar":[2,1],"nu":[]}',
             '{"lambda":[2,1],"lambda_bar":[2,1]}']
 
 
 @settings(max_examples=250, deadline=None)
 @given(st.one_of(spec_calls(), other_calls()))
-@example(["kostka", "--spec", NEAR_EQUAL_STAIRCASE])
 @example(["check", "--spec", '{"lambda":[%s9]}' % B])
 @example(["build", "--spec", '{"lambda":[%s,%s,0],"lambda_bar":[%s],"nu":[%s,0]}' % (B, B, B, B)])
 @example(["check", "--spec", '{"lambda":[%s,%s],"nu":[-%s,0]}' % (B, B, B)])

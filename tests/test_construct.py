@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -137,21 +138,23 @@ def test_triangular_rejects_bad_shape():
 
 def _logged_solver(monkeypatch):
     """Wrap the solver's steps; each solve appends a record of its input, its
-    lift count, the sub-steps of each replayed lift and its triangle."""
-    solve, pick, lift, triangle = (construct._solve_trapezoid, construct._pick_rs,
-                                   construct._lift, construct._triangular_rows)
+    lift count, the sub-steps of each replayed lift and its triangle.  A
+    forward lift is the one step that bisects, twice: once in ``lam`` and
+    once in ``lab``."""
+    solve, bisect, lift, triangle = (construct._solve_trapezoid, construct.bisect_right,
+                                     construct._lift, construct._triangular_rows)
     runs = []
 
     def logged_solve(lam, lab, nu):
-        runs.append({"args": (lam, lab, nu), "lifts": 0, "substeps": [], "triangle": None})
+        runs.append({"args": (lam, lab, nu), "bisects": 0, "substeps": [], "triangle": None})
         return solve(lam, lab, nu)
 
-    def logged_pick(lam, lab):
-        runs[-1]["lifts"] += 1
-        return pick(lam, lab)
+    def logged_bisect(*args, **kwargs):
+        runs[-1]["bisects"] += 1
+        return bisect(*args, **kwargs)
 
-    def logged_lift(top, a, b, alpha, s, cap):
-        eps = lift(top, a, b, alpha, s, cap)
+    def logged_lift(*args):
+        eps, cap = lift(*args), args[5]
         counts = runs[-1]["substeps"]
         if not counts or counts[-1][1]:  # the last lift is done: this one starts a new lift
             counts.append([0, False])
@@ -163,7 +166,7 @@ def _logged_solver(monkeypatch):
         runs[-1]["triangle"] = lam
         return triangle(lam, nu)
 
-    for name, f in (("_solve_trapezoid", logged_solve), ("_pick_rs", logged_pick),
+    for name, f in (("_solve_trapezoid", logged_solve), ("bisect_right", logged_bisect),
                     ("_lift", logged_lift), ("_triangular_rows", logged_triangle)):
         monkeypatch.setattr(construct, name, f)
     return runs
@@ -197,10 +200,11 @@ def test_solver_stays_within_its_proven_bounds(monkeypatch):
     for run in runs:
         lam, lab, nu = run["args"]
         n, m = len(nu), len(lab)
+        lifts, odd = divmod(run["bisects"], 2)
         # m column or prepend steps, one pass per lift, and the last pass
-        assert m + run["lifts"] + 1 <= len(lam) + 2 * m + 1
+        assert not odd and m + lifts + 1 <= len(lam) + 2 * m + 1
         counts = [c for c, done in run["substeps"]]
-        assert len(counts) == run["lifts"] and all(done for c, done in run["substeps"])
+        assert len(counts) == lifts and all(done for c, done in run["substeps"])
         assert max(counts, default=1) <= 1 + n * (n + 1) // 2
         assert run["triangle"] == reduce_to_triangle(lam, lab), run["args"]
         kinds.update({"negative": min(lam) < 0, "fraction": any(type(v) is Fraction for v in lam),
@@ -217,9 +221,21 @@ def test_exhausted_bounds_raise_internal_error(monkeypatch):
     with pytest.raises(InternalError, match="a lift exceeded its proven sub-step bound"):
         build_trapezoid(lam, lab, nu)
     monkeypatch.undo()
-    monkeypatch.setattr(construct, "_pick_rs", lambda lam, lab: (0, 0))
+    # every lift finds empty runs at the window's start, and lowers nothing
+    monkeypatch.setattr(construct, "bisect_right", lambda row, x, lo, hi, key: lo)
     with pytest.raises(InternalError, match="the forward phase exceeded its proven step bound"):
         build_trapezoid(lam, lab, nu)
+
+
+def test_long_runs_build_in_linear_time():
+    # 100 000 column steps, then 100 000 prepends: a step that copied the
+    # tuples left, or inserted at the head of every row, would take a minute
+    m = 100_000
+    for lam, lab, nu in (((2,) + (1,) * m, (1,) * m, (2,)), ((1,) * m + (0,), (1,) * m, (0,))):
+        start = time.perf_counter()
+        x = build_trapezoid(lam, lab, nu)
+        assert time.perf_counter() - start < 1
+        assert boundary(x) == BoundarySpec(lam, lab, (0,), nu)
 
 
 def test_trapezoid_fixture_boundary():

@@ -31,6 +31,7 @@ from stripconcave import (
     rat,
     rat_to_json,
     restrict_to,
+    rough_bound,
     shift_mu,
     spec_from_json,
     spec_to_json,
@@ -485,12 +486,13 @@ def test_validated_arrays_are_feasible():
 def test_extend_to_trapezoid_hexagon():
     x = hexagon_array()
     spec = boundary(x)
-    tconfig, tspec = extend_to_trapezoid(x.config, spec, c=100)
+    tconfig, tspec = extend_to_trapezoid(x.config, spec)
+    c = rough_bound(spec)
     assert tconfig == ConvexConfig.trapezoid(3, 2)
     # left side: one row with a_i = 0 gap (p = 2), right side: q = 1
-    assert tspec.lam == (100, 3, 0, -100, -100)
-    assert tspec.mu == (2, -2, 5 - 100)
-    assert tspec.nu == (1, 0 - 100, 4 - 100)
+    assert tspec.lam == (c, 3, 0, -c, -c)
+    assert tspec.mu == (2, -2, 5 - c)
+    assert tspec.nu == (1, 0 - c, 4 - c)
     assert tspec.balance() == 0
 
 
@@ -535,7 +537,7 @@ def test_shape_tests_match_the_bound_scans_seeded():
 def test_extend_to_trapezoid_repr_matches_the_scan_seeded():
     """The closed-form extension against the scan that it replaced, by repr:
     hexagons, parallelograms and trapezoids, int, Fraction and negative
-    data, the default ``c`` and explicit ones, and wrong lengths."""
+    data, and wrong lengths."""
     rng = random.Random(2002)
     seen = Counter()
     for k in range(3000):
@@ -554,18 +556,17 @@ def test_extend_to_trapezoid_repr_matches_the_scan_seeded():
             i = rng.randrange(4)
             lengths[i] += rng.choice((-1, 1)) if lengths[i] else 1
         spec = BoundarySpec(*map(draw, lengths))
-        c = rng.choice((None, rng.randint(-5, 50), Fraction(rng.randint(1, 50), 3)))
         try:
-            want = scan_extend_to_trapezoid(config, spec, c)
+            want = scan_extend_to_trapezoid(config, spec)
         except InputError as exc:
             with pytest.raises(InputError, match=re.escape(str(exc))):
-                extend_to_trapezoid(config, spec, c)
+                extend_to_trapezoid(config, spec)
             seen["error"] += 1
             continue
-        got = extend_to_trapezoid(config, spec, c)
-        assert repr(got) == repr(want), (config, spec, c)
-        seen[shape, data, c is None] += 1
-    assert len(seen) == 19 and min(seen.values()) > 50, seen
+        got = extend_to_trapezoid(config, spec)
+        assert repr(got) == repr(want), (config, spec)
+        seen[shape, data] += 1
+    assert len(seen) == 10 and min(seen.values()) > 50, seen
 
 
 def test_boundary_reads_the_row_ends():

@@ -18,7 +18,6 @@ from stripconcave import (
     check_general,
     check_parallelogram,
     check_trapezoid,
-    extend_to_trapezoid,
     integrate,
     mu_general_build,
     restrict_to,
@@ -35,6 +34,7 @@ from oracles import (
     feasible_nu_set,
     general_feasible_oracle,
     random_pattern,
+    scan_extend_to_trapezoid,
     scan_verdict,
     weight_order,
 )
@@ -289,7 +289,7 @@ def test_hexagon_certificate_carries_only_the_subset():
     # the extension's inequality reads A + B c and must fail for every large c
     c = rough_bound(spec)
     low, high = (
-        _subset_lhs(extend_to_trapezoid(config, spec, cc)[1], out["I"])[0] for cc in (c, 2 * c)
+        _subset_lhs(scan_extend_to_trapezoid(config, spec, cc)[1], out["I"])[0] for cc in (c, 2 * c)
     )
     assert high < low or (high == low and low < 0)
 
@@ -346,7 +346,7 @@ def test_derived_constant_matches_large_constants():
         assert verdict.feasible == want, (config, spec)
         got = verdict.certificate and (verdict.certificate.kind, verdict.certificate.subset)
         for k in (1, 2, 10):
-            tconfig, tspec = extend_to_trapezoid(config, spec, k * rough_bound(spec))
+            tconfig, tspec = scan_extend_to_trapezoid(config, spec, k * rough_bound(spec))
             big = check_trapezoid(tspec, tconfig.n, tconfig.m)
             assert big.feasible == want, (config, spec, k)
             assert (big.certificate and (big.certificate.kind, big.certificate.subset)) == got

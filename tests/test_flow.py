@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +27,6 @@ from stripconcave import (
     nu_of_flow,
     path_decompose,
     permute_nu,
-    shift_mu,
     swap_flow,
     validate_array,
     zigzag_swap,
@@ -251,7 +249,7 @@ def test_vertices_long_constant_lambda():
 )
 def test_vertices_negative_lambda(lam, bar, shifted):
     vs = enumerate_vertices(lam, bar)
-    assert len(vs) > 1
+    assert len(vs) == {(2, 1, -1): 7, (1, 0, -1): 4, (0, -1, -2, -3): 4}[lam]
     for x in vs:
         assert validate_array(x)
         b = boundary(x)

@@ -4,9 +4,6 @@ member of a public class is read outside the tests, no package function is
 recursive, the CLI imports no heavy stdlib module, and integer data loads
 neither ``json`` at import nor ``fractions``."""
 import ast
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 from types import FunctionType, ModuleType
@@ -15,6 +12,8 @@ from typing import Union
 import pytest
 
 import stripconcave
+
+from fresh import fresh_python
 
 PACKAGE = Path(stripconcave.__file__).parent
 REPO = Path(__file__).resolve().parent.parent
@@ -242,11 +241,9 @@ def loaded_by(code: str) -> tuple:
         f"{code}\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    ).stdout.splitlines()
+    result = fresh_python(probe)
+    assert result.returncode == 0, result.stderr
+    out = result.stdout.splitlines()
     return set(out[-1].split()), "\n".join(out[:-1])
 
 

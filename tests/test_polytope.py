@@ -1,16 +1,12 @@
-import os
 import random
-import subprocess
 import sys
 import time
 import tracemalloc
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import stripconcave
 from stripconcave import (
     BoundarySpec,
     FacetInequality,
@@ -25,10 +21,10 @@ from stripconcave import (
     facets,
     integrate,
     kostka,
-    shift_mu,
 )
 from stripconcave.fixtures import trapezoid_array
 
+from fresh import fresh_python
 from oracles import (
     brute_force_facets,
     enumerate_patterns,
@@ -225,8 +221,7 @@ def test_kostka_row_cap_bounds_memory():
     # one wide cell would make K // 2 partial rows before the row count is
     # checked; under a 1 GB address-space limit that fails with MemoryError
     probe = (
-        "import resource, time\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import time\n"
         "from stripconcave import InputError, kostka\n"
         "K = 10**9\n"
         "start = time.perf_counter()\n"
@@ -235,12 +230,9 @@ def test_kostka_row_cap_bounds_memory():
         "except InputError as exc:\n"
         "    print(time.perf_counter() - start, exc)\n"
     )
-    path = [str(Path(stripconcave.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    seconds, message = out.split(" ", 1)
+    result = fresh_python(probe, memory=1 << 30)
+    assert result.returncode == 0, result.stderr
+    seconds, message = result.stdout.split(" ", 1)
     assert "frontier states" in message and float(seconds) < 1
 
 
