@@ -20,27 +20,21 @@ import sys
 from .construct import mu_general_build
 from .core import (
     ConvexConfig,
-    GTPattern,
     InfeasibleError,
     InputError,
     InternalError,
     Record,
-    StripConcaveArray,
     array_from_json,
-    array_to_json,
     canonical_json,
     config_from_json,
     pattern_from_json,
-    pattern_to_json,
     shift_mu,
     spec_from_json,
 )
 from .feasibility import FeasibilityVerdict, check_general
 from .flow import (
-    Flow,
     enumerate_vertices,
     flow_from_json,
-    flow_to_json,
     gamma,
     gamma_inv,
     path_decompose,
@@ -224,15 +218,8 @@ def _build_parser() -> "argparse.ArgumentParser":
     return parser
 
 
-_ENCODERS = {StripConcaveArray: array_to_json, GTPattern: pattern_to_json, Flow: flow_to_json}
-
-
 def _json(value):
-    """The JSON data of one result: arrays, patterns and flows through their
-    encoders, other records through ``to_json``, plain data as it is."""
-    encode = _ENCODERS.get(type(value))
-    if encode:
-        return encode(value)
+    """The JSON data of one result: a record through its ``to_json``, plain data as it is."""
     return value.to_json() if isinstance(value, Record) else value
 
 

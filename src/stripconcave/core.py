@@ -102,6 +102,20 @@ def rat_to_json(value: "Rat"):
     return value
 
 
+def _row_json(values) -> list:
+    return list(values) if set(map(type, values)) <= {int} else [rat_to_json(v) for v in values]
+
+
+def _field_json(value):
+    """A record field as JSON: a record by its ``to_json``, a tuple (of rows) as (nested) lists
+    of :func:`rat_to_json` values, a ``str`` as it is, so that no ``fractions`` is imported."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if type(value) is not tuple:
+        return value if type(value) is str else rat_to_json(value)
+    return list(map(_row_json, value)) if value and type(value[0]) is tuple else _row_json(value)
+
+
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and fixed separators for byte-stable output."""
     import json
@@ -117,12 +131,22 @@ _set = object.__setattr__
 
 class Record:
     """Immutable value: ``__slots__`` fields, each set once in ``__init__`` by
-    ``_set``; compared and hashed by class and field values."""
+    ``_set``; compared and hashed by class and field values.  Its JSON is its
+    non-``None`` fields by name, renamed by ``_keys`` (``lambda`` and ``lambda_bar``
+    for ``BoundarySpec``, ``I`` for ``Certificate.subset``).  ``FeasibilityVerdict``
+    (a computed ``feasible``, a ``null`` certificate), ``FacetInequality`` (keys by
+    kind; its own tuples, so a listing allocates no lists) and ``PathDecomposition``
+    (a list) write their own."""
 
     __slots__ = ()
+    _keys = {}
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls.__slots__)
+
+    def to_json(self) -> dict:
+        return {self._keys.get(name, name): _field_json(value) for name in self.__slots__
+                if (value := getattr(self, name)) is not None}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -247,6 +271,7 @@ class BoundarySpec(Record):
     """Boundary quadruple (lambda, lambda_bar, mu, nu) of local differences."""
 
     __slots__ = ("lam", "lam_bar", "mu", "nu")
+    _keys = {"lam": "lambda", "lam_bar": "lambda_bar"}
 
     def __init__(self, lam: tuple, lam_bar: tuple, mu: tuple, nu: tuple):
         _set(self, "lam", tuple(lam))
@@ -465,8 +490,7 @@ def restrict_to(x: "StripConcaveArray", config: "ConvexConfig") -> "StripConcave
 # JSON encoding
 # ---------------------------------------------------------------------------
 
-def config_to_json(config: "ConvexConfig") -> dict:
-    return {"n": config.n, "a": list(config.a), "b": list(config.b)}
+config_to_json = array_to_json = pattern_to_json = spec_to_json = Record.to_json
 
 
 def config_from_json(obj) -> "ConvexConfig":
@@ -476,11 +500,6 @@ def config_from_json(obj) -> "ConvexConfig":
     if not (isinstance(a, list) and isinstance(b, list)):
         raise InputError("config needs an integer n and integer lists a, b")
     return ConvexConfig(n, a, b)
-
-
-def _rows_to_json(rows) -> list:
-    return [list(row) if set(map(type, row)) <= {int} else [rat_to_json(v) for v in row]
-            for row in rows]
 
 
 def _rats(values) -> tuple:
@@ -519,29 +538,12 @@ def _config_and_rows(obj, extra: int) -> tuple:
     return config, rows
 
 
-def array_to_json(x: "StripConcaveArray") -> dict:
-    return {"config": config_to_json(x.config), "rows": _rows_to_json(x.rows)}
-
-
 def array_from_json(obj) -> "StripConcaveArray":
     return StripConcaveArray(*_config_and_rows(obj, extra=1))
 
 
-def pattern_to_json(p: "GTPattern") -> dict:
-    return {"config": config_to_json(p.config), "rows": _rows_to_json(p.rows)}
-
-
 def pattern_from_json(obj) -> "GTPattern":
     return GTPattern(*_config_and_rows(obj, extra=0))
-
-
-def spec_to_json(spec: "BoundarySpec") -> dict:
-    return {
-        "lambda": [rat_to_json(v) for v in spec.lam],
-        "lambda_bar": [rat_to_json(v) for v in spec.lam_bar],
-        "mu": [rat_to_json(v) for v in spec.mu],
-        "nu": [rat_to_json(v) for v in spec.nu],
-    }
 
 
 def _boundary_field(key: str, value) -> tuple:

@@ -17,7 +17,6 @@ from .core import (
     deficits,
     extend_to_trapezoid,
     is_weakly_decreasing,
-    rat_to_json,
 )
 
 
@@ -31,22 +30,13 @@ class Certificate(Record):
     """
 
     __slots__ = ("kind", "subset", "lhs", "deficit")
+    _keys = {"subset": "I"}
 
     def __init__(self, kind: str, subset: tuple = None, lhs: "Rat" = None, deficit: "Rat" = None):
         _set(self, "kind", kind)
         _set(self, "subset", subset)
         _set(self, "lhs", lhs)
         _set(self, "deficit", deficit)
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.subset is not None:
-            out["I"] = list(self.subset)
-        if self.lhs is not None:
-            out["lhs"] = rat_to_json(self.lhs)
-        if self.deficit is not None:
-            out["deficit"] = rat_to_json(self.deficit)
-        return out
 
 
 class FeasibilityVerdict(Record):

@@ -24,7 +24,6 @@ from .core import (
     _int_text,
     _is_int,
     _rows_from_json,
-    _rows_to_json,
     _set,
     derivative,
     integrate,
@@ -333,13 +332,7 @@ def permute_nu(x: "StripConcaveArray", pi: "Sequence[int]") -> "StripConcaveArra
 # path decomposition and generators
 # ---------------------------------------------------------------------------
 
-def flow_to_json(g: "Flow") -> dict:
-    return {
-        "n": g.n,
-        "m": g.m,
-        "e0": _rows_to_json(g.e0),
-        "e1": _rows_to_json(g.e1),
-    }
+flow_to_json = Record.to_json
 
 
 def flow_from_json(obj) -> "Flow":

@@ -59,13 +59,6 @@ class SkewTableau(Record):
                 k = next(k for k, (u, v) in enumerate(zip(upper, lower)) if u >= v)
                 raise InputError(f"column {pad[r - 1] + k + 1} must strictly increase downward")
 
-    def to_json(self) -> dict:
-        return {
-            "outer": list(self.outer),
-            "inner": list(self.inner),
-            "rows": [list(r) for r in self.rows],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "SkewTableau":
         try:

@@ -15,7 +15,7 @@ cannot reach both sides of an equivalence test.
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, combinations, product
 from operator import neg
 
 from stripconcave import (
@@ -405,17 +405,28 @@ def exhaustive_feasible(lam, lam_bar, mu, nu):
     return all(base[pop[mask]] + ssum[mask] >= 0 for mask in range(1 << n))
 
 
-def _extension_lhs(spec, mask):
-    """Left-hand side of the trapezoid inequality for the rows in ``mask``."""
-    lam, lam_bar, n = spec.lam, spec.lam_bar, len(spec.nu)
-    rows = [i for i in range(n) if mask >> i & 1]
-    k = len(rows)
-    deficit = sum(
-        max(0, lam_bar[j - k - 1] - lam[j - 1])
-        for j in range(1, len(lam) + 1)
-        if 1 <= j - k <= len(lam_bar)
-    )
-    return sum(lam[:k]) - deficit + sum(spec.mu[i] - spec.nu[i] for i in rows)
+def subset_lhs(spec, subset, parallelogram=False):
+    """Left-hand side of the subset inequality for the rows ``subset`` (1-based)
+    of a trapezoid (a parallelogram with ``parallelogram``), and the deficit it
+    uses, ``None`` where a parallelogram's deficit has saturated."""
+    lam, bar, k, m = spec.lam, spec.lam_bar, len(subset), len(spec.lam_bar)
+    sides = sum((spec.mu[i - 1] - spec.nu[i - 1] for i in subset), 0)
+    if parallelogram and k > m:
+        return sum(lam) - sum(bar) + sides, None
+    tail = sum(bar[m - k:]) if parallelogram else 0
+    d = deficits_definition(lam, bar, k)[k]
+    return sum(lam[:k]) - tail + sides - d, d
+
+
+def structural_violation(spec):
+    """The first structural condition that ``spec`` fails, as a certificate kind, else ``None``."""
+    if not decreasing(spec.lam):
+        return "monotone_lambda"
+    if not decreasing(spec.lam_bar):
+        return "monotone_lambda_bar"
+    if sum(spec.lam) - sum(spec.lam_bar) + sum(spec.mu) - sum(spec.nu) != 0:
+        return "balance"
+    return None
 
 
 def scan_is_trapezoidal(config):
@@ -464,30 +475,66 @@ def scan_extend_to_trapezoid(config, spec, c=None):
     return new_config, new_spec
 
 
-def general_feasible_oracle(config, spec):
-    """Feasibility on a convex configuration in the limit of a large constant.
+def extension_terms(config, spec):
+    """``(A, B)`` of each subset inequality ``A + B c`` of the extension with
+    constant ``c > max |e|``, as a function of the subset (1-based rows).
 
-    The extension with constant ``c > max |e|`` has subset inequalities
-    ``A + B c``; ``A`` and ``B`` are read off the extensions with ``c`` and
-    ``2 c``, and the data is infeasible iff some subset of the ``2^n`` has
-    ``B < 0``, or ``B = 0`` and ``A < 0``.
+    ``A`` and ``B`` are read off the extensions with ``c`` and ``2 c``; for
+    every large ``c`` the inequality fails iff ``(B, A) < (0, 0)``.  ``spec``
+    must pass the structural conditions.
     """
-    lam, lam_bar = spec.lam, spec.lam_bar
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        return False
-    if any(lam_bar[i] < lam_bar[i + 1] for i in range(len(lam_bar) - 1)):
-        return False
-    if sum(lam) - sum(lam_bar) + sum(spec.mu) - sum(spec.nu) != 0:
-        return False
-    c = max((abs(e) for e in lam + lam_bar + spec.mu + spec.nu), default=0) + 1
+    c = max((abs(e) for e in spec.lam + spec.lam_bar + spec.mu + spec.nu), default=0) + 1
     one = scan_extend_to_trapezoid(config, spec, c)[1]
     two = scan_extend_to_trapezoid(config, spec, 2 * c)[1]
-    for mask in range(1 << config.n):
-        low, high = _extension_lhs(one, mask), _extension_lhs(two, mask)
-        a, b = 2 * low - high, Fraction(high - low) / c
-        if b < 0 or (b == 0 and a < 0):
-            return False
-    return True
+
+    def terms(subset):
+        low, high = subset_lhs(one, subset)[0], subset_lhs(two, subset)[0]
+        return 2 * low - high, Fraction(high - low) / c
+    return terms
+
+
+def general_feasible_oracle(config, spec):
+    """Feasibility on a convex configuration in the limit of a large constant:
+    infeasible iff ``spec`` fails a structural condition or some subset of
+    the ``2^n`` has :func:`extension_terms` ``(A, B)`` with ``(B, A) < (0, 0)``.
+    """
+    if structural_violation(spec):
+        return False
+    terms, rows = extension_terms(config, spec), range(1, config.n + 1)
+    subsets = chain.from_iterable(combinations(rows, k) for k in range(config.n + 1))
+    return all((b, a) >= (0, 0) for a, b in map(terms, subsets))
+
+
+def verify_certificate(config, spec, cert):
+    """Whether ``cert``, a certificate as JSON data, shows ``(config, spec)``
+    infeasible, read against the input alone.
+
+    A structural kind must be the first structural condition that fails,
+    ``balance`` with the balance as ``lhs``.  A ``subset`` certificate needs
+    all three to hold and its sorted rows ``I`` to violate their inequality:
+    on trapezoids and parallelograms its ``lhs`` and ``deficit`` are those of
+    :func:`subset_lhs`, with ``lhs < 0``; on other shapes it carries only
+    ``I``, and :func:`extension_terms` of ``I`` must have ``(B, A) < (0, 0)``.
+    """
+    got = {key: value if key in ("kind", "I") else Fraction(value) for key, value in cert.items()}
+    kind = structural_violation(spec)
+    if kind is not None:
+        balance = sum(spec.lam) - sum(spec.lam_bar) + sum(spec.mu) - sum(spec.nu)
+        return got == ({"kind": kind, "lhs": balance} if kind == "balance" else {"kind": kind})
+    subset = got.get("I")
+    if got.get("kind") != "subset" or not isinstance(subset, list):
+        return False
+    if subset != sorted(set(subset) & set(range(1, config.n + 1))):
+        return False
+    parallelogram = scan_is_parallelogram(config)
+    if parallelogram or scan_is_trapezoidal(config):
+        lhs, deficit = subset_lhs(spec, subset, parallelogram)
+        want = {"kind": "subset", "I": subset, "lhs": lhs}
+        if deficit is not None:
+            want["deficit"] = deficit
+        return lhs < 0 and got == want
+    a, b = extension_terms(config, spec)(subset)
+    return set(got) == {"kind", "I"} and (b, a) < (0, 0)
 
 
 def deficits_definition(lam, lam_bar, n=None):

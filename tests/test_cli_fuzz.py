@@ -3,7 +3,9 @@
 Every subcommand runs on integer and ``"p/q"`` data, well-formed or not.
 Each call must return 0, 1 or 2 without raising, print one canonical JSON
 line (on stdout for 0 and 1, an input error on stderr for 2), and write
-every integral value as a JSON int, never as ``"k/1"`` or a float.
+every integral value as a JSON int, never as ``"k/1"`` or a float.  Every
+certificate printed with exit 1 must pass the independent checker
+:func:`oracles.verify_certificate` on the input of its call.
 """
 import contextlib
 import io
@@ -14,7 +16,10 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from stripconcave import BoundarySpec, ConvexConfig
 from stripconcave.cli import main
+
+from oracles import verify_certificate
 
 B = "9" * 4300  # the largest integer that str() and int() take by default
 RATIO = re.compile(r"-?\d+/\d+")
@@ -59,6 +64,25 @@ def assert_integral_entries_are_ints(value):
         if isinstance(value, str) and RATIO.fullmatch(value):
             f = Fraction(value)
             assert f.denominator != 1 and value == f"{f.numerator}/{f.denominator}"
+
+
+def assert_certificate_holds(argv: list, verdict: dict):
+    """The verdict that ``check`` or ``build`` printed with exit 1 holds a
+    certificate that the checker accepts on the call's spec and on its
+    ``--config``, else the shape the lengths fix: the parallelogram when
+    ``lambda`` is as long as ``lambda_bar``, else the trapezoid."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    data = json.loads(options["--spec"])
+    lam, bar, nu = ([Fraction(v) for v in data.get(key, [])] for key in ("lambda", "lambda_bar", "nu"))
+    spec = BoundarySpec(lam, bar, [Fraction(v) for v in data.get("mu", [0] * len(nu))], nu)
+    if "--config" in options:
+        shape = json.loads(options["--config"])
+        config = ConvexConfig(shape["n"], shape["a"], shape["b"])
+    else:
+        shape = ConvexConfig.parallelogram if len(lam) == len(bar) else ConvexConfig.trapezoid
+        config = shape(len(nu), len(bar))
+    assert verdict["feasible"] is False
+    assert verify_certificate(config, spec, verdict["certificate"]), (argv, verdict)
 
 
 def encode(f: Fraction, spell):
@@ -185,7 +209,9 @@ N0_SPECS = ['{"lambda":[2,1],"lambda_bar":[1,1],"nu":[]}', '{"lambda":[2,1],"lam
 @example(["build", "--spec", N0_SPECS[2]])
 @example(["check", "--spec", N0_SPECS[2]])
 def test_every_call_exits_cleanly(argv):
-    call(argv)
+    code, _, _, value = call(argv)
+    if code == 1:
+        assert_certificate_holds(argv, value)
 
 
 def pattern_rows(rows: list) -> list:
@@ -196,11 +222,18 @@ def pattern_rows(rows: list) -> list:
 @settings(max_examples=120, deadline=None)
 @given(specs(trapezoid=True), st.integers(-1, 4))
 def test_witness_chain_exits_cleanly(spec_and_config, layer):
-    """A built witness through every command that reads an array, a flow or a tableau."""
+    """A built witness through every command that reads an array, a flow or a
+    tableau; the witness shifted to ``x_00 = 1`` cannot be swapped."""
     spec, config = spec_and_config
-    code, _, _, array = call(["build", "--spec", spec, "--config", config])
+    argv = ["build", "--spec", spec, "--config", config]
+    code, _, _, array = call(argv)
+    if code == 1:
+        assert_certificate_holds(argv, array)
     if code != 0:
         return
+    shifted = [[encode(Fraction(v) + 1, False) for v in row] for row in array["rows"]]
+    code, _, err, _ = call(["swap", "--layer", str(layer), "--array", json.dumps({**array, "rows": shifted})])
+    assert code == 2 and "swaps need x_00 = 0" in err
     array = json.dumps(array)
     call(["swap", "--layer", str(layer), "--array", array])
     code, _, _, flow = call(["flow", "to", "--array", array])

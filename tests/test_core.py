@@ -20,6 +20,8 @@ from stripconcave import (
     boundary,
     canonical_json,
     check_general,
+    config_from_json,
+    config_to_json,
     check_trapezoid,
     deficits,
     derivative,
@@ -27,6 +29,7 @@ from stripconcave import (
     facets,
     integrate,
     pattern_from_json,
+    pattern_to_json,
     path_decompose,
     rat,
     rat_to_json,
@@ -624,6 +627,19 @@ def test_array_json_round_trip():
     for x in (hexagon_array(), trapezoid_array()):
         blob = json.loads(canonical_json(array_to_json(x)))
         assert array_from_json(blob).rows == x.rows
+    hexagon = hexagon_array().config
+    assert canonical_json(config_to_json(hexagon)) == '{"a":[0,0,0,1],"b":[2,3,3,3],"n":3}'
+    # a triangle's pattern row 0 is empty
+    triangle = GTPattern(ConvexConfig.trapezoid(2, 0), ((), (Fraction(1, 2),), (2, -1)))
+    assert canonical_json(pattern_to_json(triangle)) == (
+        '{"config":{"a":[0,0,0],"b":[0,1,2],"n":2},"rows":[[],["1/2"],[2,-1]]}')
+    for decode, encode, record in (
+        (config_from_json, config_to_json, hexagon),
+        (array_from_json, array_to_json, hexagon_array()),
+        (pattern_from_json, pattern_to_json, HEXAGON_PATTERN),
+        (pattern_from_json, pattern_to_json, triangle),
+    ):
+        assert decode(json.loads(canonical_json(encode(record)))) == record
 
 
 def test_bare_rows_json_infer_trapezoid():
@@ -660,6 +676,11 @@ def test_spec_json_defaults_mu_zero():
     assert s.mu == (0, 0)
     round_tripped = spec_from_json(spec_to_json(s))
     assert round_tripped == s
+    s = BoundarySpec((3, Fraction(1, 2), -1), (Fraction(4, 2),), (-2, Fraction(-3, 4)),
+                     (0, Fraction(9, 4)))
+    assert canonical_json(spec_to_json(s)) == (
+        '{"lambda":[3,"1/2",-1],"lambda_bar":[2],"mu":[-2,"-3/4"],"nu":[0,"9/4"]}')
+    assert spec_from_json(json.loads(canonical_json(spec_to_json(s)))) == s
 
 
 @given(

@@ -36,6 +36,8 @@ from oracles import (
     random_pattern,
     scan_extend_to_trapezoid,
     scan_verdict,
+    subset_lhs,
+    verify_certificate,
     weight_order,
 )
 
@@ -219,26 +221,6 @@ def test_shortcut_matches_bitmask_oracle_random(seed):
     assert got == want
 
 
-def _deficit(lam, lam_bar, k):
-    """``D_k`` from its definition: ``sum_j max(0, lam_bar_{j-k} - lam_j)``."""
-    return sum(
-        (max(0, lam_bar[j - k - 1] - lam[j - 1])
-         for j in range(1, len(lam) + 1) if 1 <= j - k <= len(lam_bar)),
-        0,
-    )
-
-
-def _subset_lhs(spec, subset, parallelogram=False):
-    """Left-hand side of the subset inequality and the deficit it uses."""
-    lam, bar, k, m = spec.lam, spec.lam_bar, len(subset), len(spec.lam_bar)
-    sides = sum((spec.mu[i - 1] - spec.nu[i - 1] for i in subset), 0)
-    if parallelogram and k > m:
-        return sum(lam) - sum(bar) + sides, None
-    tail = sum(bar[m - k:]) if parallelogram else 0
-    d = _deficit(lam, bar, k)
-    return sum(lam[:k]) - tail + sides - d, d
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9), st.booleans())
 def test_subset_certificate_is_first_best_subset(seed, parallelogram):
@@ -260,11 +242,11 @@ def test_subset_certificate_is_first_best_subset(seed, parallelogram):
     weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
     k = len(verdict.certificate.subset) if not verdict.feasible else n + 1
     for size in range(k):
-        assert _subset_lhs(spec, best_subset(weights, size), parallelogram)[0] >= 0
+        assert subset_lhs(spec, best_subset(weights, size), parallelogram)[0] >= 0
     if not verdict.feasible:
         cert = verdict.certificate
         assert cert.kind == "subset" and cert.subset == best_subset(weights, k)
-        assert (cert.lhs, cert.deficit) == _subset_lhs(spec, cert.subset, parallelogram)
+        assert (cert.lhs, cert.deficit) == subset_lhs(spec, cert.subset, parallelogram)
         assert cert.lhs < 0
 
 
@@ -289,15 +271,40 @@ def test_hexagon_certificate_carries_only_the_subset():
     # the extension's inequality reads A + B c and must fail for every large c
     c = rough_bound(spec)
     low, high = (
-        _subset_lhs(scan_extend_to_trapezoid(config, spec, cc)[1], out["I"])[0] for cc in (c, 2 * c)
+        subset_lhs(scan_extend_to_trapezoid(config, spec, cc)[1], out["I"])[0] for cc in (c, 2 * c)
     )
     assert high < low or (high == low and low < 0)
+    assert verify_certificate(config, spec, out)
+    for bad in ({**out, "I": []}, {**out, "lhs": -1}, {**out, "kind": "balance"}):
+        assert not verify_certificate(config, spec, bad)
 
 
 def test_trapezoidal_general_certificate_keeps_lhs():
-    tri = ConvexConfig.trapezoid(2, 0)
-    cert = check_general(tri, spec_of((2, 1), (), (0, 0), (3, 0))).certificate
+    tri, spec = ConvexConfig.trapezoid(2, 0), spec_of((2, 1), (), (0, 0), (3, 0))
+    cert = check_general(tri, spec).certificate
     assert cert.to_json() == {"kind": "subset", "I": [1], "lhs": -1, "deficit": 0}
+    assert verify_certificate(tri, spec, cert.to_json())
+    for bad in ({"kind": "subset", "I": [1], "lhs": -2, "deficit": 0},
+                {"kind": "subset", "I": [1], "lhs": -1, "deficit": 1},
+                {"kind": "subset", "I": [1], "lhs": -1},
+                {"kind": "subset", "I": [2], "lhs": 2, "deficit": 0},
+                {"kind": "subset", "I": [1, 1], "lhs": -1, "deficit": 0},
+                {"kind": "balance", "lhs": 0}, {"kind": "monotone_lambda"}):
+        assert not verify_certificate(tri, spec, bad)
+    # every kind; a parallelogram subset past m has no deficit, a general shape only I
+    pins = {
+        Certificate("monotone_lambda"): '{"kind":"monotone_lambda"}',
+        Certificate("monotone_lambda_bar"): '{"kind":"monotone_lambda_bar"}',
+        Certificate("balance", lhs=Fraction(-1, 2)): '{"kind":"balance","lhs":"-1/2"}',
+        Certificate("subset", (1, 3), Fraction(-1, 2), Fraction(3, 2)):
+            '{"I":[1,3],"deficit":"3/2","kind":"subset","lhs":"-1/2"}',
+        Certificate("subset", (2,), -4): '{"I":[2],"kind":"subset","lhs":-4}',
+        Certificate("subset", ()): '{"I":[],"kind":"subset"}',
+    }
+    for cert, text in pins.items():
+        assert canonical_json(cert.to_json()) == text
+        assert canonical_json(FeasibilityVerdict(cert).to_json()) == (
+            f'{{"certificate":{text},"feasible":false}}')
 
 
 def _random_general_case(rng):
@@ -352,6 +359,8 @@ def test_derived_constant_matches_large_constants():
             assert (big.certificate and (big.certificate.kind, big.certificate.subset)) == got
             assert exhaustive_feasible(tspec.lam, tspec.lam_bar, tspec.mu, tspec.nu) == want
         outcomes["feasible" if want else verdict.certificate.kind] += 1
+        if not want:
+            assert verify_certificate(config, spec, verdict.to_json()["certificate"])
         if want:
             x = mu_general_build(config, spec)
             assert validate_array(x) and boundary(x) == spec, (config, spec)

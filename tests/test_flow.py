@@ -220,6 +220,9 @@ def test_permute_nu_equals_composed_swaps():
 def test_flow_json_round_trip():
     g = TRAPEZOID_FLOW
     assert flow_from_json(flow_to_json(g)) == g
+    g = Flow(1, 1, ((Fraction(1, 2), 0),), ((0, 3),))
+    assert canonical_json(flow_to_json(g)) == '{"e0":[["1/2",0]],"e1":[[0,3]],"m":1,"n":1}'
+    assert flow_from_json(flow_to_json(g)) == g
     with pytest.raises(InputError):
         flow_from_json({"n": 1, "m": 0})
 

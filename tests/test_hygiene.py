@@ -77,11 +77,13 @@ def unreferenced_private_definitions(sources: dict) -> list:
 
 
 def names_read(tree: ast.AST) -> set:
-    """Every name that appears as a ``Name``, as an attribute or in an import."""
+    """Every name that appears as a ``Name``, as an attribute or in an import;
+    a ``Name`` that is only bound (``name = ...``) is not read."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            read.add(node.id)
+            if not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -112,6 +114,7 @@ def test_detector_flags_unreferenced_private_definitions():
 
 # Public names that only the tests read, each kept for a reason of its own.
 UNREAD_PUBLIC_NAMES = {
+    "config_to_json": "the inverse of config_from_json",
     "spec_to_json": "the inverse of spec_from_json",
     "permute_nu": "the paper's rearrangement of nu by adjacent zigzag swaps",
     "Rat": "the exact-rational type that the package's quoted annotations name",
@@ -138,7 +141,8 @@ def test_every_public_name_is_read_outside_the_tests():
 
 
 def test_detector_flags_unread_public_names():
-    sources = ["from a import imported\n", "import a\na.attr_only\nname_only()\n"]
+    sources = ["from a import imported\n", "import a\na.attr_only\nname_only()\n",
+               "planted = bound = imported\n"]
     public = ["imported", "attr_only", "name_only", "planted"]
     assert unread_public_names(public, sources) == ["planted"]
 
@@ -271,6 +275,9 @@ def test_integer_cli_call_skips_fractions():
     loaded, out = loaded_by(call.format('{"lambda":[6,4,3,1,1],"lambda_bar":[5,2],"nu":[3,2,3]}'))
     assert out == '{"certificate":null,"feasible":true}\n0'
     assert "stripconcave.cli" in loaded and loaded.isdisjoint(FRACTION_STACK)
+    loaded, out = loaded_by(call.format('{"lambda":[2,1],"nu":[3,0]}'))  # a str field, "kind"
+    assert out == '{"certificate":{"I":[1],"deficit":0,"kind":"subset","lhs":-1},"feasible":false}\n1'
+    assert loaded.isdisjoint(FRACTION_STACK)
     loaded, out = loaded_by(call.format('{"lambda":[2,"1/2"],"lambda_bar":["5/2"],"nu":[0]}'))
     assert out == ('{"certificate":{"I":[],"deficit":"1/2","kind":"subset","lhs":"-1/2"},'
                    '"feasible":false}\n1')

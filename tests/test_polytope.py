@@ -217,6 +217,29 @@ def test_kostka_fixture_contains_pattern():
     assert len(matching) == K
 
 
+def test_kostka_counts_are_polynomial_in_stretching():
+    """For a straight shape, ``K(k lam, k nu)`` is a polynomial in ``k`` of
+    degree at most ``D = (n - 1)(n - 2) / 2`` (E. Rassart, JCTA 107, 2004).
+    Interpolated at ``k = 1 .. D + 1``, it must predict ``k = D + 2, D + 3``:
+    the ``(D + 1)``-th differences of the counts at ``k = 1 .. D + 3``
+    vanish.  A nonzero ``D``-th difference shows the degree bound reached."""
+    shapes = [((6, 4, 2, 0), (3, 3, 3, 3)), ((3, 2, 1, 0), (1, 2, 1, 2)),
+              ((4, 2, 1, 1), (2, 2, 2, 2)), ((5, 3, 1, 0), (3, 2, 2, 2)),
+              ((6, 3, 0), (3, 3, 3)), ((2, 0), (1, 1))]
+    reached = []
+    for lam, nu in shapes:
+        n = len(nu)
+        bound = (n - 1) * (n - 2) // 2
+        counts = [kostka(tuple(k * v for v in lam), (), tuple(k * v for v in nu))
+                  for k in range(1, bound + 4)]
+        table = [counts]
+        while len(table[-1]) > 1:
+            table.append([b - a for a, b in zip(table[-1], table[-1][1:])])
+        assert counts[0] > 0 and table[bound + 1] == [0, 0], (lam, nu, counts)
+        reached.append(table[bound][0] != 0)
+    assert reached == [True, True, False, True, True, True]  # (4,2,1,1)/(2^4) has degree 2
+
+
 def test_kostka_row_cap_bounds_memory():
     # one wide cell would make K // 2 partial rows before the row count is
     # checked; under a 1 GB address-space limit that fails with MemoryError

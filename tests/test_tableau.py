@@ -152,6 +152,9 @@ def test_round_trip_all_small_tableaux():
 def test_json_round_trip():
     t = SKEW_TABLEAU
     assert SkewTableau.from_json(t.to_json()) == t
+    empty_row = SkewTableau((2, 1), (2,), ((), (1,)))
+    assert core.canonical_json(empty_row.to_json()) == '{"inner":[2],"outer":[2,1],"rows":[[],[1]]}'
+    assert SkewTableau.from_json(empty_row.to_json()) == empty_row
     with pytest.raises(InputError):
         SkewTableau.from_json({"outer": [1]})
 
