@@ -92,7 +92,9 @@ def facets(n: int, m: int) -> list:
             f"listing facets needs n + m <= {FACET_LISTING_MAX}, got {_int_text(n + m)}; "
             "use --count-only for the number of facets"
         )
-    cols = [tuple(combinations(range(1, m + 1), l)) for l in range(m + 1)]
+    # the column subsets of the listed sizes: all of them, but |J| = 1 and m - 1 for n = 1
+    cols = [tuple(combinations(range(1, m + 1), l)) if n > 1 or l in (1, m - 1) else ()
+            for l in range(m + 1)]
     by_size = [[] for _ in range(n + m)]  # (I, |J|) pairs by |I| + |J|, each I in sorted order
     for I in sorted(I for k in range(n + 1) for I in combinations(range(1, n + 1), k)):
         k = len(I)

@@ -1,40 +1,43 @@
 """Independent oracles used to validate the library.
 
-Everything here is deliberately naive: direct enumeration, bitmask subset
-sweeps, exact Gaussian elimination, and the per-cell algorithms and
-per-entry loops that the library has replaced, kept as references.  The
-oracles share the library's data types and errors, and call two of its
-public functions where that function is not the one under test:
-``integrate`` to turn patterns into arrays and ``check_trapezoid`` as the
-zero test of :func:`level_kostka`.  Every other helper they need
-(interlacing bounds, pattern slacks, the pattern of a flow, the triangular
-solve, the integer checks, the extension to a trapezoid) is written here
-again from its definition, so a fault in one of the library's helpers
-cannot reach both sides of an equivalence test.
+Everything here is deliberately naive.  Each oracle checks the library
+against one of two things:
+
+- a definition: :func:`definition_feasible` decides a boundary by an exact
+  LP (:func:`lp_point`) over the array entries and the rhombus inequalities
+  themselves; brute force lists every integer pattern
+  (:func:`enumerate_patterns`), skew tableau (:func:`enumerate_tableaux`) or
+  subset pair (:func:`brute_force_facets`); :func:`tight_system_rank` tells
+  a vertex by the rank of its tight inequalities; and the rest read a
+  definition cell by cell: flow slacks and admissibility, the zigzag
+  exchange (:func:`capacity_swap_flow`), the tableau of a pattern and its
+  checks (:func:`cellwise_pattern_to_tableau`), the shape of a configuration
+  (:func:`scan_is_trapezoidal`, :func:`scan_is_parallelogram`), restriction
+  and deficits by their sums;
+- the paper's theorem: the subset inequalities swept by bitmask
+  (:func:`exhaustive_feasible`), the extension to a trapezoid in the limit
+  of a large constant (:func:`general_feasible_oracle`), and the
+  certificate checker (:func:`verify_certificate`).
+
+The golden bytes (``tests/golden.json``) are the third check, of output.
+
+The oracles share the library's records and errors and import nothing else
+from ``stripconcave``: they call none of its functions, so a fault in one of
+the library's helpers cannot reach both sides of a comparison.
+``tests/test_hygiene.py`` checks this rule, and that every oracle is read.
 """
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
-from operator import neg
+from math import lcm
 
 from stripconcave import (
     BoundarySpec,
-    Certificate,
     ConvexConfig,
-    FeasibilityVerdict,
     Flow,
     GTPattern,
     InputError,
-    InternalError,
-    PathDecomposition,
     StripConcaveArray,
-    check_trapezoid,
-    integrate,
 )
-from stripconcave import core
-
-KOSTKA_ROWS_MAX = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -46,26 +49,9 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def require_ints(*seqs):
-    """Refuse any entry that is not an ``int`` or is a ``bool``, as the counting functions do."""
-    if any(not is_int(v) for seq in seqs for v in seq):
-        raise InputError("counting requires integer data")
-
-
 def decreasing(seq):
     """True iff ``seq`` is weakly decreasing."""
     return all(seq[k] >= seq[k + 1] for k in range(len(seq) - 1))
-
-
-def interlacing_bounds(i, below, lam_bar):
-    """Bounds ``(lo, hi)`` on cell ``k`` of row ``i`` of a pattern with row 0
-    ``lam_bar``, given row ``i + 1`` as ``below``: interlacing gives
-    ``below[k + 1] <= cell <= below[k]``, and chains of it up to row 0 give
-    ``lam_bar[k] <= cell <= lam_bar[k - i]`` where those indices exist."""
-    m, cells = len(lam_bar), range(len(below) - 1)
-    lo = [max(below[k + 1], lam_bar[k]) if k < m else below[k + 1] for k in cells]
-    hi = [min(below[k], lam_bar[k - i]) if 0 <= k - i < m else below[k] for k in cells]
-    return lo, hi
 
 
 def pattern_slacks(rows):
@@ -93,23 +79,6 @@ def flow_pattern_rows(g):
     if pattern_slacks(rows) != (g.e0, g.e1):
         raise InputError("flow is not admissible: its divergences do not match the boundary")
     return rows
-
-
-def triangular_rows(lam, nu):
-    """Rows ``0..n`` of a pattern on the triangle with row ``n`` ``lam`` and
-    content ``nu``: row ``k - 1`` is row ``k`` with its first pair of
-    neighbours ``r_p >= r_{p+1}`` where ``r_{p+1} <= nu_k`` merged into the
-    single entry ``r_p + r_{p+1} - nu_k``."""
-    rows = [tuple(lam)]
-    for k in range(len(lam), 1, -1):
-        row = rows[-1]
-        p = next((p for p in range(k - 1) if row[p + 1] <= nu[k - 1]), None)
-        if p is None:
-            raise InternalError("no pivot position for a feasible triangular boundary")
-        rows.append(row[:p] + (row[p] + row[p + 1] - nu[k - 1],) + row[p + 2:])
-    if lam:
-        rows.append(())
-    return rows[::-1]
 
 
 def weight_order(weights):
@@ -237,145 +206,6 @@ def random_pattern(rng, n, m, low=0, high=10):
     return GTPattern(ConvexConfig.trapezoid(n, m), tuple(rows))
 
 
-def overlap_reduce_to_triangle(lam, lam_bar):
-    """Triangular tuple ``lam'`` of a compatible skew pair, by segment overlaps.
-
-    ``lam'_k`` accumulates, over ``t = k..n+m``, the overlap length of the
-    segment between consecutive ``lam`` entries with the segment between
-    ``lam_1`` and ``lam_bar_{t-k+1}`` (missing entries read as zero); both
-    segments are taken between the min and max of their endpoints.
-    """
-    size = len(lam)
-    n = size - len(lam_bar)
-    top = lam[0] if lam else 0
-
-    def ext_lam(j):  # 1-based with lam_{n+m+1} = 0
-        return lam[j - 1] if j <= size else 0
-
-    def ext_bar(j):  # 1-based with trailing zeros
-        return lam_bar[j - 1] if j <= len(lam_bar) else 0
-
-    def overlap(a1, b1, a2, b2):
-        lo = max(min(a1, b1), min(a2, b2))
-        hi = min(max(a1, b1), max(a2, b2))
-        return hi - lo if hi > lo else 0
-
-    out = []
-    for k in range(1, n + 1):
-        total = 0
-        for t in range(k, size + 1):
-            total = total + overlap(ext_lam(t + 1), ext_lam(t), ext_bar(t - k + 1), top)
-        out.append(total)
-    return tuple(out)
-
-
-def _ramp_shape(rows, alpha):
-    """Start ``p(i)`` of each row's lift window: the number of entries
-    strictly greater than ``alpha`` (rows are weakly decreasing)."""
-    return [bisect_left(row, -alpha, key=neg) for row in rows]
-
-
-def _apply_lift(rows, shape, s, step):
-    for i, p in enumerate(shape):
-        row = rows[i]
-        for j in range(p, min(p + s, len(row))):
-            row[j] = row[j] + step
-
-
-def _max_substep(rows, shape, s, cap):
-    """Largest lift step keeping the pattern rhombus inequalities valid.
-
-    The lift adds ``step`` to the 1-based columns ``W(i) = (p(i), p(i) + s]``
-    of row ``i``; an inequality constrains the step only where the window
-    indicator decreases across it, and then the current slack is the bound.
-    Windows of equal width differ only between ``min(p(i), p(i-1))`` and
-    ``max(p(i), p(i-1))``, shifted by 0 or ``s``: only those columns are visited.
-    """
-    bound = cap
-    for i in range(1, len(rows)):
-        row, up, p, q = rows[i], rows[i - 1], shape[i], shape[i - 1]
-        lo, hi = min(p, q), max(p, q)
-        for j in chain(range(max(lo, 1), hi + 1), range(lo + s, hi + s + 1)):
-            if j > len(up):
-                continue
-            in_up = q < j <= q + s
-            if in_up and not p < j <= p + s:
-                bound = min(bound, row[j - 1] - up[j - 1])
-            if not in_up and p < j + 1 <= p + s:
-                bound = min(bound, up[j - 1] - row[j])
-    return bound
-
-
-def ramp_solve_trapezoid(lam, lab, nu, seen=None):
-    """Pattern rows for a feasible normalized spec, lifting whole rows.
-
-    The reference for ``construct._solve_trapezoid``: the same forward
-    phase (truncate equal extreme entries, else lower the runs
-    ``lam_{r-s+1..r}`` and ``lab_{1..s}`` by the largest step), written
-    with linear scans, and a replay that adds each lift step to every cell
-    of the ramp windows and bounds a sub-step by scanning the window edges
-    of the rows themselves.  A ``Counter`` passed as ``seen`` counts the
-    replayed ops by kind, and ``"substep"`` for each lift sub-step shorter
-    than the step left.
-    """
-    seen = Counter() if seen is None else seen
-    n = len(nu)
-    integral = all(isinstance(v, int) for v in lam + lab + nu)
-    ops = []
-    for _ in range(len(lam) + 2 * len(lab) + 1):  # the solver's proven pass bound
-        m = len(lab)
-        if m == 0:
-            rows = [list(r) for r in triangular_rows(lam, nu)]
-            break
-        if lam[-1] == lab[-1]:
-            ops.append(("column", lab[-1]))
-            lam, lab = lam[:-1], lab[:-1]
-            continue
-        if lam[0] == lab[0]:
-            ops.append(("prepend", lam[0]))
-            lam, lab = lam[1:], lab[1:]
-            continue
-        top = lab[0]
-        r = max(j for j in range(1, len(lam) + 1) if lam[j - 1] >= top)
-        s = 1
-        while s < m and lab[s] == top:
-            s += 1
-        after = max(lam[r], lab[s]) if s < m else lam[r]
-        step = lab[0] - after
-        ops.append(("lift", r, s, step))
-        lam = tuple(v - step if r - s + 1 <= j + 1 <= r else v for j, v in enumerate(lam))
-        lab = tuple(v - step if j < s else v for j, v in enumerate(lab))
-    else:
-        raise InternalError("the forward phase exceeded its proven step bound")
-    for op in reversed(ops):
-        seen[op[0]] += 1
-        if op[0] == "column":
-            for row in rows:
-                row.append(op[1])
-        elif op[0] == "prepend":
-            for row in rows:
-                row.insert(0, op[1])
-        else:
-            _, r, s, step = op
-            if step == 1 and integral:
-                _apply_lift(rows, _ramp_shape(rows, rows[-1][r - s]), s, 1)
-                continue
-            remaining = step
-            for _ in range(1 + n * (n + 1) // 2):  # the solver's proven sub-step bound
-                shape = _ramp_shape(rows, rows[-1][r - s])
-                eps = _max_substep(rows, shape, s, remaining)
-                _apply_lift(rows, shape, s, eps)
-                seen["substep"] += eps < remaining
-                remaining = remaining - eps
-                if not remaining:
-                    break
-            else:
-                raise InternalError("a lift exceeded its proven sub-step bound")
-    if not integral:
-        rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
-    return rows
-
-
 def exhaustive_feasible(lam, lam_bar, mu, nu):
     """Trapezoid feasibility by sweeping every subset with a bitmask."""
     n = len(nu)
@@ -430,16 +260,17 @@ def structural_violation(spec):
 
 
 def scan_is_trapezoidal(config):
-    """``ConvexConfig.is_trapezoidal`` by the scan of every bound that the
-    library replaced."""
+    """The trapezoid by its definition, every bound read: ``a_i = 0`` and
+    ``b_i = m + i``.  The one check that ``ConvexConfig.is_trapezoidal``'s
+    corner test reads every convex shape right."""
     return all(x == 0 for x in config.a) and all(
         config.b[i] == i + config.m for i in range(config.n + 1)
     )
 
 
 def scan_is_parallelogram(config):
-    """``ConvexConfig.is_parallelogram`` by the scan of every bound that the
-    library replaced."""
+    """The parallelogram by its definition, every bound read: ``a_i = 0`` and
+    ``b_i = m``; the one check of ``ConvexConfig.is_parallelogram``."""
     return all(x == 0 for x in config.a) and all(x == config.m for x in config.b)
 
 
@@ -557,64 +388,6 @@ def deficits_definition(lam, lam_bar, n=None):
     )
 
 
-def keyed_bisect_deficits(lam, lam_bar, n=None):
-    """Deficits by the interval sweep that the library replaced: each probe
-    bisects the decreasing tuple with ``key=neg`` and each interval is
-    clipped by ``min``/``max`` and added through a closure."""
-    lam = tuple(lam)
-    lam_bar = tuple(lam_bar)
-    if not decreasing(lam) or not decreasing(lam_bar):
-        raise InputError("boundary tuples must be weakly decreasing")
-    if n is None:
-        n = len(lam) - len(lam_bar)
-    if n < 0:
-        raise InputError("lambda must be at least as long as lambda_bar")
-    diff = [0] * (n + 2)
-
-    def add(lo, hi, w):  # w on every k in lo..hi
-        if lo <= hi:
-            diff[lo] += w
-            diff[hi + 1] -= w
-
-    for t, lb in enumerate(lam_bar):
-        add(max(bisect_right(lam, -lb, key=neg) - t, 0), min(len(lam) - 1 - t, n), lb)
-    for j, v in enumerate(lam):
-        add(max(j - bisect_left(lam_bar, -v, key=neg) + 1, 0), min(j, n), -v)
-    return tuple(accumulate(diff))[: n + 1]
-
-
-def scan_verdict(spec, n, m, parallelogram=False):
-    """The verdict of ``check_trapezoid`` (``check_parallelogram`` with
-    ``parallelogram``) by the scan that the library replaced: bases and
-    running sums built entry by entry, :func:`keyed_bisect_deficits` and
-    :func:`weight_order`, stopping at the first violated size."""
-    if not decreasing(spec.lam):
-        return FeasibilityVerdict(Certificate("monotone_lambda"))
-    if not decreasing(spec.lam_bar):
-        return FeasibilityVerdict(Certificate("monotone_lambda_bar"))
-    balance = sum(spec.lam, 0) - sum(spec.lam_bar, 0) + sum(spec.mu, 0) - sum(spec.nu, 0)
-    if balance != 0:
-        return FeasibilityVerdict(Certificate("balance", lhs=balance))
-    profile = keyed_bisect_deficits(spec.lam, spec.lam_bar, n)
-    prefix = list(accumulate(spec.lam, initial=0))
-    if parallelogram:
-        tail = list(accumulate(reversed(spec.lam_bar), initial=0))
-        base = [prefix[k] - tail[k] - profile[k] if k <= m else prefix[m] - tail[m]
-                for k in range(n + 1)]
-        profile = profile[: m + 1]
-    else:
-        base = [p - d for p, d in zip(prefix, profile)]
-    weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
-    order = weight_order(weights)
-    for k, running in enumerate(accumulate((-weights[i] for i in order), initial=0)):
-        lhs = base[k] + running
-        if lhs < 0:
-            subset = tuple(sorted(i + 1 for i in order[:k]))
-            deficit = profile[k] if k < len(profile) else None
-            return FeasibilityVerdict(Certificate("subset", subset, lhs, deficit))
-    return FeasibilityVerdict()
-
-
 def broken_constraints(p: GTPattern):
     """The rhombus inequalities of :func:`pattern_constraints` that the
     pattern violates, each read off two :func:`pattern_cell` cells."""
@@ -630,20 +403,21 @@ def broken_constraints(p: GTPattern):
 
 
 def matrix_rank(rows):
-    """Rank over the rationals by fraction-exact Gaussian elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
+    """Rank over the rationals of an integer matrix, by elimination that keeps
+    every row integral: a row with ``b`` under a pivot ``a`` becomes ``a row -
+    b pivot_row``."""
+    mat = [list(row) for row in rows]
     rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            b = mat[r][col]
+            if b:
+                mat[r] = [top[col] * x - b * y for x, y in zip(mat[r], top)]
         rank += 1
     return rank
 
@@ -691,6 +465,152 @@ def tight_system_rank(p: GTPattern, fixed_nu=False):
     return matrix_rank(rows), len(free)
 
 
+def vertex_patterns(lam, lam_bar):
+    """Rows of the vertices of the pattern polytope with rows n and 0 fixed to
+    ``lam`` and ``lam_bar``, by brute force.
+
+    The data are first shifted by ``t = max(0, -lam_n)`` and scaled by the
+    least common denominator ``d``, an affine map that takes vertices to
+    vertices, so that every entry is a nonnegative integer.  A pattern of
+    :func:`enumerate_patterns` is a vertex when its tight system has full
+    rank (:func:`tight_system_rank`), and the vertices are sorted by the
+    support of their slacks (:func:`pattern_slacks`), the edges ``(i, j,
+    t)`` of the flow that are not 0.
+    """
+    t = max(0, -lam[-1])
+    d = lcm(*(Fraction(v).denominator for v in lam + lam_bar))
+    scaled = [tuple(int((v + t) * d) for v in w) for w in (lam, lam_bar)]
+    config = ConvexConfig.trapezoid(len(lam) - len(lam_bar), len(lam_bar))
+    found = []
+    for rows in enumerate_patterns(*scaled):
+        rank, free = tight_system_rank(GTPattern(config, rows))
+        if rank == free:
+            e = pattern_slacks(rows)
+            found.append(([(i, j, s) for i, row in enumerate(e[0])
+                           for j in range(len(row)) for s in (0, 1) if e[s][i][j]], rows))
+    found.sort()
+    return [tuple(tuple(Fraction(v, d) - t for v in row) for row in rows) for _, rows in found]
+
+
+# ---------------------------------------------------------------------------
+# an exact LP, and feasibility by the definition
+# ---------------------------------------------------------------------------
+
+def lp_point(ineqs, eqs, size):
+    """A point ``x`` of ``size`` rationals with ``A x <= b`` for every ``(A, b)``
+    in ``ineqs`` and ``C x = d`` for every ``(C, d)`` in ``eqs``, or ``None``
+    when there is none.  A row ``A`` or ``C`` is a dict from variable index
+    to coefficient, and the variables are free.
+
+    A slack ``s_r >= 0`` makes inequality ``r`` the equality ``A x + s_r =
+    b``.  Gauss-Jordan elimination expresses each variable that occurs by
+    one row, an equality where it can, and leaves equalities ``M s = r`` in
+    the slacks alone.  Phase I of the simplex method then adds an artificial
+    ``u_i >= 0`` to each of them, signed so that ``r_i >= 0``, and pivots to
+    the least ``sum u``, which is 0 exactly when some ``s >= 0`` solves them.
+    The arithmetic is exact, in ``int``s and ``Fraction``s (the data must be
+    one or the other), and Bland's rule (the lowest entering index, and the
+    lowest leaving index among ties of the ratio test) keeps the pivots from
+    cycling (R. G. Bland, "New finite pivoting rules for the simplex
+    method", Math. Oper. Res. 2, 1977).
+    """
+    rows = [({k: v for k, v in c.items() if v}, d) for c, d in eqs]
+    rows += [({**{k: v for k, v in a.items() if v}, size + r: 1}, b) for r, (a, b) in enumerate(ineqs)]
+
+    def pivot(p, k):  # scale row p to 1 at variable k and clear k from every other row
+        row, rhs = rows[p]
+        if row[k] != 1:  # ints stay ints under a pivot of 1 or -1
+            inv = -1 if row[k] == -1 else 1 / Fraction(row[k])
+            row, rhs = {j: v * inv for j, v in row.items()}, rhs * inv
+        rows[p] = row, rhs
+        for q, (other, other_rhs) in enumerate(rows):
+            f = other.get(k)
+            if q != p and f:
+                for j, v in row.items():
+                    other[j] = other.get(j, 0) - f * v
+                    if not other[j]:
+                        del other[j]
+                rows[q] = other, other_rhs - f * rhs
+
+    defined = {}  # variable -> the row that expresses it
+    for k in range(size):
+        p = next((p for p, (row, _) in enumerate(rows) if k in row and p not in defined.values()), None)
+        if p is not None:
+            pivot(p, k)
+            defined[k] = p
+    basis, artificial = {}, size + len(ineqs)
+    for p, (row, rhs) in enumerate(rows):
+        if p in defined.values():
+            continue
+        if not row and rhs:
+            return None
+        if row:
+            if rhs < 0:
+                row, rhs = {j: -v for j, v in row.items()}, -rhs
+            rows[p] = {**row, artificial: 1}, rhs
+            basis[p], artificial = artificial, artificial + 1
+    # cost[j]: how fast sum u falls as nonbasic s_j grows
+    cost = {}
+    for p in basis:
+        for j, v in rows[p][0].items():
+            if j < size + len(ineqs):
+                cost[j] = cost.get(j, 0) + v
+    total = sum(rows[p][1] for p in basis)
+    while total:
+        k = min((j for j, v in cost.items() if v > 0), default=None)
+        if k is None:
+            return None
+        p = min((p for p in basis if rows[p][0].get(k, 0) > 0),
+                key=lambda p: (Fraction(rows[p][1]) / rows[p][0][k], basis[p]))
+        f = Fraction(cost[k]) / rows[p][0][k]
+        total -= f * rows[p][1]
+        for j, v in rows[p][0].items():
+            cost[j] = cost.get(j, 0) - f * v
+        pivot(p, k)
+        basis[p] = k
+    # a variable's row holds besides it only nonbasic variables, all 0
+    return [rows[defined[k]][1] if k in defined else 0 for k in range(size)]
+
+
+def definition_feasible(config, spec):
+    """A strip-concave array on ``config`` with boundary ``spec``, or ``None``
+    when there is none, read off the definition by :func:`lp_point`.
+
+    The variables are the entries ``x_ij``, ``a_i <= j <= b_i``, but for
+    ``x_00 = 0``.  The equalities read ``lam_bar`` off row 0, ``mu`` and
+    ``nu`` off the first and last entries of consecutive rows and ``lam``
+    off row n, as ``stripconcave.boundary`` does.  The inequalities are the
+    rhombus inequalities of :func:`pattern_constraints` on ``dx_ij = x_ij -
+    x_i,j-1``.  ``spec`` must have the lengths that ``config`` asks for.
+    """
+    a, b, n = config.a, config.b, config.n
+    cells = [(i, j) for i in range(n + 1) for j in range(a[i], b[i] + 1)][1:]
+    index = {cell: k for k, cell in enumerate(cells)}
+
+    def row(*steps):  # the sum of sign * (x_p - x_q), without x_00
+        out = {}
+        for sign, p, q in steps:
+            for cell, s in ((p, sign), (q, -sign)):
+                if cell in index:
+                    out[index[cell]] = out.get(index[cell], 0) + s
+        return out
+
+    eqs = [(row((1, (0, j), (0, j - 1))), v) for j, v in enumerate(spec.lam_bar, 1)]
+    eqs += [(row((1, (i, a[i]), (i - 1, a[i - 1]))), v) for i, v in enumerate(spec.mu, 1)]
+    eqs += [(row((1, (i, b[i]), (i - 1, b[i - 1]))), v) for i, v in enumerate(spec.nu, 1)]
+    eqs += [(row((1, (n, j), (n, j - 1))), v) for j, v in enumerate(spec.lam, a[n] + 1)]
+    ineqs = []  # dx_small - dx_large <= 0
+    for kind, i, j in pattern_constraints(config):
+        (r, c), (R, C) = ((i - 1, j), (i, j)) if kind == "upper" else ((i, j + 1), (i - 1, j))
+        ineqs.append((row((1, (r, c), (r, c - 1)), (-1, (R, C), (R, C - 1))), 0))
+    x = lp_point(ineqs, eqs, len(cells))
+    if x is None:
+        return None
+    value = {(0, 0): 0, **{cell: int(v) if v.denominator == 1 else v for cell, v in zip(cells, x)}}
+    return StripConcaveArray(config, [[value[i, j] for j in range(a[i], b[i] + 1)]
+                                      for i in range(n + 1)])
+
+
 def divergence(g, node):
     """Inflow minus outflow at a node (void edges count as zero)."""
     i, j = node
@@ -735,7 +655,8 @@ def capacity_swap_flow(g, layer):
 
     The zigzag through ``e0_{i-1,j}`` and ``e1_{ij}`` and its partner
     through ``e1_{i-1,j}`` and ``e0_{i,j+1}`` exchange their bottleneck
-    values; defined on every flow, admissible or not.
+    values; defined on every flow, admissible or not.  The one check that
+    ``swap_flow``, which toggles pattern rows, is this exchange on the flow.
     """
     n, m = g.n, g.m
     i = layer
@@ -774,7 +695,7 @@ def enumerate_tableaux(outer, inner, content):
     def place(idx):
         nonlocal count
         if idx == len(cells):
-            count += 1
+            count += not any(remaining)  # the content used up exactly
             return
         r, col = cells[idx]
         lo = 1
@@ -792,43 +713,6 @@ def enumerate_tableaux(outer, inner, content):
 
     place(0)
     return count
-
-
-def greedy_path_decompose(g: Flow) -> PathDecomposition:
-    """Greedy exact decomposition into at most ``|A|`` weighted paths.
-
-    Repeatedly extracts the lexicographically leftmost top-to-bottom path
-    through positive edges with the bottleneck weight; raises
-    :class:`InputError` unless the flow is admissible.
-    """
-    n, m = g.n, g.m
-    flow_pattern_rows(g)
-    e0 = [list(r) for r in g.e0]
-    e1 = [list(r) for r in g.e1]
-    paths = []
-    guard = 2 * sum(i + m + 1 for i in range(n)) + 1
-    while True:
-        guard -= 1
-        if guard < 0:
-            raise InternalError("path decomposition failed to terminate")
-        start = next(((0, j) for j in range(m + 1) if e0[0][j] > 0 or e1[0][j] > 0), None)
-        if start is None:
-            break
-        nodes, weight = [start], None
-        i, j = start
-        while i < n:
-            t = 0 if e0[i][j] > 0 else 1
-            v = (e1 if t else e0)[i][j]
-            if not v > 0:
-                raise InternalError("stuck path: positive inflow without outflow")
-            weight = v if weight is None else min(weight, v)
-            i, j = i + 1, j + t
-            nodes.append((i, j))
-        # subtract the bottleneck along the recorded path
-        for (i, j), (_, k) in zip(nodes, nodes[1:]):
-            (e1 if k - j else e0)[i][j] -= weight
-        paths.append((tuple(nodes), weight))
-    return PathDecomposition(tuple(paths))
 
 
 def check_skew_tableau(outer, inner, rows):
@@ -867,7 +751,9 @@ def check_skew_tableau(outer, inner, rows):
 
 def cellwise_pattern_to_tableau(p: GTPattern):
     """``(outer, inner, rows)`` of the tableau of a pattern, built cell by
-    cell: the entry at each cell is the first chain index covering it."""
+    cell: the entry at each cell is the first chain index covering it.  With
+    :func:`check_skew_tableau`, the one check of the cells and error texts of
+    ``pattern_to_tableau`` and ``SkewTableau``."""
     c = p.config
     if not c.is_trapezoidal:
         raise InputError("tableaux correspond to trapezoidal patterns")
@@ -911,140 +797,3 @@ def brute_force_facets(n, m):
         keys += [("chamber_lambda_bar", (), (), j) for j in range(1, m)]
     return keys
 
-
-def level_kostka(lam, lam_bar, nu):
-    """``kostka`` counted level by level: for each row of a level, every
-    interlacing row above it of the level's sum, cut cell by cell by the
-    suffix sums of the bounds; capped at :data:`KOSTKA_ROWS_MAX` candidate
-    rows."""
-    lam = tuple(lam)
-    lam_bar = tuple(lam_bar)
-    nu = tuple(nu)
-    require_ints(lam, lam_bar, nu)
-    n = len(nu)
-    width = n + len(lam_bar)
-    # trailing zero parts are empty rows; rows beyond n+m cannot be filled
-    while len(lam) > width:
-        if lam[-1] != 0:
-            return 0
-        lam = lam[:-1]
-    if len(lam) < width:
-        if lam and lam[-1] < 0:
-            return 0
-        lam = lam + (0,) * (width - len(lam))
-    if not check_trapezoid(BoundarySpec(lam, lam_bar, (0,) * n, nu), n, len(lam_bar)).feasible:
-        return 0
-    level = {lam: 1}  # rows of the current level -> ways each reaches lam
-    total = sum(lam)
-    built = 0
-    for i in range(n - 1, -1, -1):
-        total -= nu[i]
-        above = {}
-        for row, ways in level.items():
-            # rows of sum total, cell by cell; cutting each cell by the suffix sums
-            # of the bounds leaves no partial row that cannot be completed, so a
-            # cell never has more partial rows than the row has finished ones and
-            # the cap can be checked before the cell is built
-            lo, hi = interlacing_bounds(i, row, lam_bar)
-            lo_rest = list(accumulate(reversed(lo), initial=0))[::-1]
-            hi_rest = list(accumulate(reversed(hi), initial=0))[::-1]
-            partial = [((), total)]
-            for a, b, lr, hr in zip(lo, hi, lo_rest[1:], hi_rest[1:]):
-                ranges = [(r, left, range(max(a, left - hr), min(b, left - lr) + 1))
-                          for r, left in partial]
-                if built + sum(len(vs) for _, _, vs in ranges) > KOSTKA_ROWS_MAX:
-                    raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
-                partial = [(r + (v,), left - v) for r, left, vs in ranges for v in vs]
-            built += len(partial)
-            if built > KOSTKA_ROWS_MAX:
-                raise InputError(f"count too large: it passed {KOSTKA_ROWS_MAX} candidate rows")
-            for r, _ in partial:
-                above[r] = above.get(r, 0) + ways
-        level = above
-    return level.get(lam_bar, 0)
-
-
-def _tiles_anchored(rows) -> bool:
-    """True iff every tile meets row 0 or row n.
-
-    A tile is a union-find component of cells joined by tight interlacing
-    equalities ``row_i[k] == row_{i-1}[k]`` or ``row_i[k+1] == row_{i-1}[k]``.
-    """
-    n = len(rows) - 1
-    start = [0]  # flat index of each row's first cell
-    for row in rows:
-        start.append(start[-1] + len(row))
-    parent = list(range(start[-1]))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for i in range(1, n + 1):
-        above, row, s, t = rows[i - 1], rows[i], start[i - 1], start[i]
-        for k, v in enumerate(above):
-            if row[k] == v:
-                parent[find(t + k)] = find(s + k)
-            if row[k + 1] == v:
-                parent[find(t + k + 1)] = find(s + k)
-    fixed = [*range(start[1]), *range(start[n], start[-1])]
-    anchored = {find(c) for c in fixed}
-    return all(find(c) in anchored for c in range(start[1], start[n]))
-
-
-def _support(rows) -> tuple:
-    """Edges ``(i, j, t)`` with a nonzero slack in the pattern ``rows``, sorted."""
-    e = pattern_slacks(rows)
-    return tuple((i, j, t) for i, row in enumerate(e[0]) for j in range(len(row))
-                 for t in (0, 1) if e[t][i][j])
-
-
-def tile_search_vertices(lam, lam_bar):
-    """``enumerate_vertices`` by the whole-pattern tile test: fill rows
-    n-1 .. 0 from the boundary values depth first, counting the cells of
-    placed rows against ``core.CELLS_MAX`` as they are placed, keep every
-    finished pattern whose tiles (:func:`_tiles_anchored`) all meet row 0
-    or row n, and sort by the flow support tuples of :func:`_support`."""
-    lam, lam_bar = tuple(lam), tuple(lam_bar)
-    if not decreasing(lam) or not decreasing(lam_bar):
-        raise InputError("boundary tuples must be weakly decreasing")
-    n, m = len(lam) - len(lam_bar), len(lam_bar)
-    if n < 1:
-        raise InputError("lambda must be longer than lambda_bar")
-    t = max(0, -lam[-1])
-    if t:
-        lam, lam_bar = tuple(v + t for v in lam), tuple(v + t for v in lam_bar)
-    values = sorted(set(lam) | set(lam_bar))
-    index = {v: k for k, v in enumerate(values)}
-
-    def row_choices(i, below):
-        # every bound is a boundary value, so each cell takes a slice of values
-        lo, hi = interlacing_bounds(i, below, lam_bar)
-        return product(*[values[index[a]:index[b] + 1] for a, b in zip(lo, hi)])
-
-    config = ConvexConfig.trapezoid(n, m)
-    rows = [None] * n + [lam]
-    stack = [row_choices(n - 1, lam)]  # one iterator per row, depth at most n
-    found = []
-    placed = 0
-    while stack:
-        i = n - len(stack)
-        row = next(stack[-1], None)
-        if row is None:
-            stack.pop()
-            continue
-        placed += len(row)
-        if placed > core.CELLS_MAX:
-            raise InputError(f"vertex search too large: the search passed {core.CELLS_MAX} cells")
-        if i:
-            rows[i] = row
-            stack.append(row_choices(i - 1, row))
-        else:
-            rows[0] = row
-            if _tiles_anchored(rows):
-                found.append(tuple(rows))
-    found.sort(key=_support)
-    if t:
-        found = [[[v - t for v in r] for r in rows] for rows in found]
-    return [integrate(GTPattern(config, rows)) for rows in found]

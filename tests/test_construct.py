@@ -15,14 +15,12 @@ from stripconcave import (
     boundary,
     build_trapezoid,
     build_triangular,
-    canonical_json,
     check_general,
     check_trapezoid,
     derivative,
     extend_to_trapezoid,
     integrate,
     mu_general_build,
-    rat_to_json,
     reduce_to_triangle,
     restrict_to,
     shift_mu,
@@ -35,9 +33,9 @@ from stripconcave.fixtures import hexagon_array, trapezoid_array
 
 from oracles import (
     feasible_nu_set,
-    overlap_reduce_to_triangle,
     pattern_nu,
-    ramp_solve_trapezoid,
+    broken_constraints,
+    deficits_definition,
     random_pattern,
     tight_system_rank,
 )
@@ -282,17 +280,14 @@ def test_trapezoid_lift_keeps_int_entries_int():
     assert x.rows[0] == (0, 1) and type(x.rows[0][1]) is int
 
 
-def _int_if_integral(rows):
-    return [[int(v) if isinstance(v, Fraction) and v.denominator == 1 else v for v in row]
-            for row in rows]
-
-
-def test_slack_replay_matches_row_replay():
-    # the lifts replayed on interlacing slacks give the rows of the reference
-    # replay that adds each step to every cell of the ramp; the reference
-    # turns integral Fractions into ints, as integrate does for the array
+def test_solver_witness_is_a_valid_pattern_with_the_boundary():
+    """The solver's rows form a pattern that breaks no rhombus inequality,
+    with rows ``lab`` and ``lam`` and right boundary ``nu``; on triangles the
+    pattern is a vertex of the polytope with ``nu`` fixed, and on int data
+    every entry is an ``int``.  Int, Fraction and negative data, with every
+    step type; ``tests/golden.json`` pins the bytes of the ``build`` family."""
     rng = random.Random(1515)
-    seen, kinds = Counter(), Counter()
+    kinds = Counter()
     for trial in range(1800):
         d = 1 if trial < 1200 else rng.choice((2, 3))
         n, m = rng.randint(1, 6), rng.randint(0, 4)
@@ -301,15 +296,16 @@ def test_slack_replay_matches_row_replay():
             tuple(Fraction(v, d) if v % d else v // d for v in t)
             for t in (p.rows[-1], p.rows[0], pattern_nu(p.rows))
         )
-        got = _int_if_integral(_solve_trapezoid(lam, lab, nu))
-        assert repr(got) == repr(ramp_solve_trapezoid(lam, lab, nu, seen)), (lam, lab, nu)
-        kinds.update({
-            "int": all(type(v) is int for v in lam + lab + nu),
-            "triangle": m == 0, "n=1": n == 1, "negative": min(lam) < 0,
-        })
-    assert kinds["int"] >= 1000 and 1800 - kinds["int"] >= 500
-    assert min(kinds["triangle"], kinds["n=1"], kinds["negative"]) > 0, kinds
-    assert min(seen["column"], seen["prepend"], seen["lift"], seen["substep"]) > 0, seen
+        got = GTPattern(ConvexConfig.trapezoid(n, m), _solve_trapezoid(lam, lab, nu))
+        assert broken_constraints(got) == [], (lam, lab, nu)
+        assert (got.rows[-1], got.rows[0], pattern_nu(got.rows)) == (lam, lab, nu)
+        if m == 0:
+            rank, free = tight_system_rank(got, fixed_nu=True)
+            assert rank == free, (lam, nu)
+        if d == 1:
+            assert all(type(v) is int for row in got.rows for v in row), (lam, lab, nu)
+        kinds.update({"triangle": m == 0, "n=1": n == 1, "negative": min(lam) < 0})
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_builds_on_halved_patterns_hold_no_integral_fractions():
@@ -461,8 +457,9 @@ def test_reduce_to_triangle_identity_for_triangles():
         assert reduce_to_triangle(lam, ()) == lam
 
 
-def test_reduce_to_triangle_matches_overlap_definition():
-    # lam'[1,k] = lam[1,k] - D_k agrees with the segment-overlap sums
+def test_reduce_to_triangle_matches_deficit_definition():
+    # lam'[1,k] = lam[1,k] - D_k, with D_k by its double sum, compared by
+    # value; on int data every entry is an int
     rng = random.Random(3)
     for trial in range(6000):
         n, m = rng.randint(1, 6), rng.randint(0, 4)
@@ -470,11 +467,11 @@ def test_reduce_to_triangle_matches_overlap_definition():
         lam, bar = p.rows[-1], p.rows[0]
         if trial % 2:
             lam, bar = (tuple(Fraction(v, 3) for v in t) for t in (lam, bar))
-        got, want = reduce_to_triangle(lam, bar), overlap_reduce_to_triangle(lam, bar)
-        assert got == want, (lam, bar)
-        assert canonical_json([rat_to_json(v) for v in got]) == canonical_json(
-            [rat_to_json(v) for v in want]
-        )
+        sums = [sum(lam[:k], 0) - d for k, d in enumerate(deficits_definition(lam, bar, n))]
+        got = reduce_to_triangle(lam, bar)
+        assert got == tuple(b - a for a, b in zip(sums, sums[1:])), (lam, bar)
+        if not trial % 2:
+            assert all(type(v) is int for v in got), (lam, bar)
 
 
 def test_reduce_to_triangle_validation():

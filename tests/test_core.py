@@ -46,7 +46,6 @@ from oracles import (
     broken_constraints,
     deficits_definition,
     entrywise_restrict_to,
-    keyed_bisect_deficits,
     random_pattern,
     scan_extend_to_trapezoid,
     scan_is_parallelogram,
@@ -336,24 +335,31 @@ def _draw(rng, frac):
 
 
 def test_deficits_agree_with_definition_seeded():
-    """Interval sweeps against the double sum: int, Fraction and negative
-    entries, ``n`` up to 5 beyond ``len(lam) - len(lam_bar)``, and
-    ``lam_bar`` that interlaces ``lam`` or is drawn on its own."""
+    """Interval sweeps against the double sum: int, Fraction, negative and
+    tie-heavy entries (``2`` next to ``Fraction(4, 2)``), ``n`` up to 5
+    beyond ``len(lam) - len(lam_bar)``, and ``lam_bar`` that interlaces
+    ``lam`` or is drawn on its own.  The stated rule for types: on all-int
+    data every deficit is an ``int``."""
     rng = random.Random(20260)
-    interlaced = fractional = 0
+    ties = (2, Fraction(4, 2), 2, Fraction(1, 2), 0, -1, Fraction(-2, 1), -3)
+    kinds, interlaced = Counter(), 0
+
+    def draw():
+        return rng.choice(ties) if kind == "ties" else _draw(rng, kind == "fraction")
+
     for _ in range(2000):
+        kind = rng.choice(("int", "int", "fraction", "ties"))
+        kinds[kind] += 1
         size = rng.randint(0, 60)
         m = rng.randint(0, size)
         n = size - m
-        frac = rng.random() < 0.25
-        fractional += frac
-        lam = sorted((_draw(rng, frac) for _ in range(size)), reverse=True)
+        lam = sorted((draw() for _ in range(size)), reverse=True)
         if rng.random() < 0.5:
             # lam_j >= lam_bar_j >= lam_{j+n}: the top row of a pattern on lam
             lam_bar = [rng.choice(lam[t:t + n + 1]) for t in range(m)]
             interlaced += 1
         else:
-            lam_bar = [_draw(rng, frac) for _ in range(m)]
+            lam_bar = [draw() for _ in range(m)]
         lam_bar.sort(reverse=True)
         extra = rng.randint(0, 5)
         d = deficits(lam, lam_bar, n + extra)
@@ -361,33 +367,9 @@ def test_deficits_agree_with_definition_seeded():
         assert len(d) == len(want) == n + extra + 1
         for got, ref in zip(d, want):
             assert got == ref, (lam, lam_bar, n + extra)
-    assert 900 < interlaced < 1100 and 400 < fractional < 600
-
-
-def test_deficits_repr_matches_keyed_bisect_sweep():
-    """The key-free sweep against the ``key=neg`` one by repr, so that an
-    ``int`` turning into ``Fraction(k, 1)`` shows: int, Fraction, negative
-    and tie-heavy entries (``2`` next to ``Fraction(4, 2)``), ``n`` up to 5
-    beyond ``len(lam) - len(lam_bar)``."""
-    rng = random.Random(1913)
-    ties = (2, Fraction(4, 2), 2, Fraction(1, 2), 0, -1, Fraction(-2, 1), -3)
-    kinds, fraction_deficits = Counter(), 0
-
-    def draw():
-        return rng.choice(ties) if kind == "ties" else _draw(rng, kind == "fraction")
-
-    for _ in range(3000):
-        kind = rng.choice(("int", "fraction", "ties"))
-        kinds[kind] += 1
-        size = rng.randint(0, 40)
-        m = rng.randint(0, size)
-        lam = sorted((draw() for _ in range(size)), reverse=True)
-        lam_bar = sorted((draw() for _ in range(m)), reverse=True)
-        n = size - m + rng.randint(0, 5)
-        got = deficits(lam, lam_bar, n)
-        assert repr(got) == repr(keyed_bisect_deficits(lam, lam_bar, n)), (lam, lam_bar, n)
-        fraction_deficits += kind == "ties" and any(isinstance(d, Fraction) for d in got)
-    assert min(kinds.values()) > 900 and fraction_deficits > 300, (kinds, fraction_deficits)
+        if kind == "int":
+            assert all(type(v) is int for v in d), (lam, lam_bar, d)
+    assert 900 < interlaced < 1100 and min(kinds.values()) > 400, (interlaced, kinds)
 
 
 def test_deficits_monotone_required():

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,12 +32,13 @@ from stripconcave.fixtures import hexagon_array, trapezoid_array
 
 from oracles import (
     best_subset,
+    decreasing,
+    definition_feasible,
     exhaustive_feasible,
     feasible_nu_set,
     general_feasible_oracle,
     random_pattern,
     scan_extend_to_trapezoid,
-    scan_verdict,
     subset_lhs,
     verify_certificate,
     weight_order,
@@ -120,9 +123,36 @@ def test_weight_order_matches_keyed_sort_seeded():
         assert _weight_order(weights) == weight_order(weights), weights
 
 
-def test_subset_scan_matches_entrywise_scan_seeded():
-    """Whole verdicts of both shapes against the entrywise scan, by repr:
-    kind, ``I``, ``lhs`` and deficit, with ``int``/``Fraction`` kept apart."""
+def _least_lhs_by_size(spec, n, parallelogram):
+    """Yield per size ``k``: the least left-hand side over the subsets of size
+    ``k`` and the lexicographically first subset that has it, by a bitmask
+    sweep."""
+    w = [spec.mu[i] - spec.nu[i] for i in range(n)]
+    scale = lcm(*(Fraction(v).denominator for v in w))
+    sums, sizes = [0], [0]  # mask -> scale (mu - nu)(I) and |I|, in ints
+    for v in (int(v * scale) for v in w):
+        sums += [s + v for s in sums]
+        sizes += [k + 1 for k in sizes]
+    least = {}  # k -> the least sum and the masks that have it
+    for mask, (s, k) in enumerate(zip(sums, sizes)):
+        low = least.get(k)
+        if low is None or s < low[0]:
+            least[k] = s, [mask]
+        elif s == low[0]:
+            low[1].append(mask)
+    for k in range(n + 1):
+        first = min(tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in least[k][1])
+        yield subset_lhs(spec, first, parallelogram)[0], first
+
+
+def test_subset_verdicts_match_the_definition_seeded():
+    """Whole verdicts of both shapes against the sweep of every subset, the
+    certificate checker and, on the smallest shapes, the LP: feasible
+    exactly when no subset inequality fails; else the first structural
+    failure, or a subset certificate whose ``|I|`` is the least violated
+    size and whose ``I`` is the lexicographically first subset of that size
+    with the least left-hand side.  On ``int`` data ``lhs`` and the deficit
+    are ``int``s."""
     rng = random.Random(1912)
     seen = Counter()
     for trial in range(4000):
@@ -140,10 +170,21 @@ def test_subset_scan_matches_entrywise_scan_seeded():
         if rng.random() < 0.9:
             nu[-1] += sum(lam, 0) - sum(bar, 0) + sum(mu, 0) - sum(nu, 0)
         spec = spec_of(lam, bar, mu, nu)
-        check = check_parallelogram if parallelogram else check_trapezoid
-        got = check(spec, n, m)
-        assert repr(got) == repr(scan_verdict(spec, n, m, parallelogram)), (spec, parallelogram)
-        seen[parallelogram, got.certificate.kind if got.certificate else "feasible"] += 1
+        shape = ConvexConfig.parallelogram if parallelogram else ConvexConfig.trapezoid
+        config = shape(n, m)
+        got = (check_parallelogram if parallelogram else check_trapezoid)(spec, n, m)
+        cert = got.certificate
+        if n + m <= 3:
+            assert got.feasible == (definition_feasible(config, spec) is not None), spec
+        if cert is not None:
+            assert verify_certificate(config, spec, cert.to_json()), (spec, cert)
+        if cert is None or cert.kind == "subset":
+            want = next(((k, lhs, first) for k, (lhs, first)
+                         in enumerate(_least_lhs_by_size(spec, n, parallelogram)) if lhs < 0), None)
+            assert (cert and (len(cert.subset), cert.lhs, cert.subset)) == want, spec
+            if cert and all(type(v) is int for v in spec.lam + spec.lam_bar + spec.mu + spec.nu):
+                assert type(cert.lhs) is int and type(cert.deficit) in (int, type(None)), cert
+        seen[parallelogram, cert.kind if cert else "feasible"] += 1
     assert min(seen.values()) > 50 and len(seen) == 8, seen
 
 
@@ -308,12 +349,8 @@ def test_trapezoidal_general_certificate_keeps_lhs():
 
 
 def _random_general_case(rng):
-    """A non-trapezoidal convex config (n <= 6, m <= 3) and a boundary on it.
-
-    The boundary is that of a random array, scaled to fractions half the
-    time, then usually perturbed: a balanced shift of ``mu`` or ``nu``, a
-    broken balance, or a broken ``lam`` order.
-    """
+    """A non-trapezoidal convex config (n <= 6, m <= 3) and a
+    :func:`_perturbed_boundary` on it."""
     while True:
         n, m, p, q = rng.randint(1, 6), rng.randint(0, 3), rng.randint(0, 6), rng.randint(0, 6)
         a = tuple(max(0, i - p) for i in range(n + 1))
@@ -321,6 +358,15 @@ def _random_general_case(rng):
         if all(x <= y for x, y in zip(a, b)) and (p < n or q < n):
             break
     config = ConvexConfig(n, a, b)
+    return config, _perturbed_boundary(rng, config)
+
+
+def _perturbed_boundary(rng, config):
+    """The boundary of a random array on ``config``, with ``mu`` drawn in
+    -4..4, scaled to fractions half the time, then usually perturbed: a
+    balanced shift of ``mu`` or ``nu``, a broken balance, or a broken
+    ``lam`` order."""
+    n, m = config.n, config.m
     mu = [rng.randint(-4, 4) for _ in range(n)]
     x = restrict_to(integrate(random_pattern(rng, n, m, -3, 6), mu), config)
     scale = rng.choice((1, 1, Fraction(1, 2), Fraction(2, 3)))
@@ -340,7 +386,7 @@ def _random_general_case(rng):
     elif kind == "order" and len(lam) > 1:
         k = rng.randrange(len(lam) - 1)
         lam[k], lam[k + 1] = lam[k + 1] - step, lam[k] + step
-    return config, spec_of(lam, spec.lam_bar, mu, nu)
+    return spec_of(lam, spec.lam_bar, mu, nu)
 
 
 def test_derived_constant_matches_large_constants():
@@ -365,3 +411,66 @@ def test_derived_constant_matches_large_constants():
             x = mu_general_build(config, spec)
             assert validate_array(x) and boundary(x) == spec, (config, spec)
     assert outcomes["feasible"] >= 600 and outcomes["subset"] >= 100, outcomes
+
+
+def _convex_configs(n_max, m_max):
+    """Every convex configuration with ``n <= n_max`` and ``b_0 <= m_max``: ``a``
+    steps from row ``n - p`` on, ``b`` stops stepping after row ``q``."""
+    return [ConvexConfig(n, tuple(max(0, i - p) for i in range(n + 1)),
+                         tuple(m + min(i, q) for i in range(n + 1)))
+            for n in range(1, n_max + 1) for m in range(m_max + 1)
+            for p in range(n + 1) for q in range(n + 1) if n - p <= m + q]
+
+
+def test_check_general_matches_the_definition_seeded():
+    """``check_general`` against the LP straight from the definition, on five
+    seeded boundaries on each of the 72 convex configurations with ``n <= 3``
+    and ``b_0 <= 2`` and on 40 seeded ``n = 4`` shapes, every other one with
+    ``nu`` reversed: every infeasible verdict carries a certificate that the
+    checker accepts."""
+    configs = _convex_configs(3, 2)
+    assert len(configs) == len(set(configs)) == 72
+    rng = random.Random(3203)
+    fours = [config for config in _convex_configs(4, 2) if config.n == 4]
+    configs = configs * 5 + [rng.choice(fours) for _ in range(40)]
+    seen = Counter()
+    start = perf_counter()
+    for k, config in enumerate(configs):
+        spec = _perturbed_boundary(rng, config)
+        if k % 2:
+            spec = spec_of(spec.lam, spec.lam_bar, spec.mu, spec.nu[::-1])
+        verdict = check_general(config, spec)
+        assert verdict.feasible == (definition_feasible(config, spec) is not None), (config, spec)
+        if not verdict.feasible:
+            assert verify_certificate(config, spec, verdict.to_json()["certificate"])
+        entries = spec.lam + spec.lam_bar + spec.mu + spec.nu
+        seen.update({"feasible": verdict.feasible, "infeasible": not verdict.feasible,
+                     "mu": any(spec.mu), "fraction": any(type(v) is Fraction for v in entries),
+                     "negative": min(entries) < 0, "n=4": config.n == 4})
+    assert len(configs) == 400 and seen["n=4"] == 40 and seen["mu"] >= 200, seen
+    assert min(seen["feasible"], seen["infeasible"]) >= 100, seen
+    assert min(seen["fraction"], seen["negative"]) >= 100, seen
+    assert perf_counter() - start < 3
+
+
+def test_definition_lp_matches_brute_force():
+    """The LP against the bitmask sweep of :func:`exhaustive_feasible` on
+    trapezoids with ``n, m <= 2`` and entries in 0..3: every spec at all for
+    ``n + m <= 2``, and every spec with weakly decreasing ``lam`` and
+    ``lam_bar``, ``mu = 0`` and the balance holding on the other shapes.
+    Every point it returns is a strip-concave array with that boundary."""
+    specs = []
+    for n, m in product((1, 2), (0, 1, 2)):
+        for entries in product(range(4), repeat=2 * n + 2 * m):
+            lam, bar, nu = entries[:n + m], entries[n + m:n + 2 * m], entries[n + 2 * m:]
+            if n + m <= 2 or (decreasing(lam) and decreasing(bar) and sum(lam) == sum(bar) + sum(nu)):
+                mus = product(range(4), repeat=n) if n + m <= 2 else [(0,) * n]
+                specs += [(n, m, spec_of(lam, bar, mu, nu)) for mu in mus]
+    seen = Counter()
+    for n, m, spec in specs:
+        x = definition_feasible(ConvexConfig.trapezoid(n, m), spec)
+        assert (x is not None) == exhaustive_feasible(spec.lam, spec.lam_bar, spec.mu, spec.nu), spec
+        if x is not None:
+            assert validate_array(x) and boundary(x) == spec, (spec, x)
+        seen[x is not None, n + m <= 2] += 1
+    assert min(seen.values()) >= 70 and len(seen) == 4, seen

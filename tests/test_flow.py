@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,11 +38,11 @@ from oracles import (
     admissibility_violation,
     capacity_swap_flow,
     enumerate_patterns,
-    greedy_path_decompose,
+    flow_pattern_rows,
     pattern_nu,
     random_pattern,
     tight_system_rank,
-    tile_search_vertices,
+    vertex_patterns,
 )
 from worked_examples import SWAPPED_FLOW, TRAPEZOID_FLOW, TRAPEZOID_PATTERN
 
@@ -272,20 +273,24 @@ def test_vertices_staircase_count():
     assert len(enumerate_vertices((6, 5, 4, 3, 2, 1), ())) == 4884
 
 
-def test_vertices_match_tile_search():
-    # the frontier search gives the whole-pattern tile test's vertices, in
-    # its order and with its types, on int, Fraction and negative boundaries
+def test_vertices_match_full_rank_patterns():
+    # every integer pattern of the shifted and scaled data whose tight system
+    # has full rank, in flow-support order, by value, on int, Fraction and
+    # negative boundaries; every integral entry of a vertex is an int
     rng = random.Random(1616)
     kinds = Counter()
     for trial in range(240):
         d = 1 if trial < 160 else rng.choice((2, 3))
-        n, m = rng.randint(1, 4), rng.randint(0, 3)
+        n, m = rng.randint(1, 3), rng.randint(0, 3)
         p = random_pattern(rng, n, m, rng.choice((-4, 0)), rng.choice((2, 3, 5)))
         lam, bar = (tuple(Fraction(v, d) if v % d else v // d for v in row)
                     for row in (p.rows[-1], p.rows[0]))
-        got = enumerate_vertices(lam, bar)
-        assert repr(got) == repr(tile_search_vertices(lam, bar)), (lam, bar)
-        kinds.update({"int": d == 1, "negative": lam[-1] < 0, "many": len(got) > 20})
+        got = [x.rows for x in enumerate_vertices(lam, bar)]
+        want = [tuple(tuple(accumulate(row, initial=0)) for row in rows)
+                for rows in vertex_patterns(lam, bar)]
+        assert got == want, (lam, bar)
+        assert all(type(v) is int or v.denominator > 1 for rows in got for row in rows for v in row)
+        kinds.update({"int": d == 1, "negative": lam[-1] < 0, "many": len(got) > 10})
     assert kinds["int"] == 160 and min(kinds.values()) >= 30, kinds
 
 
@@ -294,11 +299,10 @@ def test_vertex_guard_counts_the_cells_exactly(monkeypatch):
     # budget one cell lower refuses it
     lam, bar = tuple(range(7, -1, -1)), (6, 4, 2, 0)
     monkeypatch.setattr(core, "CELLS_MAX", 61_791)
-    for search in (enumerate_vertices, tile_search_vertices):
-        with pytest.raises(InputError, match="vertex search too large"):
-            search(lam, bar)
+    with pytest.raises(InputError, match="vertex search too large"):
+        enumerate_vertices(lam, bar)
     monkeypatch.setattr(core, "CELLS_MAX", 61_792)
-    assert len(enumerate_vertices(lam, bar)) == len(tile_search_vertices(lam, bar)) == 3696
+    assert len(enumerate_vertices(lam, bar)) == 3696
 
 
 def flow_support(x):
@@ -408,18 +412,15 @@ def test_path_decompose_zero_flow_empty():
     assert path_decompose(zero).paths == ()
 
 
-def _paths_or_error(decompose, g):
-    try:
-        return decompose(g).paths
-    except InputError as exc:
-        return str(exc)
-
-
-def test_path_decompose_matches_greedy_oracle():
-    """Level sets against the greedy leftmost-bottleneck decomposition on
-    int, Fraction and mixed flows, some perturbed off admissibility."""
+def test_path_decompose_follows_the_pattern_levels():
+    """Level sets against their definition on int, Fraction and mixed flows,
+    some perturbed off admissibility: one path per gap between consecutive
+    distinct values of the pattern and 0, from the largest down, weighted by
+    that gap; each path follows edges from layer 0 to layer n, and the
+    weighted edge indicators sum to the flow.  An inadmissible flow is
+    refused with the text below; on int flows every weight is an int."""
     rng = random.Random(31)
-    kinds = {"paths": 0, "error": 0}
+    kinds = Counter()
     for k in range(2400):
         n, m = rng.randint(1, 5), rng.randint(0, 3)
         p = random_pattern(rng, n, m, 0, rng.choice((1, 3, 9)))
@@ -434,13 +435,29 @@ def test_path_decompose_matches_greedy_oracle():
             i = rng.randrange(n)
             e[k % 2][i][rng.randrange(i + m + 1)] += 1
             g = Flow(g.n, g.m, *e)
-        got = _paths_or_error(path_decompose, g)
-        want = _paths_or_error(greedy_path_decompose, g)
-        assert got == want  # paths, weights by value, error texts
-        if k % 3 == 0:  # all-int data: identical reprs
-            assert repr(got) == repr(want)
-        kinds["error" if isinstance(got, str) else "paths"] += 1
-    assert min(kinds.values()) > 100
+        try:
+            rows = flow_pattern_rows(g)
+        except InputError as exc:
+            assert str(exc) == "flow is not admissible: its divergences do not match the boundary"
+            with pytest.raises(InputError) as refused:
+                path_decompose(g)
+            assert str(refused.value) == str(exc)
+            kinds["error"] += 1
+            continue
+        paths = path_decompose(g).paths
+        values = sorted(set(chain.from_iterable(rows)) | {0}, reverse=True)
+        assert [w for _, w in paths] == [hi - lo for hi, lo in zip(values, values[1:])]
+        total = [[[0] * len(row) for row in e] for e in (g.e0, g.e1)]
+        for nodes, w in paths:
+            assert [i for i, _ in nodes] == list(range(n + 1))
+            for (i, j), (_, below) in zip(nodes, nodes[1:]):
+                assert 0 <= j <= i + m and below - j in (0, 1), nodes
+                total[below - j][i][j] += w
+        assert total == [[list(row) for row in e] for e in (g.e0, g.e1)]
+        if k % 3 == 0:
+            assert all(type(w) is int for _, w in paths)
+        kinds["paths"] += 1
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_generator_array_shapes():

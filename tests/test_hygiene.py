@@ -1,9 +1,11 @@
 """Source hygiene: no package module imports a name it never uses, no
 private definition is left unused, every public name and every public
 member of a public class is read outside the tests, no package function is
-recursive, the CLI imports no heavy stdlib module, and integer data loads
+recursive, every oracle is read and imports from the package only what its
+rule allows, the CLI imports no heavy stdlib module, and integer data loads
 neither ``json`` at import nor ``fractions``."""
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 from types import FunctionType, ModuleType
@@ -12,11 +14,13 @@ from typing import Union
 import pytest
 
 import stripconcave
+from stripconcave.core import Record
 
 from fresh import fresh_python
 
 PACKAGE = Path(stripconcave.__file__).parent
 REPO = Path(__file__).resolve().parent.parent
+TESTS = REPO / "tests"
 
 
 def unused_imports(source: str) -> list:
@@ -234,6 +238,69 @@ def test_detector_flags_self_calls():
         "def k(x):\n    return x.k()\n"
     )
     assert self_calling_functions(source) == ["f", "g"]
+
+
+def orphan_oracles(oracle_source: str, reader_sources) -> list:
+    """The top-level functions of ``oracle_source`` that no reader reads,
+    neither directly nor through another oracle that is itself read."""
+    body = ast.parse(oracle_source).body
+    reads = {node.name: names_read(node) for node in body if isinstance(node, ast.FunctionDef)}
+    todo = set().union(*(names_read(ast.parse(source)) for source in reader_sources)) & set(reads)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= (reads[name] & set(reads)) - reached
+    return sorted(set(reads) - reached)
+
+
+def test_every_oracle_is_read():
+    readers = [path.read_text() for path in [*sorted(TESTS.glob("test_*.py")), TESTS / "golden.py"]]
+    assert orphan_oracles((TESTS / "oracles.py").read_text(), readers) == []
+
+
+def test_detector_flags_orphan_oracles():
+    oracles = ("def used():\n    return helper()\n"
+               "def helper():\n    return 1\n"
+               "def _ramp_shape():\n    return _left_behind()\n"
+               "def _left_behind():\n    return _ramp_shape()\n"
+               "def by_attribute():\n    pass\n")
+    readers = ["from oracles import used\n", "import oracles\noracles.by_attribute()\n"]
+    assert orphan_oracles(oracles, readers) == ["_left_behind", "_ramp_shape"]
+
+
+def library_imports_outside_the_rule(source: str) -> list:
+    """What ``source`` imports from ``stripconcave`` other than its records,
+    its errors and the functions that the module docstring names as
+    ````name````; every plain ``import stripconcave...`` counts."""
+    tree = ast.parse(source)
+    doc = ast.get_docstring(tree) or ""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "stripconcave"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "stripconcave":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if not (isinstance(value, type) and issubclass(value, (Record, Exception))
+                        or isinstance(value, FunctionType) and f"``{alias.name}``" in doc):
+                    found.append(alias.name)
+    return sorted(found)
+
+
+def test_oracles_import_only_records_and_errors():
+    assert library_imports_outside_the_rule((TESTS / "oracles.py").read_text()) == []
+
+
+def test_detector_flags_library_imports_outside_the_rule():
+    source = ('"""Oracles; ``integrate`` turns patterns into arrays, ``core`` is a module."""\n'
+              "from stripconcave import BoundarySpec, InputError, check_trapezoid, integrate\n"
+              "from stripconcave.flow import _slacks\n"
+              "from stripconcave import core\n"
+              "import stripconcave.tableau\n")
+    assert library_imports_outside_the_rule(source) == [
+        "_slacks", "check_trapezoid", "core", "stripconcave.tableau"]
 
 
 def loaded_by(code: str) -> tuple:

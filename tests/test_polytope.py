@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import timeit
 import tracemalloc
 from itertools import permutations
 
@@ -29,7 +30,6 @@ from oracles import (
     brute_force_facets,
     enumerate_patterns,
     enumerate_tableaux,
-    level_kostka,
     pattern_nu,
     random_pattern,
 )
@@ -127,6 +127,12 @@ def test_facets_match_the_brute_force_classification():
             as_lists = [{"kind": f.kind, "I": list(f.I), "J": list(f.J)} if f.kind == "horn"
                         else {"kind": f.kind, "j": f.j} for f in fs]
             assert canonical_json([f.to_json() for f in fs]) == canonical_json(as_lists), (n, m)
+
+
+def test_facets_n1_builds_only_the_listed_column_subsets():
+    # n = 1 lists |J| = 1 and |J| = m - 1 only: 34 facets at m = 17, not 2^17 subsets
+    assert len(facets(1, 17)) == 34
+    assert min(timeit.repeat(lambda: facets(1, 17), number=1, repeat=5)) < 0.005
 
 
 def test_facets_n2_m0_contents():
@@ -259,7 +265,11 @@ def test_kostka_row_cap_bounds_memory():
     assert "frontier states" in message and float(seconds) < 1
 
 
-def test_kostka_frontier_matches_level_oracle():
+def test_kostka_frontier_matches_tableau_count():
+    """Against the count of skew tableaux wherever that runs: nonnegative
+    shapes, with a negative shift undone first (a common shift of ``lam``,
+    ``lam_bar`` and ``nu`` keeps the count), up to 10 cells; every content
+    order for ``n <= 4``, trailing zero parts and a short ``lam`` too."""
     rng = random.Random(47)
     orders = brute = 0
     for _ in range(400):
@@ -269,33 +279,33 @@ def test_kostka_frontier_matches_level_oracle():
         if rng.random() < 0.3:  # perturb, possibly off the polytope
             i, j, d = rng.randrange(n), rng.randrange(n), rng.randint(1, 3)
             nu[i], nu[j] = nu[i] + d, nu[j] - d
+        want = enumerate_tableaux(lam, bar, nu) if sum(lam) - sum(bar) <= 10 else None
         shift = rng.choice((0, 0, -2, -5))  # negative lam tails
         lam, bar = (tuple(v + shift for v in t) for t in (lam, bar))
         nu = [v + shift for v in nu]
-        tail = rng.choice(((), (), (0,), (0, 0, 0)))  # trailing zero parts
+        tail = rng.choice(((), (), (0,), (0, 0, 0)))  # zero parts past n + m, trimmed
         if shift == 0 and lam[-1] == 0 and rng.random() < 0.3:
             lam, tail = lam[:-1], ()  # a short lam, padded with zeros
         lam = lam + tail
-        base = level_kostka(lam, bar, nu)
+        base = kostka(lam, bar, nu)
+        if want is not None:
+            assert base == want, (lam, bar, nu)
+            brute += 1
         if n <= 4:  # every content order
             for perm in set(permutations(nu)):
                 assert kostka(lam, bar, perm) == base, (lam, bar, perm)
             orders += 1
-        else:
-            rng.shuffle(nu)
-            assert kostka(lam, bar, nu) == base, (lam, bar, nu)
-        if min((*lam, *bar, *nu, 0)) >= 0 and sum(lam) - sum(bar) <= 10:
-            assert base == enumerate_tableaux(lam, bar, nu), (lam, bar, nu)
-            brute += 1
-    assert orders >= 200 and brute >= 100
+    assert orders >= 200 and brute >= 150, (orders, brute)
     # n = 0: lam must equal lam_bar
     for lam, bar, want in (((), (), 1), ((3, 1), (3, 1), 1), ((3, 1), (3, 0), 0), ((2,), (), 0)):
-        assert kostka(lam, bar, ()) == level_kostka(lam, bar, ()) == want
+        assert kostka(lam, bar, ()) == enumerate_tableaux(lam, bar, ()) == want
     # m = 0, long rows and infeasible data
-    assert kostka((1,) * 200, (), (1,) * 200) == level_kostka((1,) * 200, (), (1,) * 200) == 1
-    assert kostka((4, 2, 0), (), (3, 3)) == level_kostka((4, 2, 0), (), (3, 3)) == 1
-    for lam, bar, nu in (((2, 1), (), (4, -1)), ((3, 0), (), (1, 1)), ((2, 2), (3,), (1,))):
-        assert kostka(lam, bar, nu) == level_kostka(lam, bar, nu) == 0
+    assert kostka((1,) * 200, (), (1,) * 200) == 1  # one column: a search of 2^200 branches
+    assert kostka((1,) * 8, (), (1,) * 8) == enumerate_tableaux((1,) * 8, (), (1,) * 8) == 1
+    assert kostka((4, 2, 0), (), (3, 3)) == enumerate_tableaux((4, 2, 0), (), (3, 3)) == 1
+    for lam, bar, nu in (((2, 1), (), (4, -1)), ((3, 0), (), (1, 1)), ((2, 2), (3,), (1,)),
+                         ((2,), (), (1, 5)), ((4, 1, 0, 0), (0,), (-1, 2, 1, 3))):
+        assert kostka(lam, bar, nu) == enumerate_tableaux(lam, bar, nu) == 0
 
 
 def test_kostka_rejects_fractions():
