@@ -130,22 +130,26 @@ _set = object.__setattr__
 
 
 class Record:
-    """Immutable value: ``__slots__`` fields, each set once in ``__init__`` by
-    ``_set``; compared and hashed by class and field values.  Its JSON is its
-    non-``None`` fields by name, renamed by ``_keys`` (``lambda`` and ``lambda_bar``
-    for ``BoundarySpec``, ``I`` for ``Certificate.subset``).  ``FeasibilityVerdict``
-    (a computed ``feasible``, a ``null`` certificate), ``FacetInequality`` (keys by
-    kind; its own tuples, so a listing allocates no lists) and ``PathDecomposition``
-    (a list) write their own."""
+    """Immutable value: its fields, the ``__slots__`` without a leading ``_``
+    (``_fields``), are each set once in ``__init__`` by ``_set``; it is compared,
+    hashed, printed, pickled and written by class and field values.  A slot with
+    a leading ``_`` is a memo, not a field: a view derived from the fields, set
+    by ``_set`` when first computed and then read instead of computed again.
+    Its JSON is its non-``None`` fields by name, renamed by ``_keys`` (``lambda``
+    and ``lambda_bar`` for ``BoundarySpec``, ``I`` for ``Certificate.subset``).
+    ``FeasibilityVerdict`` (a computed ``feasible``, a ``null`` certificate),
+    ``FacetInequality`` (keys by kind; its own tuples, so a listing allocates no
+    lists) and ``PathDecomposition`` (a list) write their own."""
 
     __slots__ = ()
     _keys = {}
 
     def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._values = attrgetter(*cls._fields)
 
     def to_json(self) -> dict:
-        return {self._keys.get(name, name): _field_json(value) for name in self.__slots__
+        return {self._keys.get(name, name): _field_json(value) for name in self._fields
                 if (value := getattr(self, name)) is not None}
 
     def __eq__(self, other):
@@ -157,11 +161,11 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{self.__class__.__qualname__} fields are read-only")
@@ -230,10 +234,11 @@ class StripConcaveArray(Record):
 
     Row ``i`` holds the values for ``j = a_i .. b_i``.  Construction checks
     shape only; concavity is checked explicitly by :func:`validate_array` so
-    that intentionally invalid fixtures can be built.
+    that intentionally invalid fixtures can be built.  Its row derivative is
+    kept in ``_pattern`` once :func:`derivative` has computed it.
     """
 
-    __slots__ = ("config", "rows")
+    __slots__ = ("config", "rows", "_pattern")
 
     def __init__(self, config: "ConvexConfig", rows: tuple):
         rows = tuple(tuple(r) for r in rows)
@@ -250,10 +255,11 @@ class StripConcaveArray(Record):
 class GTPattern(Record):
     """Row derivative ``dx_{ij} = x_{ij} - x_{i,j-1}`` of an array.
 
-    Row ``i`` holds the values for ``j = a_i + 1 .. b_i``.
+    Row ``i`` holds the values for ``j = a_i + 1 .. b_i``.  The verdict of
+    :func:`validate_pattern` is kept in ``_valid`` once computed.
     """
 
-    __slots__ = ("config", "rows")
+    __slots__ = ("config", "rows", "_valid")
 
     def __init__(self, config: "ConvexConfig", rows: tuple):
         rows = tuple(tuple(r) for r in rows)
@@ -298,14 +304,16 @@ def validate_pattern(p: "GTPattern") -> bool:
     compares it with row ``i``.  The lower one, ``dx_{i-1,j} >= dx_{i,j+1}``,
     starts at ``j = a_i`` where the left side steps (``s = 1``), so it
     compares all of row ``i - 1`` with ``rows[i][1 - s:]``.  ``zip`` stops
-    where either row ends.
+    where either row ends.  The verdict is kept on ``p``.
     """
-    a, rows = p.config.a, p.rows
-    for i in range(1, len(rows)):
-        above, row, s = rows[i - 1], rows[i], a[i] - a[i - 1]
-        if not (all(map(ge, row, above[s:])) and all(map(ge, above, row[1 - s:]))):
-            return False
-    return True
+    try:
+        return p._valid
+    except AttributeError:
+        a, rows = p.config.a, p.rows
+        valid = all(all(map(ge, row, above[s:])) and all(map(ge, above, row[1 - s:]))
+                    for above, row, s in zip(rows, rows[1:], map(sub, a[1:], a)))
+        _set(p, "_valid", valid)
+        return valid
 
 
 def validate_array(x: "StripConcaveArray") -> bool:
@@ -316,8 +324,13 @@ def validate_array(x: "StripConcaveArray") -> bool:
 
 
 def derivative(x: "StripConcaveArray") -> "GTPattern":
-    """Row derivative ``dx_{ij} = x_{ij} - x_{i,j-1}``."""
-    return GTPattern(x.config, tuple(tuple(map(sub, row[1:], row)) for row in x.rows))
+    """Row derivative ``dx_{ij} = x_{ij} - x_{i,j-1}``, kept on ``x``."""
+    try:
+        return x._pattern
+    except AttributeError:
+        p = GTPattern(x.config, tuple(tuple(map(sub, row[1:], row)) for row in x.rows))
+        _set(x, "_pattern", p)
+        return p
 
 
 def integrate(p: "GTPattern", mu: "Sequence[Rat]" = None) -> "StripConcaveArray":

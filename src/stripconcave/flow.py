@@ -37,9 +37,10 @@ from .core import (
 class Flow(Record):
     """Nonnegative edge values on the layered digraph of size ``(n, m)``, with
     nodes ``(i, j)`` for ``0 <= i <= n``, ``0 <= j <= i+m``; stored per tail
-    row (row ``i`` has ``i+m+1`` slots)."""
+    row (row ``i`` has ``i+m+1`` slots).  A flow made by :func:`gamma` keeps
+    its pattern rows in ``_rows`` (see :func:`_pattern_rows`)."""
 
-    __slots__ = ("n", "m", "e0", "e1")
+    __slots__ = ("n", "m", "e0", "e1", "_rows")
 
     def __init__(self, n: int, m: int, e0: tuple, e1: tuple):
         if n < 1 or m < 0:
@@ -80,15 +81,20 @@ def _pattern_rows(g: "Flow") -> tuple:
 
     As :func:`gamma` is a bijection, ``g`` is admissible (every divergence
     is the one the boundary prescribes) exactly when the slacks of these
-    rows are ``g`` again; otherwise this raises :class:`InputError`.
+    rows are ``g`` again; otherwise this raises :class:`InputError`.  A flow
+    made by :func:`gamma` is admissible by construction and keeps the rows it
+    took the slacks of, equal to these, so they are neither rebuilt nor checked.
     """
-    rows = [boundary_of_flow(g)[0]]
-    for e1 in reversed(g.e1):
-        rows.append(tuple(map(sub, rows[-1][:-1], e1)))
-    rows = tuple(rows[::-1])
-    if _slacks(rows) != (g.e0, g.e1):
-        raise InputError("flow is not admissible: its divergences do not match the boundary")
-    return rows
+    try:
+        return g._rows
+    except AttributeError:
+        rows = [boundary_of_flow(g)[0]]
+        for e1 in reversed(g.e1):
+            rows.append(tuple(map(sub, rows[-1][:-1], e1)))
+        rows = tuple(rows[::-1])
+        if _slacks(rows) != (g.e0, g.e1):
+            raise InputError("flow is not admissible: its divergences do not match the boundary")
+        return rows
 
 
 def boundary_of_flow(g: "Flow") -> tuple:
@@ -114,8 +120,10 @@ def gamma(x: "StripConcaveArray") -> "Flow":
     ``g(e1_{ij}) = dx_{i+1,j+1} - dx_{i,j+1}`` with the conventions
     ``dx_{i0} = lam_1`` and ``dx_{i,i+m+1} = 0``.
     """
-    c = x.config
-    return Flow(c.n, c.m, *_slacks(_trapezoid_derivative(x).rows))
+    c, rows = x.config, _trapezoid_derivative(x).rows
+    g = Flow(c.n, c.m, *_slacks(rows))
+    _set(g, "_rows", rows)
+    return g
 
 
 def gamma_inv(g: "Flow") -> "StripConcaveArray":

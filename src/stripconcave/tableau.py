@@ -7,7 +7,7 @@ is the right-minus-left boundary of any integrating array.  Rows are
 1-indexed top-down and columns 1-indexed left-right.
 """
 from bisect import bisect_right
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add, le, lt, sub
 
 from .core import ConvexConfig, GTPattern, InputError, Record, _check_cells, _is_int, _set
@@ -98,11 +98,10 @@ def pattern_to_tableau(p: "GTPattern") -> "SkewTableau":
     if not all(all(map(le, a, b)) for a, b in zip(parts, parts[1:])):
         raise InputError("pattern rows are not nested partitions")
     _check_cells(sum(parts[n]) - sum(parts[0]), "tableau")
-    steps = range(1, n + 1)
-    rows = tuple(
-        tuple(chain.from_iterable(map(repeat, steps, map(sub, col[1:], col))))
-        for col in zip(*parts)
-    )
+    steps, rows = range(1, n + 1), []
+    for col in zip(*parts):  # only the steps that add cells to this row are repeated
+        gaps = [*map(sub, col[1:], col)]
+        rows.append(tuple(chain.from_iterable(map(repeat, compress(steps, gaps), filter(None, gaps)))))
     return SkewTableau(parts[n], parts[0][:m], rows)
 
 

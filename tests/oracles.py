@@ -81,19 +81,6 @@ def flow_pattern_rows(g):
     return rows
 
 
-def weight_order(weights):
-    """0-based indices by decreasing weight, ties broken toward the smaller
-    index, sorted on the ``(-w, i)`` key that the library's stable reverse
-    sort replaced."""
-    return sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-
-
-def best_subset(weights, k):
-    """The size-``k`` subset of ``1..n`` with the largest weight, the
-    lexicographically smallest one among ties."""
-    return tuple(sorted(i + 1 for i in weight_order(weights)[:k]))
-
-
 def pattern_constraints(config):
     """Yield the rhombus-inequality instances for a configuration.
 
@@ -496,6 +483,11 @@ def vertex_patterns(lam, lam_bar):
 # an exact LP, and feasibility by the definition
 # ---------------------------------------------------------------------------
 
+# Simplex pivots one lp_point call may make before it raises: a fault in the
+# ratio test would otherwise pivot forever.  Tier-1's largest LP takes 32.
+LP_PIVOTS_MAX = 100
+
+
 def lp_point(ineqs, eqs, size):
     """A point ``x`` of ``size`` rationals with ``A x <= b`` for every ``(A, b)``
     in ``ineqs`` and ``C x = d`` for every ``(C, d)`` in ``eqs``, or ``None``
@@ -512,7 +504,8 @@ def lp_point(ineqs, eqs, size):
     one or the other), and Bland's rule (the lowest entering index, and the
     lowest leaving index among ties of the ratio test) keeps the pivots from
     cycling (R. G. Bland, "New finite pivoting rules for the simplex
-    method", Math. Oper. Res. 2, 1977).
+    method", Math. Oper. Res. 2, 1977).  More than :data:`LP_PIVOTS_MAX`
+    simplex pivots raise :class:`RuntimeError`.
     """
     rows = [({k: v for k, v in c.items() if v}, d) for c, d in eqs]
     rows += [({**{k: v for k, v in a.items() if v}, size + r: 1}, b) for r, (a, b) in enumerate(ineqs)]
@@ -555,8 +548,11 @@ def lp_point(ineqs, eqs, size):
         for j, v in rows[p][0].items():
             if j < size + len(ineqs):
                 cost[j] = cost.get(j, 0) + v
-    total = sum(rows[p][1] for p in basis)
+    total, pivots = sum(rows[p][1] for p in basis), 0
     while total:
+        pivots += 1
+        if pivots > LP_PIVOTS_MAX:
+            raise RuntimeError(f"lp_point: more than {LP_PIVOTS_MAX} simplex pivots")
         k = min((j for j, v in cost.items() if v > 0), default=None)
         if k is None:
             return None

@@ -4,9 +4,8 @@ Each test covers one acceptance criterion and prints a single PASS/FAIL
 line (visible with ``pytest -s``); all randomness is seeded.
 """
 import random
-import sys
 from contextlib import contextmanager
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 
 from stripconcave import (
     BoundarySpec,
@@ -30,7 +29,6 @@ from stripconcave import (
     path_decompose,
     pattern_to_tableau,
     reduce_to_triangle,
-    shift_mu,
     swap_flow,
     validate_array,
 )

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
 STUB = '''\
@@ -17,7 +19,9 @@ v = int((Path(__file__).resolve().parent.parent / "src" / "value.txt").read_text
 print("a line for people")
 print(json.dumps({"correct": True, "attempted": 10, "failed": v - 1, "metrics": {
     "ops_per_s": {"value": 100 * v + int(a.seed), "unit": "ops/s"},
-    "peak_rss_mb": {"value": 10 - v, "unit": "MB"}}}))
+    "peak_rss_mb": {"value": 10 - v, "unit": "MB"},
+    "latency_p50_ms": {"value": 50 - v + 5 * int(a.seed), "unit": "ms"},
+    "latency_tail_ms": {"value": 10 - (v - 1) * (1 if a.seed != "8" else -1), "unit": "ms"}}}))
 '''
 
 
@@ -26,7 +30,10 @@ def git(repo, *args):
                    check=True, capture_output=True)
 
 
-def test_pairs_run_the_base_bench_on_both_trees(tmp_path):
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """The tool's report on three pairs of a stub workload ``w``, seeds 7-9."""
+    tmp_path = tmp_path_factory.mktemp("pairs")
     repo = tmp_path / "repo"
     (repo / "bench").mkdir(parents=True)
     (repo / "src").mkdir()
@@ -34,7 +41,9 @@ def test_pairs_run_the_base_bench_on_both_trees(tmp_path):
     (repo / "src" / "value.txt").write_text("1")
     (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
         {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.25},
-        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]}))
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+        {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "latency_tail_ms", "unit": "ms", "better": "lower", "bound": 0.25}]}))
     git(repo, "init", "-q")
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", "base")
@@ -44,7 +53,10 @@ def test_pairs_run_the_base_bench_on_both_trees(tmp_path):
     out = tmp_path / "pairs.json"
     subprocess.run([sys.executable, str(TOOL), "--pairs", "w=3", "--seed", "7", "--out", str(out)],
                    cwd=repo, check=True, capture_output=True, timeout=120)
-    report = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_pairs_run_the_base_bench_on_both_trees(report):
     assert report["base"]["rev"] == report["head"]["rev"] and report["head"]["src_modified"]
     assert report["base"]["src_sha256"] != report["head"]["src_sha256"]
     assert len(report["bench_sha256"]) == 64
@@ -57,3 +69,20 @@ def test_pairs_run_the_base_bench_on_both_trees(tmp_path):
     assert ops["base"]["median"] == 108 and ops["head"]["median"] == 208
     assert (ops["head_wins"], ops["base_wins"]) == (3, 0)
     assert (rss["head_wins"], rss["base_wins"]) == (3, 0) and rss["head"]["iqr"] == 0
+
+
+def test_pairs_apply_the_claim_rule(report):
+    """Met where the head wins every pair by more than the base's spread; not
+    met where it wins every pair by less than the base's interquartile range
+    (p50: 84/89/94 against 83/88/93), nor where it wins only 2 of 3 (tail)."""
+    metrics = report["workloads"]["w"]["metrics"]
+    claims = {name: row["claim"] for name, row in metrics.items()}
+    assert claims["ops_per_s"] == claims["peak_rss_mb"] == {
+        "wins_9_of_10": True, "gap_exceeds_base_iqr": True, "met": True}
+    p50, tail = metrics["latency_p50_ms"], metrics["latency_tail_ms"]
+    assert p50["head_wins"] == 3 and p50["base"]["iqr"] == 10
+    assert claims["latency_p50_ms"] == {"wins_9_of_10": True, "gap_exceeds_base_iqr": False,
+                                        "met": False}
+    assert (tail["head_wins"], tail["base_wins"]) == (2, 1)
+    assert claims["latency_tail_ms"] == {"wins_9_of_10": False, "gap_exceeds_base_iqr": True,
+                                         "met": False}

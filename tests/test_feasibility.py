@@ -27,21 +27,20 @@ from stripconcave import (
     shift_mu,
     validate_array,
 )
-from stripconcave.feasibility import _weight_order
 from stripconcave.fixtures import hexagon_array, trapezoid_array
 
+import oracles
 from oracles import (
-    best_subset,
     decreasing,
     definition_feasible,
     exhaustive_feasible,
     feasible_nu_set,
     general_feasible_oracle,
+    lp_point,
     random_pattern,
     scan_extend_to_trapezoid,
     subset_lhs,
     verify_certificate,
-    weight_order,
 )
 
 
@@ -116,13 +115,6 @@ def _tie_heavy(rng):
     return Fraction(rng.randint(-12, 12), rng.randint(1, 3))
 
 
-def test_weight_order_matches_keyed_sort_seeded():
-    rng = random.Random(1911)
-    for _ in range(3000):
-        weights = [_tie_heavy(rng) for _ in range(rng.randint(0, 12))]
-        assert _weight_order(weights) == weight_order(weights), weights
-
-
 def _least_lhs_by_size(spec, n, parallelogram):
     """Yield per size ``k``: the least left-hand side over the subsets of size
     ``k`` and the lexicographically first subset that has it, by a bitmask
@@ -186,13 +178,6 @@ def test_subset_verdicts_match_the_definition_seeded():
                 assert type(cert.lhs) is int and type(cert.deficit) in (int, type(None)), cert
         seen[parallelogram, cert.kind if cert else "feasible"] += 1
     assert min(seen.values()) > 50 and len(seen) == 8, seen
-
-
-def test_best_subset_lexicographic_ties():
-    assert best_subset([1, 1, 0], 1) == (1,)
-    assert best_subset([0, 2, 2], 2) == (2, 3)
-    assert best_subset([5, -1, 5], 2) == (1, 3)
-    assert best_subset([1, 2], 0) == ()
 
 
 def test_shortcut_matches_exhaustive_small_grid():
@@ -280,13 +265,12 @@ def test_subset_certificate_is_first_best_subset(seed, parallelogram):
     spec = spec_of(lam, bar, mu, nu)
     check = check_parallelogram if parallelogram else check_trapezoid
     verdict = check(spec, n, m)
-    weights = [spec.nu[i] - spec.mu[i] for i in range(n)]
+    least = list(_least_lhs_by_size(spec, n, parallelogram))
     k = len(verdict.certificate.subset) if not verdict.feasible else n + 1
-    for size in range(k):
-        assert subset_lhs(spec, best_subset(weights, size), parallelogram)[0] >= 0
+    assert all(lhs >= 0 for lhs, _ in least[:k])
     if not verdict.feasible:
         cert = verdict.certificate
-        assert cert.kind == "subset" and cert.subset == best_subset(weights, k)
+        assert cert.kind == "subset" and (cert.lhs, cert.subset) == least[k]
         assert (cert.lhs, cert.deficit) == subset_lhs(spec, cert.subset, parallelogram)
         assert cert.lhs < 0
 
@@ -474,3 +458,13 @@ def test_definition_lp_matches_brute_force():
             assert validate_array(x) and boundary(x) == spec, (spec, x)
         seen[x is not None, n + m <= 2] += 1
     assert min(seen.values()) >= 70 and len(seen) == 4, seen
+
+
+def test_lp_raises_past_its_pivot_cap(monkeypatch):
+    """``1 <= x <= 2`` leaves one equality in the slacks, which phase I solves
+    in one pivot: a cap of 0 raises instead of pivoting."""
+    ineqs = [({0: 1}, 2), ({0: -1}, -1)]
+    assert lp_point(ineqs, [], 1) in ([1], [2])
+    monkeypatch.setattr(oracles, "LP_PIVOTS_MAX", 0)
+    with pytest.raises(RuntimeError, match="more than 0 simplex pivots"):
+        lp_point(ineqs, [], 1)

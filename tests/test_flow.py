@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from stripconcave import (
     permute_nu,
     swap_flow,
     validate_array,
+    validate_pattern,
     zigzag_swap,
 )
 from stripconcave import core
@@ -51,6 +53,80 @@ def fixture_array():
     return integrate(TRAPEZOID_PATTERN)
 
 
+def _memo_corpus(seed, count):
+    """Seeded arrays with ``x_00 = 0``: integer patterns with entries in 0..6,
+    in -5..6, and in -1..6 divided by 1..4, with ``mu`` of each kind."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n, m = rng.randint(1, 4), rng.randint(0, 3)
+        p = random_pattern(rng, n, m, low=(0, -5, -1)[t % 3], high=6)
+        mu = [rng.randint(-3, 3) for _ in range(n)]
+        if t % 3 == 2:
+            d = rng.randint(1, 4)
+            p = GTPattern(p.config, [[Fraction(v, d) for v in row] for row in p.rows])
+            mu = [Fraction(v, rng.randint(1, 3)) for v in mu]
+        yield integrate(p, mu)
+
+
+def _kind(x):
+    entries = [v for row in x.rows for v in row]
+    return ("fraction" if any(type(v) is Fraction for v in entries)
+            else "negative" if min(entries) < 0 else "int")
+
+
+def test_memos_are_invisible_seeded():
+    """A record whose memos are filled (an array's pattern, a pattern's
+    verdict, a flow's pattern rows) equals, hashes, prints, writes and
+    pickles as a fresh record of the same fields, to the byte."""
+    assert Flow._fields == ("n", "m", "e0", "e1") and Flow.__slots__ == Flow._fields + ("_rows",)
+    assert StripConcaveArray._fields == GTPattern._fields == ("config", "rows")
+    seen = Counter()
+    for x in _memo_corpus(3301, 300):
+        p = derivative(x)
+        assert derivative(x) is p and validate_array(x) is validate_pattern(p) is True
+        records = [(x, StripConcaveArray(x.config, x.rows)), (p, GTPattern(p.config, p.rows))]
+        try:
+            g = gamma(x)
+        except InputError:  # a negative slack: the last pattern column dips below 0
+            g = None
+        if g is not None:
+            path_decompose(g)
+            records.append((g, Flow(g.n, g.m, g.e0, g.e1)))
+        for filled, fresh in records:
+            assert filled == fresh and fresh == filled and hash(filled) == hash(fresh)
+            assert repr(filled) == repr(fresh)
+            assert canonical_json(filled.to_json()) == canonical_json(fresh.to_json())
+            assert pickle.dumps(filled) == pickle.dumps(fresh)
+            clone = pickle.loads(pickle.dumps(filled))
+            assert clone == filled and repr(clone) == repr(filled)
+        seen[_kind(x), g is not None] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+def test_memos_are_exact_seeded():
+    """The rows :func:`gamma` keeps on its flow give what the flow's JSON,
+    whose rows are rebuilt and checked, gives: equal records and equal JSON,
+    and on ``int`` data equal reprs.  (``Fraction`` data may differ in type,
+    ``2`` against ``Fraction(2, 1)``, as ``gamma(x)`` and its JSON do.)"""
+    seen = Counter()
+    for x in _memo_corpus(3302, 300):
+        try:
+            g = gamma(x)
+        except InputError:
+            continue
+        h = flow_from_json(flow_to_json(g))
+        assert h == g and g._rows and not hasattr(h, "_rows")  # h takes the checked path
+        for call in (path_decompose, gamma_inv, *(lambda f, k=k: swap_flow(f, k)
+                                                  for k in range(1, g.n))):
+            kept, rebuilt = call(g), call(h)
+            assert kept == rebuilt, x
+            assert canonical_json(kept.to_json()) == canonical_json(rebuilt.to_json())
+            if _kind(x) != "fraction":
+                assert repr(kept) == repr(rebuilt)
+        seen[_kind(x)] += 1
+    assert min(seen.values()) >= 25 and len(seen) == 3, seen
+
+
 def test_gamma_fixture():
     g = gamma(fixture_array())
     assert g.e0 == TRAPEZOID_FLOW.e0
@@ -59,7 +135,7 @@ def test_gamma_fixture():
 
 def test_flow_holds_its_size():
     g = TRAPEZOID_FLOW
-    assert Flow.__slots__ == ("n", "m", "e0", "e1") and (g.n, g.m) == (3, 2)
+    assert Flow._fields == ("n", "m", "e0", "e1") and (g.n, g.m) == (3, 2)
     assert flow_to_json(g) == {"n": 3, "m": 2, "e0": [list(r) for r in g.e0],
                                "e1": [list(r) for r in g.e1]}
     for args, needle in (

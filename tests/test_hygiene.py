@@ -28,8 +28,9 @@ def unused_imports(source: str) -> list:
 
     ``from __future__`` imports are directives, not bindings, and are skipped.
     A name counts as used when it appears as a ``Name`` or as the root of an
-    attribute chain; names mentioned only inside string annotations count as
-    unused.
+    attribute chain, or as a parameter of a pytest test or fixture, which
+    pytest fills with the fixture of that name; names mentioned only inside
+    string annotations count as unused.
     """
     tree = ast.parse(source)
     imported = {
@@ -40,15 +41,27 @@ def unused_imports(source: str) -> list:
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {arg.arg for node in ast.walk(tree) if _takes_fixtures(node) for arg in node.args.args}
     return sorted(imported - used)
 
 
+def _takes_fixtures(node) -> bool:
+    """A ``test_*`` function, or one decorated with ``fixture`` or ``pytest.fixture(...)``."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return node.name.startswith("test_") or any(
+        (d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)) == "fixture"
+        for d in decorators)
+
+
 def test_no_unused_imports():
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py")) + sorted((REPO / "tools").glob("*.py"))
     found = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-        and (names := unused_imports(path.read_text()))
+        path.relative_to(REPO).as_posix(): names
+        for path in paths
+        if (names := unused_imports(path.read_text()))
     }
     assert found == {}
 
@@ -56,6 +69,11 @@ def test_no_unused_imports():
 def test_detector_flags_unused_names():
     source = "from __future__ import annotations\nimport os, json\nfrom a import b as c, d\nprint(json.dumps(d))\n"
     assert unused_imports(source) == ["c", "os"]
+    source = ("import pytest\nfrom conf import tmp_db, tmp_dir, spare, other\n"
+              "def test_a(tmp_db):\n    pass\n"
+              "@pytest.fixture(scope='module')\ndef made(tmp_dir):\n    pass\n"
+              "def helper(spare):\n    pass\n")
+    assert unused_imports(source) == ["other", "spare"]
 
 
 def unreferenced_private_definitions(sources: dict) -> list:

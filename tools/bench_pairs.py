@@ -14,7 +14,10 @@ sides and runs the base first when ``i`` is even, the head first when it is
 odd; each run lasts as long as the base's ``bench/run.py`` sets by default.
 The output file records both revisions, the sha256 of ``bench/``, the
 seeds, each run's last JSON line, each end-to-end metric's median, quartiles
-and pairs won, and the failed ops.  Standard library only.
+and pairs won, and the failed ops.  For each metric it also records the
+claim rule: whether the head won at least 9 of 10 pairs, and whether the
+head's median beats the base's by more than the base's interquartile range.
+Standard library only.
 """
 import argparse
 import hashlib
@@ -64,7 +67,9 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Median, quartiles and pairs won of each end-to-end metric; ties count for neither."""
+    """Median, quartiles and pairs won of each end-to-end metric (ties count for
+    neither), and the claim rule: 9 of 10 pairs won, and a median gap in the
+    head's favour wider than the base's interquartile range."""
     out = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
@@ -76,6 +81,10 @@ def summarize(runs: list, end_to_end: list) -> dict:
         diffs = [sign * (h - b) for b, h in zip(values["base"], values["head"])]
         row["head_wins"] = sum(d > 0 for d in diffs)
         row["base_wins"] = sum(d < 0 for d in diffs)
+        gap = sign * (row["head"]["median"] - row["base"]["median"])
+        claim = {"wins_9_of_10": 10 * row["head_wins"] >= 9 * len(diffs),
+                 "gap_exceeds_base_iqr": gap > row["base"]["iqr"]}
+        row["claim"] = dict(claim, met=all(claim.values()))
         out[name] = row
     return out
 
