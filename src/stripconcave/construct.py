@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import add, neg, sub
 
+from . import core
 from .core import (
     BoundarySpec,
     ConvexConfig,
@@ -24,7 +25,7 @@ from .core import (
     InfeasibleError,
     InputError,
     InternalError,
-    _check_cells,
+    _check,
     deficits,
     extend_to_trapezoid,
     integrate,
@@ -229,7 +230,7 @@ def mu_general_build(config: "ConvexConfig", spec: "BoundarySpec") -> "StripConc
         raise InfeasibleError(verdict.certificate)
     tconfig, tspec = extension or extend_to_trapezoid(config, spec)
     n, m = tconfig.n, tconfig.m
-    _check_cells((n + 1) * (m + 1) + n * (n + 1) // 2, "witness array")
+    _check((n + 1) * (m + 1) + n * (n + 1) // 2, core.CELLS_MAX, "witness array", "cells")
     rows = _solve_trapezoid(tspec.lam, tspec.lam_bar, tuple(map(sub, tspec.nu, tspec.mu)))
     return restrict_to(integrate(GTPattern(tconfig, rows), tspec.mu), config)
 

@@ -13,7 +13,7 @@ quoted annotations, which are never evaluated.
 """
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import attrgetter, ge, gt, lt, neg, sub
 from typing import Union
 
@@ -73,16 +73,26 @@ def _int_text(value: int) -> str:
         return f"10^{sys.get_int_max_str_digits()} or more"
 
 
-# The output budget, in entries (cells, nodes), counted before any is made: the
-# tests' largest output is a 721 801-entry witness, the benchmark's about 10^4.
-# Kostka states (work) and the facet caps (about 2^(n+m) facets; a count's
-# digits) keep their own units in ``polytope``.
+def _exact(rows: tuple) -> tuple:
+    """``rows`` (tuples) with each integral ``Fraction``, which arithmetic leaves,
+    an ``int`` as :func:`rat` reads it; rows of ``int``s are returned as they are."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    from fractions import Fraction
+    return tuple(tuple(int(v) if type(v) is Fraction and v.denominator == 1 else v for v in row)
+                 for row in rows)
+
+
+# The output budget, in entries (cells, nodes) or a count's binary digits,
+# counted before any is made: the tests' largest output is a 721 801-entry
+# witness, the benchmark's about 10^4.  ``polytope`` keeps the other two budgets.
 CELLS_MAX = 1_000_000
 
 
-def _check_cells(cells: int, what: str) -> None:
-    if cells > CELLS_MAX:
-        raise InputError(f"{what} too large: {_int_text(cells)} cells, more than {CELLS_MAX}")
+def _check(count: int, limit: int, what: str, unit: str, hint: str = "") -> None:
+    """The one size refusal: an :class:`InputError` when ``count`` passes ``limit``."""
+    if count > limit:
+        raise InputError(f"{what} too large: {_int_text(count)} {unit}, more than {limit}{hint}")
 
 
 def _is_int(value) -> bool:
@@ -328,7 +338,7 @@ def derivative(x: "StripConcaveArray") -> "GTPattern":
     try:
         return x._pattern
     except AttributeError:
-        p = GTPattern(x.config, tuple(tuple(map(sub, row[1:], row)) for row in x.rows))
+        p = GTPattern(x.config, _exact(tuple(tuple(map(sub, row[1:], row)) for row in x.rows)))
         _set(x, "_pattern", p)
         return p
 
@@ -346,20 +356,16 @@ def integrate(p: "GTPattern", mu: "Sequence[Rat]" = None) -> "StripConcaveArray"
         raise InputError("mu must have length n")
     lefts = accumulate(mu, initial=0)
     rows = [tuple(accumulate(prow, initial=left)) for left, prow in zip(lefts, p.rows)]
-    if all(type(row[-1]) is int for row in rows):
-        return StripConcaveArray(c, rows)
-    from fractions import Fraction
     # a Fraction entry makes every later prefix sum a Fraction, the last one too
-    return StripConcaveArray(c, [tuple(int(v) if v.denominator == 1 else v for v in row)
-                                 if isinstance(row[-1], Fraction) else row for row in rows])
+    return StripConcaveArray(c, rows if all(type(row[-1]) is int for row in rows) else _exact(rows))
 
 
 def boundary(x: "StripConcaveArray") -> "BoundarySpec":
     """Boundary quadruple of an array: lower/upper derivatives, side steps."""
     rows = x.rows
     left, right = [row[0] for row in rows], [row[-1] for row in rows]
-    mu, nu = map(sub, left[1:], left), map(sub, right[1:], right)
-    return BoundarySpec(map(sub, rows[-1][1:], rows[-1]), map(sub, rows[0][1:], rows[0]), mu, nu)
+    sides = rows[-1], rows[0], left, right
+    return BoundarySpec(*_exact(tuple(tuple(map(sub, side[1:], side)) for side in sides)))
 
 
 def shift_mu(spec: "BoundarySpec") -> "BoundarySpec":

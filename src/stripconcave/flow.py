@@ -15,12 +15,14 @@ from itertools import accumulate, chain, compress, count, product, repeat
 from math import prod
 from operator import add, neg, sub
 
+from . import core
 from .core import (
     ConvexConfig,
     GTPattern,
     InputError,
     Record,
-    _check_cells,
+    _check,
+    _exact,
     _int_text,
     _is_int,
     _rows_from_json,
@@ -91,7 +93,7 @@ def _pattern_rows(g: "Flow") -> tuple:
         rows = [boundary_of_flow(g)[0]]
         for e1 in reversed(g.e1):
             rows.append(tuple(map(sub, rows[-1][:-1], e1)))
-        rows = tuple(rows[::-1])
+        rows = _exact(tuple(rows[::-1]))
         if _slacks(rows) != (g.e0, g.e1):
             raise InputError("flow is not admissible: its divergences do not match the boundary")
         return rows
@@ -121,7 +123,7 @@ def gamma(x: "StripConcaveArray") -> "Flow":
     ``dx_{i0} = lam_1`` and ``dx_{i,i+m+1} = 0``.
     """
     c, rows = x.config, _trapezoid_derivative(x).rows
-    g = Flow(c.n, c.m, *_slacks(rows))
+    g = Flow(c.n, c.m, *map(_exact, _slacks(rows)))
     _set(g, "_rows", rows)
     return g
 
@@ -221,7 +223,7 @@ def enumerate_vertices(lam: "Sequence[Rat]", lam_bar: "Sequence[Rat]"):
     for i in range(n - 1, -1, -1):
         choices[i] = cells = {below: cell_values(i, below) for below in level}
         placed += (i + m) * sum(ways * prod(map(len, cells[row])) for row, ways in level.items())
-        _check_cells(placed, "vertex search")
+        _check(placed, core.CELLS_MAX, "vertex search", "cells")
         if i:
             above = {}
             for below, ways in level.items():
@@ -277,7 +279,7 @@ def _toggle(rows, layer: int) -> tuple:
 def swap_flow(g: "Flow", layer: int) -> "Flow":
     """The flow of the pattern of ``g`` after the row toggle of :func:`zigzag_swap`;
     raises :class:`InputError` unless ``g`` is admissible."""
-    return Flow(g.n, g.m, *_slacks(_toggle(_pattern_rows(g), layer)))
+    return Flow(g.n, g.m, *map(_exact, _slacks(_toggle(_pattern_rows(g), layer))))
 
 
 def _swap_layers(x: "StripConcaveArray", layers) -> "StripConcaveArray":
@@ -381,7 +383,7 @@ def path_decompose(g: "Flow") -> "PathDecomposition":
     """
     rows = _pattern_rows(g)
     values = sorted(set(chain.from_iterable(rows)) | {0}, reverse=True)
-    _check_cells((len(values) - 1) * len(rows), "path decomposition")
+    _check((len(values) - 1) * len(rows), core.CELLS_MAX, "path decomposition", "cells")
     negated, layers = [tuple(map(neg, row)) for row in rows], range(len(rows))
     return PathDecomposition(tuple(
         (tuple(zip(layers, map(bisect_left, negated, repeat(-lo)))), hi - lo)
@@ -410,6 +412,6 @@ def generator_array(path: "Sequence[tuple]", m: int) -> "GTPattern":
             raise InputError("path node out of range")
     if path[-1] == (n, 0):
         raise InputError("path may not end at the leftmost bottom node")
-    _check_cells((n + 1) * m + n * (n + 1) // 2, "generator")
+    _check((n + 1) * m + n * (n + 1) // 2, core.CELLS_MAX, "generator", "cells")
     rows = tuple(tuple([1] * j + [0] * (i + m - j)) for i, j in path)
     return GTPattern(ConvexConfig.trapezoid(n, m), rows)

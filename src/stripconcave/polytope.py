@@ -9,7 +9,8 @@ method) whose states are capped.
 """
 from itertools import chain, combinations, repeat
 
-from .core import BoundarySpec, InputError, Record, _int_text, _is_int, _set
+from . import core
+from .core import BoundarySpec, InputError, Record, _check, _is_int, _set
 from .feasibility import check_trapezoid
 
 
@@ -55,8 +56,7 @@ class FacetInequality(Record):
         return {"kind": self.kind, "j": self.j}
 
 
-FACET_LISTING_MAX = 18
-FACET_COUNT_MAX = 14_000  # 2^14000 has 4215 digits; str() refuses more than 4300
+FACET_LISTING_MAX = 18  # n + m: (9, 9) lists 261 163 facets at 107 MB peak RSS
 KOSTKA_STATES_MAX = 1_300_000  # summed over cells; the tests' largest count makes 1 269 281
 
 
@@ -79,17 +79,13 @@ def facets(n: int, m: int) -> list:
     made in one chunk, by ``object.__new__`` with each slot set through its
     member descriptor, not by ``__init__``.  The listing has about ``2^(n+m)``
     entries, so ``n + m`` is capped at :data:`FACET_LISTING_MAX`;
-    :func:`facet_count_consistent` counts any size.  A facet and its
+    :func:`facet_count_consistent` counts up to ``n + m = 10^6``.  A facet and its
     ``to_json`` take about 265 B (tracemalloc, ``(7, 7)``), and
     ``stripconcave facets --n 9 --m 9`` prints its 261 163 facets in about
     0.8 s at 107 MB peak RSS (2 CPUs, Python 3.11).
     """
     _require_shape(n, m)
-    if n + m > FACET_LISTING_MAX:
-        raise InputError(
-            f"listing facets needs n + m <= {FACET_LISTING_MAX}, got {_int_text(n + m)}; "
-            "use --count-only for the number of facets"
-        )
+    _check(n + m, FACET_LISTING_MAX, "facet listing", "(n + m)", "; --count-only counts the facets")
     # the column subsets of the listed sizes: all of them, but |J| = 1 and m - 1 for n = 1
     cols = [tuple(combinations(range(1, m + 1), l)) if n > 1 or l in (1, m - 1) else ()
             for l in range(m + 1)]
@@ -130,13 +126,14 @@ def facet_count_consistent(n: int, m: int) -> dict:
     The number is read off the classification in :func:`facets` without
     listing the ``2^(n+m)`` subset pairs.  The two disagree for ``m = 0,
     n >= 3`` (the classification yields one more); this reports both
-    numbers rather than hiding the discrepancy.  For ``n > 1`` the count is
-    about ``2^(n+m)``, so ``n + m`` is capped at :data:`FACET_COUNT_MAX`.
+    numbers rather than hiding the discrepancy.  For ``n > 1`` the count lies
+    in ``[2^(n+m-1), 2^(n+m+1))``, and ``n + m``, its binary digits, is counted
+    as cells against :data:`core.CELLS_MAX` before it is computed:
+    ``n + m = 10^6`` takes about 9 ms.
     """
     _require_shape(n, m)
-    if n > 1 and n + m > FACET_COUNT_MAX:
-        raise InputError(f"counting facets needs n + m <= {FACET_COUNT_MAX} for n > 1, "
-                         f"got {_int_text(n + m)}")
+    if n > 1:
+        _check(n + m, core.CELLS_MAX, "facet count", "binary digits")
     enumerated = ((2**n - 2) * 2**m if n > 1 else 0) + (m if n + m > 1 else 0) + m
     if not (n == 1 or (n == 2 and m == 0)):
         enumerated += (n + m - 1) + max(0, m - 1)
@@ -170,7 +167,7 @@ def kostka(lam: "Sequence[int]", lam_bar: "Sequence[int]", nu: "Sequence[int]") 
     ``|lam_bar| + nu_1 + ... + nu_i``, and the state after cell ``k`` of row
     ``i`` is that row up to cell ``k`` and row ``i + 1`` from cell ``k + 1``
     on; equal states merge.  It raises :class:`InputError` before a cell would
-    bring the states created, summed over cells, past :data:`KOSTKA_STATES_MAX`.
+    bring the frontier states created, summed over cells, past :data:`KOSTKA_STATES_MAX`.
     """
     lam, lam_bar, nu = tuple(lam), tuple(lam_bar), tuple(nu)
     _require_ints(lam, lam_bar, nu)
@@ -202,9 +199,7 @@ def kostka(lam: "Sequence[int]", lam_bar: "Sequence[int]", nu: "Sequence[int]") 
                 if lo <= hi:
                     grown.append((s[:k], s[k + 1:stop], ways, lo, hi))
                     created += hi - lo + 1
-            if created > KOSTKA_STATES_MAX:
-                raise InputError(f"count too large: the cells would create {_int_text(created)} "
-                                 f"frontier states, more than {KOSTKA_STATES_MAX}")
+            _check(created, KOSTKA_STATES_MAX, "count", "frontier states")
             states = {}
             for head, tail, ways, lo, hi in grown:
                 for v in range(lo, hi + 1):

@@ -10,7 +10,8 @@ from bisect import bisect_right
 from itertools import chain, compress, repeat
 from operator import add, le, lt, sub
 
-from .core import ConvexConfig, GTPattern, InputError, Record, _check_cells, _is_int, _set
+from . import core
+from .core import ConvexConfig, GTPattern, InputError, Record, _check, _is_int, _set
 
 
 class SkewTableau(Record):
@@ -97,7 +98,7 @@ def pattern_to_tableau(p: "GTPattern") -> "SkewTableau":
     parts, n, m = _padded_chain(p)
     if not all(all(map(le, a, b)) for a, b in zip(parts, parts[1:])):
         raise InputError("pattern rows are not nested partitions")
-    _check_cells(sum(parts[n]) - sum(parts[0]), "tableau")
+    _check(sum(parts[n]) - sum(parts[0]), core.CELLS_MAX, "tableau", "cells")
     steps, rows = range(1, n + 1), []
     for col in zip(*parts):  # only the steps that add cells to this row are repeated
         gaps = [*map(sub, col[1:], col)]
@@ -111,7 +112,7 @@ def tableau_to_pattern(t: "SkewTableau") -> "GTPattern":
     entries are counted against :data:`core.CELLS_MAX` before any is made."""
     m = len(t.inner)
     n = len(t.outer) - m
-    _check_cells((n + 1) * m + n * (n + 1) // 2, "pattern")
+    _check((n + 1) * m + n * (n + 1) // 2, core.CELLS_MAX, "pattern", "cells")
     pad = t.inner + (0,) * n
     # row m + k holds no entry < k: a column strictly increases from 1 down from row m + 1
     rows = tuple(tuple(map(add, pad, map(bisect_right, t.rows[:i + m], repeat(i))))

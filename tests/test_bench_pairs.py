@@ -86,3 +86,13 @@ def test_pairs_apply_the_claim_rule(report):
     assert (tail["head_wins"], tail["base_wins"]) == (2, 1)
     assert claims["latency_tail_ms"] == {"wins_9_of_10": False, "gap_exceeds_base_iqr": True,
                                          "met": False}
+
+
+def test_pairs_record_the_machine_phase(report):
+    """Before each run: a fixed loop's seconds and an empty interpreter start
+    with and without ``site``, so that drift across pairs shows."""
+    for run in report["workloads"]["w"]["runs"]:
+        assert set(run["phase"]) == {"base", "head"}
+        for phase in run["phase"].values():
+            assert set(phase) == {"calibration_s", "python_s", "python_no_site_s"}
+            assert all(0 < seconds < 10 for seconds in phase.values()), phase

@@ -556,7 +556,8 @@ def test_extend_to_trapezoid_repr_matches_the_scan_seeded():
 
 def test_boundary_reads_the_row_ends():
     """``mu`` and ``nu`` off the first and last entries of each row against
-    ``x_{i,a_i} - x_{i-1,a_{i-1}}`` and ``x_{i,b_i} - x_{i-1,b_{i-1}}``."""
+    ``x_{i,a_i} - x_{i-1,a_{i-1}}`` and ``x_{i,b_i} - x_{i-1,b_{i-1}}``, each
+    integral value an ``int`` as :func:`rat` reads it."""
     rng = random.Random(2003)
     for k in range(300):
         config = _random_config(rng)
@@ -565,7 +566,7 @@ def test_boundary_reads_the_row_ends():
                                        for a, b in zip(config.a, config.b)])
         spec = boundary(x)
         for side, bounds in ((spec.mu, config.a), (spec.nu, config.b)):
-            want = tuple(array_cell(x, i, bounds[i]) - array_cell(x, i - 1, bounds[i - 1])
+            want = tuple(rat(array_cell(x, i, bounds[i]) - array_cell(x, i - 1, bounds[i - 1]))
                          for i in range(1, config.n + 1))
             assert repr(side) == repr(want)
 

@@ -14,6 +14,7 @@ from stripconcave import (
     GTPattern,
     InputError,
     StripConcaveArray,
+    array_from_json,
     boundary,
     boundary_of_flow,
     build_trapezoid,
@@ -28,7 +29,9 @@ from stripconcave import (
     integrate,
     nu_of_flow,
     path_decompose,
+    pattern_from_json,
     permute_nu,
+    spec_from_json,
     swap_flow,
     validate_array,
     validate_pattern,
@@ -105,9 +108,8 @@ def test_memos_are_invisible_seeded():
 
 def test_memos_are_exact_seeded():
     """The rows :func:`gamma` keeps on its flow give what the flow's JSON,
-    whose rows are rebuilt and checked, gives: equal records and equal JSON,
-    and on ``int`` data equal reprs.  (``Fraction`` data may differ in type,
-    ``2`` against ``Fraction(2, 1)``, as ``gamma(x)`` and its JSON do.)"""
+    whose rows are rebuilt and checked, gives: equal records, equal JSON and
+    equal reprs, ``Fraction`` data included."""
     seen = Counter()
     for x in _memo_corpus(3302, 300):
         try:
@@ -121,10 +123,35 @@ def test_memos_are_exact_seeded():
             kept, rebuilt = call(g), call(h)
             assert kept == rebuilt, x
             assert canonical_json(kept.to_json()) == canonical_json(rebuilt.to_json())
-            if _kind(x) != "fraction":
-                assert repr(kept) == repr(rebuilt)
+            assert repr(kept) == repr(rebuilt)
         seen[_kind(x)] += 1
     assert min(seen.values()) >= 25 and len(seen) == 3, seen
+
+
+def test_arithmetic_results_read_as_their_json_seeded():
+    """On ``Fraction`` data, each result made by arithmetic holds an integral
+    value as an ``int``, as the JSON decoders read it: its ``repr`` is that of
+    its JSON round trip.  The results: :func:`derivative`, :func:`boundary`,
+    :func:`gamma`, :func:`gamma_inv` of a flow read from JSON (its pattern
+    rows rebuilt), :func:`swap_flow` of both flows and :func:`zigzag_swap`."""
+    seen = Counter()
+    for x in _memo_corpus(3303, 600):
+        if _kind(x) != "fraction":
+            continue
+        results = [(derivative(x), pattern_from_json), (boundary(x), spec_from_json)]
+        results += [(zigzag_swap(x, k), array_from_json) for k in range(1, x.config.n)]
+        try:
+            g = gamma(x)
+        except InputError:  # a negative slack
+            g = None
+        if g is not None:
+            h = flow_from_json(flow_to_json(g))
+            results += [(g, flow_from_json), (gamma_inv(h), array_from_json)]
+            results += [(swap_flow(f, k), flow_from_json) for f in (g, h) for k in range(1, g.n)]
+        for record, decode in results:
+            assert repr(decode(record.to_json())) == repr(record), record
+        seen[g is not None] += 1
+    assert min(seen.values()) >= 25 and len(seen) == 2, seen
 
 
 def test_gamma_fixture():

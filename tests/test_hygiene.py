@@ -1,9 +1,10 @@
 """Source hygiene: no package module imports a name it never uses, no
 private definition is left unused, every public name and every public
 member of a public class is read outside the tests, no package function is
-recursive, every oracle is read and imports from the package only what its
-rule allows, the CLI imports no heavy stdlib module, and integer data loads
-neither ``json`` at import nor ``fractions``."""
+recursive, only the budget check refuses by size, every oracle is read and
+imports from the package only what its rule allows, the CLI imports no
+heavy stdlib module, and integer data loads neither ``json`` at import nor
+``fractions``."""
 import ast
 import importlib
 from fractions import Fraction
@@ -218,6 +219,53 @@ def test_detector_flags_unread_public_members():
 
     sources = ["x.method()\nx.prop\nnamed_only()\n"]
     assert unread_public_members([Planted], sources) == ["Planted.build", "Planted.named_only"]
+
+
+# The functions that may raise an InputError whose text says "too large": the
+# one size refusal, and the writer's guard against a result past the str()
+# digit limit, which no count can see before the text is made.
+SIZE_REFUSERS = {
+    "core:_check": "every budget: cells, frontier states, the facet listing's n + m",
+    "cli:_emit": "output too large to write",
+}
+
+
+def size_refusals(sources: dict) -> list:
+    """``module:function`` of each function in ``sources`` (module name to
+    source text) that raises an ``InputError``, by name or as an attribute,
+    with a string part saying "too large"; a nested function and each one
+    around it are named."""
+    found = set()
+    for module, source in sources.items():
+        for func in ast.walk(ast.parse(source)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                call = node.exc if isinstance(node, ast.Raise) else None
+                if (isinstance(call, ast.Call)
+                        and "InputError" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                        and any(isinstance(part, ast.Constant) and "too large" in str(part.value)
+                                for part in ast.walk(call))):
+                    found.add(f"{module}:{func.name}")
+    return sorted(found)
+
+
+def test_only_the_budget_check_refuses_by_size():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert size_refusals(sources) == sorted(SIZE_REFUSERS)
+
+
+def test_detector_flags_size_refusals():
+    sources = {
+        "a": ("def _check(n, limit):\n    if n > limit:\n        raise InputError(f'x too large: {n}')\n"
+              "def inline(n):\n    if n > 3:\n        raise core.InputError('list too large')\n"
+              "def outer(n):\n    def inner():\n        raise InputError(f'{n} is too large')\n"
+              "    return inner\n"),
+        "b": ("def other(n):\n    raise ValueError('too large')\n"
+              "def fine(n):\n    raise InputError(f'bad input {n}')\n"
+              "def bare():\n    raise InputError\n"),
+    }
+    assert size_refusals(sources) == ["a:_check", "a:inline", "a:inner", "a:outer"]
 
 
 def self_calling_functions(source: str) -> list:

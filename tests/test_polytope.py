@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 import timeit
@@ -23,6 +24,7 @@ from stripconcave import (
     integrate,
     kostka,
 )
+from stripconcave import core, polytope
 from stripconcave.fixtures import trapezoid_array
 
 from fresh import fresh_python
@@ -30,6 +32,7 @@ from oracles import (
     brute_force_facets,
     enumerate_patterns,
     enumerate_tableaux,
+    lp_point,
     pattern_nu,
     random_pattern,
 )
@@ -69,6 +72,85 @@ def test_facet_count_divergence_without_top_row():
         report = facet_count_consistent(n, 0)
         assert not report["consistent"]
         assert report["enumerated"] == report["formula"] + 1
+
+
+def _spec_at(x, n, m):
+    """The quadruple whose entries, ``lam``, ``lam_bar``, ``mu`` and ``nu`` in turn, are ``x``."""
+    cuts = (0, n + m, n + 2 * m, 2 * n + 2 * m, 3 * n + 2 * m)
+    return BoundarySpec(*(tuple(x[lo:hi]) for lo, hi in zip(cuts, cuts[1:])))
+
+
+def test_every_listed_facet_is_irredundant():
+    """For each inequality ``F`` that :func:`facets` lists, the exact LP finds a
+    balanced quadruple with ``F <= -1`` where every other listed inequality
+    holds, and :func:`check_trapezoid` rejects it: ``F`` is valid and no
+    other listed inequality implies it.  Each inequality is linear, so its
+    coefficients are its values on the unit quadruples.  At ``m = 0, n >= 3``
+    this settles the listing's 8, 17 and 34 facets against the closed form's
+    7, 16 and 33.  Every shape with ``n + m <= 5`` and a listing is checked,
+    in about 1.3 s."""
+    shapes = [(n, m) for n in range(1, 6) for m in range(6 - n) if facets(n, m)]
+    for n, m in shapes:
+        size = 3 * n + 2 * m
+        units = [_spec_at([int(k == v) for k in range(size)], n, m) for v in range(size)]
+        rows = [{v: f.evaluate(unit) for v, unit in enumerate(units)} for f in facets(n, m)]
+        balance = {v: units[v].balance() for v in range(size)}
+        for k, row in enumerate(rows):
+            others = [({v: -c for v, c in other.items()}, 0) for other in rows[:k] + rows[k + 1:]]
+            x = lp_point([(row, -1)] + others, [(balance, 0)], size)
+            assert x is not None, (n, m, k)
+            assert not check_trapezoid(_spec_at(x, n, m), n, m).feasible, (n, m, k)
+    assert len(shapes) == 14
+    assert [len(facets(n, 0)) for n in (3, 4, 5)] == [8, 17, 34]
+    assert [facet_count_formula(n, 0) for n in (3, 4, 5)] == [7, 16, 33]
+
+
+def test_facet_budgets_refuse_exactly_past_their_limits(monkeypatch):
+    """A count of ``n > 1`` passes with :data:`core.CELLS_MAX` at its ``n + m``
+    binary digits and is refused one below; ``n = 1`` counts ``2m`` and no
+    digits.  The listing passes at ``n + m = FACET_LISTING_MAX``.  At the
+    default budget, ``n + m = 10^6`` is counted in well under 0.1 s."""
+    for n, m in ((2, 0), (3, 5), (40, 0), (7, 30)):
+        monkeypatch.setattr(core, "CELLS_MAX", n + m)
+        assert facet_count_consistent(n, m)["enumerated"].bit_length() in (n + m, n + m + 1)
+        monkeypatch.setattr(core, "CELLS_MAX", n + m - 1)
+        with pytest.raises(InputError, match=f"^facet count too large: {n + m} binary digits, "
+                                             f"more than {n + m - 1}$"):
+            facet_count_consistent(n, m)
+    monkeypatch.setattr(core, "CELLS_MAX", 0)
+    assert facet_count_consistent(1, 5)["enumerated"] == 10
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert facet_count_consistent(2, 10**6 - 2)["enumerated"].bit_length() == 10**6
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(InputError, match="^facet count too large: 1000001 binary digits, more than 1000000$"):
+        facet_count_consistent(2, 10**6 - 1)
+    assert len(facets(1, polytope.FACET_LISTING_MAX - 1)) == 2 * (polytope.FACET_LISTING_MAX - 1)
+    with pytest.raises(InputError, match=r"^facet listing too large: 19 \(n \+ m\), more than 18; "
+                                         "--count-only counts the facets$"):
+        facets(1, 18)
+
+
+def test_kostka_budget_refuses_exactly_past_its_limit(monkeypatch):
+    """The states a count creates, summed over cells: each refusal names the
+    sum at the cell that passed the limit, so raising the limit to it until the
+    count is made finds the total.  With the limit at the total the count is
+    made; one below, it is refused by the message that names both."""
+    lam, nu = (6, 4, 2, 0), (3, 3, 3, 3)
+    want, total, refusals = kostka(lam, (), nu), 0, 0
+    while True:
+        monkeypatch.setattr(polytope, "KOSTKA_STATES_MAX", total)
+        try:
+            assert kostka(lam, (), nu) == want
+            break
+        except InputError as exc:
+            named = re.fullmatch(r"count too large: (\d+) frontier states, more than (\d+)", str(exc))
+            assert int(named[2]) == total < int(named[1]), str(exc)
+            total, refusals = int(named[1]), refusals + 1
+    assert refusals >= 3 and want == 15  # refused at several cells
+    monkeypatch.setattr(polytope, "KOSTKA_STATES_MAX", total - 1)
+    with pytest.raises(InputError, match=f"^count too large: {total} frontier states, more than {total - 1}$"):
+        kostka(lam, (), nu)
 
 
 def test_facet_count_for_one_row_allocates_no_power():

@@ -14,7 +14,10 @@ sides and runs the base first when ``i`` is even, the head first when it is
 odd; each run lasts as long as the base's ``bench/run.py`` sets by default.
 The output file records both revisions, the sha256 of ``bench/``, the
 seeds, each run's last JSON line, each end-to-end metric's median, quartiles
-and pairs won, and the failed ops.  For each metric it also records the
+and pairs won, and the failed ops.  Just before each run it records the
+machine's phase, so that a drift in speed across pairs shows: the seconds of
+a fixed pure-Python loop, of ``python -c pass`` and of ``python -S -c pass``
+(no ``site``), each the median of three.  For each metric it also records the
 claim rule: whether the head won at least 9 of 10 pairs, and whether the
 head's median beats the base's by more than the base's interquartile range.
 Standard library only.
@@ -28,9 +31,11 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 IGNORE = shutil.ignore_patterns("__pycache__", "*.pyc", ".bench_out")
+CALIBRATION_LOOP = 500_000
 
 
 def git(repo: Path, *args) -> bytes:
@@ -55,6 +60,24 @@ def make_trees(repo: Path, base: str, work: Path) -> dict:
     shutil.copytree(work / "base" / "bench", work / "head" / "bench", ignore=IGNORE)
     shutil.copy(work / "base" / "BENCHMARK.json", work / "head" / "BENCHMARK.json")
     return {"base": work / "base", "head": work / "head"}
+
+
+def median_seconds(call, repeat: int = 3) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def machine_phase() -> dict:
+    """Seconds of a fixed loop in this process and of two empty interpreter
+    starts, with and without ``site``, in the interpreter that runs the bench."""
+    def python(*flags):
+        subprocess.run([sys.executable, *flags, "-c", "pass"], check=True)
+    return {"calibration_s": median_seconds(lambda: sum(i & 7 for i in range(CALIBRATION_LOOP))),
+            "python_s": median_seconds(python), "python_no_site_s": median_seconds(lambda: python("-S"))}
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -115,8 +138,9 @@ def main(argv=None) -> int:
             runs = []
             for i in range(pairs):
                 seed, order = args.seed + i, ("base", "head") if i % 2 == 0 else ("head", "base")
-                run = {"seed": seed, "first": order[0]}
+                run = {"seed": seed, "first": order[0], "phase": {}}
                 for side in order:
+                    run["phase"][side] = machine_phase()
                     run[side] = run_once(trees[side], workload, seed)
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"{json.dumps(run[side]['metrics'])}", file=sys.stderr)
