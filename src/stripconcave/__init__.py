@@ -66,8 +66,7 @@ from .flow import (
 from .polytope import (
     FacetInequality,
     count_scaled_points,
-    facet_count_consistent,
-    facet_count_formula,
+    facet_count,
     facets,
     kostka,
 )

@@ -373,10 +373,11 @@ def shift_mu(spec: "BoundarySpec") -> "BoundarySpec":
 
     Corresponds to the row shift ``x'_{ij} = x_{ij} + q_i`` with
     ``q_i = -(mu_1 + ... + mu_i)``, which preserves the row derivative and
-    hence feasibility.
+    hence feasibility.  An integral entry of ``nu - mu`` is an ``int``, so
+    counting takes it.
     """
     n = len(spec.mu)
-    nu = tuple(spec.nu[i] - spec.mu[i] for i in range(n))
+    (nu,) = _exact((tuple(spec.nu[i] - spec.mu[i] for i in range(n)),))
     return BoundarySpec(spec.lam, spec.lam_bar, (0,) * n, nu)
 
 

@@ -8,16 +8,24 @@ cover every subcommand on ``int`` and ``Fraction`` data, feasible and
 infeasible boundaries, trapezoids, parallelograms and hexagons, negative
 ``lambda``, empty ``nu`` and malformed input.
 
-    PYTHONPATH=src python -m tests.golden           # list the families that differ
-    PYTHONPATH=src python -m tests.golden --write   # regenerate tests/golden.json
+    PYTHONPATH=src python -m tests.golden               # list the families that differ
+    PYTHONPATH=src python -m tests.golden --write       # regenerate tests/golden.json
+    PYTHONPATH=src python -m tests.golden --against REV # ... that differ from REV's src/
+
+``--against`` runs these families on the ``src/`` of a revision, taken with
+``git archive`` and run in a fresh interpreter, and lists those whose digest
+differs from the worktree's.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +34,7 @@ from stripconcave.cli import main
 
 SEED = 7
 GOLDEN = Path(__file__).with_name("golden.json")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +384,36 @@ def digests() -> dict:
     return out
 
 
-def _main(argv) -> int:
-    got = digests()
-    if argv == ["--write"]:
-        GOLDEN.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
-        return 0
-    if argv:
-        print("usage: python -m tests.golden [--write]", file=sys.stderr)
-        return 2
-    want = json.loads(GOLDEN.read_text())
+def digests_at(rev: str, repo: Path = ROOT) -> dict:
+    """:func:`digests` with the ``src/`` of revision ``rev`` of ``repo``: a
+    ``git archive`` of it, imported by a fresh interpreter that runs these
+    families."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        path = os.pathsep.join([str(Path(tmp, "src")), str(Path(__file__).parent)])
+        code = "import json, golden; print(json.dumps(golden.digests()))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=tmp, env={**os.environ, "PYTHONPATH": path})
+    return json.loads(run.stdout)
+
+
+def report(got: dict, want: dict) -> int:
+    """Print the families whose digests differ, or that all match; 1 if any differ."""
     differ = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
     print("\n".join(differ) or "all families match")
     return 1 if differ else 0
+
+
+def _main(argv) -> int:
+    if argv == ["--write"]:
+        GOLDEN.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n")
+        return 0
+    if argv and not (len(argv) == 2 and argv[0] == "--against"):
+        print("usage: python -m tests.golden [--write | --against REV]", file=sys.stderr)
+        return 2
+    return report(digests(), digests_at(argv[1]) if argv else json.loads(GOLDEN.read_text()))
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ against one of two things:
 - a definition: :func:`definition_feasible` decides a boundary by an exact
   LP (:func:`lp_point`) over the array entries and the rhombus inequalities
   themselves; brute force lists every integer pattern
-  (:func:`enumerate_patterns`), skew tableau (:func:`enumerate_tableaux`) or
-  subset pair (:func:`brute_force_facets`); :func:`tight_system_rank` tells
-  a vertex by the rank of its tight inequalities; and the rest read a
-  definition cell by cell: flow slacks and admissibility, the zigzag
-  exchange (:func:`capacity_swap_flow`), the tableau of a pattern and its
-  checks (:func:`cellwise_pattern_to_tableau`), the shape of a configuration
-  (:func:`scan_is_trapezoidal`, :func:`scan_is_parallelogram`), restriction
-  and deficits by their sums;
+  (:func:`enumerate_patterns`) or skew tableau (:func:`enumerate_tableaux`);
+  :func:`tight_system_rank` tells a vertex by the rank of its tight
+  inequalities; :func:`determinant` evaluates the Jacobi-Trudi count of
+  tableaux; and the rest read a definition cell by cell: flow slacks and
+  admissibility, the zigzag exchange (:func:`capacity_swap_flow`), the
+  tableau of a pattern and its checks (:func:`cellwise_pattern_to_tableau`),
+  the shape of a configuration (:func:`scan_is_trapezoidal`,
+  :func:`scan_is_parallelogram`), restriction and deficits by their sums;
 - the paper's theorem: the subset inequalities swept by bitmask
   (:func:`exhaustive_feasible`), the extension to a trapezoid in the limit
   of a large constant (:func:`general_feasible_oracle`), and the
@@ -409,6 +409,27 @@ def matrix_rank(rows):
     return rank
 
 
+def determinant(rows):
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: after the pivot step at ``k``, every entry below and right of
+    it is a ``k + 1`` by ``k + 1`` minor, so each division by the previous
+    pivot is exact and every entry stays an ``int`` (E. H. Bareiss, Math.
+    Comp. 22, 1968)."""
+    mat, sign, last = [list(row) for row in rows], 1, 1
+    for k in range(len(mat)):
+        p = next((r for r in range(k, len(mat)) if mat[r][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            mat[k], mat[p], sign = mat[p], mat[k], -sign
+        top = mat[k]
+        for r in range(k + 1, len(mat)):
+            a = mat[r][k]
+            mat[r] = [(top[k] * x - a * y) // last for x, y in zip(mat[r], top)]
+        last = top[k]
+    return sign * last
+
+
 def tight_system_rank(p: GTPattern, fixed_nu=False):
     """Rank of the tight equalities in the free interior entries.
 
@@ -771,25 +792,4 @@ def cellwise_pattern_to_tableau(p: GTPattern):
         for r in range(n + m)
     )
     return check_skew_tableau(chain[n], chain[0][:m], rows)
-
-
-def _subsets(k):
-    return [tuple(i for i, bit in enumerate(bits, 1) if bit) for bits in product((0, 1), repeat=k)]
-
-
-def brute_force_facets(n, m):
-    """The facet keys ``(kind, I, J, j)`` of the classification that
-    ``polytope.facets`` documents: every subset pair of ``1..n`` and ``1..m``
-    filtered by it and sorted by ``(|I|+|J|, I, J)``, then the chamber steps."""
-    horn = sorted(
-        (len(I) + len(J), I, J)
-        for I, J in product(_subsets(n), _subsets(m))
-        if 0 < len(I) + len(J) < n + m
-        and (0 < len(I) < n or (len(I), len(J)) in ((0, 1), (n, m - 1)))
-    )
-    keys = [("horn", I, J, None) for _, I, J in horn]
-    if not (n == 1 or (n, m) == (2, 0)):
-        keys += [("chamber_lambda", (), (), j) for j in range(1, n + m)]
-        keys += [("chamber_lambda_bar", (), (), j) for j in range(1, m)]
-    return keys
 

@@ -18,7 +18,7 @@ from stripconcave import (
     deficits,
     derivative,
     enumerate_vertices,
-    facet_count_formula,
+    facet_count,
     facets,
     gamma,
     gamma_inv,
@@ -200,7 +200,7 @@ def test_criterion_6_facet_suite():
         assert len(facets(2, 0)) == 2
         for n in range(2, 5):
             for m in range(1, 4):
-                assert len(facets(n, m)) == facet_count_formula(n, m)
+                assert len(facets(n, m)) == facet_count(n, m)
         rng = random.Random(6)
         size_cache = {}
         for _ in range(10_000):

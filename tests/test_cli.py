@@ -120,6 +120,13 @@ def test_kostka_and_count_count_nu_minus_mu(capsys):
         assert run(capsys, "count", "--spec", json.dumps(s), "--k", "2")[:2] == (0, "32")
 
 
+def test_kostka_and_count_take_integral_content_written_as_fractions(capsys):
+    # nu - mu = (0, 2): the counts of lam = (2, 0) and of (4, 0) with content (0, 4)
+    spec = '{"lambda":[2,0],"nu":["1/2","3/2"],"mu":["1/2","-1/2"]}'
+    assert run(capsys, "kostka", "--spec", spec)[:2] == (0, "1")
+    assert run(capsys, "count", "--spec", spec, "--k", "2")[:2] == (0, "1")
+
+
 @pytest.mark.parametrize(
     "argv", [["check"], ["build"], ["vertices"], ["kostka"], ["count", "--k", "2"]]
 )

@@ -31,6 +31,7 @@ from stripconcave import (
     path_decompose,
     pattern_from_json,
     permute_nu,
+    shift_mu,
     spec_from_json,
     swap_flow,
     validate_array,
@@ -132,13 +133,15 @@ def test_arithmetic_results_read_as_their_json_seeded():
     """On ``Fraction`` data, each result made by arithmetic holds an integral
     value as an ``int``, as the JSON decoders read it: its ``repr`` is that of
     its JSON round trip.  The results: :func:`derivative`, :func:`boundary`,
-    :func:`gamma`, :func:`gamma_inv` of a flow read from JSON (its pattern
-    rows rebuilt), :func:`swap_flow` of both flows and :func:`zigzag_swap`."""
+    :func:`shift_mu` of the boundary, :func:`gamma`, :func:`gamma_inv` of a
+    flow read from JSON (its pattern rows rebuilt), :func:`swap_flow` of both
+    flows and :func:`zigzag_swap`."""
     seen = Counter()
     for x in _memo_corpus(3303, 600):
         if _kind(x) != "fraction":
             continue
-        results = [(derivative(x), pattern_from_json), (boundary(x), spec_from_json)]
+        results = [(derivative(x), pattern_from_json), (boundary(x), spec_from_json),
+                   (shift_mu(boundary(x)), spec_from_json)]
         results += [(zigzag_swap(x, k), array_from_json) for k in range(1, x.config.n)]
         try:
             g = gamma(x)

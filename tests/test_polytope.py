@@ -1,13 +1,14 @@
+import json
 import random
 import re
 import sys
 import time
 import timeit
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stripconcave import (
     BoundarySpec,
@@ -18,18 +19,17 @@ from stripconcave import (
     check_trapezoid,
     count_scaled_points,
     deficits,
-    facet_count_consistent,
-    facet_count_formula,
+    facet_count,
     facets,
     integrate,
     kostka,
 )
-from stripconcave import core, polytope
+from stripconcave import cli, core, polytope
 from stripconcave.fixtures import trapezoid_array
 
 from fresh import fresh_python
 from oracles import (
-    brute_force_facets,
+    determinant,
     enumerate_patterns,
     enumerate_tableaux,
     lp_point,
@@ -43,35 +43,38 @@ def test_facet_counts_match_examples():
     assert len(facets(1, 2)) == 4
     assert len(facets(2, 0)) == 2
     assert len(facets(2, 1)) == 8
-    assert facet_count_formula(3, 1) == 17
-    assert facet_count_formula(1, 4) == 8
-    assert facet_count_formula(2, 0) == 2
+    assert facet_count(3, 1) == 17
+    assert facet_count(1, 4) == 8
+    assert facet_count(2, 0) == 2
 
 
-def test_facet_count_formula_agreement():
-    for m in range(7):
-        assert len(facets(1, m)) == 2 * m == facet_count_formula(1, m)
-    for n in range(2, 5):
-        for m in range(1, 4):
-            assert len(facets(n, m)) == facet_count_formula(n, m), (n, m)
+def _count_only(capsys, n, m):
+    assert cli.main(["facets", "--n", str(n), "--m", str(m), "--count-only"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_facet_count_formula_agreement(capsys):
+    """``facets --count-only`` prints the paper's closed form beside the count,
+    for the benchmark; the two agree for ``n = 1`` and for ``m >= 1``."""
+    for n, m in [(1, m) for m in range(7)] + [(n, m) for n in range(2, 5) for m in range(1, 4)]:
+        count = facet_count(n, m)
+        assert _count_only(capsys, n, m) == {"consistent": True, "enumerated": count, "formula": count}
+
+
+def test_facet_count_divergence_without_top_row(capsys):
+    # the closed form counts m - 1 = -1 monotonicity steps of lam_bar at m = 0
+    for n in (3, 4, 5):
+        count = facet_count(n, 0)
+        assert _count_only(capsys, n, 0) == {"consistent": False, "enumerated": count, "formula": count - 1}
 
 
 def test_facet_count_matches_listing():
     for n in range(1, 7):
-        for m in range(6):
-            assert facet_count_consistent(n, m)["enumerated"] == len(facets(n, m)), (n, m)
-    with pytest.raises(InputError):
-        facet_count_consistent(2, -1)
+        for m in range(7):
+            assert facet_count(n, m) == len(facets(n, m)), (n, m)
+    assert [facet_count(1, m) for m in range(7)] == [2 * m for m in range(7)]
     with pytest.raises(InputError, match="facets need n >= 1 and m >= 0"):
-        facet_count_formula(0, 1)
-
-
-def test_facet_count_divergence_without_top_row():
-    # one extra chamber facet per the classification when m = 0, n >= 3
-    for n in (3, 4, 5):
-        report = facet_count_consistent(n, 0)
-        assert not report["consistent"]
-        assert report["enumerated"] == report["formula"] + 1
+        facet_count(2, -1)
 
 
 def _spec_at(x, n, m):
@@ -80,29 +83,61 @@ def _spec_at(x, n, m):
     return BoundarySpec(*(tuple(x[lo:hi]) for lo, hi in zip(cuts, cuts[1:])))
 
 
+def _coefficients(inequalities, n, m):
+    """Each inequality, then the balance, as a dict from the index of a
+    quadruple's entry to its coefficient: each is linear, so its coefficients
+    are its values on the unit quadruples."""
+    size = 3 * n + 2 * m
+    units = [_spec_at([int(k == v) for k in range(size)], n, m) for v in range(size)]
+    rows = [{v: f.evaluate(unit) for v, unit in enumerate(units)} for f in inequalities]
+    return rows, {v: unit.balance() for v, unit in enumerate(units)}
+
+
+# the 14 shapes with n + m <= 5 and a facet; at n + m = 6 the LP passes its pivot cap
+LP_SHAPES = [(n, m) for n in range(1, 6) for m in range(6 - n) if (n, m) != (1, 0)]
+
+
 def test_every_listed_facet_is_irredundant():
     """For each inequality ``F`` that :func:`facets` lists, the exact LP finds a
     balanced quadruple with ``F <= -1`` where every other listed inequality
     holds, and :func:`check_trapezoid` rejects it: ``F`` is valid and no
-    other listed inequality implies it.  Each inequality is linear, so its
-    coefficients are its values on the unit quadruples.  At ``m = 0, n >= 3``
-    this settles the listing's 8, 17 and 34 facets against the closed form's
-    7, 16 and 33.  Every shape with ``n + m <= 5`` and a listing is checked,
-    in about 1.3 s."""
-    shapes = [(n, m) for n in range(1, 6) for m in range(6 - n) if facets(n, m)]
-    for n, m in shapes:
-        size = 3 * n + 2 * m
-        units = [_spec_at([int(k == v) for k in range(size)], n, m) for v in range(size)]
-        rows = [{v: f.evaluate(unit) for v, unit in enumerate(units)} for f in facets(n, m)]
-        balance = {v: units[v].balance() for v in range(size)}
+    other listed inequality implies it.  Every shape with ``n + m <= 5`` and
+    a listing is checked, in about 1.3 s."""
+    for n, m in LP_SHAPES:
+        rows, balance = _coefficients(facets(n, m), n, m)
         for k, row in enumerate(rows):
             others = [({v: -c for v, c in other.items()}, 0) for other in rows[:k] + rows[k + 1:]]
-            x = lp_point([(row, -1)] + others, [(balance, 0)], size)
+            x = lp_point([(row, -1)] + others, [(balance, 0)], 3 * n + 2 * m)
             assert x is not None, (n, m, k)
             assert not check_trapezoid(_spec_at(x, n, m), n, m).feasible, (n, m, k)
-    assert len(shapes) == 14
-    assert [len(facets(n, 0)) for n in (3, 4, 5)] == [8, 17, 34]
-    assert [facet_count_formula(n, 0) for n in (3, 4, 5)] == [7, 16, 33]
+    assert len(LP_SHAPES) == 14 and all(facets(n, m) for n, m in LP_SHAPES) and not facets(1, 0)
+
+
+def test_every_left_out_inequality_is_implied():
+    """For each subset pair ``(I, J)`` of ``1..n`` and ``1..m`` and each
+    monotonicity step of ``lam`` and ``lam_bar`` that :func:`facets` leaves
+    out, the exact LP finds no balanced quadruple with that inequality
+    ``<= -1`` where every listed one holds: the listed ones imply it.  With
+    :func:`test_every_listed_facet_is_irredundant`, the listing is exactly the
+    facet set on these shapes, and :func:`facet_count` is its size: 8, 17
+    and 34 at ``m = 0, n = 3, 4, 5``, where the paper's closed form
+    ``(2^n - 2) 2^m + n + 4m - 2`` says 7, 16 and 33."""
+    left_out = 0
+    for n, m in LP_SHAPES:
+        listed = facets(n, m)
+        keys = {(f.kind, f.I, f.J, f.j) for f in listed}
+        subsets = [[S for size in range(k + 1) for S in combinations(range(1, k + 1), size)] for k in (n, m)]
+        candidates = [FacetInequality("horn", I, J) for I in subsets[0] for J in subsets[1]]
+        candidates += [FacetInequality("chamber_lambda", j=j) for j in range(1, n + m)]
+        candidates += [FacetInequality("chamber_lambda_bar", j=j) for j in range(1, m)]
+        candidates = [f for f in candidates if (f.kind, f.I, f.J, f.j) not in keys]
+        rows, balance = _coefficients(listed + candidates, n, m)
+        holds = [({v: -c for v, c in row.items()}, 0) for row in rows[:len(listed)]]
+        for f, row in zip(candidates, rows[len(listed):]):
+            assert lp_point([(row, -1)] + holds, [(balance, 0)], 3 * n + 2 * m) is None, (n, m, f)
+        left_out += len(candidates)
+    assert left_out == 89, left_out
+    assert [facet_count(n, 0) for n in (3, 4, 5)] == [len(facets(n, 0)) for n in (3, 4, 5)] == [8, 17, 34]
 
 
 def test_facet_budgets_refuse_exactly_past_their_limits(monkeypatch):
@@ -112,19 +147,19 @@ def test_facet_budgets_refuse_exactly_past_their_limits(monkeypatch):
     default budget, ``n + m = 10^6`` is counted in well under 0.1 s."""
     for n, m in ((2, 0), (3, 5), (40, 0), (7, 30)):
         monkeypatch.setattr(core, "CELLS_MAX", n + m)
-        assert facet_count_consistent(n, m)["enumerated"].bit_length() in (n + m, n + m + 1)
+        assert facet_count(n, m).bit_length() in (n + m, n + m + 1)
         monkeypatch.setattr(core, "CELLS_MAX", n + m - 1)
         with pytest.raises(InputError, match=f"^facet count too large: {n + m} binary digits, "
                                              f"more than {n + m - 1}$"):
-            facet_count_consistent(n, m)
+            facet_count(n, m)
     monkeypatch.setattr(core, "CELLS_MAX", 0)
-    assert facet_count_consistent(1, 5)["enumerated"] == 10
+    assert facet_count(1, 5) == 10
     monkeypatch.undo()
     start = time.perf_counter()
-    assert facet_count_consistent(2, 10**6 - 2)["enumerated"].bit_length() == 10**6
+    assert facet_count(2, 10**6 - 2).bit_length() == 10**6
     assert time.perf_counter() - start < 0.1
     with pytest.raises(InputError, match="^facet count too large: 1000001 binary digits, more than 1000000$"):
-        facet_count_consistent(2, 10**6 - 1)
+        facet_count(2, 10**6 - 1)
     assert len(facets(1, polytope.FACET_LISTING_MAX - 1)) == 2 * (polytope.FACET_LISTING_MAX - 1)
     with pytest.raises(InputError, match=r"^facet listing too large: 19 \(n \+ m\), more than 18; "
                                          "--count-only counts the facets$"):
@@ -158,27 +193,26 @@ def test_facet_count_for_one_row_allocates_no_power():
     would take about 125 MB at m = 10**9."""
     tracemalloc.start()
     try:
-        report = facet_count_consistent(1, 10**9)
+        count = facet_count(1, 10**9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report == {"enumerated": 2 * 10**9, "formula": 2 * 10**9, "consistent": True}
+    assert count == 2 * 10**9
     assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("call", [
-    lambda: facet_count_consistent(3.0, 1),
-    lambda: facet_count_formula(2.5, 1),
+    lambda: facet_count(3.0, 1),
     lambda: facets(2.0, 1),
     lambda: facets(True, 2),
-], ids=["count-float-n", "formula-float-n", "facets-float-n", "facets-bool-n"])
+], ids=["count-float-n", "facets-float-n", "facets-bool-n"])
 def test_facet_shapes_must_be_ints(call):
     with pytest.raises(InputError, match="facets need integer n and m"):
         call()
 
 
 @pytest.mark.parametrize("n, m", [(2, -1), (1, -3), (3, -2), (0, 1)])
-@pytest.mark.parametrize("facet_function", [facets, facet_count_formula, facet_count_consistent])
+@pytest.mark.parametrize("facet_function", [facets, facet_count])
 def test_facet_functions_refuse_a_negative_shape(facet_function, n, m):
     # the closed form alone once gave -3.0, -6 and -5.5 for the first three
     with pytest.raises(InputError, match="facets need n >= 1 and m >= 0"):
@@ -201,11 +235,23 @@ def test_facet_listing_allocates_no_lists():
     assert peak < bound, (peak / len(fs), bound / len(fs))
 
 
-def test_facets_match_the_brute_force_classification():
+def test_facets_are_sorted_distinct_and_counted():
+    """For ``n + m <= 10``: horn facets of subsets ``I`` of ``1..n`` and ``J``
+    of ``1..m``, sorted by ``(|I|+|J|, I, J)`` and distinct, then distinct
+    chamber steps in range; as many as :func:`facet_count` says, and their JSON
+    is that of lists.  Which facets they are, the two LP tests prove on
+    ``n + m <= 5``."""
     for n in range(1, 11):
         for m in range(11 - n):
             fs = facets(n, m)
-            assert [(f.kind, f.I, f.J, f.j) for f in fs] == brute_force_facets(n, m), (n, m)
+            horn = [(len(f.I) + len(f.J), f.I, f.J) for f in fs if f.kind == "horn"]
+            steps = [(f.kind, f.j) for f in fs[len(horn):]]
+            assert horn == sorted(set(horn)) and steps == sorted(set(steps)), (n, m)
+            for _, I, J in horn:
+                assert list(I) == sorted(set(I) & set(range(1, n + 1))), (n, m, I)
+                assert list(J) == sorted(set(J) & set(range(1, m + 1))), (n, m, J)
+            assert all(1 <= j < (n + m if kind == "chamber_lambda" else m) for kind, j in steps), (n, m)
+            assert len(fs) == facet_count(n, m), (n, m)
             as_lists = [{"kind": f.kind, "I": list(f.I), "J": list(f.J)} if f.kind == "horn"
                         else {"kind": f.kind, "j": f.j} for f in fs]
             assert canonical_json([f.to_json() for f in fs]) == canonical_json(as_lists), (n, m)
@@ -436,24 +482,54 @@ def test_count_scaled_points():
         count_scaled_points(lam, bar, nu, 0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_kostka_positive_iff_feasible(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 3)
-    m = rng.randint(0, 2)
-    p = random_pattern(rng, n, m, 0, 4)
-    lam, bar = p.rows[-1], p.rows[0]
-    nu = list(pattern_nu(p.rows))
-    if rng.random() < 0.5:  # perturb, possibly off the polytope
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        nu[i] += 3
-        nu[j] -= 3
-    nu = tuple(nu)
-    spec = BoundarySpec(lam, bar, (0,) * n, nu)
-    feasible = check_trapezoid(spec, n, m).feasible
-    assert (kostka(lam, bar, nu) > 0) == feasible
+def _compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers that sum to ``total``: stars and bars."""
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def test_determinant_matches_the_permutation_expansion():
+    """The oracle's elimination against the sum over permutations, on seeded
+    integer matrices up to 5 by 5: some singular, some with a zero first
+    pivot, so that rows are swapped."""
+    rng = random.Random(12)
+    for size in range(6):
+        for _ in range(30):
+            mat = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+            if size > 1 and rng.random() < 0.3:
+                mat[0][0] = 0
+            if size > 1 and rng.random() < 0.2:
+                mat[-1] = list(mat[0])
+            want = sum((-1) ** sum(a > b for a, b in combinations(perm, 2))
+                       * prod(row[c] for row, c in zip(mat, perm)) for perm in permutations(range(size)))
+            assert determinant(mat) == want, mat
+
+
+def test_kostka_sums_to_jacobi_trudi_at_ones():
+    """Summed over every composition ``nu`` of ``|lam| - |lam_bar|`` into
+    ``n`` parts, the counts are ``s_{lam/lam_bar}(1^n) = det[h_{lam_i -
+    lam_bar_j - i + j}]`` with ``h_k = C(n - 1 + k, n - 1)``, 0 for ``k < 0``
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.5.4).  Every
+    composition is counted, not only sorted ones, so a wrong 0 from an
+    infeasible verdict, in any content order, makes the sum short."""
+    rng = random.Random(4)
+    shapes = [((5, 3, 2, 0), (), 4), ((4, 4, 1, 0, 0), (), 5), ((3, 2, 2, 1, 0), (), 5)]
+    while len(shapes) < 7:  # skew shapes lam / lam_bar with n + m rows and m rows inside
+        n, m = rng.randint(3, 5), rng.randint(1, 2)
+        p = random_pattern(rng, n, m, 0, rng.randint(3, 5))
+        lam, bar = p.rows[-1], p.rows[0]
+        if any(bar) and 8 <= sum(lam) - sum(bar) <= 14:
+            shapes.append((lam, bar, n))
+    start = time.perf_counter()
+    for lam, bar, n in shapes:
+        rows, padded = len(lam), bar + (0,) * (len(lam) - len(bar))
+        h = [[comb(n - 1 + k, n - 1) if k >= 0 else 0
+              for k in (lam[i] - padded[j] - i + j for j in range(rows))] for i in range(rows)]
+        total = sum(kostka(lam, bar, nu) for nu in _compositions(sum(lam) - sum(bar), n))
+        assert total == determinant(h) > 0, (lam, bar, n)
+    assert time.perf_counter() - start < 1
+    assert sum(1 for _, bar, _ in shapes if any(bar)) == 4
 
 
 def test_horn_facets_valid_on_random_boundaries():
