@@ -17,20 +17,17 @@ from .core import (
     boundary,
     canonical_json,
     config_from_json,
-    config_to_json,
     deficits,
     derivative,
     extend_to_trapezoid,
     integrate,
     pattern_from_json,
-    pattern_to_json,
     rat,
     rat_to_json,
     restrict_to,
     rough_bound,
     shift_mu,
     spec_from_json,
-    spec_to_json,
     validate_array,
     validate_pattern,
 )
@@ -53,7 +50,6 @@ from .flow import (
     boundary_of_flow,
     enumerate_vertices,
     flow_from_json,
-    flow_to_json,
     gamma,
     gamma_inv,
     generator_array,

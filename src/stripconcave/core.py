@@ -13,7 +13,7 @@ quoted annotations, which are never evaluated.
 """
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, ge, gt, lt, neg, sub
 from typing import Union
 
@@ -141,15 +141,15 @@ _set = object.__setattr__
 
 class Record:
     """Immutable value: its fields, the ``__slots__`` without a leading ``_``
-    (``_fields``), are each set once in ``__init__`` by ``_set``; it is compared,
-    hashed, printed, pickled and written by class and field values.  A slot with
-    a leading ``_`` is a memo, not a field: a view derived from the fields, set
-    by ``_set`` when first computed and then read instead of computed again.
-    Its JSON is its non-``None`` fields by name, renamed by ``_keys`` (``lambda``
-    and ``lambda_bar`` for ``BoundarySpec``, ``I`` for ``Certificate.subset``).
-    ``FeasibilityVerdict`` (a computed ``feasible``, a ``null`` certificate),
-    ``FacetInequality`` (keys by kind; its own tuples, so a listing allocates no
-    lists) and ``PathDecomposition`` (a list) write their own."""
+    (``_fields``), are each set once, by the checking ``__init__`` or by
+    :meth:`_trusted`; it is compared, hashed, printed, pickled and written by
+    class and field values.  A slot with a leading ``_`` is a memo, not a field:
+    a view derived from the fields, set by ``_set`` when first computed and then
+    read instead of computed again.  Its JSON is its non-``None`` fields by name,
+    renamed by ``_keys`` (``lambda``, ``lambda_bar`` for ``BoundarySpec``, ``I``
+    for ``Certificate.subset``).  ``FeasibilityVerdict`` (a computed ``feasible``,
+    a ``null`` certificate), ``FacetInequality`` (keys by kind; its own tuples, so
+    a listing allocates no lists) and ``PathDecomposition`` (a list) write their own."""
 
     __slots__ = ()
     _keys = {}
@@ -157,6 +157,14 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls._values = attrgetter(*cls._fields)
+
+    @classmethod
+    def _trusted(cls, count: int, *columns) -> list:
+        """``count`` records, slot ``k`` (fields, then memos) of each from ``columns[k]``, unchecked."""
+        records = [*map(object.__new__, repeat(cls, count))]
+        for name, column in zip(cls.__slots__, columns):
+            any(map(getattr(cls, name).__set__, records, column))  # each put returns None: any() runs all
+        return records
 
     def to_json(self) -> dict:
         return {self._keys.get(name, name): _field_json(value) for name in self._fields
@@ -377,6 +385,8 @@ def shift_mu(spec: "BoundarySpec") -> "BoundarySpec":
     counting takes it.
     """
     n = len(spec.mu)
+    if len(spec.nu) != n:
+        raise InputError("mu and nu must have the same length")
     (nu,) = _exact((tuple(spec.nu[i] - spec.mu[i] for i in range(n)),))
     return BoundarySpec(spec.lam, spec.lam_bar, (0,) * n, nu)
 
@@ -510,7 +520,7 @@ def restrict_to(x: "StripConcaveArray", config: "ConvexConfig") -> "StripConcave
 # JSON encoding
 # ---------------------------------------------------------------------------
 
-config_to_json = array_to_json = pattern_to_json = spec_to_json = Record.to_json
+array_to_json = Record.to_json  # read by bench/workloads.py:151,194 and bench/run.py:382
 
 
 def config_from_json(obj) -> "ConvexConfig":

@@ -7,8 +7,8 @@ flow after the layer-2 zigzag swap, and the skew tableau of its pattern.
 """
 from fractions import Fraction
 
-from .core import ConvexConfig, StripConcaveArray, array_to_json, derivative, pattern_to_json
-from .flow import flow_to_json, gamma, swap_flow
+from .core import ConvexConfig, StripConcaveArray, derivative
+from .flow import gamma, swap_flow
 from .tableau import pattern_to_tableau
 
 
@@ -41,11 +41,11 @@ def all_fixtures() -> dict:
     hexagon, trapezoid = hexagon_array(), trapezoid_array()
     pattern, flow = derivative(trapezoid), gamma(trapezoid)
     return {
-        "hexagon_array": array_to_json(hexagon),
-        "hexagon_pattern": pattern_to_json(derivative(hexagon)),
-        "trapezoid_array": array_to_json(trapezoid),
-        "trapezoid_pattern": pattern_to_json(pattern),
-        "flow": flow_to_json(flow),
-        "flow_swapped": flow_to_json(swap_flow(flow, 2)),
+        "hexagon_array": hexagon.to_json(),
+        "hexagon_pattern": derivative(hexagon).to_json(),
+        "trapezoid_array": trapezoid.to_json(),
+        "trapezoid_pattern": pattern.to_json(),
+        "flow": flow.to_json(),
+        "flow_swapped": swap_flow(flow, 2).to_json(),
         "tableau": pattern_to_tableau(pattern).to_json(),
     }

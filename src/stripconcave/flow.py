@@ -122,10 +122,12 @@ def gamma(x: "StripConcaveArray") -> "Flow":
     ``g(e1_{ij}) = dx_{i+1,j+1} - dx_{i,j+1}`` with the conventions
     ``dx_{i0} = lam_1`` and ``dx_{i,i+m+1} = 0``.
     """
-    c, rows = x.config, _trapezoid_derivative(x).rows
-    g = Flow(c.n, c.m, *map(_exact, _slacks(rows)))
-    _set(g, "_rows", rows)
-    return g
+    c, p = x.config, _trapezoid_derivative(x)
+    if not validate_pattern(p) or p.rows[-1][-1] < 0:
+        raise InputError("flow values must be nonnegative")
+    e0, e1 = map(_exact, _slacks(p.rows))
+    # a slack is negative exactly when validate_pattern fails or lam[-1] < 0; the flow keeps its rows
+    return Flow._trusted(1, (c.n,), (c.m,), (e0,), (e1,), (p.rows,))[0]
 
 
 def gamma_inv(g: "Flow") -> "StripConcaveArray":
@@ -279,7 +281,8 @@ def _toggle(rows, layer: int) -> tuple:
 def swap_flow(g: "Flow", layer: int) -> "Flow":
     """The flow of the pattern of ``g`` after the row toggle of :func:`zigzag_swap`;
     raises :class:`InputError` unless ``g`` is admissible."""
-    return Flow(g.n, g.m, *map(_exact, _slacks(_toggle(_pattern_rows(g), layer))))
+    e0, e1 = map(_exact, _slacks(_toggle(_pattern_rows(g), layer)))
+    return Flow._trusted(1, (g.n,), (g.m,), (e0,), (e1,))[0]  # the toggle keeps g's pattern valid, lam fixed
 
 
 def _swap_layers(x: "StripConcaveArray", layers) -> "StripConcaveArray":
@@ -341,9 +344,6 @@ def permute_nu(x: "StripConcaveArray", pi: "Sequence[int]") -> "StripConcaveArra
 # ---------------------------------------------------------------------------
 # path decomposition and generators
 # ---------------------------------------------------------------------------
-
-flow_to_json = Record.to_json
-
 
 def flow_from_json(obj) -> "Flow":
     if not isinstance(obj, dict) or not {"n", "m", "e0", "e1"} <= set(obj):

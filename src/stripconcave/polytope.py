@@ -85,14 +85,13 @@ def facets(n: int, m: int) -> list:
     The tests prove this exact on every shape with ``n + m <= 5`` by an exact
     LP: each listed inequality is irredundant, and each left out is implied.
     Listed with horn facets first, in ``(|I|+|J|, I, J)`` order, from one
-    pass over the sorted row subsets; the horn facets of one ``|I|+|J|`` are
-    made in one chunk, by ``object.__new__`` with each slot set through its
-    member descriptor, not by ``__init__``.  The listing has about ``2^(n+m)``
-    entries, so ``n + m`` is capped at :data:`FACET_LISTING_MAX`;
-    :func:`facet_count` counts up to ``n + m = 10^6``.  A facet and its
-    ``to_json`` take about 265 B (tracemalloc, ``(7, 7)``), and
-    ``stripconcave facets --n 9 --m 9`` prints its 261 163 facets in about
-    0.8 s at 107 MB peak RSS (2 CPUs, Python 3.11).
+    pass over the sorted row subsets; the horn facets are made by one call of
+    :meth:`~stripconcave.core.Record._trusted`, with no ``__init__`` per facet.
+    The listing has about ``2^(n+m)`` entries, so ``n + m`` is capped at
+    :data:`FACET_LISTING_MAX`; :func:`facet_count` counts up to
+    ``n + m = 10^6``.  A facet and its ``to_json`` take about 265 B
+    (tracemalloc, ``(7, 7)``), and ``stripconcave facets --n 9 --m 9`` prints
+    its 261 163 facets in about 0.8 s at 107 MB peak RSS (2 CPUs, Python 3.11).
     """
     _require_shape(n, m)
     _check(n + m, FACET_LISTING_MAX, "facet listing", "(n + m)", "; --count-only counts the facets")
@@ -107,14 +106,10 @@ def facets(n: int, m: int) -> list:
             if (0 < k < n) or (k == 0 and l == 1) or (k == n and l == m - 1):
                 Is[k + l].append(repeat(I, len(cols[l])))
                 Js[k + l].append(cols[l])
-    setters = [getattr(FacetInequality, name).__set__ for name in FacetInequality.__slots__]
-    out = []
-    for I_runs, J_runs in zip(Is, Js):
-        chunk = [*map(object.__new__, repeat(FacetInequality, sum(map(len, J_runs))))]
-        values = repeat("horn"), chain.from_iterable(I_runs), chain.from_iterable(J_runs), repeat(None)
-        for put, column in zip(setters, values):
-            any(map(put, chunk, column))  # each put returns None, so any() runs them all
-        out += chunk
+    # the classification above makes each (I, J); FacetInequality.__init__ would check nothing
+    I_col, J_col = (chain.from_iterable(chain.from_iterable(runs)) for runs in (Is, Js))
+    out = FacetInequality._trusted(sum(map(len, chain.from_iterable(Js))), repeat("horn"), I_col, J_col,
+                                   repeat(None))
     lam_steps, bar_steps = _chamber_steps(n, m)
     out += [FacetInequality("chamber_lambda", j=j) for j in lam_steps]
     out += [FacetInequality("chamber_lambda_bar", j=j) for j in bar_steps]

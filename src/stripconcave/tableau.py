@@ -11,7 +11,7 @@ from itertools import chain, compress, repeat
 from operator import add, le, lt, sub
 
 from . import core
-from .core import ConvexConfig, GTPattern, InputError, Record, _check, _is_int, _set
+from .core import ConvexConfig, GTPattern, InputError, Record, _check, _is_int, _set, validate_pattern
 
 
 class SkewTableau(Record):
@@ -48,9 +48,8 @@ class SkewTableau(Record):
         for r, row in enumerate(rows):
             if len(row) != outer[r] - pad[r]:
                 raise InputError(f"row {r + 1} must hold {outer[r] - pad[r]} entries")
-            if row and not (set(map(type, row)) <= {int} and 1 <= min(row) and max(row) <= n):
-                if any(not _is_int(v) or not 1 <= v <= n for v in row):
-                    raise InputError(f"entries must be integers in 1..{n}")
+            if any(not _is_int(v) or not 1 <= v <= n for v in row):
+                raise InputError(f"entries must be integers in 1..{n}")
             if not all(map(le, row, row[1:])):
                 raise InputError(f"row {r + 1} must be weakly increasing")
         for r in range(1, len(outer)):
@@ -103,7 +102,9 @@ def pattern_to_tableau(p: "GTPattern") -> "SkewTableau":
     for col in zip(*parts):  # only the steps that add cells to this row are repeated
         gaps = [*map(sub, col[1:], col)]
         rows.append(tuple(chain.from_iterable(map(repeat, compress(steps, gaps), filter(None, gaps)))))
-    return SkewTableau(parts[n], parts[0][:m], rows)
+    if validate_pattern(p):  # the rows interlace: each step adds a horizontal strip of cells
+        return SkewTableau._trusted(1, (parts[n],), (parts[0][:m],), (tuple(rows),))[0]
+    return SkewTableau(parts[n], parts[0][:m], rows)  # which names the first row or column that fails
 
 
 def tableau_to_pattern(t: "SkewTableau") -> "GTPattern":

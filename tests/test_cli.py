@@ -10,14 +10,9 @@ import golden
 from stripconcave import (
     BoundarySpec,
     array_from_json,
-    array_to_json,
     boundary,
     canonical_json,
     check_parallelogram,
-    config_to_json,
-    flow_to_json,
-    pattern_to_json,
-    spec_to_json,
     validate_array,
 )
 from stripconcave import construct
@@ -105,7 +100,7 @@ def test_check_picks_parallelogram_from_lengths(capsys):
     # nu non-empty and lambda as long as lambda_bar: the (n, m) parallelogram
     for nu, feasible in (((1, 1), True), ((3, -1), False)):
         spec = BoundarySpec((3, 1), (2, 0), (0, 0), nu)
-        code, out, _ = run(capsys, "check", "--spec", json.dumps(spec_to_json(spec)))
+        code, out, _ = run(capsys, "check", "--spec", json.dumps(spec.to_json()))
         verdict = check_parallelogram(spec, 2, 2)
         assert verdict.feasible is feasible
         assert (code, out) == (0 if feasible else 1, canonical_json(verdict.to_json()))
@@ -169,7 +164,7 @@ def test_build_without_config_uses_the_shape_check_decides(capsys, spec):
     assert (code, err) == ((0 if feasible else 1), "")
     if feasible:
         x = array_from_json(json.loads(out))
-        assert validate_array(x) and spec_to_json(boundary(x)) == json.loads(spec)
+        assert validate_array(x) and boundary(x).to_json() == json.loads(spec)
 
 
 def test_check_and_build_agree(capsys):
@@ -211,7 +206,7 @@ def test_flow_round_trip(capsys):
     code, out, _ = run(capsys, "flow", "to", "--array", array)
     assert code == 0
     flow = json.loads(out)
-    assert flow == flow_to_json(TRAPEZOID_FLOW)
+    assert flow == TRAPEZOID_FLOW.to_json()
     code, out, _ = run(capsys, "flow", "from", "--flow", json.dumps(flow))
     assert code == 0
     # mu-normalized array shares the fixture's derivative
@@ -231,7 +226,7 @@ def test_swap_reproduces_swapped_fixture(capsys):
         capsys, "swap", "--layer", "2", "--flow", json.dumps(fixtures["flow"])
     )
     assert code == 0
-    assert json.loads(out) == flow_to_json(SWAPPED_FLOW)
+    assert json.loads(out) == SWAPPED_FLOW.to_json()
 
 
 def test_swap_domains(capsys):
@@ -348,7 +343,7 @@ def test_tableau_commands(capsys):
         capsys, "tableau", "to-pattern", "--tableau", json.dumps(fixtures["tableau"])
     )
     assert code == 0
-    assert json.loads(out)["rows"] == pattern_to_json(TRAPEZOID_PATTERN)["rows"]
+    assert json.loads(out)["rows"] == TRAPEZOID_PATTERN.to_json()["rows"]
     code, out, _ = run(
         capsys, "tableau", "content", "--tableau", json.dumps(fixtures["tableau"])
     )
@@ -398,12 +393,12 @@ def test_fixtures_self_validate(capsys):
     assert code == 0
     # the five derived examples are the hand-written ones
     assert json.loads(out) == {
-        "hexagon_array": array_to_json(hexagon_array()),
-        "hexagon_pattern": pattern_to_json(HEXAGON_PATTERN),
-        "trapezoid_array": array_to_json(trapezoid_array()),
-        "trapezoid_pattern": pattern_to_json(TRAPEZOID_PATTERN),
-        "flow": flow_to_json(TRAPEZOID_FLOW),
-        "flow_swapped": flow_to_json(SWAPPED_FLOW),
+        "hexagon_array": hexagon_array().to_json(),
+        "hexagon_pattern": HEXAGON_PATTERN.to_json(),
+        "trapezoid_array": trapezoid_array().to_json(),
+        "trapezoid_pattern": TRAPEZOID_PATTERN.to_json(),
+        "flow": TRAPEZOID_FLOW.to_json(),
+        "flow_swapped": SWAPPED_FLOW.to_json(),
         "tableau": SKEW_TABLEAU.to_json(),
     }
     # byte stability
@@ -427,8 +422,8 @@ def test_reduction_env_var(monkeypatch, capsys):
 
 def test_removed_mode_flags_exit_2(capsys):
     hexagon = hexagon_array()
-    config = json.dumps(config_to_json(hexagon.config))
-    spec = json.dumps(spec_to_json(boundary(hexagon)))
+    config = json.dumps(hexagon.config.to_json())
+    spec = json.dumps(boundary(hexagon).to_json())
     for argv in (
         ("check", "--spec", spec, "--config", config, "--exhaustive"),
         ("build", "--spec", spec, "--config", config, "--proof-verbatim"),
@@ -544,13 +539,13 @@ SMALL_CONFIG = '{"n":1,"a":[0,0],"b":[0,1]}'
 
 @pytest.mark.parametrize("argv, needle", [
     (["tableau", "from-pattern"], "needs --pattern"),
-    (["tableau", "from-pattern", "--pattern", canonical_json(pattern_to_json(HEXAGON_PATTERN))],
+    (["tableau", "from-pattern", "--pattern", canonical_json(HEXAGON_PATTERN.to_json())],
      "tableaux correspond to trapezoidal patterns"),
     (["check", "--config", '{"n":2,"a":[0,0,0],"b":[1,1,2]}', "--spec", TRIANGLE_SPEC],
      "increments of b must weakly decrease"),
     (["check", "--config", '{"n":2,"a":5,"b":[0,1,2]}', "--spec", TRIANGLE_SPEC],
      "integer n and integer lists a, b"),
-    (["check", "--config", canonical_json(config_to_json(hexagon_array().config)),
+    (["check", "--config", canonical_json(hexagon_array().config.to_json()),
       "--spec", '{"lambda":[3,0],"lambda_bar":[2,1],"mu":[2,-2],"nu":[1,0]}'],
      "mu and nu must have length n"),
     (["flow", "to", "--array", "[1,2]"], "rows must be a list of lists"),

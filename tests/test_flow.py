@@ -2,7 +2,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,6 @@ from stripconcave import (
     derivative,
     enumerate_vertices,
     flow_from_json,
-    flow_to_json,
     gamma,
     gamma_inv,
     generator_array,
@@ -46,6 +45,7 @@ from oracles import (
     enumerate_patterns,
     flow_pattern_rows,
     pattern_nu,
+    pattern_slacks,
     random_pattern,
     tight_system_rank,
     vertex_patterns,
@@ -117,7 +117,7 @@ def test_memos_are_exact_seeded():
             g = gamma(x)
         except InputError:
             continue
-        h = flow_from_json(flow_to_json(g))
+        h = flow_from_json(g.to_json())
         assert h == g and g._rows and not hasattr(h, "_rows")  # h takes the checked path
         for call in (path_decompose, gamma_inv, *(lambda f, k=k: swap_flow(f, k)
                                                   for k in range(1, g.n))):
@@ -148,13 +148,46 @@ def test_arithmetic_results_read_as_their_json_seeded():
         except InputError:  # a negative slack
             g = None
         if g is not None:
-            h = flow_from_json(flow_to_json(g))
+            h = flow_from_json(g.to_json())
             results += [(g, flow_from_json), (gamma_inv(h), array_from_json)]
             results += [(swap_flow(f, k), flow_from_json) for f in (g, h) for k in range(1, g.n)]
         for record, decode in results:
             assert repr(decode(record.to_json())) == repr(record), record
         seen[g is not None] += 1
     assert min(seen.values()) >= 25 and len(seen) == 2, seen
+
+
+def test_trusted_flows_equal_checked_ones_seeded():
+    """:func:`gamma` and :func:`swap_flow` build flows without ``Flow``'s
+    checks.  On seeded patterns, half of them with one cell moved, some below
+    0, :func:`gamma` of the integrated array refuses exactly where ``Flow``
+    refuses the pattern's slacks, with the same message; each flow it builds,
+    and each swap of that flow, equals by ``repr`` the flow that ``Flow``
+    builds from the same fields."""
+    rng = random.Random(3304)
+    seen = Counter()
+    for t in range(1000):
+        n, m = rng.randint(1, 4), rng.randint(0, 3)
+        rows = [list(row) for row in random_pattern(rng, n, m, rng.choice((0, -3)), 6).rows]
+        if t % 2:
+            i = rng.choice([i for i, row in enumerate(rows) if row])
+            rows[i][rng.randrange(len(rows[i]))] += rng.choice((-3, -1, 1, 3))
+        outcomes = []
+        for build in (lambda: gamma(integrate(GTPattern(ConvexConfig.trapezoid(n, m), rows))),
+                      lambda: Flow(n, m, *pattern_slacks(rows))):
+            try:
+                outcomes.append(build())
+            except InputError as exc:
+                outcomes.append(str(exc))
+        g, h = outcomes
+        assert repr(g) == repr(h), rows
+        if isinstance(g, Flow):
+            for s in map(swap_flow, repeat(g), range(1, n)):
+                assert repr(s) == repr(Flow(s.n, s.m, s.e0, s.e1)), (rows, s)
+        seen[t % 2, g if isinstance(g, str) else "flow"] += 1
+    assert sorted(seen) == [(0, "flow"), (0, "flow values must be nonnegative"),
+                            (1, "flow"), (1, "flow values must be nonnegative")], seen
+    assert min(seen.values()) >= 50, seen
 
 
 def test_gamma_fixture():
@@ -166,8 +199,8 @@ def test_gamma_fixture():
 def test_flow_holds_its_size():
     g = TRAPEZOID_FLOW
     assert Flow._fields == ("n", "m", "e0", "e1") and (g.n, g.m) == (3, 2)
-    assert flow_to_json(g) == {"n": 3, "m": 2, "e0": [list(r) for r in g.e0],
-                               "e1": [list(r) for r in g.e1]}
+    assert g.to_json() == {"n": 3, "m": 2, "e0": [list(r) for r in g.e0],
+                           "e1": [list(r) for r in g.e1]}
     for args, needle in (
         ((0, 1, (), ()), "flow graph needs n >= 1 and m >= 0"),
         ((1, -1, ((),), ((),)), "flow graph needs n >= 1 and m >= 0"),
@@ -326,10 +359,10 @@ def test_permute_nu_equals_composed_swaps():
 
 def test_flow_json_round_trip():
     g = TRAPEZOID_FLOW
-    assert flow_from_json(flow_to_json(g)) == g
+    assert flow_from_json(g.to_json()) == g
     g = Flow(1, 1, ((Fraction(1, 2), 0),), ((0, 3),))
-    assert canonical_json(flow_to_json(g)) == '{"e0":[["1/2",0]],"e1":[[0,3]],"m":1,"n":1}'
-    assert flow_from_json(flow_to_json(g)) == g
+    assert canonical_json(g.to_json()) == '{"e0":[["1/2",0]],"e1":[[0,3]],"m":1,"n":1}'
+    assert flow_from_json(g.to_json()) == g
     with pytest.raises(InputError):
         flow_from_json({"n": 1, "m": 0})
 

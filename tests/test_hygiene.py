@@ -1,10 +1,10 @@
 """Source hygiene: no package module imports a name it never uses, no
 private definition is left unused, every public name and every public
 member of a public class is read outside the tests, no package function is
-recursive, only the budget check refuses by size, every oracle is read and
-imports from the package only what its rule allows, the CLI imports no
-heavy stdlib module, and integer data loads neither ``json`` at import nor
-``fractions``."""
+recursive, only the budget check refuses by size, only the listed builders
+skip a record's checks, every oracle is read and imports from the package
+only what its rule allows, the CLI imports no heavy stdlib module, and
+integer data loads neither ``json`` at import nor ``fractions``."""
 import ast
 import importlib
 from fractions import Fraction
@@ -137,8 +137,6 @@ def test_detector_flags_unreferenced_private_definitions():
 
 # Public names that only the tests read, each kept for a reason of its own.
 UNREAD_PUBLIC_NAMES = {
-    "config_to_json": "the inverse of config_from_json",
-    "spec_to_json": "the inverse of spec_from_json",
     "permute_nu": "the paper's rearrangement of nu by adjacent zigzag swaps",
     "Rat": "the exact-rational type that the package's quoted annotations name",
 }
@@ -266,6 +264,60 @@ def test_detector_flags_size_refusals():
               "def bare():\n    raise InputError\n"),
     }
     assert size_refusals(sources) == ["a:_check", "a:inline", "a:inner", "a:outer"]
+
+
+# The functions that may build a record without its checking __init__: the one
+# unchecked constructor, and its callers, each with what covers its values.
+UNCHECKED_BUILDERS = {
+    "core:_trusted": "object.__new__ and one member-descriptor setter per slot",
+    "polytope:facets": "the classification makes each (I, J); FacetInequality checks nothing",
+    "tableau:pattern_to_tableau": "validate_pattern: the chain interlaces",
+    "flow:gamma": "validate_pattern and lam[-1] >= 0: every slack is nonnegative",
+    "flow:swap_flow": "the Bender-Knuth toggle keeps the pattern valid and lam fixed",
+}
+
+
+def _builds_unchecked(node) -> bool:
+    """A call of ``_trusted``, or a read of ``object.__new__`` or of a ``__set__`` attribute."""
+    return isinstance(node, ast.Attribute) and (
+        node.attr in ("_trusted", "__set__")
+        or node.attr == "__new__" and getattr(node.value, "id", None) == "object")
+
+
+def unchecked_builders(sources: dict) -> list:
+    """``module:function`` of each function in ``sources`` (module name to
+    source text) that reads ``_trusted``, ``object.__new__`` or a ``__set__``
+    attribute; a nested function and each one around it are named, and a read
+    outside every function as ``module:<module>``."""
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        funcs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        found |= {f"{module}:{f.name}" for f in funcs if any(map(_builds_unchecked, ast.walk(f)))}
+        inside = {id(node) for f in funcs for node in ast.walk(f)}
+        if any(_builds_unchecked(node) and id(node) not in inside for node in ast.walk(tree)):
+            found.add(f"{module}:<module>")
+    return sorted(found)
+
+
+def test_only_checked_data_skips_the_checks():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unchecked_builders(sources) == sorted(UNCHECKED_BUILDERS)
+
+
+def test_detector_flags_unchecked_builders():
+    sources = {
+        "a": ("class R:\n    @classmethod\n    def _trusted(cls, n):\n"
+              "        return [*map(object.__new__, [cls] * n)]\n"
+              "def listed(n):\n    return R._trusted(n)\n"
+              "def by_setter(r):\n    R.x.__set__(r, 1)\n"
+              "def outer():\n    def inner():\n        return core.Flow._trusted(1)\n    return inner\n"),
+        "b": ("new = object.__new__\n"
+              "def fine(cls):\n    return cls.__new__(cls), super().__new__(cls), object.__setattr__\n"
+              "def named(x):\n    return x.trusted()\n"),
+    }
+    assert unchecked_builders(sources) == [
+        "a:_trusted", "a:by_setter", "a:inner", "a:listed", "a:outer", "b:<module>"]
 
 
 def self_calling_functions(source: str) -> list:

@@ -6,7 +6,7 @@ import time
 import timeit
 import tracemalloc
 from itertools import combinations, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -238,7 +238,8 @@ def test_facet_listing_allocates_no_lists():
 def test_facets_are_sorted_distinct_and_counted():
     """For ``n + m <= 10``: horn facets of subsets ``I`` of ``1..n`` and ``J``
     of ``1..m``, sorted by ``(|I|+|J|, I, J)`` and distinct, then distinct
-    chamber steps in range; as many as :func:`facet_count` says, and their JSON
+    chamber steps in range; as many as :func:`facet_count` says, each equal by
+    ``repr`` to the facet ``__init__`` builds from its fields, and their JSON
     is that of lists.  Which facets they are, the two LP tests prove on
     ``n + m <= 5``."""
     for n in range(1, 11):
@@ -252,6 +253,7 @@ def test_facets_are_sorted_distinct_and_counted():
                 assert list(J) == sorted(set(J) & set(range(1, m + 1))), (n, m, J)
             assert all(1 <= j < (n + m if kind == "chamber_lambda" else m) for kind, j in steps), (n, m)
             assert len(fs) == facet_count(n, m), (n, m)
+            assert [*map(repr, fs)] == [repr(FacetInequality(f.kind, f.I, f.J, f.j)) for f in fs], (n, m)
             as_lists = [{"kind": f.kind, "I": list(f.I), "J": list(f.J)} if f.kind == "horn"
                         else {"kind": f.kind, "j": f.j} for f in fs]
             assert canonical_json([f.to_json() for f in fs]) == canonical_json(as_lists), (n, m)
@@ -530,6 +532,38 @@ def test_kostka_sums_to_jacobi_trudi_at_ones():
         assert total == determinant(h) > 0, (lam, bar, n)
     assert time.perf_counter() - start < 1
     assert sum(1 for _, bar, _ in shapes if any(bar)) == 4
+
+
+def test_kostka_counts_standard_tableaux_by_hook_lengths():
+    """``kostka(lam, (), 1^N)`` is the number of standard tableaux of the
+    straight shape ``lam`` of ``N`` cells, ``N!`` over the product of its hook
+    lengths (Frame, Robinson and Thrall, 1954), on seeded shapes of 20 to 30
+    cells.  A single column's hooks are ``N, .., 1``, so its count is 1: the
+    ``1^200`` counts above rest on this theorem."""
+    rng = random.Random(6)
+    for _ in range(8):
+        left, lam = rng.randint(20, 30), []
+        while left:
+            lam.append(rng.randint(1, min(left, 8)))
+            left -= lam[-1]
+        lam = tuple(sorted(lam, reverse=True))
+        cols = [sum(v > j for v in lam) for j in range(lam[0])]
+        hooks = prod(v - j + cols[j] - i - 1 for i, v in enumerate(lam) for j in range(v))
+        assert kostka(lam, (), (1,) * sum(lam)) * hooks == factorial(sum(lam)), lam
+
+
+def test_kostka_sums_to_weyl_dimension_when_stretched():
+    """For a straight shape ``lam`` of ``n`` parts, the counts summed over every
+    composition of ``k |lam|`` into ``n`` parts are ``s_{k lam}(1^n) =
+    prod_{i<j} (k (lam_i - lam_j) + j - i) / (j - i)`` (Weyl's dimension
+    formula; Stanley, EC2, Cor 7.21.4), for ``k = 1, 2, 3``."""
+    for lam in ((2, 1, 0), (4, 2, 1), (2, 2, 1, 0)):
+        pairs = list(combinations(range(len(lam)), 2))
+        for k in (1, 2, 3):
+            scaled = tuple(k * v for v in lam)
+            total = sum(kostka(scaled, (), nu) for nu in _compositions(sum(scaled), len(lam)))
+            weyl = prod(k * (lam[i] - lam[j]) + j - i for i, j in pairs)
+            assert total * prod(j - i for i, j in pairs) == weyl, (lam, k)
 
 
 def test_horn_facets_valid_on_random_boundaries():

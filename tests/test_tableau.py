@@ -13,6 +13,7 @@ from stripconcave import (
     kostka,
     pattern_to_tableau,
     tableau_to_pattern,
+    validate_pattern,
 )
 
 from stripconcave import core
@@ -140,6 +141,18 @@ def test_round_trip_random_patterns(seed):
     t = pattern_to_tableau(p)
     assert tableau_to_pattern(t).rows == p.rows
     assert content(t) == pattern_nu(p.rows)
+
+
+def test_trusted_tableaux_equal_checked_ones_seeded():
+    """The tableau of a pattern that ``validate_pattern`` accepts is built
+    without ``SkewTableau``'s checks; on 200 seeded patterns it equals, by
+    ``repr``, the tableau that the checks build from the same fields."""
+    rng = random.Random(37)
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(0, 4)
+        p = random_pattern(rng, n, m, 0, rng.randint(0, 8))
+        t = pattern_to_tableau(p)
+        assert validate_pattern(p) and repr(t) == repr(SkewTableau(t.outer, t.inner, t.rows)), p
 
 
 def test_round_trip_all_small_tableaux():
